@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--ensemble", type=int, help="ensemble size")
     ap.add_argument("--half-width", type=float, dest="half_width", help="box half-width")
     ap.add_argument("--out", help="output directory (default: suite name)")
-    ap.add_argument("--parallel", type=int, help="FFT worker threads fanning out the members")
+    ap.add_argument("--parallel", type=int, help="number of FFT worker threads (default 1)")
     ap.add_argument("--list-suites", action="store_true", help="print the suite catalog")
     return ap
 
@@ -132,15 +132,17 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         return _error(f"config: {exc}")
 
-    if cfg.parallel and cfg.parallel > 1:
-        grid_mod.fft_workers = cfg.parallel
-
     out_dir = Path(cfg.out or cfg.suite)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    start = time.time()
-    result = run_suite(cfg)
-    elapsed = time.time() - start
+    previous_workers = grid_mod.fft_workers
+    grid_mod.fft_workers = cfg.parallel
+    try:
+        start = time.time()
+        result = run_suite(cfg)
+        elapsed = time.time() - start
+    finally:
+        grid_mod.fft_workers = previous_workers
 
     # only the timestamp may differ between reruns of the same config
     manifest = {

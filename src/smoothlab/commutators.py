@@ -77,10 +77,6 @@ class CommutatorOp:
         return self._smooth(g, self.s)
 
 
-def apply(op: CommutatorOp, f: Field) -> Field:
-    return op.apply(f)
-
-
 @dataclass
 class OperatorNormEstimate:
     value: float

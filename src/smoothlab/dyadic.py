@@ -54,15 +54,9 @@ def smooth_cutoff(s):
 class BumpProfile:
     """The radial bump phi(s) = chi(s) - chi(2s), supported in (1/2, 2)."""
 
-    inner_cutoff: float = 0.5
-    outer_cutoff: float = 2.0
-
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         return smooth_cutoff(s) - smooth_cutoff(2.0 * s)
-
-    # alias matching the "eval" field of the domain type
-    eval = __call__
 
 
 def make_bump() -> BumpProfile:

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .dyadic import smooth_cutoff
-from .grid import Field, Grid, SpaceTimeField
+from .grid import Field, Grid, SpaceTimeField, _ifftn
 
 def member_rng(seed: int, *indices: int) -> np.random.Generator:
     return np.random.default_rng([seed, *indices])
@@ -63,8 +63,6 @@ def band_limited_field(
             continue
         spectrum[tuple((kvec * mode_scale) % N)] = re[idx] + 1j * im[idx]
     # unnormalized inverse transform scaled so samples are sums of unit plane waves
-    from .grid import _ifftn
-
     values = _ifftn(spectrum) * (N**n)
     if window is not None:
         values = values * radial_window(

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy import fft as _fft
 
-#: worker count handed to scipy.fft; raised by the CLI --parallel flag.
+#: worker count handed to scipy.fft; the CLI --parallel flag sets it for one run.
 fft_workers: int = 1
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dyadic import DyadicDecomposition, smooth_cutoff
+from .dyadic import DyadicDecomposition, seq_norm, smooth_cutoff, spatial_masks
 from .ensembles import band_limited_field, band_limited_spacetime, member_rng
 from .grid import Field, Grid, SpaceTimeField, _fftn, _ifftn
 from .norms import (
@@ -27,9 +27,24 @@ from .norms import (
     smoothing_norm,
     sup_l2_norm,
     time_l2,
+    weight_product_mask,
 )
-from .schrodinger import MagneticPotential, duhamel, free_evolution, magnetic_solve, zero_potential
-from .spectral import gradient_magnitude, l2_norm, lp_norm, sobolev_norm
+from .schrodinger import (
+    MagneticPotential,
+    duhamel,
+    free_evolution,
+    magnetic_solve,
+    smallness_audit,
+    zero_potential,
+)
+from .spectral import (
+    apply_multiplier,
+    derivative,
+    gradient_magnitude,
+    l2_norm,
+    lp_norm,
+    sobolev_norm,
+)
 
 
 @dataclass
@@ -51,7 +66,7 @@ class EstimateReport:
         return "degenerate" in self.flags
 
 
-def _assemble_report(
+def _ensemble_report(
     estimate_id: str,
     members: list[dict],
     ensemble_meta: dict,
@@ -113,7 +128,7 @@ def verify_kpv(
         return band_limited_spacetime(g, ts, member_rng(seed, 11, idx))
 
     members = [_kpv_member(make_F(grid, times, i), decomp, times) for i in range(ensemble)]
-    report = _assemble_report(
+    report = _ensemble_report(
         "kpv-smoothing",
         members,
         {"size": ensemble, "seed": seed, "kind": "band-limited spacetime"},
@@ -186,8 +201,6 @@ def verify_main(
     """Weighted-energy smoothing bound for the magnetic flow, with a
     paired zero-potential run measuring the ratio inflation caused by the
     potential and an exact consistency check of the free reduction."""
-    from .schrodinger import smallness_audit
-
     times = np.asarray(times, dtype=float)
     audit = smallness_audit(A, decomp, budget=audit_budget)
     members = []
@@ -208,7 +221,7 @@ def verify_main(
             rec["ratio_zero_potential"] = ratio0
             inflations.append(rec["ratio"] / ratio0)
         members.append(rec)
-    report = _assemble_report(
+    report = _ensemble_report(
         "main-magnetic-smoothing",
         members,
         {"size": ensemble, "seed": seed, "kind": "band-limited f+F"},
@@ -239,7 +252,7 @@ def verify_main(
 
 def _lowpass(F: SpaceTimeField, threshold: float) -> SpaceTimeField:
     sym = smooth_cutoff(F.grid.freq_radius / threshold)
-    vals = np.stack([_ifftn(sym * _fftn(v)) for v in F.values])
+    vals = np.stack([apply_multiplier(s, sym).values for s in F.slices()])
     return SpaceTimeField(F.grid, F.times, vals)
 
 
@@ -284,7 +297,7 @@ def verify_free_endpoint(
         }
         rec["degenerate"] = rhs == 0
         members.append(rec)
-    return _assemble_report(
+    return _ensemble_report(
         "free-endpoint",
         members,
         {"size": ensemble, "seed": seed, "kind": "band-limited f+F"},
@@ -371,7 +384,7 @@ def verify_resolvent_1d(
         rec["ratio"] = sup / l1 if l1 > 0 else math.nan
         rec["degenerate"] = l1 == 0
         members.append(rec)
-    return _assemble_report(
+    return _ensemble_report(
         "resolvent-1d",
         members,
         {"size": len(members), "seed": seed, "kind": "box/gaussian profiles"},
@@ -384,19 +397,17 @@ def verify_resolvent_1d(
 # ---------------------------------------------------------------------------
 
 
-def _mixed_inf_l2_static(vals: np.ndarray, grid: Grid) -> float:
-    """L^inf over x1 of the L^2 norm over the remaining axes."""
-    axes = tuple(range(1, grid.dim))
-    cell = grid.spacing ** (grid.dim - 1)
-    prof = np.sqrt(np.sum(np.abs(vals) ** 2, axis=axes) * cell)
-    return float(prof.max())
-
-
-def _mixed_l1_l2_static(vals: np.ndarray, grid: Grid) -> float:
-    axes = tuple(range(1, grid.dim))
-    cell = grid.spacing ** (grid.dim - 1)
-    prof = np.sqrt(np.sum(np.abs(vals) ** 2, axis=axes) * cell)
-    return float(np.sum(prof) * grid.spacing)
+def _x1_profile(values: np.ndarray, grid: Grid, times: np.ndarray | None = None) -> np.ndarray:
+    """L^2 norm over the transverse axes x' as a function of x1; with
+    ``times`` the values carry a leading time axis, which is integrated in
+    L^2 as well.  Mixed norms are its max (L^inf_{x1}) or its sum times the
+    spacing (L^1_{x1})."""
+    lead = 0 if times is None else 1
+    axes = tuple(range(lead + 1, lead + grid.dim))
+    dens = np.sum(np.abs(values) ** 2, axis=axes) * grid.spacing ** (grid.dim - 1)
+    if times is not None:
+        dens = np.trapezoid(dens, times, axis=0)
+    return np.sqrt(dens)
 
 
 def verify_resolvent_nd(
@@ -428,15 +439,15 @@ def verify_resolvent_nd(
         spec = _fftn(v.values)
         d1 = _ifftn(1j * g.freq_coord(0) * spec)
         wv = _ifftn((g.freq_radius**2 - lam) * spec)
-        lhs = _mixed_inf_l2_static(d1, g)
-        rhs = _mixed_l1_l2_static(wv, g)
+        lhs = float(_x1_profile(d1, g).max())
+        rhs = float(_x1_profile(wv, g).sum() * g.spacing)
         rec = {"lhs": lhs, "rhs": rhs, "lambda": [lam.real, lam.imag]}
         rec["ratio"] = lhs / rhs if rhs > 0 else math.nan
         rec["degenerate"] = rhs == 0
         return rec
 
     members = [member(grid, i, lambdas[i % len(lambdas)]) for i in range(ensemble)]
-    report = _assemble_report(
+    report = _ensemble_report(
         "resolvent-nd",
         members,
         {"size": ensemble, "seed": seed, "kind": "band-limited, complex spectral set"},
@@ -456,30 +467,9 @@ def verify_resolvent_nd(
 # ---------------------------------------------------------------------------
 
 
-def _mixed_inf_l2_spacetime(u: SpaceTimeField) -> float:
-    grid = u.grid
-    axes = tuple(range(2, 1 + grid.dim))  # transverse spatial axes of (t, x1, x')
-    cell = grid.spacing ** (grid.dim - 1)
-    dens = np.sum(np.abs(u.values) ** 2, axis=axes) * cell  # (t, x1)
-    prof = np.sqrt(np.trapezoid(dens, u.times, axis=0))
-    return float(prof.max())
-
-
-def _mixed_l1_l2_spacetime(u: SpaceTimeField) -> float:
-    grid = u.grid
-    axes = tuple(range(2, 1 + grid.dim))
-    cell = grid.spacing ** (grid.dim - 1)
-    dens = np.sum(np.abs(u.values) ** 2, axis=axes) * cell
-    prof = np.sqrt(np.trapezoid(dens, u.times, axis=0))
-    return float(np.sum(prof) * grid.spacing)
-
-
 def _weight_product_field(f: Field, decomp: DyadicDecomposition, k: int, a: float) -> Field:
-    from .dyadic import spatial_masks
-    from .norms import _weight_product_mask
-
     masks = spatial_masks(decomp, f.grid, strict=False)
-    return Field(f.grid, _weight_product_mask(masks, k, a) * f.values)
+    return Field(f.grid, weight_product_mask(masks, k, a) * f.values)
 
 
 def inclusion_l2_vs_weighted_sum(f: Field, decomp: DyadicDecomposition) -> dict:
@@ -499,7 +489,7 @@ def inclusion_weighted_sup_vs_mixed(f: Field, decomp: DyadicDecomposition) -> di
     lhs = max(
         l2_norm(_weight_product_field(f, decomp, k, -0.5)) for k in decomp.shells
     )
-    rhs = _mixed_inf_l2_static(f.values, f.grid)
+    rhs = float(_x1_profile(f.values, f.grid).max())
     return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs > 0 else math.nan,
             "degenerate": rhs == 0}
 
@@ -524,18 +514,12 @@ def verify_mixed_norm(
 
     def estimate_along(F: SpaceTimeField, u: SpaceTimeField, axis: int) -> dict:
         g = F.grid
-        du = np.stack(
-            [
-                _ifftn(1j * g.freq_coord(axis) * _fftn(v))
-                for v in u.values
-            ]
-        )
-        if axis != 0:
-            du = np.moveaxis(du, 1 + axis, 1)
-            Fv = np.moveaxis(F.values, 1 + axis, 1)
-            F = SpaceTimeField(g, F.times, Fv)
-        lhs = _mixed_inf_l2_spacetime(SpaceTimeField(g, u.times, du))
-        rhs = _mixed_l1_l2_spacetime(F)
+        du = np.stack([derivative(s, axis).values for s in u.slices()])
+        # the estimate's axis goes to the x1 slot of (t, x1, x')
+        du = np.moveaxis(du, 1 + axis, 1)
+        Fv = np.moveaxis(F.values, 1 + axis, 1)
+        lhs = float(_x1_profile(du, g, u.times).max())
+        rhs = float(_x1_profile(Fv, g, F.times).sum() * g.spacing)
         return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs > 0 else math.nan,
                 "degenerate": rhs == 0}
 
@@ -544,7 +528,7 @@ def verify_mixed_norm(
         return estimate_along(F, u, 0)
 
     members = [member_ratio(grid, i) for i in range(ensemble)]
-    report = _assemble_report(
+    report = _ensemble_report(
         "mixed-norm-smoothing",
         members,
         {"size": ensemble, "seed": seed, "kind": "band-limited spacetime"},
@@ -590,15 +574,11 @@ def verify_mixed_norm(
 
 def lqa_lp_norm(f: Field, decomp: DyadicDecomposition, q: float, a: float, p: float) -> float:
     """Plain weighted shell-L^p norm (no smoothing factor)."""
-    from .dyadic import spatial_masks
-
     masks = spatial_masks(decomp, f.grid, strict=False)
     terms = {
         k: lp_norm(Field(f.grid, masks[k] * f.values), p) for k in decomp.shells
     }
-    if math.isinf(q):
-        return max(2.0 ** (k * a) * v for k, v in terms.items())
-    return sum(2.0 ** (k * q * a) * v**q for k, v in terms.items()) ** (1.0 / q)
+    return seq_norm(terms, q, a)
 
 
 def hardy_ratio(f: Field) -> float:
@@ -665,7 +645,7 @@ def verify_product_and_interpolation(
             sub["hardy"].append(hr)
         members.append({"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs > 0 else math.nan,
                         "degenerate": rhs == 0})
-    report = _assemble_report(
+    report = _ensemble_report(
         "product-interpolation",
         members,
         {"size": ensemble, "seed": seed, "kind": "band-limited pairs"},

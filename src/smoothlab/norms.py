@@ -1,9 +1,10 @@
 """Composite shell norms: weighted Sobolev sums, local-energy functionals,
 space-time smoothing norms, and the three-way equivalence report.
 
-Shell sums run over the finite range of a DyadicDecomposition; the share
-of the two boundary shells is reported as ``tail_fraction`` so experiments
-can enforce the < 1% truncation discipline.
+Shell sums run over the finite range of a DyadicDecomposition and are
+assembled by ``dyadic.seq_norm``; the share of the two boundary shells is
+reported as ``tail_fraction`` so experiments can enforce the < 1%
+truncation discipline.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .dyadic import DyadicDecomposition, MaskFamily, frequency_masks, spatial_masks
+from .dyadic import DyadicDecomposition, MaskFamily, frequency_masks, seq_norm, spatial_masks
 from .grid import Field, Grid, SpaceTimeField
-from .spectral import fractional_laplacian, l2_norm, lp_norm
+from .spectral import apply_multiplier, fractional_laplacian, l2_norm, lp_norm
 
 VARIANTS = ("mask_then_D", "D_then_mask", "weight_product")
 
@@ -51,6 +52,13 @@ def _annulus_mask(grid: Grid, k: int) -> np.ndarray:
     """Indicator of the closed annulus 2^(k-1) <= |x| <= 2^(k+1)."""
     r = grid.radius
     return ((r >= 2.0 ** (k - 1)) & (r <= 2.0 ** (k + 1))).astype(float)
+
+
+def annulus_sup(values: np.ndarray, grid: Grid, k: int) -> float:
+    """sup of |values| over the dyadic annulus of shell k; 0.0 when the
+    annulus holds no grid point."""
+    mask = _annulus_mask(grid, k) > 0
+    return float(np.abs(values[mask]).max()) if mask.any() else 0.0
 
 
 def annulus_l2(f: Field, k: int) -> float:
@@ -96,7 +104,7 @@ def morrey_campanato(f: Field, radii: Iterable[float] | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _weight_product_mask(masks: MaskFamily, k: int, a: float) -> np.ndarray:
+def weight_product_mask(masks: MaskFamily, k: int, a: float) -> np.ndarray:
     """|x|^a Q_k(x), with the value forced to 0 off the mask support."""
     grid = masks.grid
     q = masks[k]
@@ -134,16 +142,24 @@ def lqa_shell_terms(
             terms[k] = lp_norm(fractional_laplacian(loc, spec.s), p)
     else:
         for k in decomp.shells:
-            w = _weight_product_mask(masks, k, spec.a)
+            w = weight_product_mask(masks, k, spec.a)
             loc = Field(f.grid, w * f.values)
             terms[k] = lp_norm(fractional_laplacian(loc, spec.s), p)
     return terms
 
 
-def _assemble(terms: dict[int, float], q: float, a: float) -> float:
-    if math.isinf(q):
-        return max(2.0 ** (k * a) * v for k, v in terms.items())
-    return sum(2.0 ** (k * q * a) * v**q for k, v in terms.items()) ** (1.0 / q)
+def _shell_weight(spec: NormSpec, variant: str) -> float:
+    # the weight_product form carries 2^(k a) inside its |x|^a factor and
+    # is summed unweighted
+    return 0.0 if variant == "weight_product" else spec.a
+
+
+def _boundary_share(terms: dict[int, float], decomp: DyadicDecomposition, q: float, a: float) -> float:
+    total = seq_norm(terms, q, a)
+    if total == 0:
+        return 0.0
+    share = seq_norm({k: terms[k] for k in (decomp.k_min, decomp.k_max)}, q, a) / total
+    return share if math.isinf(q) else share**q
 
 
 def lqa_sobolev_norm(
@@ -161,10 +177,7 @@ def lqa_sobolev_norm(
     unweighted.
     """
     terms = lqa_shell_terms(f, decomp, spec, variant, p, strict)
-    if not terms:
-        raise ValueError("empty shell range")
-    weight_a = 0.0 if variant == "weight_product" else spec.a
-    return _assemble(terms, spec.q, weight_a)
+    return seq_norm(terms, spec.q, _shell_weight(spec, variant))
 
 
 def norm_record(
@@ -175,12 +188,14 @@ def norm_record(
     name: str = "lqa_sobolev",
 ) -> dict:
     """JSON-ready record of one norm evaluation with its truncation tail."""
+    terms = lqa_shell_terms(f, decomp, spec, variant)
+    weight = _shell_weight(spec, variant)
     return {
         "norm_name": name,
         "variant": variant,
         "spec": {"q": spec.q, "a": spec.a, "s": spec.s},
-        "value": lqa_sobolev_norm(f, decomp, spec, variant),
-        "tail_fraction": lqa_tail_fraction(f, decomp, spec, variant),
+        "value": seq_norm(terms, spec.q, weight),
+        "tail_fraction": _boundary_share(terms, decomp, spec.q, weight),
         "grid": f.grid.meta(),
     }
 
@@ -195,15 +210,7 @@ def lqa_tail_fraction(
     """Share of the two boundary shells in the assembled norm (q-power mass;
     at q = inf the boundary max relative to the global max)."""
     terms = lqa_shell_terms(f, decomp, spec, variant, p)
-    weight_a = 0.0 if variant == "weight_product" else spec.a
-    edge = {decomp.k_min, decomp.k_max}
-    if math.isinf(spec.q):
-        total = max(2.0 ** (k * weight_a) * v for k, v in terms.items())
-        boundary = max(2.0 ** (k * weight_a) * terms[k] for k in edge)
-        return boundary / total if total > 0 else 0.0
-    total = sum(2.0 ** (k * spec.q * weight_a) * v**spec.q for k, v in terms.items())
-    boundary = sum(2.0 ** (k * spec.q * weight_a) * terms[k] ** spec.q for k in edge)
-    return boundary / total if total > 0 else 0.0
+    return _boundary_share(terms, decomp, spec.q, _shell_weight(spec, variant))
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +264,6 @@ def l1t_l2x_norm(F: SpaceTimeField) -> float:
 
 
 def frequency_localize(f: Field, freq_masks: MaskFamily, k: int) -> Field:
-    from .spectral import apply_multiplier
-
     return apply_multiplier(f, freq_masks[k])
 
 
@@ -283,7 +288,7 @@ def phase_localized_norm(
             k2: lqa_sobolev_norm(frequency_localize(f, pk, k2), space_decomp, spec)
             for k2 in freq_decomp.shells
         }
-        return _assemble(outer_terms, r, r_weight)
+        return seq_norm(outer_terms, r, r_weight)
     if ordering == "space_outer":
         # inner l^r over frequency shells of the per-(k1,k2) localized B-norm,
         # assembled by the spatial l^{q,a} rule last
@@ -294,8 +299,8 @@ def phase_localized_norm(
             for k2 in freq_decomp.shells:
                 loc = Field(f.grid, qk[k1] * frequency_localize(f, pk, k2).values)
                 inner[k2] = l2_norm(fractional_laplacian(loc, spec.s))
-            per_k1[k1] = _assemble(inner, r, r_weight)
-        return _assemble(per_k1, spec.q, spec.a)
+            per_k1[k1] = seq_norm(inner, r, r_weight)
+        return seq_norm(per_k1, spec.q, spec.a)
     raise ValueError(f"unknown ordering {ordering!r}")
 
 

@@ -21,9 +21,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dyadic import DyadicDecomposition
+from .dyadic import DyadicDecomposition, make_bump
 from .grid import Field, Grid, SpaceTimeField, _fftn, _ifftn
-from .norms import _annulus_mask
+from .norms import annulus_sup
+from .spectral import apply_multiplier, gradient, warn_if_boundary_heavy
 
 
 class StabilityError(RuntimeError):
@@ -77,8 +78,6 @@ def bump_potential(
     grid: Grid, amplitude: float, shell: int = 0, direction: int = 0
 ) -> MagneticPotential:
     """Single radial bump on one dyadic shell along one axis."""
-    from .dyadic import make_bump
-
     prof = make_bump()
     comps = [np.zeros(grid.shape) for _ in range(grid.dim)]
     comps[direction] = amplitude * prof(grid.radius / 2.0**shell)
@@ -96,7 +95,7 @@ def _free_symbol(grid: Grid, t: float) -> np.ndarray:
 
 def free_propagate(f: Field, t: float) -> Field:
     """Exact spectral free flow over time t."""
-    return Field(f.grid, _ifftn(_free_symbol(f.grid, t) * _fftn(f.values)))
+    return apply_multiplier(f, _free_symbol(f.grid, t))
 
 
 def free_evolution(f: Field, times: Sequence[float]) -> SpaceTimeField:
@@ -121,6 +120,34 @@ def _sample_forcing(F: SpaceTimeField | None, grid: Grid, t: float) -> np.ndarra
     return (1.0 - w) * F.values[j] + w * F.values[j + 1]
 
 
+def _march(
+    grid: Grid,
+    u0: np.ndarray,
+    t0: float,
+    t_out: np.ndarray,
+    advance: Callable[[np.ndarray, float, float], np.ndarray],
+    extra_nodes: Sequence[float] = (),
+) -> SpaceTimeField:
+    """March u0 from t0 through the sorted union of the output times and
+    ``extra_nodes`` with ``advance(u, a, b)``, keeping the state at every
+    output time.  Nodes are rounded to 15 decimals so that output times
+    and coinciding extra nodes land on one key."""
+    t_out = np.asarray(t_out, dtype=float)
+    want = set(np.round(t_out, 15))
+    nodes = want | {round(t0, 15)} | {round(t, 15) for t in extra_nodes}
+    nodes = sorted(t for t in nodes if t0 <= t <= max(want))
+    u = np.array(u0, dtype=np.complex128)
+    out: dict[float, np.ndarray] = {}
+    if nodes[0] in want:
+        out[nodes[0]] = u.copy()
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        u = advance(u, a, b)
+        if b in want:
+            out[b] = u.copy()
+    vals = np.stack([out[t] for t in np.round(t_out, 15)])
+    return SpaceTimeField(grid, t_out, vals)
+
+
 def _march_free_forced(
     grid: Grid,
     u0: np.ndarray,
@@ -131,26 +158,14 @@ def _march_free_forced(
     """Exact free propagation with trapezoid forcing on the union grid of
     the forcing samples and the output times (telescopes to the global
     trapezoid Duhamel quadrature)."""
-    nodes = set(np.round(t_out, 15)) | {round(t0, 15)}
-    if F is not None:
-        nodes |= {round(t, 15) for t in F.times if t0 < t <= t_out[-1]}
-    nodes = sorted(t for t in nodes if t0 <= t <= t_out[-1])
-    u = np.array(u0, dtype=np.complex128)
-    out: dict[float, np.ndarray] = {}
-    want = set(np.round(t_out, 15))
-    if nodes[0] in want:
-        out[nodes[0]] = u.copy()
-    f_here = _sample_forcing(F, grid, nodes[0])
-    for a, b in zip(nodes[:-1], nodes[1:]):
+
+    def advance(u: np.ndarray, a: float, b: float) -> np.ndarray:
         h = b - a
         sym = _free_symbol(grid, h)
-        f_next = _sample_forcing(F, grid, b)
-        u = _ifftn(sym * _fftn(u + 0.5 * h * f_here)) + 0.5 * h * f_next
-        f_here = f_next
-        if b in want:
-            out[b] = u.copy()
-    vals = np.stack([out[t] for t in np.round(t_out, 15)])
-    return SpaceTimeField(grid, np.asarray(t_out, dtype=float), vals)
+        f_a, f_b = _sample_forcing(F, grid, a), _sample_forcing(F, grid, b)
+        return _ifftn(sym * _fftn(u + 0.5 * h * f_a)) + 0.5 * h * f_b
+
+    return _march(grid, u0, t0, t_out, advance, () if F is None else F.times)
 
 
 def duhamel(F: SpaceTimeField, t_out: Sequence[float]) -> SpaceTimeField:
@@ -165,8 +180,6 @@ def duhamel(F: SpaceTimeField, t_out: Sequence[float]) -> SpaceTimeField:
             f"output times [{t_out.min()}, {t_out.max()}] outside forcing span "
             f"[{F.times[0]}, {F.times[-1]}]"
         )
-    from .spectral import warn_if_boundary_heavy
-
     heaviest = int(np.argmax(np.abs(F.values).reshape(F.n_times, -1).max(axis=1)))
     warn_if_boundary_heavy(F.slice(heaviest), "duhamel forcing")
     zero = np.zeros(F.grid.shape, dtype=np.complex128)
@@ -206,9 +219,7 @@ def effective_scalar_potential(
     total = 0.0
     if decomp is not None:
         for k in decomp.shells:
-            mask = _annulus_mask(grid, k) > 0
-            sup = float(np.max(np.abs(w[mask]))) if mask.any() else 0.0
-            per_shell[k] = 2.0 ** (2 * k) * sup
+            per_shell[k] = 2.0 ** (2 * k) * annulus_sup(w, grid, k)
         total = sum(per_shell.values())
     return WFieldResult(Field(grid, w), per_shell, total)
 
@@ -243,24 +254,17 @@ def smallness_audit(
     sup0 = [np.zeros(grid.shape) for _ in range(grid.dim)]
     sup1 = [[np.zeros(grid.shape) for _ in range(grid.dim)] for _ in range(grid.dim)]
     for t in times:
-        comps = A.at(t)
-        for j, c in enumerate(comps):
+        for j, c in enumerate(A.at(t)):
             sup0[j] = np.maximum(sup0[j], np.abs(c))
-            spec = _fftn(c.astype(complex))
-            for ax in range(grid.dim):
-                d = _ifftn(1j * grid.freq_coord(ax) * spec)
-                sup1[j][ax] = np.maximum(sup1[j][ax], np.abs(d))
+            for ax, d in enumerate(gradient(Field(grid, c))):
+                sup1[j][ax] = np.maximum(sup1[j][ax], np.abs(d.values))
     per_component: list[dict[int, float]] = []
     for j in range(grid.dim):
         shells = {}
         for k in decomp.shells:
-            mask = _annulus_mask(grid, k) > 0
-            if not mask.any():
-                shells[k] = 0.0
-                continue
-            term = 2.0**k * float(sup0[j][mask].max())
+            term = 2.0**k * annulus_sup(sup0[j], grid, k)
             for ax in range(grid.dim):
-                term += 2.0 ** (2 * k) * float(sup1[j][ax][mask].max())
+                term += 2.0 ** (2 * k) * annulus_sup(sup1[j][ax], grid, k)
             shells[k] = term
         per_component.append(shells)
     total = max(sum(shells.values()) for shells in per_component)
@@ -281,9 +285,7 @@ def _local_rhs(
 ) -> np.ndarray:
     """i times the non-Laplacian part of Lap_A, plus forcing:
     2 div(A u) - i W u + F."""
-    div = np.zeros(grid.shape, dtype=np.complex128)
-    for j, c in enumerate(comps):
-        div += _ifftn(1j * grid.freq_coord(j) * _fftn(c * u))
+    div = _divergence(grid, tuple(c * u for c in comps))
     return 2.0 * div - 1j * w_vals * u + f_vals
 
 
@@ -303,8 +305,6 @@ def magnetic_solve(
     Growth of the local stage beyond ``growth_budget`` per step raises
     StabilityError naming the step.
     """
-    from .spectral import warn_if_boundary_heavy
-
     grid = f.grid
     t_out = np.asarray(t_out, dtype=float)
     if t_out.min() < 0:
@@ -343,28 +343,19 @@ def magnetic_solve(
             )
         return out
 
-    nodes = sorted({0.0} | set(np.round(t_out, 15)))
-    u = np.array(f.values, dtype=np.complex128)
-    out: dict[float, np.ndarray] = {}
-    want = set(np.round(t_out, 15))
-    if 0.0 in want:
-        out[0.0] = u.copy()
-    t = 0.0
-    for target in nodes[1:] if nodes[0] == 0.0 else nodes:
-        span = target - t
-        n_steps = max(1, math.ceil(span / dt - 1e-12))
-        h = span / n_steps
+    def advance(u: np.ndarray, a: float, b: float) -> np.ndarray:
+        n_steps = max(1, math.ceil((b - a) / dt - 1e-12))
+        h = (b - a) / n_steps
         sym = _free_symbol(grid, h)
+        t = a
         for _ in range(n_steps):
             u = local_half(u, t, t + 0.5 * h)
             u = _ifftn(sym * _fftn(u))
             u = local_half(u, t + 0.5 * h, t + h)
             t += h
-        t = target
-        if round(target, 15) in want:
-            out[round(target, 15)] = u.copy()
-    vals = np.stack([out[tt] for tt in np.round(t_out, 15)])
-    return SpaceTimeField(grid, t_out, vals)
+        return u
+
+    return _march(grid, f.values, 0.0, t_out, advance)
 
 
 def _l2(grid: Grid, vals: np.ndarray) -> float:

@@ -17,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import DyadicDecomposition
+from .dyadic import DyadicDecomposition, make_bump
 from .grid import Field, Grid, SpaceTimeField
-from .norms import _annulus_mask, smoothing_norm, sup_l2_norm
+from .norms import forcing_norm, smoothing_norm, sup_l2_norm
 from .schrodinger import MagneticPotential, magnetic_solve
 from .spectral import l2_norm
 
@@ -36,7 +36,7 @@ def critical_exponent(n: int, a) -> Fraction:
 
 @dataclass
 class SemilinearPotential:
-    """Measurable potential V with its weighted shell sup audit."""
+    """Measurable potential V with its shell weight exponent a."""
 
     grid: Grid
     values: np.ndarray
@@ -47,22 +47,11 @@ class SemilinearPotential:
         if self.values.shape != self.grid.shape:
             raise ValueError("potential shape does not match grid")
 
-    def audit(self, decomp: DyadicDecomposition) -> float:
-        """sum_k 2^(k a) sup_{annulus k} |V|."""
-        total = 0.0
-        for k in decomp.shells:
-            mask = _annulus_mask(self.grid, k) > 0
-            if mask.any():
-                total += 2.0 ** (k * self.a) * float(np.abs(self.values[mask]).max())
-        return total
-
     def is_zero(self) -> bool:
         return bool(np.max(np.abs(self.values)) == 0.0)
 
 
 def shell_potential(grid: Grid, amplitude: float, shell: int = 0, a: float = 1.0) -> SemilinearPotential:
-    from .dyadic import make_bump
-
     prof = make_bump()
     return SemilinearPotential(grid, amplitude * prof(grid.radius / 2.0**shell), a)
 
@@ -103,8 +92,6 @@ def nonlinearity_forcing_bound(
 ) -> BoundReport:
     """Data-side norm of the nonlinearity against the p-th power of the
     iteration norm (the chain endpoint actually used by the recurrence)."""
-    from .norms import forcing_norm
-
     lhs = forcing_norm(nonlinearity(u, V, p), decomp)
     rhs = contraction_norm(u, decomp) ** p
     return BoundReport(lhs, rhs)
@@ -190,44 +177,6 @@ def picard_solve(
         again = magnetic_solve(f, A, nonlinearity(u, V, p), times, dt=dt)
         residual = contraction_norm(again - u, decomp)
     return PicardRun(states, converged, diverged, u, residual)
-
-
-def finite_difference_residual(
-    run_field: SpaceTimeField,
-    f: Field,
-    V: SemilinearPotential,
-    A: MagneticPotential,
-    p: float,
-) -> float:
-    """Direct discrete residual ||d/dt u - i Lap_A u - V u |u|^(p-1)||,
-    centered differences in t, relative to ||d/dt u||.  Diagnostic only:
-    it is dominated by the time-sampling error of the stored slices."""
-    from .grid import _fftn, _ifftn
-    from .schrodinger import effective_scalar_potential
-
-    grid = run_field.grid
-    comps = A.at(0.0)
-    w = effective_scalar_potential(A).field.values
-    t = run_field.times
-    vals = run_field.values
-    num = 0.0
-    den = 0.0
-    mag = np.abs(vals)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        amp = np.where(mag > 0, mag ** (p - 1.0), 0.0)
-    nl = V.values * vals * amp
-    for j in range(1, len(t) - 1):
-        dtv = (vals[j + 1] - vals[j - 1]) / (t[j + 1] - t[j - 1])
-        u = vals[j]
-        lap = _ifftn(-(grid.freq_radius**2) * _fftn(u))
-        div = np.zeros(grid.shape, dtype=np.complex128)
-        for ax, c in enumerate(comps):
-            div += _ifftn(1j * grid.freq_coord(ax) * _fftn(c * u))
-        lap_a = lap - 2j * div - w * u
-        res = dtv - 1j * lap_a - nl[j]
-        num += float(np.sum(np.abs(res) ** 2))
-        den += float(np.sum(np.abs(dtv) ** 2))
-    return math.sqrt(num / den) if den > 0 else 0.0
 
 
 @dataclass

@@ -98,7 +98,10 @@ def derivative(f: Field, axis: int) -> Field:
 
 
 def gradient(f: Field) -> tuple[Field, ...]:
-    return tuple(derivative(f, j) for j in range(f.grid.dim))
+    """All n spectral partial derivatives from one forward transform."""
+    grid = f.grid
+    spec = _fftn(f.values)
+    return tuple(Field(grid, _ifftn(1j * grid.freq_coord(j) * spec)) for j in range(grid.dim))
 
 
 def gradient_magnitude(f: Field) -> Field:

@@ -44,7 +44,7 @@ from .harness import (
     verify_resolvent_nd,
 )
 from .norms import NormSpec, equivalence_report, lqa_sobolev_norm, phase_localized_norm
-from .schrodinger import bump_potential, smallness_audit, zero_potential
+from .schrodinger import bump_potential, magnetic_solve, smallness_audit, zero_potential
 from .semilinear import (
     contraction_norm,
     contraction_threshold,
@@ -100,6 +100,8 @@ class ExperimentConfig:
             raise ValueError("seed is mandatory")
         if self.ensemble < 1:
             raise ValueError("ensemble must be >= 1")
+        if self.parallel < 1:
+            raise ValueError("parallel (FFT worker threads) must be >= 1")
         Grid(self.dim, self.half_width, self.points)  # grid preconditions
         if self.k_min >= self.k_max:
             raise ValueError("need k_min < k_max")
@@ -325,7 +327,7 @@ def run_discrete_bounds(
     for lam, mu in lam_mu:
         spec = KernelSpec(lam, mu, lam + mu)
         for q in q_values:
-            probe = bound_probe(spec, q, windows, seed=cfg.seed)
+            probe = bound_probe(spec, q, windows)
             rows.extend(probe.rows())
             verdicts.append(
                 _verdict(
@@ -412,6 +414,13 @@ def run_main_estimate(cfg: ExperimentConfig, audit_target: float = 0.1) -> Suite
     decomp = cfg.decomposition()
     unit = bump_potential(g, 1.0, shell=1, direction=0)
     unit_total = smallness_audit(unit, decomp).total
+    if unit_total == 0:
+        # no grid point of the shell range meets the unit bump, so the audit
+        # cannot calibrate the potential; stop before any solve
+        verdict = _verdict("audit-resolvable", False,
+                           f"unit-bump audit is 0 on shells {cfg.k_min}:{cfg.k_max}")
+        return SuiteResult("main-estimate", SUITE_ANCHORS["main-estimate"], [verdict],
+                           [], {"unit_audit_total": unit_total})
     A = bump_potential(g, audit_target / unit_total, shell=1, direction=0)
     rep = verify_main(g, decomp, cfg.times(), A, cfg.ensemble, cfg.seed,
                       audit_budget=audit_target)
@@ -544,8 +553,6 @@ def run_semilinear(cfg: ExperimentConfig, a: float = 1.0, tol: float = 1e-8) -> 
     nl_bound = nonlinearity_forcing_bound(run.final, V, p, decomp)
 
     # V = 0 degenerates to the linear flow exactly
-    from .schrodinger import magnetic_solve
-
     V0 = shell_potential(g, 0.0, shell=0, a=a)
     lin_run = picard_solve(prof * (0.05 / l2_norm(prof)), V0, A, p, times, decomp)
     linear = magnetic_solve(prof * (0.05 / l2_norm(prof)), A, None, times)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from smoothlab import grid as grid_mod
 from smoothlab.cli import main, parse_config_file
 from smoothlab.suites import SUITE_ANCHORS, list_suites
 
@@ -45,6 +46,21 @@ class TestConfig:
     def test_bad_shells_format(self):
         assert main(["--suite", "partition", "--seed", "1", "--shells", "oops"]) == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_parallel_below_one_rejected(self, tmp_path, workers):
+        out = tmp_path / "out"
+        rc = main(["--suite", "partition", "--seed", "1", "--out", str(out),
+                   "--parallel", workers])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_parallel_reset_after_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(grid_mod, "fft_workers", 1)
+        rc = main(["--suite", "partition", "--seed", "1", "--out", str(tmp_path / "out"),
+                   "--parallel", "4"])
+        assert rc == 0
+        assert grid_mod.fft_workers == 1
+
     def test_parse_config_types(self, tmp_path):
         cfg = tmp_path / "t.cfg"
         cfg.write_text("suite = kpv\nseed = 3\nhalf_width = 4.0\npoints = 32\n")
@@ -75,6 +91,19 @@ class TestRunOutputs:
         main(["--suite", "resolvent-1d", "--seed", "1", "--out", str(a)])
         main(["--suite", "resolvent-1d", "--seed", "2", "--out", str(b)])
         assert (a / "results.csv").read_bytes() != (b / "results.csv").read_bytes()
+
+    def test_main_estimate_shells_outside_box(self, tmp_path):
+        # no grid point of shells 6..9 meets the unit bump: a named failed
+        # verdict and a report, not a division by zero
+        out = tmp_path / "out"
+        rc = main(["--suite", "main-estimate", "--seed", "0", "--shells", "6:9",
+                   "--out", str(out)])
+        assert rc == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is False
+        assert [(v["name"], v["passed"]) for v in report["verdicts"]] == [
+            ("audit-resolvable", False)
+        ]
 
     def test_console_script_entry(self):
         proc = subprocess.run(

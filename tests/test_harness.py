@@ -163,10 +163,10 @@ class TestResolventNd:
         spec = _fftn(vals)
         d1 = _ifftn(1j * g2.freq_coord(0) * spec)
         w = _ifftn((g2.freq_radius**2 - lam) * spec)
-        from smoothlab.harness import _mixed_inf_l2_static, _mixed_l1_l2_static
+        from smoothlab.harness import _x1_profile
 
-        lhs2 = _mixed_inf_l2_static(d1, g2)
-        rhs2 = _mixed_l1_l2_static(w, g2)
+        lhs2 = _x1_profile(d1, g2).max()
+        rhs2 = _x1_profile(w, g2).sum() * g2.spacing
         # 1-d counterpart with shifted spectral parameter
         spec1 = _fftn(prof.values)
         d1_1 = _ifftn(1j * g1d.freq_axis * spec1)

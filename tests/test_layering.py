@@ -1,0 +1,68 @@
+"""Module boundaries inside the package.
+
+No module reaches into a sibling module's private names, except the two
+transform entry points ``grid._fftn``/``grid._ifftn`` that every spectral
+routine shares; the annulus indicator stays private to ``norms``, whose
+``annulus_sup`` and ``annulus_l2`` are the public ways to use it.
+"""
+
+import ast
+from pathlib import Path
+
+import smoothlab
+
+MODULES = sorted(Path(smoothlab.__file__).parent.glob("*.py"))
+ALLOWED = {("grid", "_fftn"), ("grid", "_ifftn")}
+
+
+def _sibling(node: ast.ImportFrom) -> str | None:
+    """Sibling module named by a ``from ... import`` ('' for ``from . import``)."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and (node.module or "").startswith("smoothlab."):
+        return node.module.split(".", 1)[1]
+    return None
+
+
+def _private_reach_ins(tree: ast.Module) -> list[tuple[str, str]]:
+    found = []
+    module_aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (mod := _sibling(node)) is not None:
+            for alias in node.names:
+                if mod == "":
+                    module_aliases[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.append((mod, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in module_aliases and node.attr.startswith("_")):
+            found.append((module_aliases[node.value.id], node.attr))
+    return found
+
+
+def _names(tree: ast.Module) -> set[str]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_no_private_sibling_imports():
+    offenders = [
+        (path.name, mod, name)
+        for path in MODULES
+        for mod, name in _private_reach_ins(ast.parse(path.read_text()))
+        if (mod, name) not in ALLOWED
+    ]
+    assert offenders == []
+
+
+def test_annulus_mask_private_to_norms():
+    users = [path.name for path in MODULES if "_annulus_mask" in _names(ast.parse(path.read_text()))]
+    assert users == ["norms.py"]

@@ -3,18 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from smoothlab.dyadic import default_decomposition
+from smoothlab.dyadic import default_decomposition, make_bump
 from smoothlab.ensembles import band_limited_field, member_rng
 from smoothlab.grid import Field, Grid, SpaceTimeField, gaussian
 from smoothlab.norms import (
     NormSpec,
     annulus_sum_norm,
+    annulus_sup,
     annulus_sup_norm,
     equivalence_report,
     forcing_norm,
     lqa_sobolev_norm,
     lqa_tail_fraction,
     morrey_campanato,
+    norm_record,
     phase_localized_norm,
     smoothing_norm,
 )
@@ -90,6 +92,15 @@ class TestLocalEnergyNorms:
     def test_annulus_sup_zero(self, grid128):
         assert annulus_sup_norm(indicator(grid128, grid128.radius < 0), DEC) == 0.0
 
+    def test_annulus_sup_known_bump(self, grid32):
+        # -3 phi(|x|) peaks at |x| = 1, a grid point inside shell 0; phi
+        # vanishes on the closed shell-2 annulus [2, 8]; shell 10 holds no
+        # grid point at all
+        values = -3.0 * make_bump()(grid32.radius)
+        assert annulus_sup(values, grid32, 0) == 3.0
+        assert annulus_sup(values, grid32, 2) == 0.0
+        assert annulus_sup(values, grid32, 10) == 0.0
+
     def test_dual_bound_against_morrey(self, grid32):
         # sup_k 2^(-k/2) ||f||_{L^2(annulus)} <= C |||f||| with C <= 2
         dec = default_decomposition(-2, 3)
@@ -161,8 +172,6 @@ class TestWeightedShellNorms:
             NormSpec(0.5, 0.5, 0.5)
 
     def test_norm_record_fields(self, grid32):
-        from smoothlab.norms import norm_record
-
         dec = default_decomposition(-2, 3)
         f = band_limited_field(grid32, member_rng(3, 1))
         rec = norm_record(f, dec, NormSpec(2, 0.5, 0.5))
@@ -170,6 +179,16 @@ class TestWeightedShellNorms:
                             "tail_fraction", "grid"}
         assert rec["spec"] == {"q": 2, "a": 0.5, "s": 0.5}
         assert rec["value"] > 0 and rec["tail_fraction"] < 0.05
+
+    @pytest.mark.parametrize("variant", ["mask_then_D", "D_then_mask", "weight_product"])
+    @pytest.mark.parametrize("q", [1, 2, math.inf])
+    def test_norm_record_matches_norm_and_tail(self, grid32, variant, q):
+        dec = default_decomposition(-2, 3)
+        spec = NormSpec(q, 0.5, 0.5)
+        f = band_limited_field(grid32, member_rng(3, 2))
+        rec = norm_record(f, dec, spec, variant)
+        assert rec["value"] == lqa_sobolev_norm(f, dec, spec, variant)
+        assert rec["tail_fraction"] == lqa_tail_fraction(f, dec, spec, variant)
 
 
 class TestNormOpProperties:

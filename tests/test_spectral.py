@@ -5,6 +5,7 @@ import pytest
 
 from smoothlab.grid import Field, Grid, gaussian, plane_wave
 from smoothlab.spectral import (
+    derivative,
     fractional_laplacian,
     gradient,
     l2_norm,
@@ -114,6 +115,11 @@ class TestNorms:
         grad2 = sum(l2_norm(g) ** 2 for g in gradient(f))
         assert math.isclose(math.sqrt(grad2), sobolev_norm(f, 1.0), rel_tol=1e-10)
 
+    def test_gradient_equals_per_axis_derivatives(self, grid3):
+        f = random_field(grid3, 6)
+        for j, g in enumerate(gradient(f)):
+            assert np.array_equal(g.values, derivative(f, j).values)
+
     def test_lp_constant_volume(self, grid3):
         one = Field(grid3, np.ones(grid3.shape, dtype=complex))
         assert math.isclose(lp_norm(one, 1), 16.0**3, rel_tol=1e-12)
@@ -123,8 +129,6 @@ class TestNorms:
             lp_norm(random_field(grid3), 0.5)
 
     def test_derivative_eigenfunction(self, grid3):
-        from smoothlab.spectral import derivative
-
         pw = plane_wave(grid3, (2, 0, 1))
         out = derivative(pw, 0)
         assert np.abs(out.values - 1j * (2 * np.pi / 8) * pw.values).max() < 1e-12
