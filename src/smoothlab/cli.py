@@ -2,9 +2,16 @@
 
 Configuration is a flat key=value text file plus flag overrides (flags
 win).  Every run writes manifest.json, report.json, and results.csv into
-the output directory; the exit status is 0 when all verdicts pass, 1 on a
-verdict failure, 2 on usage errors.  Identical config and seed reproduce
-byte-identical CSVs (only the JSON timestamp field varies).
+the output directory.  Exit status:
+
+- 0: all verdicts pass;
+- 1: a verdict failed (reports still written);
+- 2: usage error, nothing run;
+- 3: the suite cannot run this config (manifest.json and a report.json
+  with an ``error`` field are written, results.csv is not).
+
+Identical config and seed reproduce byte-identical CSVs (only the JSON
+timestamp field varies).
 """
 
 from __future__ import annotations
@@ -15,18 +22,20 @@ import time
 from dataclasses import fields as dc_fields
 from pathlib import Path
 
-from . import grid as grid_mod
+import scipy.fft
+
+from .schrodinger import StabilityError
 from .serialize import write_csv, write_json
 from .suites import (
     SUITE_ANCHORS,
     ExperimentConfig,
-    SuiteResult,
     apply_suite_defaults,
     list_suites,
     run_suite,
 )
 
 USAGE_ERROR = 2
+SUITE_ERROR = 3
 
 _CONFIG_FIELDS = {
     "suite": str,
@@ -85,6 +94,16 @@ def _error(msg: str) -> int:
     return USAGE_ERROR
 
 
+def _write_manifest(out_dir: Path, cfg: ExperimentConfig) -> None:
+    # only the timestamp may differ between reruns of the same config
+    write_json(out_dir / "manifest.json", {
+        "suite": cfg.suite,
+        "anchor": SUITE_ANCHORS[cfg.suite],
+        "config": {f.name: getattr(cfg, f.name) for f in dc_fields(cfg)},
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+    })
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     try:
@@ -135,23 +154,24 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = Path(cfg.out or cfg.suite)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    previous_workers = grid_mod.fft_workers
-    grid_mod.fft_workers = cfg.parallel
     try:
-        start = time.time()
-        result = run_suite(cfg)
-        elapsed = time.time() - start
-    finally:
-        grid_mod.fft_workers = previous_workers
+        with scipy.fft.set_workers(cfg.parallel):
+            start = time.time()
+            result = run_suite(cfg)
+            elapsed = time.time() - start
+    except (ValueError, StabilityError) as exc:
+        _write_manifest(out_dir, cfg)
+        write_json(out_dir / "report.json", {
+            "suite": cfg.suite,
+            "anchor": SUITE_ANCHORS[cfg.suite],
+            "passed": False,
+            "verdicts": [],
+            "error": str(exc),
+        })
+        print(f"error: {cfg.suite} cannot run this config: {exc}", file=sys.stderr)
+        return SUITE_ERROR
 
-    # only the timestamp may differ between reruns of the same config
-    manifest = {
-        "suite": cfg.suite,
-        "anchor": SUITE_ANCHORS[cfg.suite],
-        "config": {f.name: getattr(cfg, f.name) for f in dc_fields(cfg)},
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-    write_json(out_dir / "manifest.json", manifest)
+    _write_manifest(out_dir, cfg)
     write_json(
         out_dir / "report.json",
         {

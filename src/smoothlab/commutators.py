@@ -77,24 +77,17 @@ class CommutatorOp:
         return self._smooth(g, self.s)
 
 
-@dataclass
-class OperatorNormEstimate:
-    value: float
-    spread: float  # max - min over trials that grew
-    trials: list[float]
-
-
 def operator_norm(
     op: CommutatorOp,
     trials: int = 8,
     iterations: int = 50,
     tol: float = 1e-6,
     seed: int = 0,
-) -> OperatorNormEstimate:
+) -> float:
     """Power iteration on A*A from random mean-zero starts.
 
-    Returns the largest Rayleigh quotient found (a lower bound on the true
-    norm) together with the per-trial spread.
+    Returns the largest Rayleigh quotient found over the trials, a lower
+    bound on the true norm (0.0 when no trial grew).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -127,15 +120,15 @@ def operator_norm(
                 break
             est = new_est
         results.append(est)
-    grew = [r for r in results if r > 0]
-    if not grew:
-        return OperatorNormEstimate(0.0, 0.0, results)
-    return OperatorNormEstimate(max(grew), max(grew) - min(grew), results)
+    return max([r for r in results if r > 0], default=0.0)
 
 
 # ---------------------------------------------------------------------------
 # decay scan
 # ---------------------------------------------------------------------------
+
+#: closest shell separation |k - m| the decay scan measures
+MIN_SEPARATION = 3
 
 
 @dataclass
@@ -147,7 +140,6 @@ class DecayRecord:
     predicted_t: float
     resolved: bool
     norm_value: float
-    spread: float
 
     @property
     def residual(self) -> float:
@@ -200,16 +192,14 @@ def measure_pair_norm(
     points: int = 64,
     trials: int = 4,
     iterations: int = 30,
-    tol: float = 1e-6,
     seed: int = 0,
-) -> tuple[float, float, bool]:
+) -> tuple[float, bool]:
     """Operator norm of the (k, m) pair measured at its centered dyadic
-    position; returns (norm, spread, resolved)."""
+    position; returns (norm, resolved)."""
     grid, decomp, kk, mm = _centered_setup(k, m, points, dim)
     resolved = _pair_resolved(grid, decomp, kk, mm)
     op = CommutatorOp(kk, mm, s, decomp, grid)
-    est = operator_norm(op, trials=trials, iterations=iterations, tol=tol, seed=seed)
-    return est.value, est.spread, resolved
+    return operator_norm(op, trials=trials, iterations=iterations, seed=seed), resolved
 
 
 def decay_scan(
@@ -219,13 +209,12 @@ def decay_scan(
     *,
     dim: int = 3,
     points: int = 64,
-    min_separation: int = 3,
     trials: int = 4,
     iterations: int = 30,
     seed: int = 0,
 ) -> DecayScanResult:
-    """Measure every admissible (k, m) pair and regress measured log2 norms
-    on the predicted exponent.
+    """Measure every (k, m) pair at least ``MIN_SEPARATION`` shells apart
+    and regress measured log2 norms on the predicted exponent.
 
     At p = 2 the exponent depends only on the shell separation, and the
     operator itself is dilation covariant, so each (separation, direction)
@@ -233,11 +222,11 @@ def decay_scan(
     all translates.  Unresolved classes are recorded but excluded from the
     regression.
     """
-    classes: dict[tuple[int, int], tuple[float, float, bool]] = {}
+    classes: dict[tuple[int, int], tuple[float, bool]] = {}
     records: list[DecayRecord] = []
     for k in k_range:
         for m in m_range:
-            if abs(k - m) < min_separation:
+            if abs(k - m) < MIN_SEPARATION:
                 continue
             key = (m - k > 0, abs(m - k))
             if key not in classes:
@@ -245,7 +234,7 @@ def decay_scan(
                     k, m, s, dim=dim, points=points,
                     trials=trials, iterations=iterations, seed=seed,
                 )
-            value, spread, resolved = classes[key]
+            value, resolved = classes[key]
             measured = math.log2(value) if value > 0 else -math.inf
             records.append(
                 DecayRecord(
@@ -254,7 +243,6 @@ def decay_scan(
                     predicted_t=predicted_exponent(k, m, s, 2, dim),
                     resolved=resolved and value > 0,
                     norm_value=value,
-                    spread=spread,
                 )
             )
     pts = [(r.predicted_t, r.measured_log2) for r in records if r.resolved]
@@ -283,7 +271,5 @@ def diagonal_scan(
     out = {}
     for k in k_values:
         op = CommutatorOp(k, k, s, decomp, grid)
-        out[k] = operator_norm(
-            op, trials=trials, iterations=iterations, tol=tol, seed=seed
-        ).value
+        out[k] = operator_norm(op, trials=trials, iterations=iterations, tol=tol, seed=seed)
     return out

@@ -15,9 +15,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dyadic import WeightedSeq, mixed_seq_norm, seq_norm
+from .dyadic import WeightedSeq
 
 SEPARATION = 4  # the Z-kernel sums over |k - m| >= 4
+#: output indices added on each side of the input window; the kernel
+#: tails beyond decay geometrically
+OUTPUT_PAD = 16
+#: largest relative change between the last two window norms that still
+#: counts as settled
+STABILITY_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -28,9 +34,6 @@ class KernelSpec:
     lam: float
     mu: float
     beta: float
-
-    def satisfies_boundedness(self) -> bool:
-        return self.lam > 0 and self.mu > 0 and self.beta == self.lam + self.mu
 
     def conjugated(self, sigma: float, nu: float) -> "KernelSpec":
         """Kernel of J^sigma T J^(-nu): exponents shift to
@@ -46,18 +49,17 @@ def kernel_apply(
     a: WeightedSeq,
     spec: KernelSpec,
     out_window: Iterable[int] | None = None,
-    pad: int = 16,
 ) -> WeightedSeq:
     """b_m = sum_{|k-m| >= 4} t_{k,m} a_k.
 
-    The output window defaults to the input support padded by ``pad``
-    indices; kernel tails beyond it decay geometrically.
+    The output window defaults to the input support padded by
+    ``OUTPUT_PAD`` indices.
     """
     support = [k for k in a.support if isinstance(k, int)]
     if not support:
         return WeightedSeq({})
     if out_window is None:
-        out_window = range(min(support) - pad, max(support) + pad + 1)
+        out_window = range(min(support) - OUTPUT_PAD, max(support) + OUTPUT_PAD + 1)
     out = {}
     for m in out_window:
         total = 0.0 + 0.0j
@@ -135,14 +137,14 @@ def kernel_apply_2d(
 # ---------------------------------------------------------------------------
 
 
-def _kernel_matrix(spec: KernelSpec, window: int, pad: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense kernel matrix on input window [-K, K], output padded by ``pad``."""
+def _kernel_matrix(spec: KernelSpec, window: int) -> np.ndarray:
+    """Dense kernel matrix on input window [-K, K], output padded by ``OUTPUT_PAD``."""
     ks = np.arange(-window, window + 1)
-    ms = np.arange(-window - pad, window + pad + 1)
+    ms = np.arange(-window - OUTPUT_PAD, window + OUTPUT_PAD + 1)
     M, K = np.meshgrid(ms, ks, indexing="ij")
     T = 2.0 ** (M * spec.lam + K * spec.mu - spec.beta * np.maximum(M, K))
     T[np.abs(M - K) < SEPARATION] = 0.0
-    return T, ms, ks
+    return T
 
 
 def window_operator_norm(
@@ -152,7 +154,6 @@ def window_operator_norm(
     *,
     sigma: float = 0.0,
     nu: float = 0.0,
-    pad: int = 16,
 ) -> float:
     """Exact l^{q,sigma} -> l^{q,nu} norm of the kernel on a window, for
     q in {1, 2, inf}.
@@ -165,7 +166,7 @@ def window_operator_norm(
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     work = spec.conjugated(sigma, nu) if (sigma or nu) else spec
-    T, _, _ = _kernel_matrix(work, window, pad)
+    T = _kernel_matrix(work, window)
     if q == 1:
         return float(np.abs(T).sum(axis=0).max())
     if math.isinf(q):
@@ -212,10 +213,9 @@ def bound_probe(
     *,
     sigma: float = 0.0,
     nu: float = 0.0,
-    stability_tol: float = 0.05,
 ) -> BoundProbe:
     """Probe the window operator norms and declare stability when the last
-    consecutive pair of estimates differs by less than ``stability_tol``.
+    consecutive pair of estimates differs by less than ``STABILITY_TOL``.
 
     Weighted probes require lambda + sigma > 0 and mu - nu > 0.
     """
@@ -232,7 +232,7 @@ def bound_probe(
         abs(b - a) / a if a > 0 else math.inf
         for a, b in zip(estimates[:-1], estimates[1:])
     ]
-    stable = bool(drifts) and drifts[-1] < stability_tol
+    stable = bool(drifts) and drifts[-1] < STABILITY_TOL
     return BoundProbe(
         spec, q, sigma, nu, tuple(window_sizes), tuple(estimates), tuple(drifts), stable
     )

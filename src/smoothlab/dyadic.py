@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .grid import Field, Grid
+from .grid import Grid
 
 Index = int | tuple[int, int]
 
@@ -135,11 +135,6 @@ def default_decomposition(k_min: int = -2, k_max: int = 3) -> DyadicDecompositio
     return DyadicDecomposition(make_bump(), k_min, k_max)
 
 
-def default_half_width(decomp: DyadicDecomposition) -> float:
-    """Box half-width 2^(k_max + 2), fitting the outermost shell with margin."""
-    return 2.0 ** (decomp.k_max + 2)
-
-
 @dataclass
 class MaskFamily:
     """Shell-indexed family of real mask arrays over one grid."""
@@ -160,9 +155,6 @@ class MaskFamily:
         for m in self.masks.values():
             total = total + m
         return total
-
-    def as_field(self, k: int) -> Field:
-        return Field(self.grid, self.masks[k].astype(complex))
 
 
 @lru_cache(maxsize=64)

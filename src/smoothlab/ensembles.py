@@ -17,6 +17,10 @@ import numpy as np
 from .dyadic import smooth_cutoff
 from .grid import Field, Grid, SpaceTimeField, _ifftn
 
+#: number of random time-harmonic terms in a space-time ensemble member
+SPACETIME_MODES = 3
+
+
 def member_rng(seed: int, *indices: int) -> np.random.Generator:
     return np.random.default_rng([seed, *indices])
 
@@ -55,13 +59,11 @@ def band_limited_field(
         raise ValueError("grid too coarse for the requested mode band")
     spectrum = np.zeros(grid.shape, dtype=np.complex128)
     N = grid.points_per_axis
-    for flat in range(np.prod(cube)):
-        idx = np.unravel_index(flat, cube)
-        kvec = np.array(idx) - kmax
-        r = np.linalg.norm(kvec)
-        if r < lo or r > hi:
-            continue
-        spectrum[tuple((kvec * mode_scale) % N)] = re[idx] + 1j * im[idx]
+    kvec = np.indices(cube) - kmax
+    r = np.sqrt(np.sum(kvec**2, axis=0))
+    band = (r >= lo) & (r <= hi)
+    # the band fits inside half the lattice, so no two modes share a slot
+    spectrum[tuple((kvec[:, band] * mode_scale) % N)] = re[band] + 1j * im[band]
     # unnormalized inverse transform scaled so samples are sums of unit plane waves
     values = _ifftn(spectrum) * (N**n)
     if window is not None:
@@ -77,16 +79,15 @@ def band_limited_spacetime(
     grid: Grid,
     times: Sequence[float],
     rng: np.random.Generator,
-    n_modes: int = 3,
     mode_radius: tuple[float, float] = (1.0, 6.0),
     window: tuple[float, float] | None = (0.7, 3.0),
-    omega_base: float | None = None,
     mode_scale: int = 1,
     time_scale: float = 1.0,
     amplitude: float = 1.0,
 ) -> SpaceTimeField:
-    """sum_j exp(i omega_j t + i theta_j) f_j(x) with random spatial
-    profiles; every slice is mean-zero and windowed away from the origin.
+    """sum_j exp(i omega_j t + i theta_j) f_j(x) over ``SPACETIME_MODES``
+    random spatial profiles, with frequencies up to two periods over the
+    time span; every slice is mean-zero and windowed away from the origin.
 
     With the same rng stream, ``(mode_scale, time_scale, amplitude)``
     produce the exactly dilated realization ``amplitude *
@@ -94,14 +95,13 @@ def band_limited_spacetime(
     """
     times = np.asarray(times, dtype=float)
     span = (times[-1] - times[0]) * time_scale
-    if omega_base is None:
-        omega_base = 4.0 * np.pi / span if span > 0 else 1.0
-    omegas = rng.uniform(-omega_base, omega_base, size=n_modes) * time_scale
-    thetas = rng.uniform(0, 2 * np.pi, size=n_modes)
+    omega_max = 4.0 * np.pi / span if span > 0 else 1.0
+    omegas = rng.uniform(-omega_max, omega_max, size=SPACETIME_MODES) * time_scale
+    thetas = rng.uniform(0, 2 * np.pi, size=SPACETIME_MODES)
     profiles = [
         band_limited_field(grid, rng, mode_radius, window, mean_zero=True,
                            mode_scale=mode_scale)
-        for _ in range(n_modes)
+        for _ in range(SPACETIME_MODES)
     ]
     vals = np.zeros((len(times),) + grid.shape, dtype=np.complex128)
     for om, th, prof in zip(omegas, thetas, profiles):

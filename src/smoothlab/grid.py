@@ -18,16 +18,14 @@ from typing import Sequence
 import numpy as np
 from scipy import fft as _fft
 
-#: worker count handed to scipy.fft; the CLI --parallel flag sets it for one run.
-fft_workers: int = 1
-
-
+# scipy.fft.fftn/ifftn are looked up at call time; the worker count comes
+# from scipy.fft.set_workers in the caller's thread (the CLI's --parallel)
 def _fftn(values: np.ndarray) -> np.ndarray:
-    return _fft.fftn(values, workers=fft_workers)
+    return _fft.fftn(values)
 
 
 def _ifftn(values: np.ndarray) -> np.ndarray:
-    return _fft.ifftn(values, workers=fft_workers)
+    return _fft.ifftn(values)
 
 
 @dataclass(frozen=True)
@@ -62,10 +60,6 @@ class Grid:
     @property
     def cell_volume(self) -> float:
         return self.spacing**self.dim
-
-    @property
-    def box_volume(self) -> float:
-        return (2.0 * self.half_width) ** self.dim
 
     @property
     def freq_spacing(self) -> float:

@@ -49,48 +49,28 @@ from .spectral import (
 
 @dataclass
 class EstimateReport:
-    """One verified inequality: ensemble-max LHS/RHS ratio plus probes."""
+    """One verified inequality: ensemble-max LHS/RHS ratio plus probes.
 
-    estimate_id: str
-    lhs: float
-    rhs: float
+    ``degenerate`` means every member had a zero right-hand side, and the
+    ratio is then NaN."""
+
     ratio: float
-    ensemble: dict = field(default_factory=dict)
-    grid_meta: dict = field(default_factory=dict)
+    members: list[dict]
+    degenerate: bool = False
     probes: dict = field(default_factory=dict)
-    flags: list[str] = field(default_factory=list)
-    members: list[dict] = field(default_factory=list)
-
-    @property
-    def degenerate(self) -> bool:
-        return "degenerate" in self.flags
 
 
-def _ensemble_report(
-    estimate_id: str,
-    members: list[dict],
-    ensemble_meta: dict,
-    grid_meta: dict,
-) -> EstimateReport:
-    live = [m for m in members if not m.get("degenerate")]
+def _ratio_record(lhs: float, rhs: float, **extra) -> dict:
+    """One member's two sides and their ratio; a zero RHS is degenerate."""
+    return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs > 0 else math.nan,
+            "degenerate": rhs == 0, **extra}
+
+
+def _ensemble_report(members: list[dict]) -> EstimateReport:
+    live = [m for m in members if not m["degenerate"]]
     if not live:
-        rep = EstimateReport(estimate_id, 0.0, 0.0, math.nan, ensemble_meta, grid_meta)
-        rep.flags.append("degenerate")
-        rep.members = members
-        return rep
-    worst = max(live, key=lambda m: m["ratio"])
-    rep = EstimateReport(
-        estimate_id,
-        worst["lhs"],
-        worst["rhs"],
-        worst["ratio"],
-        ensemble_meta,
-        grid_meta,
-        members=members,
-    )
-    if len(live) < len(members):
-        rep.flags.append(f"{len(members) - len(live)}-degenerate-members")
-    return rep
+        return EstimateReport(math.nan, members, degenerate=True)
+    return EstimateReport(max(live, key=lambda m: m["ratio"])["ratio"], members)
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +84,8 @@ def _kpv_member(
     u = duhamel(F, times)
     lhs_t = [annulus_sup_norm(gradient_magnitude(s), decomp) for s in u.slices()]
     rhs_t = [annulus_sum_norm(s, decomp) for s in F.slices()]
-    lhs = time_l2(np.array(lhs_t), times) ** 2
-    rhs = time_l2(np.array(rhs_t), F.times) ** 2
-    if rhs == 0:
-        return {"lhs": lhs, "rhs": rhs, "ratio": math.nan, "degenerate": True}
-    return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
+    return _ratio_record(time_l2(np.array(lhs_t), times) ** 2,
+                         time_l2(np.array(rhs_t), F.times) ** 2)
 
 
 def verify_kpv(
@@ -128,12 +105,7 @@ def verify_kpv(
         return band_limited_spacetime(g, ts, member_rng(seed, 11, idx))
 
     members = [_kpv_member(make_F(grid, times, i), decomp, times) for i in range(ensemble)]
-    report = _ensemble_report(
-        "kpv-smoothing",
-        members,
-        {"size": ensemble, "seed": seed, "kind": "band-limited spacetime"},
-        grid.meta(),
-    )
+    report = _ensemble_report(members)
     if report.degenerate:
         return report
 
@@ -194,15 +166,13 @@ def verify_main(
     A: MagneticPotential,
     ensemble: int = 20,
     seed: int = 0,
-    audit_budget: float = 0.1,
     paired: bool = True,
-    dt: float | None = None,
 ) -> EstimateReport:
     """Weighted-energy smoothing bound for the magnetic flow, with a
     paired zero-potential run measuring the ratio inflation caused by the
     potential and an exact consistency check of the free reduction."""
     times = np.asarray(times, dtype=float)
-    audit = smallness_audit(A, decomp, budget=audit_budget)
+    audit_total = smallness_audit(A, decomp).total
     members = []
     inflations = []
     zero = zero_potential(grid)
@@ -210,26 +180,18 @@ def verify_main(
         rng = member_rng(seed, 23, i)
         f = band_limited_field(grid, rng)
         F = band_limited_spacetime(grid, times, rng)
-        u = magnetic_solve(f, A, F, times, dt=dt)
+        u = magnetic_solve(f, A, F, times)
         lhs = _weighted_solution_lhs(u, decomp)
         rhs = _weighted_data_rhs(f, F, decomp)
-        rec = {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs > 0 else math.nan}
-        rec["degenerate"] = rhs == 0
+        rec = _ratio_record(lhs, rhs)
         if paired and not rec["degenerate"]:
-            u0 = magnetic_solve(f, zero, F, times, dt=dt)
+            u0 = magnetic_solve(f, zero, F, times)
             ratio0 = _weighted_solution_lhs(u0, decomp) / rhs
             rec["ratio_zero_potential"] = ratio0
             inflations.append(rec["ratio"] / ratio0)
         members.append(rec)
-    report = _ensemble_report(
-        "main-magnetic-smoothing",
-        members,
-        {"size": ensemble, "seed": seed, "kind": "band-limited f+F"},
-        grid.meta(),
-    )
-    report.probes["audit_total"] = audit.total
-    if audit.within_budget is False:
-        report.flags.append("audit-budget-exceeded")
+    report = _ensemble_report(members)
+    report.probes["audit_total"] = audit_total
     if inflations:
         report.probes["max_inflation"] = max(inflations)
     # exact free reduction: the zero-potential solver path is the free
@@ -237,7 +199,7 @@ def verify_main(
     rng = member_rng(seed, 23, 0)
     f = band_limited_field(grid, rng)
     F = band_limited_spacetime(grid, times, rng)
-    u_zero = magnetic_solve(f, zero, F, times, dt=dt)
+    u_zero = magnetic_solve(f, zero, F, times)
     u_comp = free_evolution(f, times) + duhamel(F, times)
     lhs_a = _weighted_solution_lhs(u_zero, decomp)
     lhs_b = _weighted_solution_lhs(u_comp, decomp)
@@ -288,21 +250,8 @@ def verify_free_endpoint(
             high = F - low
             splits[f"threshold-2^{j}"] = forcing_norm(low, decomp) + l1t_l2x_norm(high)
         best = min(splits, key=splits.get)
-        rhs = l2_norm(f) + splits[best]
-        rec = {
-            "lhs": lhs,
-            "rhs": rhs,
-            "ratio": lhs / rhs if rhs > 0 else math.nan,
-            "best_split": best,
-        }
-        rec["degenerate"] = rhs == 0
-        members.append(rec)
-    return _ensemble_report(
-        "free-endpoint",
-        members,
-        {"size": ensemble, "seed": seed, "kind": "band-limited f+F"},
-        grid.meta(),
-    )
+        members.append(_ratio_record(lhs, l2_norm(f) + splits[best], best_split=best))
+    return _ensemble_report(members)
 
 
 # ---------------------------------------------------------------------------
@@ -310,22 +259,26 @@ def verify_free_endpoint(
 # ---------------------------------------------------------------------------
 
 
+#: interval and cell count of the one-dimensional resolvent march
+RESOLVENT_DOMAIN = (-4.0, 5.0)
+RESOLVENT_CELLS = 9216
+
+
 def resolvent_kernel_apply(
-    w: Callable[[np.ndarray], np.ndarray],
-    lam: complex,
-    x_lo: float = -4.0,
-    x_hi: float = 5.0,
-    cells: int = 9216,
+    w: Callable[[np.ndarray], np.ndarray], lam: complex
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Solve (d/dx - lambda) v = w by the explicit exponential kernel.
+    """Solve (d/dx - lambda) v = w on ``RESOLVENT_DOMAIN`` by the explicit
+    exponential kernel.
 
     Forward kernel for Re lambda <= 0, backward for Re lambda > 0; the
     marching recursion uses exact interval propagation with midpoint
     forcing, so |v| <= ||w||_L1 up to quadrature error.
     Returns (x nodes, v values, L1 norm of w).
     """
-    x = np.linspace(x_lo, x_hi, cells + 1)
-    h = (x_hi - x_lo) / cells
+    lo, hi = RESOLVENT_DOMAIN
+    cells = RESOLVENT_CELLS
+    x = np.linspace(lo, hi, cells + 1)
+    h = (hi - lo) / cells
     mids = 0.5 * (x[:-1] + x[1:])
     wm = np.asarray(w(mids), dtype=complex)
     l1 = float(np.sum(np.abs(wm)) * h)
@@ -355,41 +308,24 @@ def gaussian_profile(center: float = 0.5, width: float = 0.3, height: float = 1.
     return w
 
 
-def verify_resolvent_1d(
-    pairs: Sequence[tuple[Callable, complex]] | None = None,
-    seed: int = 0,
-    n_pairs: int = 20,
-) -> EstimateReport:
+def verify_resolvent_1d(seed: int = 0, n_pairs: int = 20) -> EstimateReport:
     """sup |v| <= ||(d/dx - lambda) v||_{L^1} via the explicit kernel, for
-    an ensemble of profiles and spectral parameters on both branches."""
-    if pairs is None:
-        rng = member_rng(seed, 41)
-        pairs = []
-        for i in range(n_pairs):
-            if i % 3 == 0:
-                w = box_profile(rng.uniform(-1, 0), rng.uniform(0.5, 2.0))
-            elif i % 3 == 1:
-                w = gaussian_profile(rng.uniform(-1, 2), rng.uniform(0.1, 0.6), rng.uniform(0.5, 3))
-            else:
-                w1 = gaussian_profile(rng.uniform(-2, 0), rng.uniform(0.1, 0.4), rng.uniform(0.5, 2))
-                w2 = gaussian_profile(rng.uniform(0, 2), rng.uniform(0.1, 0.4), -rng.uniform(0.5, 2))
-                w = (lambda a, b: (lambda y: a(y) + b(y)))(w1, w2)
-            lam = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            pairs.append((w, lam))
+    a seeded ensemble of profiles and spectral parameters on both branches."""
+    rng = member_rng(seed, 41)
     members = []
-    for w, lam in pairs:
+    for i in range(n_pairs):
+        if i % 3 == 0:
+            w = box_profile(rng.uniform(-1, 0), rng.uniform(0.5, 2.0))
+        elif i % 3 == 1:
+            w = gaussian_profile(rng.uniform(-1, 2), rng.uniform(0.1, 0.6), rng.uniform(0.5, 3))
+        else:
+            w1 = gaussian_profile(rng.uniform(-2, 0), rng.uniform(0.1, 0.4), rng.uniform(0.5, 2))
+            w2 = gaussian_profile(rng.uniform(0, 2), rng.uniform(0.1, 0.4), -rng.uniform(0.5, 2))
+            w = (lambda a, b: (lambda y: a(y) + b(y)))(w1, w2)
+        lam = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         _, v, l1 = resolvent_kernel_apply(w, lam)
-        sup = float(np.abs(v).max())
-        rec = {"lhs": sup, "rhs": l1, "lambda": [lam.real, lam.imag]}
-        rec["ratio"] = sup / l1 if l1 > 0 else math.nan
-        rec["degenerate"] = l1 == 0
-        members.append(rec)
-    return _ensemble_report(
-        "resolvent-1d",
-        members,
-        {"size": len(members), "seed": seed, "kind": "box/gaussian profiles"},
-        {"domain": [-4.0, 5.0], "cells": 9216},
-    )
+        members.append(_ratio_record(float(np.abs(v).max()), l1, **{"lambda": [lam.real, lam.imag]}))
+    return _ensemble_report(members)
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +351,10 @@ def verify_resolvent_nd(
     lambdas: Sequence[complex] | None = None,
     ensemble: int = 20,
     seed: int = 0,
-    refine_probe: bool = False,
 ) -> EstimateReport:
     """Mixed-norm resolvent bound: sup over x1 of the transverse L^2 norm
-    of d_1 v against the L^1-in-x1 transverse L^2 norm of (-Lap - lambda) v.
+    of d_1 v against the L^1-in-x1 transverse L^2 norm of (-Lap - lambda) v,
+    with the refinement drift of the ensemble maximum as a probe.
 
     Spectral parameters are kept off the real lattice to avoid periodic
     resonances (the estimate lives on R^n; the box surrogate degenerates
@@ -439,21 +375,13 @@ def verify_resolvent_nd(
         spec = _fftn(v.values)
         d1 = _ifftn(1j * g.freq_coord(0) * spec)
         wv = _ifftn((g.freq_radius**2 - lam) * spec)
-        lhs = float(_x1_profile(d1, g).max())
-        rhs = float(_x1_profile(wv, g).sum() * g.spacing)
-        rec = {"lhs": lhs, "rhs": rhs, "lambda": [lam.real, lam.imag]}
-        rec["ratio"] = lhs / rhs if rhs > 0 else math.nan
-        rec["degenerate"] = rhs == 0
-        return rec
+        return _ratio_record(float(_x1_profile(d1, g).max()),
+                             float(_x1_profile(wv, g).sum() * g.spacing),
+                             **{"lambda": [lam.real, lam.imag]})
 
     members = [member(grid, i, lambdas[i % len(lambdas)]) for i in range(ensemble)]
-    report = _ensemble_report(
-        "resolvent-nd",
-        members,
-        {"size": ensemble, "seed": seed, "kind": "band-limited, complex spectral set"},
-        grid.meta(),
-    )
-    if refine_probe and not report.degenerate:
+    report = _ensemble_report(members)
+    if not report.degenerate:
         fine = grid.refine()
         ratios = [
             member(fine, i, lambdas[i % len(lambdas)])["ratio"] for i in range(ensemble)
@@ -475,23 +403,19 @@ def _weight_product_field(f: Field, decomp: DyadicDecomposition, k: int, a: floa
 def inclusion_l2_vs_weighted_sum(f: Field, decomp: DyadicDecomposition) -> dict:
     """||u||_{L^2} against sum_k || |x|_k^{1/2} u ||_{L^2} on the truncated
     shell range."""
-    lhs = l2_norm(f)
-    rhs = sum(
-        l2_norm(_weight_product_field(f, decomp, k, 0.5)) for k in decomp.shells
+    return _ratio_record(
+        l2_norm(f),
+        sum(l2_norm(_weight_product_field(f, decomp, k, 0.5)) for k in decomp.shells),
     )
-    return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs > 0 else math.nan,
-            "degenerate": rhs == 0}
 
 
 def inclusion_weighted_sup_vs_mixed(f: Field, decomp: DyadicDecomposition) -> dict:
     """sup_k || |x|_k^{-1/2} u ||_{L^2} against the L^inf_{x1} transverse
     L^2 norm."""
-    lhs = max(
-        l2_norm(_weight_product_field(f, decomp, k, -0.5)) for k in decomp.shells
+    return _ratio_record(
+        max(l2_norm(_weight_product_field(f, decomp, k, -0.5)) for k in decomp.shells),
+        float(_x1_profile(f.values, f.grid).max()),
     )
-    rhs = float(_x1_profile(f.values, f.grid).max())
-    return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs > 0 else math.nan,
-            "degenerate": rhs == 0}
 
 
 def verify_mixed_norm(
@@ -501,15 +425,14 @@ def verify_mixed_norm(
     ensemble: int = 20,
     seed: int = 0,
     rotation_probe: bool = True,
-    refine_probe: bool = False,
 ) -> EstimateReport:
     """Mixed-norm smoothing for the forced free flow (d_1 gains one
     derivative in L^inf_{x1} L^2_{t,x'}) plus the two static inclusion
     checks that bracket it between the shell norms."""
     times = np.asarray(times, dtype=float)
 
-    def make_member(g: Grid, idx: int) -> tuple[SpaceTimeField, SpaceTimeField]:
-        F = band_limited_spacetime(g, times, member_rng(seed, 47, idx))
+    def make_member(idx: int) -> tuple[SpaceTimeField, SpaceTimeField]:
+        F = band_limited_spacetime(grid, times, member_rng(seed, 47, idx))
         return F, duhamel(F, times)
 
     def estimate_along(F: SpaceTimeField, u: SpaceTimeField, axis: int) -> dict:
@@ -518,22 +441,10 @@ def verify_mixed_norm(
         # the estimate's axis goes to the x1 slot of (t, x1, x')
         du = np.moveaxis(du, 1 + axis, 1)
         Fv = np.moveaxis(F.values, 1 + axis, 1)
-        lhs = float(_x1_profile(du, g, u.times).max())
-        rhs = float(_x1_profile(Fv, g, F.times).sum() * g.spacing)
-        return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs > 0 else math.nan,
-                "degenerate": rhs == 0}
+        return _ratio_record(float(_x1_profile(du, g, u.times).max()),
+                             float(_x1_profile(Fv, g, F.times).sum() * g.spacing))
 
-    def member_ratio(g: Grid, idx: int) -> dict:
-        F, u = make_member(g, idx)
-        return estimate_along(F, u, 0)
-
-    members = [member_ratio(grid, i) for i in range(ensemble)]
-    report = _ensemble_report(
-        "mixed-norm-smoothing",
-        members,
-        {"size": ensemble, "seed": seed, "kind": "band-limited spacetime"},
-        grid.meta(),
-    )
+    report = _ensemble_report([estimate_along(*make_member(i), 0) for i in range(ensemble)])
 
     # static inclusion chain on the same ensemble's first slices
     inc1, inc2 = [], []
@@ -551,7 +462,7 @@ def verify_mixed_norm(
     if rotation_probe:
         # the native d_2 estimate must equal the d_1 estimate of the
         # axis-swapped data exactly (grid axis swap is a rotation)
-        F, u = make_member(grid, 0)
+        F, u = make_member(0)
         native = estimate_along(F, u, 1)
         F_sw = SpaceTimeField(grid, times, np.swapaxes(F.values, 1, 2))
         u_sw = duhamel(F_sw, times)
@@ -559,11 +470,6 @@ def verify_mixed_norm(
         report.probes["rotation_mismatch"] = abs(
             swapped["ratio"] - native["ratio"]
         ) / native["ratio"]
-
-    if refine_probe and not report.degenerate:
-        fine = grid.refine()
-        ratios = [member_ratio(fine, i)["ratio"] for i in range(ensemble)]
-        report.probes["refinement_drift"] = abs(max(ratios) - report.ratio) / report.ratio
     return report
 
 
@@ -643,14 +549,8 @@ def verify_product_and_interpolation(
         hr = hardy_ratio(f)
         if not math.isnan(hr):
             sub["hardy"].append(hr)
-        members.append({"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs > 0 else math.nan,
-                        "degenerate": rhs == 0})
-    report = _ensemble_report(
-        "product-interpolation",
-        members,
-        {"size": ensemble, "seed": seed, "kind": "band-limited pairs"},
-        grid.meta(),
-    )
+        members.append(_ratio_record(lhs, rhs))
+    report = _ensemble_report(members)
     for name, vals in sub.items():
         report.probes[f"{name}_max_ratio"] = max(vals) if vals else math.nan
     report.probes["splits"] = (

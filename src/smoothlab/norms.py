@@ -10,7 +10,7 @@ truncation discipline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -77,7 +77,7 @@ def annulus_sup_norm(f: Field, shells: DyadicDecomposition | Iterable[int]) -> f
     return max(2.0 ** (-k / 2) * annulus_l2(f, k) for k in _shells(shells))
 
 
-def morrey_campanato(f: Field, radii: Iterable[float] | None = None) -> float:
+def morrey_campanato(f: Field) -> float:
     """Scale-invariant local energy: sup_R (R^-1 int_{|x|<=R} |f|^2)^(1/2).
 
     The sup over all R > 0 is evaluated on a dyadic ladder (with arithmetic
@@ -85,15 +85,13 @@ def morrey_campanato(f: Field, radii: Iterable[float] | None = None) -> float:
     monotone in R between ladder points up to quadrature error.
     """
     grid = f.grid
-    if radii is None:
-        k_lo = math.ceil(math.log2(grid.spacing))
-        k_hi = math.floor(math.log2(grid.half_width))
-        ladder = [2.0**k for k in range(k_lo, k_hi + 1)]
-        radii = sorted(ladder + [1.5 * R for R in ladder[:-1]])
+    k_lo = math.ceil(math.log2(grid.spacing))
+    k_hi = math.floor(math.log2(grid.half_width))
+    ladder = [2.0**k for k in range(k_lo, k_hi + 1)]
     r = grid.radius
     a2 = np.abs(f.values) ** 2
     best = 0.0
-    for R in radii:
+    for R in sorted(ladder + [1.5 * R for R in ladder[:-1]]):
         val = np.sum(a2[r <= R]) * grid.cell_volume / R
         best = max(best, float(val))
     return math.sqrt(best)
@@ -120,9 +118,9 @@ def lqa_shell_terms(
     spec: NormSpec,
     variant: str = "D_then_mask",
     p: float = 2,
-    strict: bool = False,
 ) -> dict[int, float]:
-    """Unweighted per-shell B-norm values of the selected variant.
+    """Unweighted per-shell B-norm values of the selected variant, over
+    every shell of the range (boundary shells count as truncation tail).
 
     mask_then_D    :  || Q_k |D|^s f ||_{L^p}
     D_then_mask    :  || |D|^s (Q_k f) ||_{L^p}
@@ -130,7 +128,7 @@ def lqa_shell_terms(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    masks = spatial_masks(decomp, f.grid, strict=strict)
+    masks = spatial_masks(decomp, f.grid, strict=False)
     terms: dict[int, float] = {}
     if variant == "mask_then_D":
         df = fractional_laplacian(f, spec.s)
@@ -168,7 +166,6 @@ def lqa_sobolev_norm(
     spec: NormSpec,
     variant: str = "D_then_mask",
     p: float = 2,
-    strict: bool = False,
 ) -> float:
     """Weighted shell-Sobolev norm in one of its three equivalent forms.
 
@@ -176,7 +173,7 @@ def lqa_sobolev_norm(
     weight_product form carries it inside the |x|^a factor and is summed
     unweighted.
     """
-    terms = lqa_shell_terms(f, decomp, spec, variant, p, strict)
+    terms = lqa_shell_terms(f, decomp, spec, variant, p)
     return seq_norm(terms, spec.q, _shell_weight(spec, variant))
 
 
@@ -185,13 +182,12 @@ def norm_record(
     decomp: DyadicDecomposition,
     spec: NormSpec,
     variant: str = "D_then_mask",
-    name: str = "lqa_sobolev",
 ) -> dict:
     """JSON-ready record of one norm evaluation with its truncation tail."""
     terms = lqa_shell_terms(f, decomp, spec, variant)
     weight = _shell_weight(spec, variant)
     return {
-        "norm_name": name,
+        "norm_name": "lqa_sobolev",
         "variant": variant,
         "spec": {"q": spec.q, "a": spec.a, "s": spec.s},
         "value": seq_norm(terms, spec.q, weight),
@@ -272,12 +268,10 @@ def phase_localized_norm(
     space_decomp: DyadicDecomposition,
     freq_decomp: DyadicDecomposition,
     spec: NormSpec,
-    r: float = 2,
-    r_weight: float = 0.0,
     ordering: str = "frequency_outer",
 ) -> float:
-    """Outer l^{r, r_weight} sum over frequency shells of the inner weighted
-    spatial norm (default r=2, weight 0).
+    """Unweighted l^2 sum over frequency shells of the inner weighted
+    spatial norm.
 
     ``ordering`` names which index is summed last; the two mixed orders are
     genuinely different norms and every report records the one used.
@@ -288,9 +282,9 @@ def phase_localized_norm(
             k2: lqa_sobolev_norm(frequency_localize(f, pk, k2), space_decomp, spec)
             for k2 in freq_decomp.shells
         }
-        return seq_norm(outer_terms, r, r_weight)
+        return seq_norm(outer_terms, 2, 0.0)
     if ordering == "space_outer":
-        # inner l^r over frequency shells of the per-(k1,k2) localized B-norm,
+        # inner l^2 over frequency shells of the per-(k1,k2) localized B-norm,
         # assembled by the spatial l^{q,a} rule last
         per_k1: dict[int, float] = {}
         qk = spatial_masks(space_decomp, f.grid, strict=False)
@@ -299,7 +293,7 @@ def phase_localized_norm(
             for k2 in freq_decomp.shells:
                 loc = Field(f.grid, qk[k1] * frequency_localize(f, pk, k2).values)
                 inner[k2] = l2_norm(fractional_laplacian(loc, spec.s))
-            per_k1[k1] = seq_norm(inner, r, r_weight)
+            per_k1[k1] = seq_norm(inner, 2, 0.0)
         return seq_norm(per_k1, spec.q, spec.a)
     raise ValueError(f"unknown ordering {ordering!r}")
 
@@ -311,29 +305,21 @@ def phase_localized_norm(
 
 @dataclass
 class EquivalenceReport:
-    """Three equivalent-norm values for one field plus their pairwise ratios."""
+    """Pairwise (max/min) ratios of the three equivalent norm forms of one
+    field; ``degenerate`` when some form vanishes (all ratios are then 0)."""
 
-    spec: NormSpec
-    values: dict[str, float]
-    ratios: dict[str, float] = field(default_factory=dict)
-    flags: list[str] = field(default_factory=list)
-    grid_meta: dict = field(default_factory=dict)
-    shell_range: tuple[int, int] = (0, 0)
+    ratios: dict[str, float]
+    degenerate: bool = False
 
     @property
     def max_ratio(self) -> float:
         return max(self.ratios.values()) if self.ratios else math.nan
-
-    @property
-    def degenerate(self) -> bool:
-        return "degenerate" in self.flags
 
 
 def equivalence_report(
     f: Field,
     decomp: DyadicDecomposition,
     spec: NormSpec,
-    ratio_ceiling: float = 100.0,
 ) -> EquivalenceReport:
     """Compute all three norm forms and their pairwise (max/min) ratios."""
     if not spec.equivalence_admissible(f.grid.dim):
@@ -343,20 +329,13 @@ def equivalence_report(
     values = {
         v: lqa_sobolev_norm(f, decomp, spec, variant=v) for v in VARIANTS
     }
-    report = EquivalenceReport(
-        spec=spec,
-        values=values,
-        grid_meta=f.grid.meta(),
-        shell_range=(decomp.k_min, decomp.k_max),
-    )
     if any(val == 0.0 for val in values.values()):
-        report.flags.append("degenerate")
-        report.ratios = {f"{a}/{b}": 0.0 for a in VARIANTS for b in VARIANTS if a < b}
-        return report
+        return EquivalenceReport(
+            {f"{a}/{b}": 0.0 for a in VARIANTS for b in VARIANTS if a < b}, degenerate=True
+        )
+    ratios = {}
     for i, a in enumerate(VARIANTS):
         for b in VARIANTS[i + 1 :]:
             hi, lo = max(values[a], values[b]), min(values[a], values[b])
-            report.ratios[f"{a}/{b}"] = hi / lo
-    if report.max_ratio > ratio_ceiling:
-        report.flags.append(f"ratio-ceiling-{ratio_ceiling}-exceeded")
-    return report
+            ratios[f"{a}/{b}"] = hi / lo
+    return EquivalenceReport(ratios)

@@ -16,7 +16,7 @@ vanishes, so the consistency ladder holds to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,6 +25,11 @@ from .dyadic import DyadicDecomposition, make_bump
 from .grid import Field, Grid, SpaceTimeField, _fftn, _ifftn
 from .norms import annulus_sup
 from .spectral import apply_multiplier, gradient, warn_if_boundary_heavy
+
+
+#: largest growth of the local stage over one Strang half-step, relative
+#: to its input and forcing scale, before the solver gives up
+GROWTH_BUDGET = 0.10
 
 
 class StabilityError(RuntimeError):
@@ -206,11 +211,11 @@ class WFieldResult:
 
 
 def effective_scalar_potential(
-    A: MagneticPotential, decomp: DyadicDecomposition | None = None, t: float = 0.0
+    A: MagneticPotential, decomp: DyadicDecomposition | None = None
 ) -> WFieldResult:
-    """W = |A|^2 - i div A, with its 2^(2k)-weighted shell audit."""
+    """W = |A|^2 - i div A at t = 0, with its 2^(2k)-weighted shell audit."""
     grid = A.grid
-    comps = A.at(t)
+    comps = A.at(0.0)
     w = np.zeros(grid.shape, dtype=np.complex128)
     for c in comps:
         w += c.astype(complex) ** 2
@@ -230,45 +235,25 @@ class SmallnessAudit:
 
     per_component: list[dict[int, float]]  # [j][k] -> sum over |beta| <= 1
     total: float
-    budget: float | None = None
-
-    @property
-    def within_budget(self) -> bool | None:
-        if self.budget is None:
-            return None
-        return self.total <= self.budget
 
 
-def smallness_audit(
-    A: MagneticPotential,
-    decomp: DyadicDecomposition,
-    budget: float | None = None,
-    times: Sequence[float] = (0.0,),
-) -> SmallnessAudit:
-    """max_j sum_k sum_{|beta|<=1} 2^(k(1+|beta|)) sup_{annulus k} |D^beta A_j|.
-
-    The time sup is taken first (over the sampled times), matching the
-    displayed order of the budget.
-    """
+def smallness_audit(A: MagneticPotential, decomp: DyadicDecomposition) -> SmallnessAudit:
+    """max_j sum_k sum_{|beta|<=1} 2^(k(1+|beta|)) sup_{annulus k} |D^beta A_j|,
+    for the potential at t = 0."""
     grid = A.grid
-    sup0 = [np.zeros(grid.shape) for _ in range(grid.dim)]
-    sup1 = [[np.zeros(grid.shape) for _ in range(grid.dim)] for _ in range(grid.dim)]
-    for t in times:
-        for j, c in enumerate(A.at(t)):
-            sup0[j] = np.maximum(sup0[j], np.abs(c))
-            for ax, d in enumerate(gradient(Field(grid, c))):
-                sup1[j][ax] = np.maximum(sup1[j][ax], np.abs(d.values))
     per_component: list[dict[int, float]] = []
-    for j in range(grid.dim):
+    for c in A.at(0.0):
+        mag = np.abs(c)
+        grad = [np.abs(d.values) for d in gradient(Field(grid, c))]
         shells = {}
         for k in decomp.shells:
-            term = 2.0**k * annulus_sup(sup0[j], grid, k)
-            for ax in range(grid.dim):
-                term += 2.0 ** (2 * k) * annulus_sup(sup1[j][ax], grid, k)
+            term = 2.0**k * annulus_sup(mag, grid, k)
+            for d in grad:
+                term += 2.0 ** (2 * k) * annulus_sup(d, grid, k)
             shells[k] = term
         per_component.append(shells)
     total = max(sum(shells.values()) for shells in per_component)
-    return SmallnessAudit(per_component, total, budget)
+    return SmallnessAudit(per_component, total)
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +280,13 @@ def magnetic_solve(
     F: SpaceTimeField | None,
     t_out: Sequence[float],
     dt: float | None = None,
-    growth_budget: float = 0.10,
 ) -> SpaceTimeField:
     """Strang-split magnetic evolution from u(0) = f.
 
     Each step takes a midpoint-rule half-step of the local terms, an exact
     spectral Laplacian step, and a second local half-step (order 2).  A
     vanishing static potential degenerates to the exact forced free march.
-    Growth of the local stage beyond ``growth_budget`` per step raises
+    Growth of the local stage beyond ``GROWTH_BUDGET`` per step raises
     StabilityError naming the step.
     """
     grid = f.grid
@@ -336,9 +320,9 @@ def magnetic_solve(
         mid = u + 0.5 * tau * _local_rhs(grid, u, comps_a, w_a, f_a)
         out = u + tau * _local_rhs(grid, mid, comps_mid, w_mid, f_mid)
         scale = _l2(grid, u) + 2.0 * tau * _l2(grid, f_mid)
-        if scale > 0 and _l2(grid, out) > (1.0 + growth_budget) * scale:
+        if scale > 0 and _l2(grid, out) > (1.0 + GROWTH_BUDGET) * scale:
             raise StabilityError(
-                f"local stage grew beyond {1 + growth_budget:.2f}x during "
+                f"local stage grew beyond {1 + GROWTH_BUDGET:.2f}x during "
                 f"[{t_a:.6g}, {t_b:.6g}]; reduce the step size"
             )
         return out

@@ -11,7 +11,7 @@ data sizes for which every contraction ratio stays below 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -112,7 +112,6 @@ class PicardRun:
     diverged: bool
     final: SpaceTimeField | None
     fixed_point_residual: float | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def contraction_ratios(self) -> list[float]:
@@ -133,7 +132,6 @@ def picard_solve(
     decomp: DyadicDecomposition,
     max_iter: int = 12,
     tol: float = 1e-8,
-    dt: float | None = None,
 ) -> PicardRun:
     """Iterate the recurrence u_{k+1} = solve(f, forcing = V u_k |u_k|^(p-1)).
 
@@ -143,7 +141,7 @@ def picard_solve(
     is a returned signal, not an exception.
     """
     times = np.asarray(times, dtype=float)
-    u = magnetic_solve(f, A, None, times, dt=dt)
+    u = magnetic_solve(f, A, None, times)
     z = contraction_norm(u, decomp)
     states = [PicardState(0, z, None, None)]
     z_hist = [z]
@@ -151,10 +149,10 @@ def picard_solve(
     converged = diverged = False
     if V.is_zero():
         # recurrence degenerates: the linear solution is already the fixed point
-        return PicardRun(states, True, False, u, 0.0, {"linear": True})
+        return PicardRun(states, True, False, u, 0.0)
     for k in range(1, max_iter + 1):
         forcing = nonlinearity(u, V, p)
-        u_next = magnetic_solve(f, A, forcing, times, dt=dt)
+        u_next = magnetic_solve(f, A, forcing, times)
         diff = contraction_norm(u_next - u, decomp)
         z = contraction_norm(u_next, decomp)
         ratio = diff / diffs[-1] if diffs and diffs[-1] > 0 else None
@@ -174,7 +172,7 @@ def picard_solve(
     residual = None
     if converged:
         # residual of the discrete fixed-point map: one more solver pass
-        again = magnetic_solve(f, A, nonlinearity(u, V, p), times, dt=dt)
+        again = magnetic_solve(f, A, nonlinearity(u, V, p), times)
         residual = contraction_norm(again - u, decomp)
     return PicardRun(states, converged, diverged, u, residual)
 
@@ -183,7 +181,6 @@ def picard_solve(
 class ThresholdReport:
     threshold: float
     trace: list[dict]
-    contracting_at_threshold: bool
 
 
 def contraction_threshold(
@@ -215,11 +212,11 @@ def contraction_threshold(
     lo_run = probe(delta_lo)
     trace.append({"delta": delta_lo, "contracting": lo_run.contracting})
     if not lo_run.contracting:
-        return ThresholdReport(0.0, trace, False)
+        return ThresholdReport(0.0, trace)
     hi_run = probe(delta_hi)
     trace.append({"delta": delta_hi, "contracting": hi_run.contracting})
     if hi_run.contracting:
-        return ThresholdReport(delta_hi, trace, True)
+        return ThresholdReport(delta_hi, trace)
     lo, hi = delta_lo, delta_hi
     for _ in range(bisect_steps):
         mid = math.sqrt(lo * hi)
@@ -229,4 +226,4 @@ def contraction_threshold(
             lo = mid
         else:
             hi = mid
-    return ThresholdReport(lo, trace, True)
+    return ThresholdReport(lo, trace)

@@ -111,10 +111,6 @@ def gradient_magnitude(f: Field) -> Field:
     return Field(f.grid, np.sqrt(mag2).astype(complex))
 
 
-def laplacian(f: Field) -> Field:
-    return apply_multiplier(f, -f.grid.freq_radius**2)
-
-
 def mean_zero(f: Field) -> Field:
     return Field(f.grid, f.values - f.values.mean())
 

@@ -182,14 +182,18 @@ def run_partition(cfg: ExperimentConfig) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _equivalence_max_ratio(cfg: ExperimentConfig, points: int, spec: NormSpec) -> tuple[float, list[dict]]:
+#: the (q, a, s) exponents the equivalence and phase-localization suites test
+SHELL_SPEC = NormSpec(2, 0.5, 0.5)
+
+
+def _equivalence_max_ratio(cfg: ExperimentConfig, points: int) -> tuple[float, list[dict]]:
     g = Grid(cfg.dim, cfg.half_width, points)
     decomp = cfg.decomposition()
     rows = []
     worst = 0.0
     for i in range(cfg.ensemble):
         f = band_limited_field(g, member_rng(cfg.seed, 61, i))
-        rep = equivalence_report(f, decomp, spec)
+        rep = equivalence_report(f, decomp, SHELL_SPEC)
         if rep.degenerate:
             continue
         worst = max(worst, rep.max_ratio)
@@ -199,10 +203,9 @@ def _equivalence_max_ratio(cfg: ExperimentConfig, points: int, spec: NormSpec) -
     return worst, rows
 
 
-def run_equivalence(cfg: ExperimentConfig, spec: NormSpec | None = None) -> SuiteResult:
-    spec = spec or NormSpec(2, 0.5, 0.5)
-    coarse, rows_c = _equivalence_max_ratio(cfg, cfg.points, spec)
-    fine, rows_f = _equivalence_max_ratio(cfg, cfg.points * 2, spec)
+def run_equivalence(cfg: ExperimentConfig) -> SuiteResult:
+    coarse, rows_c = _equivalence_max_ratio(cfg, cfg.points)
+    fine, rows_f = _equivalence_max_ratio(cfg, cfg.points * 2)
     drift = abs(fine - coarse) / coarse if coarse > 0 else math.inf
     verdicts = [
         _verdict("ratios-finite", 0 < coarse < math.inf and 0 < fine < math.inf,
@@ -211,31 +214,30 @@ def run_equivalence(cfg: ExperimentConfig, spec: NormSpec | None = None) -> Suit
     ]
     return SuiteResult(
         "equivalence", SUITE_ANCHORS["equivalence"], verdicts, rows_c + rows_f,
-        {"spec": spec.__dict__, "max_ratio_coarse": coarse, "max_ratio_fine": fine,
+        {"spec": SHELL_SPEC.__dict__, "max_ratio_coarse": coarse, "max_ratio_fine": fine,
          "drift": drift},
     )
 
 
-def _phase_constants(cfg: ExperimentConfig, points: int, spec: NormSpec,
+def _phase_constants(cfg: ExperimentConfig, points: int,
                      freq_decomp: DyadicDecomposition) -> tuple[float, float]:
     g = Grid(cfg.dim, cfg.half_width, points)
     decomp = cfg.decomposition()
     fwd, bwd = 0.0, 0.0
     for i in range(cfg.ensemble):
         f = band_limited_field(g, member_rng(cfg.seed, 67, i))
-        plain = lqa_sobolev_norm(f, decomp, spec)
-        phased = phase_localized_norm(f, decomp, freq_decomp, spec)
+        plain = lqa_sobolev_norm(f, decomp, SHELL_SPEC)
+        phased = phase_localized_norm(f, decomp, freq_decomp, SHELL_SPEC)
         if plain > 0 and phased > 0:
             fwd = max(fwd, phased / plain)
             bwd = max(bwd, plain / phased)
     return fwd, bwd
 
 
-def run_phase_localization(cfg: ExperimentConfig, spec: NormSpec | None = None) -> SuiteResult:
-    spec = spec or NormSpec(2, 0.5, 0.5)
+def run_phase_localization(cfg: ExperimentConfig) -> SuiteResult:
     freq_decomp = DyadicDecomposition(make_bump(), -2, 2)
-    f_c, b_c = _phase_constants(cfg, cfg.points, spec, freq_decomp)
-    f_f, b_f = _phase_constants(cfg, cfg.points * 2, spec, freq_decomp)
+    f_c, b_c = _phase_constants(cfg, cfg.points, freq_decomp)
+    f_f, b_f = _phase_constants(cfg, cfg.points * 2, freq_decomp)
     drift_f = abs(f_f - f_c) / f_c
     drift_b = abs(b_f - b_c) / b_c
     rows = [
@@ -261,16 +263,18 @@ def run_phase_localization(cfg: ExperimentConfig, spec: NormSpec | None = None) 
 # ---------------------------------------------------------------------------
 
 
-def run_commutator_scan(
-    cfg: ExperimentConfig,
-    s_values: tuple[float, ...] = (0.5, -0.5),
-    slope_window: tuple[float, float] = (0.7, 1.3),
-) -> SuiteResult:
+#: smoothness orders the commutator scan measures, and the window the
+#: fitted decay slope must fall in
+COMMUTATOR_S_VALUES = (0.5, -0.5)
+SLOPE_WINDOW = (0.7, 1.3)
+
+
+def run_commutator_scan(cfg: ExperimentConfig) -> SuiteResult:
     k_range = range(cfg.k_min - 1, cfg.k_max + 2)  # defaults give [-3, 4]
     rows: list[dict] = []
     verdicts: list[Verdict] = []
     report: dict = {"slopes": {}, "diagonal": {}}
-    for s in s_values:
+    for s in COMMUTATOR_S_VALUES:
         scan = decay_scan(
             s, k_range, k_range, dim=cfg.dim, points=cfg.points,
             trials=4, iterations=30, seed=cfg.seed,
@@ -285,7 +289,7 @@ def run_commutator_scan(
         verdicts.append(
             _verdict(
                 f"decay-slope(s={s})",
-                slope_window[0] <= scan.slope <= slope_window[1],
+                SLOPE_WINDOW[0] <= scan.slope <= SLOPE_WINDOW[1],
                 f"slope {scan.slope:.4f} over {scan.regression_points} resolved records",
             )
         )
@@ -296,7 +300,7 @@ def run_commutator_scan(
     decomp = cfg.decomposition()
     diag_band = range(-1, 3)
     worst = 0.0
-    for s in s_values:
+    for s in COMMUTATOR_S_VALUES:
         vals = diagonal_scan(s, diag_band, decomp, g, trials=2, iterations=120,
                              tol=1e-9, seed=cfg.seed)
         report["diagonal"][str(s)] = vals
@@ -316,18 +320,20 @@ def run_commutator_scan(
 # ---------------------------------------------------------------------------
 
 
-def run_discrete_bounds(
-    cfg: ExperimentConfig,
-    lam_mu: tuple[tuple[float, float], ...] = ((0.5, 0.5), (1.0, 0.25), (0.25, 1.0)),
-    q_values: tuple[float, ...] = (1, 2, math.inf),
-    windows: tuple[int, ...] = (8, 16, 32, 64),
-) -> SuiteResult:
+#: (lambda, mu) kernel exponents, sequence exponents q and window sizes K
+#: of the discrete boundedness probes
+KERNEL_EXPONENTS = ((0.5, 0.5), (1.0, 0.25), (0.25, 1.0))
+KERNEL_Q_VALUES = (1, 2, math.inf)
+KERNEL_WINDOWS = (8, 16, 32, 64)
+
+
+def run_discrete_bounds(cfg: ExperimentConfig) -> SuiteResult:
     rows: list[dict] = []
     verdicts: list[Verdict] = []
-    for lam, mu in lam_mu:
+    for lam, mu in KERNEL_EXPONENTS:
         spec = KernelSpec(lam, mu, lam + mu)
-        for q in q_values:
-            probe = bound_probe(spec, q, windows)
+        for q in KERNEL_Q_VALUES:
+            probe = bound_probe(spec, q, KERNEL_WINDOWS)
             rows.extend(probe.rows())
             verdicts.append(
                 _verdict(
@@ -337,7 +343,7 @@ def run_discrete_bounds(
                 )
             )
     # exact geometric values for the flat input at the canonical exponents
-    K = windows[-1]
+    K = KERNEL_WINDOWS[-1]
     spec = KernelSpec(0.5, 0.5, 1.0)
     flat = WeightedSeq.ones(range(-K, K + 1))
     out = kernel_apply(flat, spec)
@@ -355,15 +361,15 @@ def run_discrete_bounds(
                              f"edge {edge:.9f} vs {GEOMETRIC_ONE_SIDED:.9f}"))
     # violated-hypothesis control: beta below lambda + mu must grow with K
     bad = KernelSpec(0.5, 0.5, 0.9)
-    growth = [window_operator_norm(bad, math.inf, K) for K in windows]
+    growth = [window_operator_norm(bad, math.inf, K) for K in KERNEL_WINDOWS]
     rows.extend({"check": "divergent_control", "K": K, "value": v}
-                for K, v in zip(windows, growth))
+                for K, v in zip(KERNEL_WINDOWS, growth))
     monotone = all(b > a for a, b in zip(growth[:-1], growth[1:]))
     verdicts.append(_verdict("divergence-control",
                              monotone and growth[-1] > 4 * growth[0],
                              f"growth {tuple(round(v, 3) for v in growth)}"))
     return SuiteResult("discrete-bounds", SUITE_ANCHORS["discrete-bounds"],
-                       verdicts, rows, {"windows": windows})
+                       verdicts, rows, {"windows": KERNEL_WINDOWS})
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +415,11 @@ def run_kpv(cfg: ExperimentConfig) -> SuiteResult:
                        {"probes": fine.probes, "refinement_drift": drift})
 
 
-def run_main_estimate(cfg: ExperimentConfig, audit_target: float = 0.1) -> SuiteResult:
+#: smallness-audit total the main-estimate potential is scaled to
+AUDIT_TARGET = 0.1
+
+
+def run_main_estimate(cfg: ExperimentConfig) -> SuiteResult:
     g = cfg.grid()
     decomp = cfg.decomposition()
     unit = bump_potential(g, 1.0, shell=1, direction=0)
@@ -421,12 +431,11 @@ def run_main_estimate(cfg: ExperimentConfig, audit_target: float = 0.1) -> Suite
                            f"unit-bump audit is 0 on shells {cfg.k_min}:{cfg.k_max}")
         return SuiteResult("main-estimate", SUITE_ANCHORS["main-estimate"], [verdict],
                            [], {"unit_audit_total": unit_total})
-    A = bump_potential(g, audit_target / unit_total, shell=1, direction=0)
-    rep = verify_main(g, decomp, cfg.times(), A, cfg.ensemble, cfg.seed,
-                      audit_budget=audit_target)
+    A = bump_potential(g, AUDIT_TARGET / unit_total, shell=1, direction=0)
+    rep = verify_main(g, decomp, cfg.times(), A, cfg.ensemble, cfg.seed)
     verdicts = [
-        _verdict("audit-within-budget", rep.probes["audit_total"] <= audit_target * (1 + 1e-9),
-                 f"audit {rep.probes['audit_total']:.4f} <= {audit_target}"),
+        _verdict("audit-within-budget", rep.probes["audit_total"] <= AUDIT_TARGET * (1 + 1e-9),
+                 f"audit {rep.probes['audit_total']:.4f} <= {AUDIT_TARGET}"),
         _verdict("ratio-finite", 0 < rep.ratio < math.inf, f"max ratio {rep.ratio:.5f}"),
         _verdict("inflation-bounded", rep.probes.get("max_inflation", math.inf) <= 2.0,
                  f"max inflation {rep.probes.get('max_inflation', math.nan):.6f}"),
@@ -474,8 +483,7 @@ def run_resolvent_1d(cfg: ExperimentConfig) -> SuiteResult:
 
 def run_resolvent_nd(cfg: ExperimentConfig) -> SuiteResult:
     g = Grid(max(cfg.dim - 1, 2), cfg.half_width, cfg.points)
-    rep = verify_resolvent_nd(g, ensemble=cfg.ensemble, seed=cfg.seed,
-                              refine_probe=True)
+    rep = verify_resolvent_nd(g, ensemble=cfg.ensemble, seed=cfg.seed)
     verdicts = [
         _verdict("ratio-finite", 0 < rep.ratio < math.inf, f"max ratio {rep.ratio:.5f}"),
         _verdict("refinement-stability", rep.probes["refinement_drift"] < 0.10,
@@ -523,21 +531,27 @@ def run_product_interp(cfg: ExperimentConfig) -> SuiteResult:
                        _member_rows(rep, "product-interp"), {"probes": rep.probes})
 
 
-def run_semilinear(cfg: ExperimentConfig, a: float = 1.0, tol: float = 1e-8) -> SuiteResult:
+#: shell weight exponent a of the semilinear potential, and the Picard
+#: convergence tolerance in the iteration norm
+SEMILINEAR_WEIGHT = 1.0
+PICARD_TOL = 1e-8
+
+
+def run_semilinear(cfg: ExperimentConfig) -> SuiteResult:
     g = cfg.grid()
     decomp = cfg.decomposition()
-    p = float(critical_exponent(cfg.dim, a))
-    V = shell_potential(g, 4.0, shell=0, a=a)
+    p = float(critical_exponent(cfg.dim, SEMILINEAR_WEIGHT))
+    V = shell_potential(g, 4.0, shell=0, a=SEMILINEAR_WEIGHT)
     A = zero_potential(g)
     prof = mean_zero(grid_mod.gaussian(g, width=0.5, center=1.5))
     times = cfg.times()
 
     threshold = contraction_threshold(prof, V, A, p, times, decomp,
                                       delta_lo=1e-2, delta_hi=4.0,
-                                      bisect_steps=5, tol=tol, max_iter=14)
+                                      bisect_steps=5, tol=PICARD_TOL, max_iter=14)
     delta = min(threshold.threshold, 0.1) if threshold.threshold > 0 else 0.0
     run = picard_solve(prof * (delta / l2_norm(prof)), V, A, p, times, decomp,
-                       max_iter=14, tol=tol)
+                       max_iter=14, tol=PICARD_TOL)
 
     # recurrence-difference shape constant over the converged run
     shape_consts = []
@@ -553,7 +567,7 @@ def run_semilinear(cfg: ExperimentConfig, a: float = 1.0, tol: float = 1e-8) -> 
     nl_bound = nonlinearity_forcing_bound(run.final, V, p, decomp)
 
     # V = 0 degenerates to the linear flow exactly
-    V0 = shell_potential(g, 0.0, shell=0, a=a)
+    V0 = shell_potential(g, 0.0, shell=0, a=SEMILINEAR_WEIGHT)
     lin_run = picard_solve(prof * (0.05 / l2_norm(prof)), V0, A, p, times, decomp)
     linear = magnetic_solve(prof * (0.05 / l2_norm(prof)), A, None, times)
     lin_gap = contraction_norm(lin_run.final - linear, decomp)
@@ -569,8 +583,8 @@ def run_semilinear(cfg: ExperimentConfig, a: float = 1.0, tol: float = 1e-8) -> 
         _verdict("contraction-below-threshold", run.converged and run.contracting,
                  f"ratios {[round(r, 4) for r in run.contraction_ratios]}"),
         _verdict("fixed-point-residual",
-                 run.fixed_point_residual is not None and run.fixed_point_residual < 10 * tol,
-                 f"residual {run.fixed_point_residual:.2e} < 10 tol = {10 * tol:.0e}"),
+                 run.fixed_point_residual is not None and run.fixed_point_residual < 10 * PICARD_TOL,
+                 f"residual {run.fixed_point_residual:.2e} < 10 tol = {10 * PICARD_TOL:.0e}"),
         _verdict("difference-shape-constant", 0 < shape_c < math.inf,
                  f"max constant {shape_c:.4f}"),
         _verdict("nonlinearity-bound-finite",
@@ -580,7 +594,7 @@ def run_semilinear(cfg: ExperimentConfig, a: float = 1.0, tol: float = 1e-8) -> 
                  f"gap {lin_gap:.2e}"),
     ]
     return SuiteResult("semilinear", SUITE_ANCHORS["semilinear"], verdicts, rows,
-                       {"p": p, "a": a, "threshold": threshold.threshold,
+                       {"p": p, "a": SEMILINEAR_WEIGHT, "threshold": threshold.threshold,
                         "trace": threshold.trace,
                         "contraction": [s.__dict__ for s in run.states]})
 

@@ -3,8 +3,8 @@ import subprocess
 import sys
 
 import pytest
+import scipy.fft
 
-from smoothlab import grid as grid_mod
 from smoothlab.cli import main, parse_config_file
 from smoothlab.suites import SUITE_ANCHORS, list_suites
 
@@ -54,12 +54,11 @@ class TestConfig:
         assert rc == 2
         assert not out.exists()
 
-    def test_parallel_reset_after_run(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(grid_mod, "fft_workers", 1)
+    def test_parallel_reset_after_run(self, tmp_path):
         rc = main(["--suite", "partition", "--seed", "1", "--out", str(tmp_path / "out"),
                    "--parallel", "4"])
         assert rc == 0
-        assert grid_mod.fft_workers == 1
+        assert scipy.fft.get_workers() == 1
 
     def test_parse_config_types(self, tmp_path):
         cfg = tmp_path / "t.cfg"
@@ -104,6 +103,21 @@ class TestRunOutputs:
         assert [(v["name"], v["passed"]) for v in report["verdicts"]] == [
             ("audit-resolvable", False)
         ]
+
+    @pytest.mark.parametrize("args", [
+        ("--suite", "semilinear", "--dim", "2"),  # critical exponent needs n >= 3
+        ("--suite", "kpv", "--grid", "8"),  # mode band does not fit the grid
+    ])
+    def test_unrunnable_config_exits_3_with_report(self, tmp_path, args):
+        out = tmp_path / "out"
+        rc = main([*args, "--seed", "0", "--out", str(out)])
+        assert rc == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is False
+        assert report["verdicts"] == []
+        assert report["error"]
+        assert (out / "manifest.json").exists()
+        assert not (out / "results.csv").exists()
 
     def test_console_script_entry(self):
         proc = subprocess.run(

@@ -110,16 +110,15 @@ class TestApply:
 class TestOperatorNorm:
     def test_zero_operator(self, grid, dec):
         op = CommutatorOp(-1, 2, 0.0, dec, grid)
-        est = operator_norm(op, trials=2, iterations=10, seed=0)
-        assert est.value == 0.0
+        assert operator_norm(op, trials=2, iterations=10, seed=0) == 0.0
 
     def test_identity_like_diagonal(self, grid, dec):
         # k = m, s = 0 is multiplication by Q_k^2: norm = max Q_k^2 <= 1
         op = CommutatorOp(0, 0, 0.0, dec, grid)
         est = operator_norm(op, trials=3, iterations=60, tol=1e-9, seed=0)
         masks = spatial_masks(dec, grid, strict=False)
-        assert est.value <= (masks[0] ** 2).max() + 1e-9
-        assert est.value > 0.95 * (masks[0] ** 2).max()
+        assert est <= (masks[0] ** 2).max() + 1e-9
+        assert est > 0.95 * (masks[0] ** 2).max()
 
     def test_trials_domain(self, grid, dec):
         with pytest.raises(ValueError):
@@ -128,7 +127,7 @@ class TestOperatorNorm:
     def test_adjoint_norm_agrees(self, grid, dec):
         # ||A|| = ||A*||: estimate the adjoint by iterating the swapped maps
         op = CommutatorOp(0, 2, 0.5, dec, grid)
-        fwd = operator_norm(op, trials=3, iterations=60, tol=1e-9, seed=1).value
+        fwd = operator_norm(op, trials=3, iterations=60, tol=1e-9, seed=1)
 
         class Swapped:
             grid = op.grid
@@ -141,7 +140,7 @@ class TestOperatorNorm:
             def apply_adjoint(f):
                 return op.apply(f)
 
-        bwd = operator_norm(Swapped, trials=3, iterations=60, tol=1e-9, seed=1).value
+        bwd = operator_norm(Swapped, trials=3, iterations=60, tol=1e-9, seed=1)
         assert abs(fwd - bwd) / fwd < 0.02
 
 
@@ -157,7 +156,7 @@ class TestDecayScan:
         # for fixed k and s = 1/2 the measured norms fall shell by shell
         vals = []
         for d in (3, 4):
-            v, _, res = measure_pair_norm(0, d, 0.5, points=64, trials=2,
+            v, res = measure_pair_norm(0, d, 0.5, points=64, trials=2,
                                           iterations=20, seed=1)
             assert res
             vals.append(v)

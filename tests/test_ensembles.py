@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
+import pytest
 
 from smoothlab.ensembles import band_limited_field, band_limited_spacetime, member_rng
-from smoothlab.grid import Grid
+from smoothlab.grid import Grid, _fftn
 
 
 def test_same_member_across_refinement():
@@ -53,3 +56,23 @@ def test_deterministic_under_seed():
     a = band_limited_field(g, member_rng(7, 3))
     b = band_limited_field(g, member_rng(7, 3))
     assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("dim,points,mode_scale", [(1, 32, 1), (2, 32, 2), (3, 32, 1), (3, 64, 2)])
+def test_spectrum_is_the_canonical_draw(dim, points, mode_scale):
+    # unwindowed and with the mean kept, the lattice spectrum is exactly
+    # re + 1j*im of the cube draw (C order over |mode_j| <= 6) on every mode
+    # with 1 <= |mode| <= 6, placed at mode_scale * mode, and 0 elsewhere
+    g = Grid(dim, 8.0, points)
+    f = band_limited_field(g, member_rng(7, dim), window=None, mean_zero=False,
+                           mode_scale=mode_scale)
+    spectrum = _fftn(f.values) / points**dim
+    draw = member_rng(7, dim)
+    cube = (13,) * dim
+    re, im = draw.standard_normal(cube), draw.standard_normal(cube)
+    expected = np.zeros(g.shape, dtype=complex)
+    for idx in np.ndindex(cube):
+        mode = np.array(idx) - 6
+        if 1 <= math.sqrt(np.sum(mode**2)) <= 6:
+            expected[tuple(mode * mode_scale % points)] = re[idx] + 1j * im[idx]
+    assert np.abs(spectrum - expected).max() < 1e-12

@@ -3,7 +3,9 @@
 No module reaches into a sibling module's private names, except the two
 transform entry points ``grid._fftn``/``grid._ifftn`` that every spectral
 routine shares; the annulus indicator stays private to ``norms``, whose
-``annulus_sup`` and ``annulus_l2`` are the public ways to use it.
+``annulus_sup`` and ``annulus_l2`` are the public ways to use it.  No
+module imports a name it does not use, and every suite runner takes the
+config alone.
 """
 
 import ast
@@ -66,3 +68,36 @@ def test_no_private_sibling_imports():
 def test_annulus_mask_private_to_norms():
     users = [path.name for path in MODULES if "_annulus_mask" in _names(ast.parse(path.read_text()))]
     assert users == ["norms.py"]
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            out += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [a.asname or a.name for a in node.names]
+    return out
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [(path.name, name) for name in _imported_names(tree) if name not in used]
+    assert unused == []
+
+
+def test_suite_runners_take_only_the_config():
+    tree = ast.parse((Path(smoothlab.__file__).parent / "suites.py").read_text())
+    runners = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.AnnAssign) and node.target.id == "SUITE_RUNNERS"
+    )
+    names = [v.id for v in runners.values]
+    defs = {node.name: node.args for node in tree.body if isinstance(node, ast.FunctionDef)}
+    arity = {name: len(defs[name].args) + len(defs[name].kwonlyargs)
+             + bool(defs[name].vararg) + bool(defs[name].kwarg) for name in names}
+    assert len(names) == 13
+    assert arity == {name: 1 for name in names}
