@@ -18,7 +18,7 @@ import numpy as np
 
 from .dyadic import DyadicDecomposition, MaskFamily, frequency_masks, seq_norm, spatial_masks
 from .grid import Field, Grid, SpaceTimeField
-from .spectral import apply_multiplier, fractional_laplacian, l2_norm, lp_norm
+from .spectral import abs_freq_power, apply_multiplier, apply_multipliers, l2_norm, lp_norm
 
 VARIANTS = ("mask_then_D", "D_then_mask", "weight_product")
 
@@ -129,20 +129,21 @@ def lqa_shell_terms(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     masks = spatial_masks(decomp, f.grid, strict=False)
+    sym = abs_freq_power(f.grid, spec.s)
     terms: dict[int, float] = {}
     if variant == "mask_then_D":
-        df = fractional_laplacian(f, spec.s)
+        df = apply_multiplier(f, sym)
         for k in decomp.shells:
             terms[k] = lp_norm(Field(f.grid, masks[k] * df.values), p)
     elif variant == "D_then_mask":
         for k in decomp.shells:
             loc = Field(f.grid, masks[k] * f.values)
-            terms[k] = lp_norm(fractional_laplacian(loc, spec.s), p)
+            terms[k] = lp_norm(apply_multiplier(loc, sym), p)
     else:
         for k in decomp.shells:
             w = weight_product_mask(masks, k, spec.a)
             loc = Field(f.grid, w * f.values)
-            terms[k] = lp_norm(fractional_laplacian(loc, spec.s), p)
+            terms[k] = lp_norm(apply_multiplier(loc, sym), p)
     return terms
 
 
@@ -259,10 +260,6 @@ def l1t_l2x_norm(F: SpaceTimeField) -> float:
 # ---------------------------------------------------------------------------
 
 
-def frequency_localize(f: Field, freq_masks: MaskFamily, k: int) -> Field:
-    return apply_multiplier(f, freq_masks[k])
-
-
 def phase_localized_norm(
     f: Field,
     space_decomp: DyadicDecomposition,
@@ -276,26 +273,25 @@ def phase_localized_norm(
     ``ordering`` names which index is summed last; the two mixed orders are
     genuinely different norms and every report records the one used.
     """
+    if ordering not in ("frequency_outer", "space_outer"):
+        raise ValueError(f"unknown ordering {ordering!r}")
     pk = frequency_masks(freq_decomp, f.grid, strict=False)
+    # one forward transform of f; each frequency shell is made when needed
+    localized = zip(freq_decomp.shells,
+                    apply_multipliers(f, (pk[k2] for k2 in freq_decomp.shells)))
     if ordering == "frequency_outer":
-        outer_terms = {
-            k2: lqa_sobolev_norm(frequency_localize(f, pk, k2), space_decomp, spec)
-            for k2 in freq_decomp.shells
-        }
+        outer_terms = {k2: lqa_sobolev_norm(loc, space_decomp, spec) for k2, loc in localized}
         return seq_norm(outer_terms, 2, 0.0)
-    if ordering == "space_outer":
-        # inner l^2 over frequency shells of the per-(k1,k2) localized B-norm,
-        # assembled by the spatial l^{q,a} rule last
-        per_k1: dict[int, float] = {}
-        qk = spatial_masks(space_decomp, f.grid, strict=False)
+    # inner l^2 over frequency shells of the per-(k1,k2) localized B-norm,
+    # assembled by the spatial l^{q,a} rule last
+    qk = spatial_masks(space_decomp, f.grid, strict=False)
+    sym = abs_freq_power(f.grid, spec.s)
+    inner: dict[int, dict[int, float]] = {k1: {} for k1 in space_decomp.shells}
+    for k2, loc in localized:
         for k1 in space_decomp.shells:
-            inner = {}
-            for k2 in freq_decomp.shells:
-                loc = Field(f.grid, qk[k1] * frequency_localize(f, pk, k2).values)
-                inner[k2] = l2_norm(fractional_laplacian(loc, spec.s))
-            per_k1[k1] = seq_norm(inner, 2, 0.0)
-        return seq_norm(per_k1, spec.q, spec.a)
-    raise ValueError(f"unknown ordering {ordering!r}")
+            inner[k1][k2] = l2_norm(apply_multiplier(Field(f.grid, qk[k1] * loc.values), sym))
+    per_k1 = {k1: seq_norm(terms, 2, 0.0) for k1, terms in inner.items()}
+    return seq_norm(per_k1, spec.q, spec.a)
 
 
 # ---------------------------------------------------------------------------

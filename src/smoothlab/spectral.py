@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -53,8 +54,24 @@ def apply_multiplier(f: Field, symbol: np.ndarray) -> Field:
     return Field(f.grid, _ifftn(symbol * _fftn(f.values)))
 
 
-def _abs_freq_power(grid: Grid, s: float) -> np.ndarray:
-    """|xi|^s on the lattice with the zero mode set to 0."""
+def apply_multipliers(f: Field, symbols: Iterable[np.ndarray]) -> Iterator[Field]:
+    """f under each symbol in turn, from one forward transform.
+
+    Each inverse transform runs only when its result is asked for, so a
+    caller that uses the results one by one holds one of them at a time."""
+    spec = _fftn(f.values)
+    for symbol in symbols:
+        yield Field(f.grid, _ifftn(symbol * spec))
+
+
+def abs_freq_power(grid: Grid, s: float) -> np.ndarray:
+    """|xi|^s on the lattice with the zero mode set to 0.
+
+    Orders outside [-1, 1] are rejected; nothing here needs them and the
+    operator-norm bounds certified downstream hold only on that range.
+    """
+    if abs(s) > 1:
+        raise ValueError(f"smoothness order s={s} outside [-1, 1]")
     r = grid.freq_radius
     out = np.zeros(grid.shape)
     nz = r > 0
@@ -63,14 +80,8 @@ def _abs_freq_power(grid: Grid, s: float) -> np.ndarray:
 
 
 def fractional_laplacian(f: Field, s: float) -> Field:
-    """|D|^s f: Fourier coefficients scaled by |xi|^s, zero mode dropped.
-
-    Orders outside [-1, 1] are rejected; nothing here needs them and the
-    operator-norm bounds certified downstream hold only on that range.
-    """
-    if abs(s) > 1:
-        raise ValueError(f"smoothness order s={s} outside [-1, 1]")
-    return apply_multiplier(f, _abs_freq_power(f.grid, s))
+    """|D|^s f: Fourier coefficients scaled by |xi|^s, zero mode dropped."""
+    return apply_multiplier(f, abs_freq_power(f.grid, s))
 
 
 def riesz_transform(f: Field, axis: int) -> Field:
@@ -100,8 +111,7 @@ def derivative(f: Field, axis: int) -> Field:
 def gradient(f: Field) -> tuple[Field, ...]:
     """All n spectral partial derivatives from one forward transform."""
     grid = f.grid
-    spec = _fftn(f.values)
-    return tuple(Field(grid, _ifftn(1j * grid.freq_coord(j) * spec)) for j in range(grid.dim))
+    return tuple(apply_multipliers(f, (1j * grid.freq_coord(j) for j in range(grid.dim))))
 
 
 def gradient_magnitude(f: Field) -> Field:

@@ -1,0 +1,21 @@
+import pytest
+import scipy.fft
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Names of the scipy.fft transforms run during the test, in call order.
+
+    ``grid._fftn``/``_ifftn`` look the transforms up at call time, so
+    replacing the module attributes sees every transform the package runs.
+    """
+    calls: list[str] = []
+    for name in ("fftn", "ifftn"):
+        real = getattr(scipy.fft, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    return calls

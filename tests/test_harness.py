@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from smoothlab import harness
 from smoothlab.dyadic import default_decomposition
 from smoothlab.ensembles import band_limited_field, band_limited_spacetime, member_rng
 from smoothlab.grid import Field, Grid, SpaceTimeField
@@ -21,7 +22,14 @@ from smoothlab.harness import (
     verify_resolvent_1d,
     verify_resolvent_nd,
 )
-from smoothlab.schrodinger import bump_potential, smallness_audit, zero_potential
+from smoothlab.schrodinger import (
+    bump_potential,
+    duhamel,
+    free_evolution,
+    magnetic_solve,
+    smallness_audit,
+    zero_potential,
+)
 from smoothlab.spectral import l2_norm
 
 DEC = default_decomposition(-2, 3)
@@ -78,6 +86,68 @@ class TestMain:
         u2 = magnetic_solve(3.0 * f, A, 3.0 * F, TIMES)
         r2 = _weighted_solution_lhs(u2, DEC) / _weighted_data_rhs(3.0 * f, 3.0 * F, DEC)
         assert math.isclose(r1, r2, rel_tol=1e-12)
+
+
+def _fresh_free_consistency(seed: int) -> float:
+    """The free-reduction probe recomputed from scratch on member 0."""
+    rng = member_rng(seed, 23, 0)
+    f = band_limited_field(GRID, rng)
+    F = band_limited_spacetime(GRID, TIMES, rng)
+    lhs_a = harness._weighted_solution_lhs(magnetic_solve(f, zero_potential(GRID), F, TIMES), DEC)
+    lhs_b = harness._weighted_solution_lhs(free_evolution(f, TIMES) + duhamel(F, TIMES), DEC)
+    return abs(lhs_a - lhs_b) / max(lhs_b, 1e-300)
+
+
+class TestMainFreeConsistency:
+    """verify_main's free-reduction probe reuses member 0's paired solve
+    and falls back to a fresh one when there is none."""
+
+    @pytest.fixture
+    def potential(self):
+        unit = bump_potential(GRID, 1.0, shell=1)
+        return bump_potential(GRID, 0.1 / smallness_audit(unit, DEC).total, shell=1)
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        real = harness.magnetic_solve
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].is_zero())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "magnetic_solve", counted)
+        return calls
+
+    def test_paired_reuses_member_zero(self, potential, solves):
+        expected = _fresh_free_consistency(2)
+        solves.clear()
+        rep = verify_main(GRID, DEC, TIMES, potential, ensemble=2, seed=2)
+        assert rep.probes["free_consistency"] == expected
+        assert solves == [False, True, False, True]
+
+    def test_unpaired_solves_afresh(self, potential, solves):
+        expected = _fresh_free_consistency(2)
+        solves.clear()
+        rep = verify_main(GRID, DEC, TIMES, potential, ensemble=2, seed=2, paired=False)
+        assert rep.probes["free_consistency"] == expected
+        assert solves == [False, True, False]
+
+    def test_degenerate_member_zero_solves_afresh(self, potential, solves, monkeypatch):
+        real_rhs = harness._weighted_data_rhs
+        seen = []
+
+        def rhs(f, F, decomp):
+            seen.append(f)
+            return 0.0 if len(seen) == 1 else real_rhs(f, F, decomp)
+
+        monkeypatch.setattr(harness, "_weighted_data_rhs", rhs)
+        expected = _fresh_free_consistency(2)
+        solves.clear()
+        rep = verify_main(GRID, DEC, TIMES, potential, ensemble=2, seed=2)
+        assert rep.members[0]["degenerate"] and "ratio_zero_potential" not in rep.members[0]
+        assert rep.probes["free_consistency"] == expected
+        assert solves == [False, True, False, True]
 
 
 class TestEndpoint:

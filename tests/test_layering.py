@@ -5,7 +5,7 @@ transform entry points ``grid._fftn``/``grid._ifftn`` that every spectral
 routine shares; the annulus indicator stays private to ``norms``, whose
 ``annulus_sup`` and ``annulus_l2`` are the public ways to use it.  No
 module imports a name it does not use, and every suite runner takes the
-config alone.
+config alone.  The only process-lifetime caches are the two mask caches.
 """
 
 import ast
@@ -101,3 +101,28 @@ def test_suite_runners_take_only_the_config():
              + bool(defs[name].vararg) + bool(defs[name].kwarg) for name in names}
     assert len(names) == 13
     assert arity == {name: 1 for name in names}
+
+
+def _cache_decorated(tree: ast.Module) -> list[str]:
+    """Functions decorated with functools.lru_cache or functools.cache."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("lru_cache", "cache"):
+                    out.append(node.name)
+    return out
+
+
+def test_lru_caches_are_the_two_mask_caches():
+    # memoizing a per-grid symbol for the life of the process raised the
+    # main-estimate peak RSS beyond its 5 % bound; a bounded or per-run
+    # cache edits this set on purpose
+    cached = {
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in _cache_decorated(ast.parse(path.read_text()))
+    }
+    assert cached == {"dyadic._cached_masks", "norms._annulus_mask"}

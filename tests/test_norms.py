@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from smoothlab.dyadic import default_decomposition, make_bump
+from smoothlab.dyadic import (
+    default_decomposition,
+    frequency_masks,
+    make_bump,
+    seq_norm,
+    spatial_masks,
+)
 from smoothlab.ensembles import band_limited_field, member_rng
 from smoothlab.grid import Field, Grid, SpaceTimeField, gaussian
 from smoothlab.norms import (
@@ -20,7 +26,7 @@ from smoothlab.norms import (
     phase_localized_norm,
     smoothing_norm,
 )
-from smoothlab.spectral import mean_zero
+from smoothlab.spectral import apply_multiplier, fractional_laplacian, l2_norm, mean_zero
 
 DEC = default_decomposition(-3, 4)
 
@@ -347,6 +353,51 @@ class TestPhaseLocalization:
         a = phase_localized_norm(f, space, freq, spec, ordering="frequency_outer")
         b = phase_localized_norm(f, space, freq, spec, ordering="space_outer")
         assert a > 0 and math.isclose(a, b, rel_tol=1e-10)
+
+    @pytest.mark.parametrize(
+        "spec", [NormSpec(2, 0.5, 0.5), NormSpec(1, 0.5, -0.5), NormSpec(math.inf, -0.5, 0.5)]
+    )
+    def test_orderings_equal_per_shell_oracle(self, grid32, spec):
+        # one localization per frequency shell, each by its own transform
+        # pair, summed in the order the definition states
+        space = default_decomposition(-2, 3)
+        freq = default_decomposition(-2, 2)
+        f = band_limited_field(grid32, member_rng(7, 2))
+        pk = frequency_masks(freq, grid32, strict=False)
+        qk = spatial_masks(space, grid32, strict=False)
+        shells = {k2: apply_multiplier(f, pk[k2]) for k2 in freq.shells}
+        outer = {k2: lqa_sobolev_norm(loc, space, spec) for k2, loc in shells.items()}
+        assert phase_localized_norm(f, space, freq, spec, "frequency_outer") == seq_norm(
+            outer, 2, 0.0
+        )
+        per_k1 = {
+            k1: seq_norm({
+                k2: l2_norm(fractional_laplacian(Field(grid32, qk[k1] * loc.values), spec.s))
+                for k2, loc in shells.items()
+            }, 2, 0.0)
+            for k1 in space.shells
+        }
+        assert phase_localized_norm(f, space, freq, spec, "space_outer") == seq_norm(
+            per_k1, spec.q, spec.a
+        )
+
+    def test_one_forward_transform_per_field(self, grid32, fft_calls):
+        space = default_decomposition(-2, 3)
+        freq = default_decomposition(-2, 2)
+        f = band_limited_field(grid32, member_rng(7, 3))
+        fft_calls.clear()
+        phase_localized_norm(f, space, freq, NormSpec(2, 0.5, 0.5))
+        n1, n2 = len(space.shells), len(freq.shells)
+        # one forward transform of f, one inverse per frequency shell, and a
+        # transform pair per (k1, k2) for |D|^s of the masked shell
+        assert fft_calls.count("fftn") == 1 + n1 * n2
+        assert fft_calls.count("ifftn") == n2 + n1 * n2
+
+    def test_unknown_ordering(self, grid32):
+        f = band_limited_field(grid32, member_rng(7, 4))
+        dec = default_decomposition(-2, 3)
+        with pytest.raises(ValueError, match="ordering"):
+            phase_localized_norm(f, dec, dec, NormSpec(2, 0.5, 0.5), ordering="diagonal")
 
     def test_orderings_differ_away_from_q_two(self, grid32):
         space = default_decomposition(-2, 3)

@@ -5,10 +5,11 @@ import pytest
 
 from smoothlab.dyadic import default_decomposition
 from smoothlab.ensembles import band_limited_field, band_limited_spacetime, member_rng
-from smoothlab.grid import Field, Grid, SpaceTimeField, gaussian, plane_wave
+from smoothlab.grid import Field, Grid, SpaceTimeField, _fftn, _ifftn, gaussian, plane_wave
 from smoothlab.schrodinger import (
     MagneticPotential,
     StabilityError,
+    _divergence,
     bump_potential,
     duhamel,
     effective_scalar_potential,
@@ -236,3 +237,32 @@ class TestMagneticSolver:
         f = band_limited_field(grid, member_rng(1, 6), mode_radius=(1, 4))
         u = magnetic_solve(f, A, None, [0.0, 0.2])
         assert np.isfinite(u.values).all()
+
+
+class TestZeroComponents:
+    """A single-axis potential transforms only its non-zero component."""
+
+    def test_divergence_equals_three_component_sum(self):
+        g = Grid(3, 8.0, 16)
+        A = bump_potential(g, 0.3, shell=0, direction=1)
+        u = band_limited_field(g, member_rng(3, 0)).values
+        comps = tuple(c * u for c in A.components)
+        full = np.zeros(g.shape, dtype=complex)
+        for j, c in enumerate(comps):
+            full += _ifftn(1j * g.freq_coord(j) * _fftn(c.astype(complex)))
+        assert np.array_equal(_divergence(g, comps), full)
+
+    def test_strang_step_transform_count(self, fft_calls):
+        # one extra Strang step is the only difference between the solves:
+        # 2 transforms per divergence x 2 per half-step x 2 half-steps,
+        # plus the forward/inverse pair of the spectral step
+        g = Grid(3, 8.0, 16)
+        A = bump_potential(g, 0.05, shell=0, direction=0)
+        f = band_limited_field(g, member_rng(3, 1))
+        h = 0.01
+        fft_calls.clear()
+        magnetic_solve(f, A, None, [0.0, h], dt=h)
+        one_step = len(fft_calls)
+        fft_calls.clear()
+        magnetic_solve(f, A, None, [0.0, 2 * h], dt=h)
+        assert len(fft_calls) - one_step == 10

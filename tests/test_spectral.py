@@ -5,6 +5,9 @@ import pytest
 
 from smoothlab.grid import Field, Grid, gaussian, plane_wave
 from smoothlab.spectral import (
+    abs_freq_power,
+    apply_multiplier,
+    apply_multipliers,
     derivative,
     fractional_laplacian,
     gradient,
@@ -60,6 +63,8 @@ class TestFractionalLaplacian:
     def test_order_domain(self, grid3):
         with pytest.raises(ValueError):
             fractional_laplacian(random_field(grid3), 1.5)
+        with pytest.raises(ValueError):
+            abs_freq_power(grid3, -1.5)
 
     def test_multiplier_composition_law(self, grid3):
         f = random_field(grid3)
@@ -119,6 +124,17 @@ class TestNorms:
         f = random_field(grid3, 6)
         for j, g in enumerate(gradient(f)):
             assert np.array_equal(g.values, derivative(f, j).values)
+
+    def test_apply_multipliers_shares_one_forward_transform(self, grid3, fft_calls):
+        f = random_field(grid3, 7)
+        symbols = [abs_freq_power(grid3, s) for s in (-0.5, 0.5, 1.0)]
+        expected = [apply_multiplier(f, sym).values for sym in symbols]
+        fft_calls.clear()
+        results = apply_multipliers(f, iter(symbols))
+        assert fft_calls == []  # nothing runs before the first result is asked for
+        for want in expected:
+            assert np.array_equal(next(results).values, want)
+        assert fft_calls == ["fftn", "ifftn", "ifftn", "ifftn"]
 
     def test_lp_constant_volume(self, grid3):
         one = Field(grid3, np.ones(grid3.shape, dtype=complex))
