@@ -7,7 +7,9 @@ Its L^2 -> L^2 norm decays like 2^t with the exponent
 which at p = 2 depends only on |k - m|.  The scan below measures the norm
 by power iteration on the normal operator and regresses measured log2
 norms on the predicted exponent; only the slope is certified, the
-constant is a fitted intercept.
+constant is a fitted intercept.  Each operator builds its two masks and
+``|xi|^{+-s}`` once.  A pair with an empty mask is exactly zero and is not
+iterated, and the last power step forms only ``A v``, not ``A*(A v)``.
 
 Dilating x -> 2x carries the (k, m) operator exactly onto (k+1, m+1) when
 both the box and spacing scale along, so each shell pair is evaluated on
@@ -20,13 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .dyadic import DyadicDecomposition, make_bump, mask_resolution_audit, spatial_masks
 from .grid import Field, Grid
-from .spectral import fractional_laplacian, l2_norm, mean_zero
+from .spectral import abs_freq_power, apply_multiplier, l2_norm, mean_zero
 
 
 def predicted_exponent(k: int, m: int, s: float, p: float, n: int = 3) -> float:
@@ -52,29 +55,38 @@ class CommutatorOp:
         if abs(self.s) >= 1:
             raise ValueError(f"s must satisfy |s| < 1, got {self.s}")
 
-    def _masks(self):
-        return spatial_masks(self.decomp, self.grid, strict=False)
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """Q_k, Q_m, |xi|^s and |xi|^-s, built on first use and kept.
 
-    def _smooth(self, f: Field, s: float) -> Field:
-        # at s = 0 both multiplier factors are the identity; applying the
-        # zero-mode annihilation here would inject mask-dependent constants
-        # and break the disjoint-support degeneration
-        return f if s == 0 else fractional_laplacian(f, s)
+        At s = 0 both multiplier factors are the identity and are skipped
+        (None): applying the zero-mode annihilation there would inject
+        mask-dependent constants and break the disjoint-support
+        degeneration."""
+        masks = spatial_masks(self.decomp, self.grid, strict=False)
+        if self.s == 0:
+            return masks[self.k], masks[self.m], None, None
+        up, down = abs_freq_power(self.grid, self.s), abs_freq_power(self.grid, -self.s)
+        return masks[self.k], masks[self.m], up, down
+
+    @staticmethod
+    def _smooth(f: Field, symbol: np.ndarray | None) -> Field:
+        return f if symbol is None else apply_multiplier(f, symbol)
 
     def apply(self, f: Field) -> Field:
-        masks = self._masks()
-        g = self._smooth(f, self.s)
-        g = Field(self.grid, masks[self.m] * g.values)
-        g = self._smooth(g, -self.s)
-        return Field(self.grid, masks[self.k] * g.values)
+        qk, qm, up, down = self._factors
+        g = self._smooth(f, up)
+        g = Field(self.grid, qm * g.values)
+        g = self._smooth(g, down)
+        return Field(self.grid, qk * g.values)
 
     def apply_adjoint(self, f: Field) -> Field:
         # all four factors are self-adjoint; reverse the order
-        masks = self._masks()
-        g = Field(self.grid, masks[self.k] * f.values)
-        g = self._smooth(g, -self.s)
-        g = Field(self.grid, masks[self.m] * g.values)
-        return self._smooth(g, self.s)
+        qk, qm, up, down = self._factors
+        g = Field(self.grid, qk * f.values)
+        g = self._smooth(g, down)
+        g = Field(self.grid, qm * g.values)
+        return self._smooth(g, up)
 
 
 def operator_norm(
@@ -87,7 +99,10 @@ def operator_norm(
     """Power iteration on A*A from random mean-zero starts.
 
     Returns the largest Rayleigh quotient found over the trials, a lower
-    bound on the true norm (0.0 when no trial grew).
+    bound on the true norm (0.0 when no trial grew).  Each step forms
+    ``A v`` and tests ``||A v||`` for convergence first; ``A*(A v)`` is
+    formed only when a further step will use it, so the last step of a
+    trial forms ``A v`` alone.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -102,23 +117,18 @@ def operator_norm(
             continue
         v = v * (1.0 / nv)
         est = 0.0
-        for _ in range(iterations):
+        for step in range(iterations):
             av = op.apply(v)
-            na = l2_norm(av)
-            if na == 0:
-                est = 0.0
+            na = l2_norm(av)  # ||A v|| for unit v
+            last = step == iterations - 1 or (est > 0 and abs(na - est) <= tol * est)
+            est = na
+            if na == 0 or last:
                 break
-            new_est = na  # ||A v|| for unit v
             w = mean_zero(op.apply_adjoint(av))
             nw = l2_norm(w)
             if nw == 0:
-                est = new_est
                 break
             v = w * (1.0 / nw)
-            if est > 0 and abs(new_est - est) <= tol * est:
-                est = new_est
-                break
-            est = new_est
         results.append(est)
     return max([r for r in results if r > 0], default=0.0)
 
@@ -178,11 +188,6 @@ def _centered_setup(k: int, m: int, points: int, dim: int):
     return grid, decomp, kk, mm
 
 
-def _pair_resolved(grid: Grid, decomp: DyadicDecomposition, kk: int, mm: int) -> bool:
-    audits = mask_resolution_audit(spatial_masks(decomp, grid, strict=False))
-    return audits[kk].resolved() and audits[mm].resolved()
-
-
 def measure_pair_norm(
     k: int,
     m: int,
@@ -195,9 +200,15 @@ def measure_pair_norm(
     seed: int = 0,
 ) -> tuple[float, bool]:
     """Operator norm of the (k, m) pair measured at its centered dyadic
-    position; returns (norm, resolved)."""
+    position; returns (norm, resolved).
+
+    A pair whose mask holds no grid point is exactly the zero operator:
+    its norm is 0.0 and nothing is iterated."""
     grid, decomp, kk, mm = _centered_setup(k, m, points, dim)
-    resolved = _pair_resolved(grid, decomp, kk, mm)
+    audits = mask_resolution_audit(spatial_masks(decomp, grid, strict=False))
+    resolved = audits[kk].resolved() and audits[mm].resolved()
+    if audits[kk].nonzero_samples == 0 or audits[mm].nonzero_samples == 0:
+        return 0.0, resolved
     op = CommutatorOp(kk, mm, s, decomp, grid)
     return operator_norm(op, trials=trials, iterations=iterations, seed=seed), resolved
 

@@ -158,9 +158,21 @@ class MaskFamily:
 
 
 @lru_cache(maxsize=64)
-def _cached_masks(decomp: DyadicDecomposition, grid: Grid, kind: str) -> MaskFamily:
+def _cached_masks(profile: BumpProfile, grid: Grid, kind: str, k: int) -> np.ndarray:
+    """The shell-k mask ``profile(r / 2^k)``, one read-only array per shell.
+
+    Entries are keyed by shell, not by decomposition, so every
+    decomposition that holds shell k on this grid shares one array.  The
+    cache is bounded at 64 arrays (128 MiB at 64^3).
+    """
     r = grid.radius if kind == "spatial" else grid.freq_radius
-    masks = {k: decomp.profile(r / 2.0**k) for k in decomp.shells}
+    mask = profile(r / 2.0**k)
+    mask.flags.writeable = False
+    return mask
+
+
+def _mask_family(decomp: DyadicDecomposition, grid: Grid, kind: str) -> MaskFamily:
+    masks = {k: _cached_masks(decomp.profile, grid, kind, k) for k in decomp.shells}
     return MaskFamily(decomp, grid, kind, masks)
 
 
@@ -171,17 +183,21 @@ def spatial_masks(decomp: DyadicDecomposition, grid: Grid, strict: bool = True) 
     scale at or above the spacing, outermost inside the box.  Callers that
     keep boundary shells purely as truncation-tail accounting pass
     ``strict=False`` and report the per-shell support audit instead.
+
+    The masks are read-only and shared: one cached array per shell and
+    grid serves every decomposition that holds that shell.
     """
     if strict:
         decomp.validate_spatial(grid)
-    return _cached_masks(decomp, grid, "spatial")
+    return _mask_family(decomp, grid, "spatial")
 
 
 def frequency_masks(decomp: DyadicDecomposition, grid: Grid, strict: bool = True) -> MaskFamily:
-    """Masks P_k(xi) = phi(|xi| / 2^k) on the frequency lattice (FFT order)."""
+    """Masks P_k(xi) = phi(|xi| / 2^k) on the frequency lattice (FFT order),
+    read-only and shared per shell as in ``spatial_masks``."""
     if strict:
         decomp.validate_frequency(grid)
-    return _cached_masks(decomp, grid, "frequency")
+    return _mask_family(decomp, grid, "frequency")
 
 
 @dataclass(frozen=True)

@@ -248,6 +248,8 @@ def smallness_audit(A: MagneticPotential, decomp: DyadicDecomposition) -> Smalln
     grid = A.grid
     sums = []
     for c in A.at(0.0):
+        if not c.any():
+            continue  # an identically-zero component sums to exactly 0.0
         mag = np.abs(c)
         grad = [np.abs(d.values) for d in gradient(Field(grid, c))]
         terms = []
@@ -257,7 +259,7 @@ def smallness_audit(A: MagneticPotential, decomp: DyadicDecomposition) -> Smalln
                 term += 2.0 ** (2 * k) * annulus_sup(d, grid, k)
             terms.append(term)
         sums.append(sum(terms))
-    return SmallnessAudit(max(sums))
+    return SmallnessAudit(max(sums, default=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -177,3 +177,120 @@ class TestDecayScan:
             assert r.residual == r.measured_log2 - r.predicted_t
         rows = scan.csv_rows()
         assert set(rows[0]) == {"k", "m", "s", "measured_log2", "predicted_t", "residual"}
+
+
+def _reference_operator_norm(op, trials=8, iterations=50, tol=1e-6, seed=0):
+    """The power iteration as it was before the last-step adjoint was
+    dropped: every step forms A*(A v), and the convergence test follows it."""
+    rng = np.random.default_rng(seed)
+    grid = op.grid
+    results = []
+    for _ in range(trials):
+        v = Field(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+        v = mean_zero(v)
+        nv = l2_norm(v)
+        if nv == 0:
+            continue
+        v = v * (1.0 / nv)
+        est = 0.0
+        for _ in range(iterations):
+            av = op.apply(v)
+            na = l2_norm(av)
+            if na == 0:
+                est = 0.0
+                break
+            new_est = na
+            w = mean_zero(op.apply_adjoint(av))
+            nw = l2_norm(w)
+            if nw == 0:
+                est = new_est
+                break
+            v = w * (1.0 / nw)
+            if est > 0 and abs(new_est - est) <= tol * est:
+                est = new_est
+                break
+            est = new_est
+        results.append(est)
+    return max([r for r in results if r > 0], default=0.0)
+
+
+class _Counted:
+    """Duck-typed operator that counts the forward maps it forms."""
+
+    def __init__(self, op):
+        self.op, self.grid, self.applies = op, op.grid, 0
+
+    def apply(self, f):
+        self.applies += 1
+        return self.op.apply(f)
+
+    def apply_adjoint(self, f):
+        return self.op.apply_adjoint(f)
+
+
+class TestOperatorNormSteps:
+    """The last power step forms A v only; the returned float is unchanged."""
+
+    @pytest.mark.parametrize("iterations, tol", [(60, 1e-4), (3, 1e-12)])
+    def test_bit_identical_to_reference(self, grid, dec, iterations, tol):
+        # a trial that converges, and one that runs out of iterations
+        op = CommutatorOp(0, 2, 0.5, dec, grid)
+        counted = _Counted(op)
+        got = operator_norm(counted, trials=2, iterations=iterations, tol=tol, seed=4)
+        assert got == _reference_operator_norm(op, trials=2, iterations=iterations,
+                                               tol=tol, seed=4)
+        if iterations == 3:
+            assert counted.applies == 2 * iterations
+        else:
+            assert counted.applies < 2 * iterations
+
+    def test_bit_identical_for_swapped_operator(self, grid, dec):
+        op = CommutatorOp(1, -1, -0.5, dec, grid)
+
+        class Swapped:
+            grid = op.grid
+
+            @staticmethod
+            def apply(f):
+                return op.apply_adjoint(f)
+
+            @staticmethod
+            def apply_adjoint(f):
+                return op.apply(f)
+
+        got = operator_norm(Swapped, trials=2, iterations=40, tol=1e-5, seed=5)
+        assert got == _reference_operator_norm(Swapped, trials=2, iterations=40,
+                                               tol=1e-5, seed=5)
+
+    def test_converged_trial_transform_count(self, grid, dec, fft_calls):
+        # each matvec is two multipliers of two transforms; a trial that
+        # stops after j forward maps forms j - 1 adjoints
+        op = _Counted(CommutatorOp(0, 2, 0.5, dec, grid))
+        operator_norm(op, trials=1, iterations=60, tol=1e-4, seed=6)
+        j = op.applies
+        assert 1 < j < 60
+        assert len(fft_calls) == 8 * j - 4
+
+    def test_empty_mask_pair_is_not_iterated(self, fft_calls):
+        # shell -3 of the centered decomposition holds no point of the
+        # spacing-0.25 grid, so the operator is exactly zero
+        assert measure_pair_norm(-3, 2, 0.5, points=64) == (0.0, False)
+        assert fft_calls == []
+
+    def test_symbols_built_at_most_twice(self, grid, dec, monkeypatch):
+        import smoothlab.commutators as commutators
+        import smoothlab.spectral as spectral
+
+        real, calls = spectral.abs_freq_power, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "abs_freq_power", counted)
+        monkeypatch.setattr(commutators, "abs_freq_power", counted, raising=False)
+        op = CommutatorOp(0, 2, 0.5, dec, grid)
+        f = band_limited_field(grid, member_rng(0, 6))
+        for _ in range(3):
+            f = op.apply_adjoint(op.apply(f))
+        assert len(calls) <= 2

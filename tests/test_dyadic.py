@@ -116,6 +116,34 @@ class TestMasks:
         assert 0.5 < audit[1].mass_ratio < 2.0
 
 
+class TestMaskCache:
+    """One read-only cached array per (profile, grid, kind, shell)."""
+
+    def test_decompositions_share_shell_arrays(self):
+        grid = Grid(3, 8.0, 16)
+        a = spatial_masks(default_decomposition(-2, 1), grid, strict=False)
+        b = spatial_masks(default_decomposition(0, 3), grid, strict=False)
+        for k in (0, 1):
+            assert a[k] is b[k]
+            assert np.array_equal(a[k], make_bump()(grid.radius / 2.0**k))
+
+    def test_frequency_and_spatial_shells_are_distinct(self):
+        grid = Grid(3, 8.0, 16)
+        decomp = default_decomposition(-1, 1)
+        freq = frequency_masks(decomp, grid, strict=False)
+        assert freq[0] is frequency_masks(default_decomposition(0, 2), grid, strict=False)[0]
+        assert freq[0] is not spatial_masks(decomp, grid, strict=False)[0]
+        assert np.array_equal(freq[0], make_bump()(grid.freq_radius))
+
+    def test_cached_masks_are_read_only(self):
+        grid = Grid(3, 8.0, 16)
+        masks = spatial_masks(default_decomposition(-1, 1), grid, strict=False)
+        with pytest.raises(ValueError):
+            masks[0][...] = 0.0
+        with pytest.raises(ValueError):
+            masks[1] *= 2.0
+
+
 class TestWeightedSeq:
     def test_impulse_norms(self):
         a = WeightedSeq.impulse(3)

@@ -5,7 +5,9 @@ transform entry points ``grid._fftn``/``grid._ifftn`` that every spectral
 routine shares; the annulus indicator stays private to ``norms``, whose
 ``annulus_sup`` and ``annulus_l2`` are the public ways to use it.  No
 module imports a name it does not use, and every suite runner takes the
-config alone.  The only process-lifetime caches are the two mask caches.
+config alone.  The only process-lifetime caches are the two mask caches,
+and ``CommutatorOp`` builds its masks and symbols in one cached property
+instead of once per matvec.
 """
 
 import ast
@@ -126,3 +128,32 @@ def test_lru_caches_are_the_two_mask_caches():
         for name in _cache_decorated(ast.parse(path.read_text()))
     }
     assert cached == {"dyadic._cached_masks", "norms._annulus_mask"}
+
+
+FACTOR_BUILDERS = {"spatial_masks", "abs_freq_power", "fractional_laplacian"}
+
+
+def _called_names(node: ast.AST) -> set[str]:
+    out = set()
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            f = call.func
+            out.add(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", ""))
+    return out
+
+
+def test_commutator_factors_built_in_one_cached_property():
+    # a power iteration runs hundreds of matvecs per operator; building a
+    # mask family or |xi|^s inside apply/apply_adjoint rebuilds it each time
+    tree = ast.parse((Path(smoothlab.__file__).parent / "commutators.py").read_text())
+    op = next(node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "CommutatorOp")
+    builders = {
+        member.name: member.decorator_list
+        for member in op.body
+        if isinstance(member, ast.FunctionDef) and _called_names(member) & FACTOR_BUILDERS
+    }
+    assert list(builders) == ["_factors"]
+    assert [getattr(d, "id", getattr(d, "attr", "")) for d in builders["_factors"]] == [
+        "cached_property"
+    ]

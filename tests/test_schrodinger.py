@@ -266,3 +266,26 @@ class TestZeroComponents:
         fft_calls.clear()
         magnetic_solve(f, A, None, [0.0, 2 * h], dt=h)
         assert len(fft_calls) - one_step == 10
+
+    def test_smallness_audit_transforms_only_nonzero_components(self, fft_calls):
+        # the parent's audit ran the gradient of all three components:
+        # 12 transforms, 8 of them on zeros; the total is the same
+        from smoothlab.norms import annulus_sup
+        from smoothlab.spectral import gradient
+
+        g = Grid(3, 8.0, 32)
+        A = bump_potential(g, 0.05, shell=0, direction=0)
+        fft_calls.clear()
+        total = smallness_audit(A, DEC).total
+        assert len(fft_calls) == 4
+        sums = []
+        for c in A.at(0.0):
+            mag, grad = np.abs(c), [np.abs(d.values) for d in gradient(Field(g, c))]
+            terms = []
+            for k in DEC.shells:
+                term = 2.0**k * annulus_sup(mag, g, k)
+                for d in grad:
+                    term += 2.0 ** (2 * k) * annulus_sup(d, g, k)
+                terms.append(term)
+            sums.append(sum(terms))
+        assert total == max(sums) > 0
