@@ -63,7 +63,7 @@ class CommutatorOp:
         (None): applying the zero-mode annihilation there would inject
         mask-dependent constants and break the disjoint-support
         degeneration."""
-        masks = spatial_masks(self.decomp, self.grid, strict=False)
+        masks = spatial_masks(self.decomp, self.grid)
         if self.s == 0:
             return masks[self.k], masks[self.m], None, None
         up, down = abs_freq_power(self.grid, self.s), abs_freq_power(self.grid, -self.s)
@@ -205,7 +205,7 @@ def measure_pair_norm(
     A pair whose mask holds no grid point is exactly the zero operator:
     its norm is 0.0 and nothing is iterated."""
     grid, decomp, kk, mm = _centered_setup(k, m, points, dim)
-    audits = mask_resolution_audit(spatial_masks(decomp, grid, strict=False))
+    audits = mask_resolution_audit(spatial_masks(decomp, grid))
     resolved = audits[kk].resolved() and audits[mm].resolved()
     if audits[kk].nonzero_samples == 0 or audits[mm].nonzero_samples == 0:
         return 0.0, resolved

@@ -1,10 +1,10 @@
-"""Exact discrete kernel operator on weighted sequences over Z and Z^2.
+"""Exact discrete kernel operator on weighted sequences over Z.
 
 The kernel is t_{k,m} = 2^(m lambda) 2^(k mu) 2^(-beta max(m,k)), summed
-over |k - m| >= 4 in the Z case.  Everything here is a finite sum in
-double precision; the boundedness certificates check that exact window
-operator norms settle as the window grows, and compare flat-input outputs
-against exact geometric-series values.
+over |k - m| >= 4.  Everything here is a finite sum in double precision;
+the boundedness certificates check that exact window operator norms
+settle as the window grows, and compare flat-input outputs against exact
+geometric-series values.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .dyadic import WeightedSeq
 
-SEPARATION = 4  # the Z-kernel sums over |k - m| >= 4
+SEPARATION = 4  # the kernel sums over |k - m| >= 4
 #: output indices added on each side of the input window; the kernel
 #: tails beyond decay geometrically
 OUTPUT_PAD = 16
@@ -55,7 +55,7 @@ def kernel_apply(
     The output window defaults to the input support padded by
     ``OUTPUT_PAD`` indices.
     """
-    support = [k for k in a.support if isinstance(k, int)]
+    support = a.support
     if not support:
         return WeightedSeq({})
     if out_window is None:
@@ -66,67 +66,6 @@ def kernel_apply(
         for k in support:
             if abs(k - m) >= SEPARATION:
                 total += kernel_value(spec, m, k) * a[k]
-        if total != 0:
-            out[m] = total
-    return WeightedSeq(out)
-
-
-def dyadic_reweight(a: WeightedSeq, alpha: float) -> WeightedSeq:
-    """b_k = 2^(k alpha) a_k, the isomorphism between weighted levels;
-    inverted exactly by the opposite weight."""
-    return WeightedSeq(
-        {k: 2.0 ** (_total_index(k) * alpha) * v for k, v in a.entries.items()}
-    )
-
-
-def _total_index(k) -> int:
-    return sum(k) if isinstance(k, tuple) else k
-
-
-@dataclass(frozen=True)
-class KernelSpec2:
-    """Per-axis exponents for the Z^2 kernel."""
-
-    lam: tuple[float, float]
-    mu: tuple[float, float]
-    beta: tuple[float, float]
-
-
-def kernel_apply_2d(
-    a: WeightedSeq,
-    spec: KernelSpec2,
-    out_window: Iterable[tuple[int, int]] | None = None,
-    pad: int = 8,
-    separated: bool = False,
-) -> WeightedSeq:
-    """Two-index kernel sum b_m = sum_k t_{m,k} a_k over Z^2.
-
-    No separation restriction is applied by default (the two-index kernel
-    is stated without one); ``separated=True`` additionally restricts to
-    |k_j - m_j| >= 4 on each axis, and probes report both versions.
-    """
-    support = [k for k in a.support if isinstance(k, tuple)]
-    if not support:
-        return WeightedSeq({})
-    if out_window is None:
-        lo1 = min(k[0] for k in support) - pad
-        hi1 = max(k[0] for k in support) + pad
-        lo2 = min(k[1] for k in support) - pad
-        hi2 = max(k[1] for k in support) + pad
-        out_window = [
-            (m1, m2) for m1 in range(lo1, hi1 + 1) for m2 in range(lo2, hi2 + 1)
-        ]
-    out = {}
-    for m in out_window:
-        total = 0.0 + 0.0j
-        for k in support:
-            if separated and (abs(k[0] - m[0]) < SEPARATION or abs(k[1] - m[1]) < SEPARATION):
-                continue
-            expo = sum(
-                m[j] * spec.lam[j] + k[j] * spec.mu[j] - spec.beta[j] * max(m[j], k[j])
-                for j in range(2)
-            )
-            total += 2.0**expo * a[k]
         if total != 0:
             out[m] = total
     return WeightedSeq(out)

@@ -1,4 +1,5 @@
-"""Dyadic partitions of unity in space and frequency, and weighted sequences.
+"""Dyadic partitions of unity in space and frequency, and weighted
+sequences over Z.
 
 The bump profile is fixed once and for all as the telescoping difference
 ``phi(s) = chi(s) - chi(2 s)`` of a smooth monotone step ``chi`` built from
@@ -18,8 +19,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .grid import Grid
-
-Index = int | tuple[int, int]
 
 
 def _mollifier(t: np.ndarray) -> np.ndarray:
@@ -96,39 +95,8 @@ class DyadicDecomposition:
             total = total + self.profile(r / 2.0**k)
         return total
 
-    def validate_spatial(self, grid: Grid) -> None:
-        inner = 2.0 ** (self.k_min - 1)
-        outer = 2.0 ** (self.k_max + 1)
-        if inner < grid.spacing:
-            raise ValueError(
-                f"innermost shell scale 2^(k_min-1)={inner} is below the "
-                f"grid spacing {grid.spacing}"
-            )
-        if outer > grid.half_width:
-            raise ValueError(
-                f"outermost shell scale 2^(k_max+1)={outer} exceeds the "
-                f"box half-width {grid.half_width}"
-            )
-
-    def validate_frequency(self, grid: Grid) -> None:
-        inner = 2.0 ** (self.k_min - 1)
-        outer = 2.0 ** (self.k_max + 1)
-        if inner < grid.freq_spacing:
-            raise ValueError(
-                f"innermost shell scale 2^(k_min-1)={inner} is below the "
-                f"frequency spacing {grid.freq_spacing}"
-            )
-        if outer > grid.freq_max:
-            raise ValueError(
-                f"outermost shell scale 2^(k_max+1)={outer} exceeds the "
-                f"largest lattice frequency {grid.freq_max}"
-            )
-
     def shift(self, j: int) -> "DyadicDecomposition":
         return DyadicDecomposition(self.profile, self.k_min + j, self.k_max + j)
-
-    def meta(self) -> dict:
-        return {"k_min": self.k_min, "k_max": self.k_max, "profile": "telescoped-exp-step"}
 
 
 def default_decomposition(k_min: int = -2, k_max: int = 3) -> DyadicDecomposition:
@@ -141,7 +109,6 @@ class MaskFamily:
 
     decomposition: DyadicDecomposition
     grid: Grid
-    kind: str  # "spatial" | "frequency"
     masks: dict[int, np.ndarray]
 
     def __getitem__(self, k: int) -> np.ndarray:
@@ -149,12 +116,6 @@ class MaskFamily:
 
     def __iter__(self):
         return iter(sorted(self.masks))
-
-    def sum_array(self) -> np.ndarray:
-        total = np.zeros(self.grid.shape)
-        for m in self.masks.values():
-            total = total + m
-        return total
 
 
 @lru_cache(maxsize=64)
@@ -173,30 +134,24 @@ def _cached_masks(profile: BumpProfile, grid: Grid, kind: str, k: int) -> np.nda
 
 def _mask_family(decomp: DyadicDecomposition, grid: Grid, kind: str) -> MaskFamily:
     masks = {k: _cached_masks(decomp.profile, grid, kind, k) for k in decomp.shells}
-    return MaskFamily(decomp, grid, kind, masks)
+    return MaskFamily(decomp, grid, masks)
 
 
-def spatial_masks(decomp: DyadicDecomposition, grid: Grid, strict: bool = True) -> MaskFamily:
+def spatial_masks(decomp: DyadicDecomposition, grid: Grid) -> MaskFamily:
     """Masks Q_k(x) = phi(|x| / 2^k) sampled on the grid.
 
-    With ``strict`` the shell range must be fully resolvable: innermost
-    scale at or above the spacing, outermost inside the box.  Callers that
-    keep boundary shells purely as truncation-tail accounting pass
-    ``strict=False`` and report the per-shell support audit instead.
-
-    The masks are read-only and shared: one cached array per shell and
-    grid serves every decomposition that holds that shell.
+    Shells need not be resolvable on the grid: the boundary shells are
+    truncation tail, and ``mask_resolution_audit`` reports how well each
+    shell is sampled.  The masks are read-only and shared: one cached
+    array per shell and grid serves every decomposition that holds that
+    shell.
     """
-    if strict:
-        decomp.validate_spatial(grid)
     return _mask_family(decomp, grid, "spatial")
 
 
-def frequency_masks(decomp: DyadicDecomposition, grid: Grid, strict: bool = True) -> MaskFamily:
+def frequency_masks(decomp: DyadicDecomposition, grid: Grid) -> MaskFamily:
     """Masks P_k(xi) = phi(|xi| / 2^k) on the frequency lattice (FFT order),
     read-only and shared per shell as in ``spatial_masks``."""
-    if strict:
-        decomp.validate_frequency(grid)
     return _mask_family(decomp, grid, "frequency")
 
 
@@ -249,32 +204,32 @@ def mask_resolution_audit(family: MaskFamily) -> dict[int, MaskAudit]:
 
 
 # ---------------------------------------------------------------------------
-# weighted sequences over Z and Z^2
+# weighted sequences over Z
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class WeightedSeq:
-    """Finitely supported complex sequence over Z (or Z^2)."""
+    """Finitely supported complex sequence over Z."""
 
-    entries: dict[Index, complex] = field(default_factory=dict)
+    entries: dict[int, complex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.entries = {k: complex(v) for k, v in self.entries.items() if v != 0}
 
     @classmethod
-    def impulse(cls, k: Index, value: complex = 1.0) -> "WeightedSeq":
+    def impulse(cls, k: int, value: complex = 1.0) -> "WeightedSeq":
         return cls({k: value})
 
     @classmethod
-    def ones(cls, indices: Iterable[Index]) -> "WeightedSeq":
+    def ones(cls, indices: Iterable[int]) -> "WeightedSeq":
         return cls({k: 1.0 for k in indices})
 
     @property
-    def support(self) -> list[Index]:
+    def support(self) -> list[int]:
         return sorted(self.entries)
 
-    def __getitem__(self, k: Index) -> complex:
+    def __getitem__(self, k: int) -> complex:
         return self.entries.get(k, 0.0)
 
     def __add__(self, other: "WeightedSeq") -> "WeightedSeq":
@@ -296,14 +251,7 @@ class WeightedSeq:
         return all(abs(self[k] - other[k]) <= tol for k in keys)
 
 
-def _index_weight(k: Index) -> int:
-    # Z^2 indices weight by k1 + k2, the product generalisation of 2^(k alpha)
-    if isinstance(k, tuple):
-        return sum(k)
-    return k
-
-
-def seq_norm(a: WeightedSeq | Mapping[Index, complex], q: float, alpha: float) -> float:
+def seq_norm(a: WeightedSeq | Mapping[int, complex], q: float, alpha: float) -> float:
     """Weighted norm (sum_k 2^(k q alpha) |a_k|^q)^(1/q); sup form at q = inf.
 
     The truncated ``q = inf`` case uses max, not essential sup.
@@ -314,38 +262,8 @@ def seq_norm(a: WeightedSeq | Mapping[Index, complex], q: float, alpha: float) -
     if not entries:
         return 0.0
     if math.isinf(q):
-        return max(2.0 ** (_index_weight(k) * alpha) * abs(v) for k, v in entries.items())
+        return max(2.0 ** (k * alpha) * abs(v) for k, v in entries.items())
     total = sum(
-        2.0 ** (_index_weight(k) * q * alpha) * abs(v) ** q for k, v in entries.items()
+        2.0 ** (k * q * alpha) * abs(v) ** q for k, v in entries.items()
     )
     return total ** (1.0 / q)
-
-
-def mixed_seq_norm(
-    a: WeightedSeq,
-    q_outer: float,
-    alpha_outer: float,
-    q_inner: float,
-    alpha_inner: float,
-    outer_axis: int = 0,
-) -> float:
-    """Iterated norm l^{q_outer, alpha_outer}_{k_outer} ( l^{q_inner, alpha_inner}_{k_inner} ).
-
-    The two orderings differ; ``outer_axis`` selects which of the two index
-    slots is summed last.
-    """
-    if q_outer < 1 or q_inner < 1:
-        raise ValueError("exponents must be >= 1")
-    inner_axis = 1 - outer_axis
-    groups: dict[int, dict[int, complex]] = {}
-    for k, v in a.entries.items():
-        if not isinstance(k, tuple):
-            raise TypeError("mixed_seq_norm needs Z^2 indices")
-        groups.setdefault(k[outer_axis], {})[k[inner_axis]] = v
-    outer = WeightedSeq(
-        {
-            ko: seq_norm(WeightedSeq(inner), q_inner, alpha_inner)
-            for ko, inner in groups.items()
-        }
-    )
-    return seq_norm(outer, q_outer, alpha_outer)

@@ -109,13 +109,6 @@ class Grid:
     def refine(self, factor: int = 2) -> "Grid":
         return Grid(self.dim, self.half_width, self.points_per_axis * factor)
 
-    def meta(self) -> dict:
-        return {
-            "dim": self.dim,
-            "half_width": self.half_width,
-            "points_per_axis": self.points_per_axis,
-        }
-
 
 @dataclass
 class Field:

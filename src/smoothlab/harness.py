@@ -16,7 +16,7 @@ import numpy as np
 
 from .dyadic import DyadicDecomposition, seq_norm, smooth_cutoff, spatial_masks
 from .ensembles import band_limited_field, band_limited_spacetime, member_rng
-from .grid import Field, Grid, SpaceTimeField, _fftn, _ifftn
+from .grid import Field, Grid, SpaceTimeField
 from .norms import (
     NormSpec,
     annulus_sum_norm,
@@ -39,6 +39,7 @@ from .schrodinger import (
 )
 from .spectral import (
     apply_multiplier,
+    apply_multipliers,
     derivative,
     gradient_magnitude,
     l2_norm,
@@ -166,12 +167,11 @@ def verify_main(
     A: MagneticPotential,
     ensemble: int = 20,
     seed: int = 0,
-    paired: bool = True,
 ) -> EstimateReport:
     """Weighted-energy smoothing bound for the magnetic flow, with a
     paired zero-potential run measuring the ratio inflation caused by the
     potential and an exact consistency check of the free reduction on
-    member 0 (reusing its paired run when there is one)."""
+    member 0 (reusing its paired run; a degenerate member 0 has none)."""
     times = np.asarray(times, dtype=float)
     audit_total = smallness_audit(A, decomp).total
     members = []
@@ -186,7 +186,7 @@ def verify_main(
         rhs = _weighted_data_rhs(f, F, decomp)
         rec = _ratio_record(lhs, rhs)
         lhs0 = None
-        if paired and not rec["degenerate"]:
+        if not rec["degenerate"]:
             lhs0 = _weighted_solution_lhs(magnetic_solve(f, zero, F, times), decomp)
             ratio0 = lhs0 / rhs
             rec["ratio_zero_potential"] = ratio0
@@ -372,11 +372,9 @@ def verify_resolvent_nd(
     def member(g: Grid, idx: int, lam: complex) -> dict:
         rng = member_rng(seed, 44, idx)
         v = band_limited_field(g, rng, window=None)
-        spec = _fftn(v.values)
-        d1 = _ifftn(1j * g.freq_coord(0) * spec)
-        wv = _ifftn((g.freq_radius**2 - lam) * spec)
-        return _ratio_record(float(_x1_profile(d1, g).max()),
-                             float(_x1_profile(wv, g).sum() * g.spacing),
+        d1, wv = apply_multipliers(v, (1j * g.freq_coord(0), g.freq_radius**2 - lam))
+        return _ratio_record(float(_x1_profile(d1.values, g).max()),
+                             float(_x1_profile(wv.values, g).sum() * g.spacing),
                              **{"lambda": [lam.real, lam.imag]})
 
     members = [member(grid, i, lambdas[i % len(lambdas)]) for i in range(ensemble)]
@@ -396,7 +394,7 @@ def verify_resolvent_nd(
 
 
 def _weight_product_field(f: Field, decomp: DyadicDecomposition, k: int, a: float) -> Field:
-    masks = spatial_masks(decomp, f.grid, strict=False)
+    masks = spatial_masks(decomp, f.grid)
     return Field(f.grid, weight_product_mask(masks, k, a) * f.values)
 
 
@@ -480,7 +478,7 @@ def verify_mixed_norm(
 
 def lqa_lp_norm(f: Field, decomp: DyadicDecomposition, q: float, a: float, p: float) -> float:
     """Plain weighted shell-L^p norm (no smoothing factor)."""
-    masks = spatial_masks(decomp, f.grid, strict=False)
+    masks = spatial_masks(decomp, f.grid)
     terms = {
         k: lp_norm(Field(f.grid, masks[k] * f.values), p) for k in decomp.shells
     }
@@ -495,9 +493,7 @@ def hardy_ratio(f: Field) -> float:
     w = np.zeros(grid.shape)
     nz = r > 0
     w[nz] = 1.0 / r[nz]
-    lhs = float(
-        np.sqrt(np.sum(np.abs(w * f.values) ** 2) * grid.cell_volume)
-    )
+    lhs = l2_norm(Field(grid, w * f.values))
     rhs = sobolev_norm(f, 1.0)
     return lhs / rhs if rhs > 0 else math.nan
 

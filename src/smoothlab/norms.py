@@ -2,9 +2,8 @@
 space-time smoothing norms, and the three-way equivalence report.
 
 Shell sums run over the finite range of a DyadicDecomposition and are
-assembled by ``dyadic.seq_norm``; the share of the two boundary shells is
-reported as ``tail_fraction`` so experiments can enforce the < 1%
-truncation discipline.
+assembled by ``dyadic.seq_norm``; ``lqa_tail_fraction`` gives the share
+of the two boundary shells, the truncation tail.
 """
 
 from __future__ import annotations
@@ -128,7 +127,7 @@ def lqa_shell_terms(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    masks = spatial_masks(decomp, f.grid, strict=False)
+    masks = spatial_masks(decomp, f.grid)
     sym = abs_freq_power(f.grid, spec.s)
     terms: dict[int, float] = {}
     if variant == "mask_then_D":
@@ -176,25 +175,6 @@ def lqa_sobolev_norm(
     """
     terms = lqa_shell_terms(f, decomp, spec, variant, p)
     return seq_norm(terms, spec.q, _shell_weight(spec, variant))
-
-
-def norm_record(
-    f: Field,
-    decomp: DyadicDecomposition,
-    spec: NormSpec,
-    variant: str = "D_then_mask",
-) -> dict:
-    """JSON-ready record of one norm evaluation with its truncation tail."""
-    terms = lqa_shell_terms(f, decomp, spec, variant)
-    weight = _shell_weight(spec, variant)
-    return {
-        "norm_name": "lqa_sobolev",
-        "variant": variant,
-        "spec": {"q": spec.q, "a": spec.a, "s": spec.s},
-        "value": seq_norm(terms, spec.q, weight),
-        "tail_fraction": _boundary_share(terms, decomp, spec.q, weight),
-        "grid": f.grid.meta(),
-    }
 
 
 def lqa_tail_fraction(
@@ -275,7 +255,7 @@ def phase_localized_norm(
     """
     if ordering not in ("frequency_outer", "space_outer"):
         raise ValueError(f"unknown ordering {ordering!r}")
-    pk = frequency_masks(freq_decomp, f.grid, strict=False)
+    pk = frequency_masks(freq_decomp, f.grid)
     # one forward transform of f; each frequency shell is made when needed
     localized = zip(freq_decomp.shells,
                     apply_multipliers(f, (pk[k2] for k2 in freq_decomp.shells)))
@@ -284,7 +264,7 @@ def phase_localized_norm(
         return seq_norm(outer_terms, 2, 0.0)
     # inner l^2 over frequency shells of the per-(k1,k2) localized B-norm,
     # assembled by the spatial l^{q,a} rule last
-    qk = spatial_masks(space_decomp, f.grid, strict=False)
+    qk = spatial_masks(space_decomp, f.grid)
     sym = abs_freq_power(f.grid, spec.s)
     inner: dict[int, dict[int, float]] = {k1: {} for k1 in space_decomp.shells}
     for k2, loc in localized:

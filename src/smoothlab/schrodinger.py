@@ -10,7 +10,9 @@ The forced free flow is integrated by an exact-propagator march with
 trapezoid forcing, which telescopes to the global trapezoid Duhamel
 quadrature; the magnetic solver Strang-splits the local terms around the
 exact spectral step and degenerates to the free march when the potential
-vanishes, so the consistency ladder holds to rounding.
+vanishes, so the consistency ladder holds to rounding.  The potential is
+static, the same A at every time.  Every transform goes through the
+multipliers of ``spectral``.
 """
 
 from __future__ import annotations
@@ -22,9 +24,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dyadic import DyadicDecomposition, make_bump
-from .grid import Field, Grid, SpaceTimeField, _fftn, _ifftn
+from .grid import Field, Grid, SpaceTimeField
 from .norms import annulus_sup
-from .spectral import apply_multiplier, gradient, warn_if_boundary_heavy
+from .spectral import (
+    apply_multiplier,
+    apply_multipliers,
+    derivative,
+    gradient,
+    l2_norm,
+    warn_if_boundary_heavy,
+)
 
 
 #: largest growth of the local stage over one Strang half-step, relative
@@ -41,38 +50,29 @@ Components = tuple[np.ndarray, ...]
 
 @dataclass
 class MagneticPotential:
-    """Real vector potential A(t, x); static components or a callable of t."""
+    """Static real vector potential A(x): the solver, W and the smallness
+    audit all see the same A at every time."""
 
     grid: Grid
-    components: Components | Callable[[float], Components]
+    components: Components
 
     def __post_init__(self) -> None:
-        if not callable(self.components):
-            comps = []
-            for j, c in enumerate(self.components):
-                c = np.asarray(c)
-                if np.iscomplexobj(c):
-                    if np.max(np.abs(c.imag)) > 1e-14 * max(1.0, np.max(np.abs(c.real))):
-                        raise ValueError(f"component {j} is not real valued")
-                    c = c.real
-                comps.append(c.astype(float))
-            if len(comps) != self.grid.dim:
-                raise ValueError(
-                    f"need {self.grid.dim} components, got {len(comps)}"
-                )
-            self.components = tuple(comps)
-
-    @property
-    def static(self) -> bool:
-        return not callable(self.components)
-
-    def at(self, t: float) -> Components:
-        if callable(self.components):
-            return tuple(np.asarray(c, dtype=float) for c in self.components(t))
-        return self.components
+        comps = []
+        for j, c in enumerate(self.components):
+            c = np.asarray(c)
+            if np.iscomplexobj(c):
+                if np.max(np.abs(c.imag)) > 1e-14 * max(1.0, np.max(np.abs(c.real))):
+                    raise ValueError(f"component {j} is not real valued")
+                c = c.real
+            comps.append(c.astype(float))
+        if len(comps) != self.grid.dim:
+            raise ValueError(
+                f"need {self.grid.dim} components, got {len(comps)}"
+            )
+        self.components = tuple(comps)
 
     def is_zero(self) -> bool:
-        return self.static and all(np.max(np.abs(c)) == 0.0 for c in self.components)
+        return all(np.max(np.abs(c)) == 0.0 for c in self.components)
 
 
 def zero_potential(grid: Grid) -> MagneticPotential:
@@ -105,8 +105,8 @@ def free_propagate(f: Field, t: float) -> Field:
 
 def free_evolution(f: Field, times: Sequence[float]) -> SpaceTimeField:
     times = np.asarray(times, dtype=float)
-    spec = _fftn(f.values)
-    vals = np.stack([_ifftn(_free_symbol(f.grid, t) * spec) for t in times])
+    symbols = (_free_symbol(f.grid, t) for t in times)
+    vals = np.stack([g.values for g in apply_multipliers(f, symbols)])
     return SpaceTimeField(f.grid, times, vals)
 
 
@@ -171,7 +171,7 @@ def _march_free_forced(
         if h != last_h:
             last_h, sym = h, _free_symbol(grid, h)
         f_a, f_b = _sample_forcing(F, grid, a), _sample_forcing(F, grid, b)
-        return _ifftn(sym * _fftn(u + 0.5 * h * f_a)) + 0.5 * h * f_b
+        return apply_multiplier(Field(grid, u + 0.5 * h * f_a), sym).values + 0.5 * h * f_b
 
     return _march(grid, u0, t0, t_out, advance, () if F is None else F.times)
 
@@ -205,7 +205,7 @@ def _divergence(grid: Grid, comps: Components) -> np.ndarray:
     out = np.zeros(grid.shape, dtype=np.complex128)
     for j, c in enumerate(comps):
         if c.any():
-            out += _ifftn(1j * grid.freq_coord(j) * _fftn(c.astype(complex)))
+            out += derivative(Field(grid, c), j).values
     return out
 
 
@@ -219,9 +219,9 @@ class WFieldResult:
 def effective_scalar_potential(
     A: MagneticPotential, decomp: DyadicDecomposition | None = None
 ) -> WFieldResult:
-    """W = |A|^2 - i div A at t = 0, with its 2^(2k)-weighted shell audit."""
+    """W = |A|^2 - i div A, with its 2^(2k)-weighted shell audit."""
     grid = A.grid
-    comps = A.at(0.0)
+    comps = A.components
     w = np.zeros(grid.shape, dtype=np.complex128)
     for c in comps:
         w += c.astype(complex) ** 2
@@ -243,11 +243,10 @@ class SmallnessAudit:
 
 
 def smallness_audit(A: MagneticPotential, decomp: DyadicDecomposition) -> SmallnessAudit:
-    """max_j sum_k sum_{|beta|<=1} 2^(k(1+|beta|)) sup_{annulus k} |D^beta A_j|,
-    for the potential at t = 0."""
+    """max_j sum_k sum_{|beta|<=1} 2^(k(1+|beta|)) sup_{annulus k} |D^beta A_j|."""
     grid = A.grid
     sums = []
-    for c in A.at(0.0):
+    for c in A.components:
         if not c.any():
             continue  # an identically-zero component sums to exactly 0.0
         mag = np.abs(c)
@@ -291,7 +290,7 @@ def magnetic_solve(
 
     Each step takes a midpoint-rule half-step of the local terms, an exact
     spectral Laplacian step, and a second local half-step (order 2).  A
-    vanishing static potential degenerates to the exact forced free march;
+    vanishing potential degenerates to the exact forced free march;
     identically-zero components of a non-vanishing one are skipped by the
     divergence, so a single-axis potential costs 10 transforms per step.
     Growth of the local stage beyond ``GROWTH_BUDGET`` per step raises
@@ -307,28 +306,17 @@ def magnetic_solve(
     if dt is None:
         dt = 0.5 * grid.spacing**2
 
-    static = A.static
-    comps0 = A.at(0.0)
-    w0 = effective_scalar_potential(A).field.values if static else None
+    comps = A.components
+    w = effective_scalar_potential(A).field.values
 
     def local_half(u: np.ndarray, t_a: float, t_b: float) -> np.ndarray:
         tau = t_b - t_a
-        if static:
-            comps_a = comps_mid = comps0
-            w_a = w_mid = w0
-        else:
-            comps_a = A.at(t_a)
-            comps_mid = A.at(0.5 * (t_a + t_b))
-            w_a = effective_scalar_potential(MagneticPotential(grid, comps_a)).field.values
-            w_mid = effective_scalar_potential(
-                MagneticPotential(grid, comps_mid)
-            ).field.values
         f_a = _sample_forcing(F, grid, t_a)
         f_mid = _sample_forcing(F, grid, 0.5 * (t_a + t_b))
-        mid = u + 0.5 * tau * _local_rhs(grid, u, comps_a, w_a, f_a)
-        out = u + tau * _local_rhs(grid, mid, comps_mid, w_mid, f_mid)
-        scale = _l2(grid, u) + 2.0 * tau * _l2(grid, f_mid)
-        if scale > 0 and _l2(grid, out) > (1.0 + GROWTH_BUDGET) * scale:
+        mid = u + 0.5 * tau * _local_rhs(grid, u, comps, w, f_a)
+        out = u + tau * _local_rhs(grid, mid, comps, w, f_mid)
+        scale = l2_norm(Field(grid, u)) + 2.0 * tau * l2_norm(Field(grid, f_mid))
+        if scale > 0 and l2_norm(Field(grid, out)) > (1.0 + GROWTH_BUDGET) * scale:
             raise StabilityError(
                 f"local stage grew beyond {1 + GROWTH_BUDGET:.2f}x during "
                 f"[{t_a:.6g}, {t_b:.6g}]; reduce the step size"
@@ -346,13 +334,9 @@ def magnetic_solve(
         t = a
         for _ in range(n_steps):
             u = local_half(u, t, t + 0.5 * h)
-            u = _ifftn(sym * _fftn(u))
+            u = apply_multiplier(Field(grid, u), sym).values
             u = local_half(u, t + 0.5 * h, t + h)
             t += h
         return u
 
     return _march(grid, f.values, 0.0, t_out, advance)
-
-
-def _l2(grid: Grid, vals: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(vals) ** 2) * grid.cell_volume))

@@ -1,9 +1,7 @@
-"""Flat binary layout for masks, fields, and solver checkpoints.
+"""Report writers: results.csv and the JSON reports.
 
-Arrays are stored row-major as little-endian 64-bit floats (complex data
-as interleaved real/imaginary pairs) next to a JSON sidecar carrying the
-grid spec, shell range, and profile parameters.  CSV writers format
-floats by repr so identical runs produce byte-identical files.
+CSV cells format floats by repr and JSON is written with sorted keys, so
+identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -14,98 +12,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-
-from .dyadic import DyadicDecomposition, MaskFamily, make_bump
-from .grid import Field, Grid, SpaceTimeField
-
-_FLOAT = np.dtype("<f8")
-
-
-def _sidecar(path: Path) -> Path:
-    return path.with_suffix(path.suffix + ".json")
-
-
-def save_mask_family(family: MaskFamily, path: str | Path) -> None:
-    path = Path(path)
-    shells = sorted(family.masks)
-    flat = np.concatenate([family.masks[k].ravel(order="C") for k in shells])
-    flat.astype(_FLOAT).tofile(path)
-    meta = {
-        "kind": family.kind,
-        "grid": family.grid.meta(),
-        "shells": shells,
-        "profile": family.decomposition.meta(),
-        "dtype": "<f8",
-        "layout": "row-major, one block per shell in ascending k",
-    }
-    _sidecar(path).write_text(json.dumps(meta, indent=2, sort_keys=True))
-
-
-def load_mask_family(path: str | Path) -> MaskFamily:
-    path = Path(path)
-    meta = json.loads(_sidecar(path).read_text())
-    grid = Grid(**meta["grid"])
-    shells = meta["shells"]
-    profile = meta["profile"]
-    decomp = DyadicDecomposition(make_bump(), profile["k_min"], profile["k_max"])
-    raw = np.fromfile(path, dtype=_FLOAT)
-    per = grid.size
-    masks = {
-        k: raw[i * per : (i + 1) * per].reshape(grid.shape)
-        for i, k in enumerate(shells)
-    }
-    return MaskFamily(decomp, grid, meta["kind"], masks)
-
-
-def _complex_to_pairs(values: np.ndarray) -> np.ndarray:
-    flat = np.ascontiguousarray(values, dtype=np.complex128).ravel(order="C")
-    return flat.view(np.float64)
-
-
-def _pairs_to_complex(raw: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    return raw.view(np.complex128).reshape(shape)
-
-
-def save_field(field: Field, path: str | Path) -> None:
-    path = Path(path)
-    _complex_to_pairs(field.values).astype(_FLOAT).tofile(path)
-    meta = {
-        "grid": field.grid.meta(),
-        "dtype": "<f8",
-        "layout": "row-major complex samples as interleaved re/im pairs",
-    }
-    _sidecar(path).write_text(json.dumps(meta, indent=2, sort_keys=True))
-
-
-def load_field(path: str | Path) -> Field:
-    path = Path(path)
-    meta = json.loads(_sidecar(path).read_text())
-    grid = Grid(**meta["grid"])
-    raw = np.fromfile(path, dtype=_FLOAT)
-    return Field(grid, _pairs_to_complex(raw, grid.shape))
-
-
-def save_checkpoints(u: SpaceTimeField, path: str | Path, extra: Mapping | None = None) -> None:
-    path = Path(path)
-    _complex_to_pairs(u.values).astype(_FLOAT).tofile(path)
-    meta = {
-        "grid": u.grid.meta(),
-        "times": [float(t) for t in u.times],
-        "dtype": "<f8",
-        "layout": "row-major complex slices as interleaved re/im pairs, one block per time",
-    }
-    if extra:
-        meta["run"] = dict(extra)
-    _sidecar(path).write_text(json.dumps(meta, indent=2, sort_keys=True))
-
-
-def load_checkpoints(path: str | Path) -> SpaceTimeField:
-    path = Path(path)
-    meta = json.loads(_sidecar(path).read_text())
-    grid = Grid(**meta["grid"])
-    times = np.asarray(meta["times"], dtype=float)
-    raw = np.fromfile(path, dtype=_FLOAT)
-    return SpaceTimeField(grid, times, _pairs_to_complex(raw, (len(times),) + grid.shape))
 
 
 def _format_cell(value) -> str:

@@ -1,9 +1,12 @@
 """Fourier calculus on the periodic box.
 
-Homogeneous multipliers (|D|^s, Riesz transforms) are singular at xi = 0;
-the zero mode is always annihilated.  Mean-zero periodic data is the
-desk-scale surrogate for Schwartz data on R^n, so this convention is used
-by every norm and operator built on top of these routines.
+Every Fourier multiplier in the package goes through ``apply_multiplier``
+or ``apply_multipliers``; the only other transform is the inverse that
+synthesizes ensemble fields.  The homogeneous multiplier |D|^s is singular
+at xi = 0, and the zero mode is always annihilated.  Mean-zero periodic
+data is the desk-scale surrogate for Schwartz data on R^n, so this
+convention is used by every norm and operator built on top of these
+routines.
 """
 
 from __future__ import annotations

@@ -104,6 +104,19 @@ class TestRunOutputs:
             ("audit-resolvable", False)
         ]
 
+    def test_phase_localization_shells_outside_box(self, tmp_path):
+        # shells 5..7 hold no grid point, so both constants are 0: a failed
+        # verdict and both reports, not a division by zero
+        out = tmp_path / "out"
+        rc = main(["--suite", "phase-localization", "--seed", "0", "--shells", "5:7",
+                   "--ensemble", "1", "--out", str(out)])
+        assert rc == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is False
+        verdicts = {v["name"]: v["passed"] for v in report["verdicts"]}
+        assert verdicts["two-sided-constants"] is False
+        assert (out / "results.csv").exists()
+
     @pytest.mark.parametrize("args", [
         ("--suite", "semilinear", "--dim", "2"),  # critical exponent needs n >= 3
         ("--suite", "kpv", "--grid", "8"),  # mode band does not fit the grid

@@ -80,7 +80,7 @@ class TestApply:
 
         op = CommutatorOp(0, 1, 0.5, dec, grid)
         f = band_limited_field(grid, member_rng(0, 2))
-        masks = spatial_masks(dec, grid, strict=False)
+        masks = spatial_masks(dec, grid)
         step = fractional_laplacian(f, 0.5)
         step = Field(grid, masks[1] * step.values)
         step = fractional_laplacian(step, -0.5)
@@ -116,7 +116,7 @@ class TestOperatorNorm:
         # k = m, s = 0 is multiplication by Q_k^2: norm = max Q_k^2 <= 1
         op = CommutatorOp(0, 0, 0.0, dec, grid)
         est = operator_norm(op, trials=3, iterations=60, tol=1e-9, seed=0)
-        masks = spatial_masks(dec, grid, strict=False)
+        masks = spatial_masks(dec, grid)
         assert est <= (masks[0] ** 2).max() + 1e-9
         assert est > 0.95 * (masks[0] ** 2).max()
 

@@ -2,19 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from smoothlab.discrete import (
     GEOMETRIC_ONE_SIDED,
     KernelSpec,
-    KernelSpec2,
     bound_probe,
-    dyadic_reweight,
     geometric_edge_value,
     geometric_row_value,
     kernel_apply,
-    kernel_apply_2d,
     window_operator_norm,
 )
 from smoothlab.dyadic import WeightedSeq, seq_norm
@@ -44,69 +39,6 @@ class TestKernelApply:
         rhs = kernel_apply(a1, SPEC, out_window=window) + kernel_apply(
             a2, SPEC, out_window=window)
         assert lhs.allclose(rhs, tol=1e-14)
-
-
-class TestDyadicReweight:
-    def test_impulse(self):
-        out = dyadic_reweight(WeightedSeq.impulse(3), 1.0)
-        assert out[3] == 8.0
-
-    def test_roundtrip_exact(self):
-        rng = np.random.default_rng(1)
-        a = WeightedSeq({int(k): complex(*rng.standard_normal(2))
-                         for k in rng.integers(-8, 9, 6)})
-        back = dyadic_reweight(dyadic_reweight(a, 0.75), -0.75)
-        assert back.allclose(a, tol=1e-12)
-
-    @given(alpha=st.floats(-1.5, 1.5), q=st.sampled_from([1.0, 2.0, math.inf]))
-    @settings(max_examples=40, deadline=None)
-    def test_norm_transport(self, alpha, q):
-        a = WeightedSeq({-2: 0.5, 0: 1.0, 3: -0.25j})
-        lhs = seq_norm(a, q, alpha)
-        rhs = seq_norm(dyadic_reweight(a, alpha), q, 0.0)
-        assert math.isclose(lhs, rhs, rel_tol=1e-12)
-
-
-class TestKernel2d:
-    SPEC2 = KernelSpec2((0.5, 0.5), (0.5, 0.5), (1.0, 1.0))
-
-    def test_zero(self):
-        assert kernel_apply_2d(WeightedSeq({}), self.SPEC2).entries == {}
-
-    def test_impulse_product_structure(self):
-        b = kernel_apply_2d(WeightedSeq.impulse((0, 0)), self.SPEC2, pad=6)
-        for m1 in range(-6, 7):
-            for m2 in range(-6, 7):
-                expected = 2.0 ** (-(abs(m1) + abs(m2)) / 2)
-                assert abs(b[(m1, m2)] - expected) < 1e-14
-
-    def test_rank_one_tensorizes(self):
-        u = WeightedSeq({0: 1.0, 1: 0.5})
-        v = WeightedSeq({0: 1.0, 2: -1.0})
-        a = WeightedSeq({(k1, k2): u[k1] * v[k2]
-                         for k1 in (0, 1) for k2 in (0, 2)})
-        b = kernel_apply_2d(a, self.SPEC2, pad=6)
-
-        def one_dim(seq, pad=6):
-            sup = seq.support
-            out = {}
-            for m in range(min(sup) - pad, max(sup) + pad + 1):
-                out[m] = sum(2.0 ** (m * 0.5 + k * 0.5 - max(m, k)) * seq[k]
-                             for k in sup)
-            return WeightedSeq(out)
-
-        bu, bv = one_dim(u), one_dim(v)
-        for m1 in range(-5, 7):
-            for m2 in range(-5, 8):
-                assert abs(b[(m1, m2)] - bu[m1] * bv[m2]) < 1e-13
-
-    def test_separated_variant_smaller(self):
-        a = WeightedSeq.ones([(k1, k2) for k1 in range(-2, 3) for k2 in range(-2, 3)])
-        full = kernel_apply_2d(a, self.SPEC2, pad=4)
-        restr = kernel_apply_2d(a, self.SPEC2, pad=4, separated=True)
-        sup_full = max(abs(v) for v in full.entries.values())
-        sup_restr = max(abs(v) for v in restr.entries.values())
-        assert sup_restr < sup_full
 
 
 class TestBoundProbe:

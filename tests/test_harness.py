@@ -60,7 +60,7 @@ class TestKpv:
 class TestMain:
     def test_zero_potential_consistency_exact(self):
         A = zero_potential(GRID)
-        rep = verify_main(GRID, DEC, TIMES, A, ensemble=2, seed=2, paired=False)
+        rep = verify_main(GRID, DEC, TIMES, A, ensemble=2, seed=2)
         assert rep.probes["free_consistency"] < 1e-12
 
     def test_small_potential_inflation(self):
@@ -125,13 +125,6 @@ class TestMainFreeConsistency:
         rep = verify_main(GRID, DEC, TIMES, potential, ensemble=2, seed=2)
         assert rep.probes["free_consistency"] == expected
         assert solves == [False, True, False, True]
-
-    def test_unpaired_solves_afresh(self, potential, solves):
-        expected = _fresh_free_consistency(2)
-        solves.clear()
-        rep = verify_main(GRID, DEC, TIMES, potential, ensemble=2, seed=2, paired=False)
-        assert rep.probes["free_consistency"] == expected
-        assert solves == [False, True, False]
 
     def test_degenerate_member_zero_solves_afresh(self, potential, solves, monkeypatch):
         real_rhs = harness._weighted_data_rhs

@@ -1,13 +1,15 @@
 """Module boundaries inside the package.
 
 No module reaches into a sibling module's private names, except the two
-transform entry points ``grid._fftn``/``grid._ifftn`` that every spectral
-routine shares; the annulus indicator stays private to ``norms``, whose
+transform entry points ``grid._fftn``/``grid._ifftn``, which only
+``spectral`` (every multiplier) and ``ensembles`` (the synthesis inverse)
+import; the annulus indicator stays private to ``norms``, whose
 ``annulus_sup`` and ``annulus_l2`` are the public ways to use it.  No
-module imports a name it does not use, and every suite runner takes the
-config alone.  The only process-lifetime caches are the two mask caches,
-and ``CommutatorOp`` builds its masks and symbols in one cached property
-instead of once per matvec.
+module imports a name it does not use, no public function or class goes
+unused outside the tests except the listed test oracles, and every suite
+runner takes the config alone.  The only process-lifetime caches are the
+two mask caches, and ``CommutatorOp`` builds its masks and symbols in one
+cached property instead of once per matvec.
 """
 
 import ast
@@ -65,6 +67,18 @@ def test_no_private_sibling_imports():
         if (mod, name) not in ALLOWED
     ]
     assert offenders == []
+
+
+def test_only_spectral_and_ensembles_import_the_transforms():
+    # a multiplier written as _ifftn(sym * _fftn(...)) outside spectral is
+    # a copy of spectral.apply_multiplier
+    importers = sorted(
+        path.name
+        for path in MODULES
+        if {name for _, name in _private_reach_ins(ast.parse(path.read_text()))}
+        & {"_fftn", "_ifftn"}
+    )
+    assert importers == ["ensembles.py", "spectral.py"]
 
 
 def test_annulus_mask_private_to_norms():
@@ -157,3 +171,39 @@ def test_commutator_factors_built_in_one_cached_property():
     assert [getattr(d, "id", getattr(d, "attr", "")) for d in builders["_factors"]] == [
         "cached_property"
     ]
+
+
+#: public names that only tests call: reference implementations the
+#: tests check suite code against, the boundary-shell share kept for a
+#: per-run diagnostics report, and the Riesz transforms, whose identities
+#: pin the zero-mode convention of the multiplier pathway
+TEST_ORACLES = {
+    "default_decomposition",
+    "plane_wave",
+    "free_propagate",
+    "inner_product",
+    "morrey_campanato",  # the upper bound of test_dual_bound_against_morrey
+    "geometric_edge_value",  # closed form that kernel_apply is tested against
+    "lqa_tail_fraction",
+    "riesz_transform",  # sum_j R_j^2 = I - mean checks the zero-mode convention
+}
+BENCH_FILES = sorted((Path(smoothlab.__file__).parents[2] / "bench").glob("*.py"))
+
+
+def test_every_public_definition_has_a_caller():
+    # the names each top-level statement of src/ and bench/ uses; a
+    # definition's own body does not count as a caller
+    statements = [
+        (path, stmt, _names(stmt))
+        for path in MODULES + BENCH_FILES
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    unused = [
+        stmt.name
+        for path, stmt, _ in statements
+        if path in MODULES
+        and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_")
+        and not any(stmt.name in names for _, other, names in statements if other is not stmt)
+    ]
+    assert sorted(unused) == sorted(TEST_ORACLES)

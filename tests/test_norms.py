@@ -22,7 +22,6 @@ from smoothlab.norms import (
     lqa_sobolev_norm,
     lqa_tail_fraction,
     morrey_campanato,
-    norm_record,
     phase_localized_norm,
     smoothing_norm,
 )
@@ -177,26 +176,6 @@ class TestWeightedShellNorms:
         with pytest.raises(ValueError):
             NormSpec(0.5, 0.5, 0.5)
 
-    def test_norm_record_fields(self, grid32):
-        dec = default_decomposition(-2, 3)
-        f = band_limited_field(grid32, member_rng(3, 1))
-        rec = norm_record(f, dec, NormSpec(2, 0.5, 0.5))
-        assert set(rec) == {"norm_name", "variant", "spec", "value",
-                            "tail_fraction", "grid"}
-        assert rec["spec"] == {"q": 2, "a": 0.5, "s": 0.5}
-        assert rec["value"] > 0 and rec["tail_fraction"] < 0.05
-
-    @pytest.mark.parametrize("variant", ["mask_then_D", "D_then_mask", "weight_product"])
-    @pytest.mark.parametrize("q", [1, 2, math.inf])
-    def test_norm_record_matches_norm_and_tail(self, grid32, variant, q):
-        dec = default_decomposition(-2, 3)
-        spec = NormSpec(q, 0.5, 0.5)
-        f = band_limited_field(grid32, member_rng(3, 2))
-        rec = norm_record(f, dec, spec, variant)
-        assert rec["value"] == lqa_sobolev_norm(f, dec, spec, variant)
-        assert rec["tail_fraction"] == lqa_tail_fraction(f, dec, spec, variant)
-
-
 class TestNormOpProperties:
     # shared invariants: absolute 1-homogeneity to 1e-12 and the triangle
     # inequality on 100 random pairs, for every norm operation
@@ -297,7 +276,7 @@ class TestPhaseLocalization:
 
         rng = member_rng(5, 0)
         f = band_limited_field(grid, rng, window=(0.7, 2.0))
-        pk = frequency_masks(freq, grid, strict=False)
+        pk = frequency_masks(freq, grid)
         f0 = Field(grid, _ifftn(pk[0] * _fftn(f.values)))
         spec = NormSpec(2, 0.5, 0.5)
         loc = phase_localized_norm(f0, space, freq, spec)
@@ -363,8 +342,8 @@ class TestPhaseLocalization:
         space = default_decomposition(-2, 3)
         freq = default_decomposition(-2, 2)
         f = band_limited_field(grid32, member_rng(7, 2))
-        pk = frequency_masks(freq, grid32, strict=False)
-        qk = spatial_masks(space, grid32, strict=False)
+        pk = frequency_masks(freq, grid32)
+        qk = spatial_masks(space, grid32)
         shells = {k2: apply_multiplier(f, pk[k2]) for k2 in freq.shells}
         outer = {k2: lqa_sobolev_norm(loc, space, spec) for k2, loc in shells.items()}
         assert phase_localized_norm(f, space, freq, spec, "frequency_outer") == seq_norm(

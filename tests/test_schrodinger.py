@@ -227,18 +227,6 @@ class TestMagneticSolver:
         with pytest.raises(StabilityError, match="local stage grew"):
             magnetic_solve(f, A, None, [0.0, 1.0], dt=0.5)
 
-    def test_time_dependent_potential_sampled(self, grid):
-        base = bump_potential(grid, 0.01, shell=1).components
-
-        def comps(t):
-            return tuple((1.0 + 0.5 * math.sin(t)) * c for c in base)
-
-        A = MagneticPotential(grid, comps)
-        f = band_limited_field(grid, member_rng(1, 6), mode_radius=(1, 4))
-        u = magnetic_solve(f, A, None, [0.0, 0.2])
-        assert np.isfinite(u.values).all()
-
-
 class TestZeroComponents:
     """A single-axis potential transforms only its non-zero component."""
 
@@ -279,7 +267,7 @@ class TestZeroComponents:
         total = smallness_audit(A, DEC).total
         assert len(fft_calls) == 4
         sums = []
-        for c in A.at(0.0):
+        for c in A.components:
             mag, grad = np.abs(c), [np.abs(d.values) for d in gradient(Field(g, c))]
             terms = []
             for k in DEC.shells:

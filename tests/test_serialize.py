@@ -1,61 +1,4 @@
-import json
-
-import numpy as np
-
-from smoothlab.dyadic import default_decomposition, spatial_masks
-from smoothlab.ensembles import band_limited_field, member_rng
-from smoothlab.grid import Grid, SpaceTimeField
-from smoothlab.serialize import (
-    load_checkpoints,
-    load_field,
-    load_mask_family,
-    save_checkpoints,
-    save_field,
-    save_mask_family,
-    write_csv,
-)
-
-GRID = Grid(2, 8.0, 32)
-
-
-def test_mask_family_roundtrip(tmp_path):
-    decomp = default_decomposition(-1, 2)
-    fam = spatial_masks(decomp, GRID, strict=False)
-    path = tmp_path / "masks.bin"
-    save_mask_family(fam, path)
-    meta = json.loads((tmp_path / "masks.bin.json").read_text())
-    assert meta["dtype"] == "<f8"
-    assert meta["shells"] == [-1, 0, 1, 2]
-    back = load_mask_family(path)
-    for k in decomp.shells:
-        assert np.array_equal(back[k], fam[k])
-    # flat little-endian float64 layout, one block per shell
-    raw = np.fromfile(path, dtype="<f8")
-    assert raw.size == 4 * GRID.size
-    assert np.array_equal(raw[: GRID.size].reshape(GRID.shape), fam[-1])
-
-
-def test_field_roundtrip(tmp_path):
-    f = band_limited_field(GRID, member_rng(0, 0), mode_radius=(1, 4))
-    path = tmp_path / "field.bin"
-    save_field(f, path)
-    back = load_field(path)
-    assert back.grid == f.grid
-    assert np.array_equal(back.values, f.values)
-
-
-def test_checkpoints_roundtrip(tmp_path):
-    times = np.linspace(0, 1, 4)
-    vals = np.stack([band_limited_field(GRID, member_rng(0, i), mode_radius=(1, 4)).values
-                     for i in range(4)])
-    u = SpaceTimeField(GRID, times, vals)
-    path = tmp_path / "run.bin"
-    save_checkpoints(u, path, extra={"audit_total": 0.05, "dt": 0.01})
-    meta = json.loads((tmp_path / "run.bin.json").read_text())
-    assert meta["run"]["audit_total"] == 0.05
-    back = load_checkpoints(path)
-    assert np.array_equal(back.values, u.values)
-    assert np.array_equal(back.times, u.times)
+from smoothlab.serialize import write_csv
 
 
 def test_csv_deterministic_bytes(tmp_path):
