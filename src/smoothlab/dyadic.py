@@ -155,6 +155,12 @@ def frequency_masks(decomp: DyadicDecomposition, grid: Grid) -> MaskFamily:
     return _mask_family(decomp, grid, "frequency")
 
 
+#: a sampled mask is resolved when it holds at least this many grid points
+RESOLVED_MIN_SAMPLES = 10
+#: and when its discrete-to-continuum mass ratio lies in this window
+RESOLVED_MASS_WINDOW = (0.25, 4.0)
+
+
 @dataclass(frozen=True)
 class MaskAudit:
     """Resolution diagnostics for one sampled mask."""
@@ -170,11 +176,9 @@ class MaskAudit:
             return math.inf
         return self.discrete_mass / self.continuum_mass
 
-    def resolved(self, min_samples: int = 10, mass_window: tuple[float, float] = (0.25, 4.0)) -> bool:
-        return (
-            self.nonzero_samples >= min_samples
-            and mass_window[0] <= self.mass_ratio <= mass_window[1]
-        )
+    def resolved(self) -> bool:
+        lo, hi = RESOLVED_MASS_WINDOW
+        return self.nonzero_samples >= RESOLVED_MIN_SAMPLES and lo <= self.mass_ratio <= hi
 
 
 def _continuum_mask_mass(profile: BumpProfile, k: int, dim: int) -> float:
@@ -218,8 +222,8 @@ class WeightedSeq:
         self.entries = {k: complex(v) for k, v in self.entries.items() if v != 0}
 
     @classmethod
-    def impulse(cls, k: int, value: complex = 1.0) -> "WeightedSeq":
-        return cls({k: value})
+    def impulse(cls, k: int) -> "WeightedSeq":
+        return cls({k: 1.0})
 
     @classmethod
     def ones(cls, indices: Iterable[int]) -> "WeightedSeq":

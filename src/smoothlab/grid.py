@@ -106,8 +106,8 @@ class Grid:
             r2 = r2 + self.freq_coord(j) ** 2
         return np.sqrt(r2)
 
-    def refine(self, factor: int = 2) -> "Grid":
-        return Grid(self.dim, self.half_width, self.points_per_axis * factor)
+    def refine(self) -> "Grid":
+        return Grid(self.dim, self.half_width, self.points_per_axis * 2)
 
 
 @dataclass

@@ -393,27 +393,23 @@ def verify_resolvent_nd(
 # ---------------------------------------------------------------------------
 
 
-def _weight_product_field(f: Field, decomp: DyadicDecomposition, k: int, a: float) -> Field:
+def _weighted_shell_l2(f: Field, decomp: DyadicDecomposition, a: float) -> dict[int, float]:
     masks = spatial_masks(decomp, f.grid)
-    return Field(f.grid, weight_product_mask(masks, k, a) * f.values)
+    return {k: l2_norm(Field(f.grid, weight_product_mask(masks, k, a) * f.values))
+            for k in decomp.shells}
 
 
 def inclusion_l2_vs_weighted_sum(f: Field, decomp: DyadicDecomposition) -> dict:
     """||u||_{L^2} against sum_k || |x|_k^{1/2} u ||_{L^2} on the truncated
     shell range."""
-    return _ratio_record(
-        l2_norm(f),
-        sum(l2_norm(_weight_product_field(f, decomp, k, 0.5)) for k in decomp.shells),
-    )
+    return _ratio_record(l2_norm(f), seq_norm(_weighted_shell_l2(f, decomp, 0.5), 1, 0.0))
 
 
 def inclusion_weighted_sup_vs_mixed(f: Field, decomp: DyadicDecomposition) -> dict:
     """sup_k || |x|_k^{-1/2} u ||_{L^2} against the L^inf_{x1} transverse
     L^2 norm."""
-    return _ratio_record(
-        max(l2_norm(_weight_product_field(f, decomp, k, -0.5)) for k in decomp.shells),
-        float(_x1_profile(f.values, f.grid).max()),
-    )
+    return _ratio_record(seq_norm(_weighted_shell_l2(f, decomp, -0.5), math.inf, 0.0),
+                         float(_x1_profile(f.values, f.grid).max()))
 
 
 def verify_mixed_norm(

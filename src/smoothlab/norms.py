@@ -1,9 +1,10 @@
-"""Composite shell norms: weighted Sobolev sums, local-energy functionals,
-space-time smoothing norms, and the three-way equivalence report.
+"""Composite shell norms: annulus sums, weighted Sobolev sums, local-energy
+functionals, space-time smoothing norms, the phase-localized norm and the
+three-way equivalence report.
 
-Shell sums run over the finite range of a DyadicDecomposition and are
-assembled by ``dyadic.seq_norm``; ``lqa_tail_fraction`` gives the share
-of the two boundary shells, the truncation tail.
+Every dyadic shell sum runs over the finite range of a DyadicDecomposition
+and is assembled by ``dyadic.seq_norm``; ``lqa_tail_fraction`` gives the
+share of the two boundary shells, the truncation tail.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -40,23 +40,20 @@ class NormSpec:
         return abs(self.a) + abs(self.s) < dim / 2
 
 
-def _shells(shells: DyadicDecomposition | Iterable[int]) -> list[int]:
-    if isinstance(shells, DyadicDecomposition):
-        return list(shells.shells)
-    return sorted(shells)
-
-
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=64)
 def _annulus_mask(grid: Grid, k: int) -> np.ndarray:
-    """Indicator of the closed annulus 2^(k-1) <= |x| <= 2^(k+1)."""
+    """Read-only bool indicator of the closed annulus 2^(k-1) <= |x| <= 2^(k+1);
+    the cache holds at most 64 N^n bytes (16 MiB at 64^3)."""
     r = grid.radius
-    return ((r >= 2.0 ** (k - 1)) & (r <= 2.0 ** (k + 1))).astype(float)
+    mask = (r >= 2.0 ** (k - 1)) & (r <= 2.0 ** (k + 1))
+    mask.flags.writeable = False
+    return mask
 
 
 def annulus_sup(values: np.ndarray, grid: Grid, k: int) -> float:
     """sup of |values| over the dyadic annulus of shell k; 0.0 when the
     annulus holds no grid point."""
-    mask = _annulus_mask(grid, k) > 0
+    mask = _annulus_mask(grid, k)
     return float(np.abs(values[mask]).max()) if mask.any() else 0.0
 
 
@@ -66,14 +63,14 @@ def annulus_l2(f: Field, k: int) -> float:
     return float(np.sqrt(np.sum(m * np.abs(f.values) ** 2) * f.grid.cell_volume))
 
 
-def annulus_sum_norm(f: Field, shells: DyadicDecomposition | Iterable[int]) -> float:
+def annulus_sum_norm(f: Field, decomp: DyadicDecomposition) -> float:
     """sum_k 2^(k/2) ||f||_{L^2(annulus k)} over the truncated shell range."""
-    return sum(2.0 ** (k / 2) * annulus_l2(f, k) for k in _shells(shells))
+    return seq_norm({k: annulus_l2(f, k) for k in decomp.shells}, 1, 0.5)
 
 
-def annulus_sup_norm(f: Field, shells: DyadicDecomposition | Iterable[int]) -> float:
+def annulus_sup_norm(f: Field, decomp: DyadicDecomposition) -> float:
     """sup_k 2^(-k/2) ||f||_{L^2(annulus k)} over the truncated shell range."""
-    return max(2.0 ** (-k / 2) * annulus_l2(f, k) for k in _shells(shells))
+    return seq_norm({k: annulus_l2(f, k) for k in decomp.shells}, math.inf, -0.5)
 
 
 def morrey_campanato(f: Field) -> float:
@@ -134,13 +131,9 @@ def lqa_shell_terms(
         df = apply_multiplier(f, sym)
         for k in decomp.shells:
             terms[k] = lp_norm(Field(f.grid, masks[k] * df.values), p)
-    elif variant == "D_then_mask":
-        for k in decomp.shells:
-            loc = Field(f.grid, masks[k] * f.values)
-            terms[k] = lp_norm(apply_multiplier(loc, sym), p)
     else:
         for k in decomp.shells:
-            w = weight_product_mask(masks, k, spec.a)
+            w = masks[k] if variant == "D_then_mask" else weight_product_mask(masks, k, spec.a)
             loc = Field(f.grid, w * f.values)
             terms[k] = lp_norm(apply_multiplier(loc, sym), p)
     return terms
@@ -150,14 +143,6 @@ def _shell_weight(spec: NormSpec, variant: str) -> float:
     # the weight_product form carries 2^(k a) inside its |x|^a factor and
     # is summed unweighted
     return 0.0 if variant == "weight_product" else spec.a
-
-
-def _boundary_share(terms: dict[int, float], decomp: DyadicDecomposition, q: float, a: float) -> float:
-    total = seq_norm(terms, q, a)
-    if total == 0:
-        return 0.0
-    share = seq_norm({k: terms[k] for k in (decomp.k_min, decomp.k_max)}, q, a) / total
-    return share if math.isinf(q) else share**q
 
 
 def lqa_sobolev_norm(
@@ -177,17 +162,15 @@ def lqa_sobolev_norm(
     return seq_norm(terms, spec.q, _shell_weight(spec, variant))
 
 
-def lqa_tail_fraction(
-    f: Field,
-    decomp: DyadicDecomposition,
-    spec: NormSpec,
-    variant: str = "D_then_mask",
-    p: float = 2,
-) -> float:
-    """Share of the two boundary shells in the assembled norm (q-power mass;
-    at q = inf the boundary max relative to the global max)."""
-    terms = lqa_shell_terms(f, decomp, spec, variant, p)
-    return _boundary_share(terms, decomp, spec.q, _shell_weight(spec, variant))
+def lqa_tail_fraction(f: Field, decomp: DyadicDecomposition, spec: NormSpec) -> float:
+    """Share of the two boundary shells in the D_then_mask norm at p = 2
+    (q-power mass; at q = inf the boundary max relative to the global max)."""
+    terms = lqa_shell_terms(f, decomp, spec)
+    total = seq_norm(terms, spec.q, spec.a)
+    if total == 0:
+        return 0.0
+    share = seq_norm({k: terms[k] for k in (decomp.k_min, decomp.k_max)}, spec.q, spec.a) / total
+    return share if math.isinf(spec.q) else share**spec.q
 
 
 # ---------------------------------------------------------------------------
@@ -245,33 +228,15 @@ def phase_localized_norm(
     space_decomp: DyadicDecomposition,
     freq_decomp: DyadicDecomposition,
     spec: NormSpec,
-    ordering: str = "frequency_outer",
 ) -> float:
-    """Unweighted l^2 sum over frequency shells of the inner weighted
-    spatial norm.
-
-    ``ordering`` names which index is summed last; the two mixed orders are
-    genuinely different norms and every report records the one used.
-    """
-    if ordering not in ("frequency_outer", "space_outer"):
-        raise ValueError(f"unknown ordering {ordering!r}")
+    """Frequency-outer phase-localized norm: the unweighted l^2 sum over
+    frequency shells k2 of the weighted spatial l^{q,a} norm of P_k2 f."""
     pk = frequency_masks(freq_decomp, f.grid)
     # one forward transform of f; each frequency shell is made when needed
-    localized = zip(freq_decomp.shells,
-                    apply_multipliers(f, (pk[k2] for k2 in freq_decomp.shells)))
-    if ordering == "frequency_outer":
-        outer_terms = {k2: lqa_sobolev_norm(loc, space_decomp, spec) for k2, loc in localized}
-        return seq_norm(outer_terms, 2, 0.0)
-    # inner l^2 over frequency shells of the per-(k1,k2) localized B-norm,
-    # assembled by the spatial l^{q,a} rule last
-    qk = spatial_masks(space_decomp, f.grid)
-    sym = abs_freq_power(f.grid, spec.s)
-    inner: dict[int, dict[int, float]] = {k1: {} for k1 in space_decomp.shells}
-    for k2, loc in localized:
-        for k1 in space_decomp.shells:
-            inner[k1][k2] = l2_norm(apply_multiplier(Field(f.grid, qk[k1] * loc.values), sym))
-    per_k1 = {k1: seq_norm(terms, 2, 0.0) for k1, terms in inner.items()}
-    return seq_norm(per_k1, spec.q, spec.a)
+    localized = apply_multipliers(f, (pk[k2] for k2 in freq_decomp.shells))
+    outer_terms = {k2: lqa_sobolev_norm(loc, space_decomp, spec)
+                   for k2, loc in zip(freq_decomp.shells, localized)}
+    return seq_norm(outer_terms, 2, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -209,30 +209,15 @@ def _divergence(grid: Grid, comps: Components) -> np.ndarray:
     return out
 
 
-@dataclass
-class WFieldResult:
-    field: Field
-    per_shell: dict[int, float]
-    total: float
-
-
-def effective_scalar_potential(
-    A: MagneticPotential, decomp: DyadicDecomposition | None = None
-) -> WFieldResult:
-    """W = |A|^2 - i div A, with its 2^(2k)-weighted shell audit."""
+def effective_scalar_potential(A: MagneticPotential) -> np.ndarray:
+    """W = |A|^2 - i div A on the grid of A."""
     grid = A.grid
     comps = A.components
     w = np.zeros(grid.shape, dtype=np.complex128)
     for c in comps:
         w += c.astype(complex) ** 2
     w -= 1j * _divergence(grid, comps)
-    per_shell: dict[int, float] = {}
-    total = 0.0
-    if decomp is not None:
-        for k in decomp.shells:
-            per_shell[k] = 2.0 ** (2 * k) * annulus_sup(w, grid, k)
-        total = sum(per_shell.values())
-    return WFieldResult(Field(grid, w), per_shell, total)
+    return w
 
 
 @dataclass
@@ -307,7 +292,7 @@ def magnetic_solve(
         dt = 0.5 * grid.spacing**2
 
     comps = A.components
-    w = effective_scalar_potential(A).field.values
+    w = effective_scalar_potential(A)
 
     def local_half(u: np.ndarray, t_a: float, t_b: float) -> np.ndarray:
         tau = t_b - t_a

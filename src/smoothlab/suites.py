@@ -403,10 +403,10 @@ def run_kpv(cfg: ExperimentConfig) -> SuiteResult:
     drift = abs(fine.ratio - coarse.ratio) / coarse.ratio
     verdicts = [
         _verdict("ratio-finite", 0 < fine.ratio < math.inf, f"max ratio {fine.ratio:.5f}"),
-        _verdict("homogeneity", fine.probes["homogeneity_drift"] < 1e-12,
-                 f"drift {fine.probes['homogeneity_drift']:.2e}"),
-        _verdict("rescale-invariance", fine.probes["rescale_drift"] < 0.10,
-                 f"drift {fine.probes['rescale_drift']:.4f}"),
+        _verdict("homogeneity", fine.probes.get("homogeneity_drift", math.nan) < 1e-12,
+                 f"drift {fine.probes.get('homogeneity_drift', math.nan):.2e}"),
+        _verdict("rescale-invariance", fine.probes.get("rescale_drift", math.nan) < 0.10,
+                 f"drift {fine.probes.get('rescale_drift', math.nan):.4f}"),
         _verdict("refinement-stability", drift < 0.15, f"drift {drift:.4f}"),
     ]
     rows = _member_rows(fine, "kpv") + [

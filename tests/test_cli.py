@@ -117,6 +117,20 @@ class TestRunOutputs:
         assert verdicts["two-sided-constants"] is False
         assert (out / "results.csv").exists()
 
+    def test_kpv_shells_outside_box(self, tmp_path):
+        # shells 6..9 hold no grid point, so the ensemble is degenerate and
+        # carries no probes: failed verdicts and both reports, not a KeyError
+        out = tmp_path / "out"
+        rc = main(["--suite", "kpv", "--seed", "0", "--shells", "6:9", "--ensemble", "1",
+                   "--grid", "32", "--out", str(out)])
+        assert rc == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is False
+        verdicts = {v["name"]: v["passed"] for v in report["verdicts"]}
+        assert verdicts["homogeneity"] is False
+        assert verdicts["rescale-invariance"] is False
+        assert (out / "results.csv").exists()
+
     @pytest.mark.parametrize("args", [
         ("--suite", "semilinear", "--dim", "2"),  # critical exponent needs n >= 3
         ("--suite", "kpv", "--grid", "8"),  # mode band does not fit the grid

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from smoothlab import harness
-from smoothlab.dyadic import default_decomposition
+from smoothlab.dyadic import default_decomposition, spatial_masks
 from smoothlab.ensembles import band_limited_field, band_limited_spacetime, member_rng
 from smoothlab.grid import Field, Grid, SpaceTimeField
 from smoothlab.harness import (
@@ -22,6 +22,7 @@ from smoothlab.harness import (
     verify_resolvent_1d,
     verify_resolvent_nd,
 )
+from smoothlab.norms import weight_product_mask
 from smoothlab.schrodinger import (
     bump_potential,
     duhamel,
@@ -261,6 +262,19 @@ class TestMixedNorm:
         f = band_limited_field(GRID, member_rng(7, 0), mode_radius=(1, 4))
         rec = inclusion_weighted_sup_vs_mixed(f, DEC)
         assert 0 < rec["ratio"] < math.inf
+
+    def test_inclusions_equal_hand_written_sums(self):
+        # the shell sum and sup as written before they went through
+        # seq_norm, compared bit for bit
+        f = band_limited_field(GRID, member_rng(7, 1), mode_radius=(1, 4))
+        masks = spatial_masks(DEC, GRID)
+
+        def shell_l2(a):
+            return [l2_norm(Field(GRID, weight_product_mask(masks, k, a) * f.values))
+                    for k in DEC.shells]
+
+        assert inclusion_l2_vs_weighted_sum(f, DEC)["rhs"] == sum(shell_l2(0.5))
+        assert inclusion_weighted_sup_vs_mixed(f, DEC)["lhs"] == max(shell_l2(-0.5))
 
     def test_rotation_probe_exact(self):
         rep = verify_mixed_norm(GRID, DEC, TIMES, ensemble=2, seed=7)

@@ -7,7 +7,9 @@ import; the annulus indicator stays private to ``norms``, whose
 ``annulus_sup`` and ``annulus_l2`` are the public ways to use it.  No
 module imports a name it does not use, no public function or class goes
 unused outside the tests except the listed test oracles, and every suite
-runner takes the config alone.  The only process-lifetime caches are the
+runner takes the config alone.  Every dyadic shell sum is assembled by
+``dyadic.seq_norm``: no module reduces a comprehension over a shell range
+with ``sum``, ``max`` or ``min``.  The only process-lifetime caches are the
 two mask caches, and ``CommutatorOp`` builds its masks and symbols in one
 cached property instead of once per matvec.
 """
@@ -79,6 +81,33 @@ def test_only_spectral_and_ensembles_import_the_transforms():
         & {"_fftn", "_ifftn"}
     )
     assert importers == ["ensembles.py", "spectral.py"]
+
+
+REDUCERS = {"sum", "max", "min"}
+COMPREHENSIONS = (ast.GeneratorExp, ast.ListComp, ast.SetComp)
+
+
+def _shell_reductions(tree: ast.Module) -> list[int]:
+    """Lines where sum/max/min reduces a comprehension over a shell range."""
+    return [
+        call.lineno
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", "") in REDUCERS
+        and call.args and isinstance(call.args[0], COMPREHENSIONS)
+        and any(name.endswith("shells") for gen in call.args[0].generators
+                for name in _names(gen.iter))
+    ]
+
+
+def test_shell_sums_go_through_seq_norm():
+    # a weighted shell sum written out by hand is a second copy of the
+    # l^{q,a} rule in dyadic.seq_norm
+    offenders = [
+        (path.name, line)
+        for path in MODULES
+        for line in _shell_reductions(ast.parse(path.read_text()))
+    ]
+    assert offenders == []
 
 
 def test_annulus_mask_private_to_norms():

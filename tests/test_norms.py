@@ -14,18 +14,27 @@ from smoothlab.ensembles import band_limited_field, member_rng
 from smoothlab.grid import Field, Grid, SpaceTimeField, gaussian
 from smoothlab.norms import (
     NormSpec,
+    _annulus_mask,
+    annulus_l2,
     annulus_sum_norm,
     annulus_sup,
     annulus_sup_norm,
     equivalence_report,
     forcing_norm,
+    lqa_shell_terms,
     lqa_sobolev_norm,
     lqa_tail_fraction,
     morrey_campanato,
     phase_localized_norm,
     smoothing_norm,
+    weight_product_mask,
 )
-from smoothlab.spectral import apply_multiplier, fractional_laplacian, l2_norm, mean_zero
+from smoothlab.spectral import (
+    abs_freq_power,
+    apply_multiplier,
+    lp_norm,
+    mean_zero,
+)
 
 DEC = default_decomposition(-3, 4)
 
@@ -106,6 +115,27 @@ class TestLocalEnergyNorms:
         assert annulus_sup(values, grid32, 2) == 0.0
         assert annulus_sup(values, grid32, 10) == 0.0
 
+    def test_annulus_pair_equals_hand_written_sums(self, grid32):
+        # the weighted sum and sup as written before they went through
+        # seq_norm, compared bit for bit
+        f = band_limited_field(grid32, member_rng(0, 98))
+        assert annulus_sum_norm(f, DEC) == sum(
+            2.0 ** (k / 2) * annulus_l2(f, k) for k in DEC.shells
+        )
+        assert annulus_sup_norm(f, DEC) == max(
+            2.0 ** (-k / 2) * annulus_l2(f, k) for k in DEC.shells
+        )
+
+    def test_annulus_mask_cache_is_bounded_read_only_bool(self, grid32):
+        # a bool entry costs N^n bytes, so 64 entries bound the cache
+        mask = _annulus_mask(grid32, 1)
+        r = grid32.radius
+        assert mask.dtype == bool
+        assert np.array_equal(mask, (r >= 1.0) & (r <= 4.0))
+        with pytest.raises(ValueError):
+            mask[0, 0, 0] = True
+        assert _annulus_mask.cache_info().maxsize == 64
+
     def test_dual_bound_against_morrey(self, grid32):
         # sup_k 2^(-k/2) ||f||_{L^2(annulus)} <= C |||f||| with C <= 2
         dec = default_decomposition(-2, 3)
@@ -164,6 +194,27 @@ class TestWeightedShellNorms:
                                 rel_tol=1e-12)
             assert lqa_sobolev_norm(f + g, dec, spec) <= nf + lqa_sobolev_norm(
                 g, dec, spec) + 1e-9 * nf
+
+    @pytest.mark.parametrize("p", [2, 4])
+    @pytest.mark.parametrize("variant", ["D_then_mask", "weight_product"])
+    def test_shell_terms_equal_separate_loops(self, grid32, variant, p):
+        # one loop per variant, as written before the two were merged
+        dec = default_decomposition(-2, 3)
+        spec = NormSpec(2, 0.5, 0.5)
+        f = band_limited_field(grid32, member_rng(3, 1))
+        masks = spatial_masks(dec, grid32)
+        sym = abs_freq_power(grid32, spec.s)
+        expected = {}
+        if variant == "D_then_mask":
+            for k in dec.shells:
+                loc = Field(grid32, masks[k] * f.values)
+                expected[k] = lp_norm(apply_multiplier(loc, sym), p)
+        else:
+            for k in dec.shells:
+                w = weight_product_mask(masks, k, spec.a)
+                loc = Field(grid32, w * f.values)
+                expected[k] = lp_norm(apply_multiplier(loc, sym), p)
+        assert lqa_shell_terms(f, dec, spec, variant, p) == expected
 
     def test_tail_fraction_small_for_windowed_data(self, grid32):
         dec = default_decomposition(-2, 3)
@@ -323,16 +374,6 @@ class TestPhaseLocalization:
                 ratios.append(loc / plain)
         assert max(ratios) < 4.0
 
-    def test_orderings_coincide_at_q_two(self, grid32):
-        # at q = r = 2 the two iterated orders agree (sums of squares commute)
-        space = default_decomposition(-2, 3)
-        freq = default_decomposition(-2, 2)
-        f = band_limited_field(grid32, member_rng(7, 0))
-        spec = NormSpec(2, 0.5, 0.5)
-        a = phase_localized_norm(f, space, freq, spec, ordering="frequency_outer")
-        b = phase_localized_norm(f, space, freq, spec, ordering="space_outer")
-        assert a > 0 and math.isclose(a, b, rel_tol=1e-10)
-
     @pytest.mark.parametrize(
         "spec", [NormSpec(2, 0.5, 0.5), NormSpec(1, 0.5, -0.5), NormSpec(math.inf, -0.5, 0.5)]
     )
@@ -343,22 +384,9 @@ class TestPhaseLocalization:
         freq = default_decomposition(-2, 2)
         f = band_limited_field(grid32, member_rng(7, 2))
         pk = frequency_masks(freq, grid32)
-        qk = spatial_masks(space, grid32)
         shells = {k2: apply_multiplier(f, pk[k2]) for k2 in freq.shells}
         outer = {k2: lqa_sobolev_norm(loc, space, spec) for k2, loc in shells.items()}
-        assert phase_localized_norm(f, space, freq, spec, "frequency_outer") == seq_norm(
-            outer, 2, 0.0
-        )
-        per_k1 = {
-            k1: seq_norm({
-                k2: l2_norm(fractional_laplacian(Field(grid32, qk[k1] * loc.values), spec.s))
-                for k2, loc in shells.items()
-            }, 2, 0.0)
-            for k1 in space.shells
-        }
-        assert phase_localized_norm(f, space, freq, spec, "space_outer") == seq_norm(
-            per_k1, spec.q, spec.a
-        )
+        assert phase_localized_norm(f, space, freq, spec) == seq_norm(outer, 2, 0.0)
 
     def test_one_forward_transform_per_field(self, grid32, fft_calls):
         space = default_decomposition(-2, 3)
@@ -371,21 +399,6 @@ class TestPhaseLocalization:
         # transform pair per (k1, k2) for |D|^s of the masked shell
         assert fft_calls.count("fftn") == 1 + n1 * n2
         assert fft_calls.count("ifftn") == n2 + n1 * n2
-
-    def test_unknown_ordering(self, grid32):
-        f = band_limited_field(grid32, member_rng(7, 4))
-        dec = default_decomposition(-2, 3)
-        with pytest.raises(ValueError, match="ordering"):
-            phase_localized_norm(f, dec, dec, NormSpec(2, 0.5, 0.5), ordering="diagonal")
-
-    def test_orderings_differ_away_from_q_two(self, grid32):
-        space = default_decomposition(-2, 3)
-        freq = default_decomposition(-2, 2)
-        f = band_limited_field(grid32, member_rng(7, 1))
-        spec = NormSpec(1, 0.5, -0.5)
-        a = phase_localized_norm(f, space, freq, spec, ordering="frequency_outer")
-        b = phase_localized_norm(f, space, freq, spec, ordering="space_outer")
-        assert a > 0 and b > 0 and not math.isclose(a, b, rel_tol=1e-6)
 
 
 class TestEquivalenceReport:
