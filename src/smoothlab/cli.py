@@ -8,7 +8,11 @@ the output directory.  Exit status:
 - 1: a verdict failed (reports still written);
 - 2: usage error, nothing run;
 - 3: the suite cannot run this config (manifest.json and a report.json
-  with an ``error`` field are written, results.csv is not).
+  with an ``error`` field are written, results.csv is not);
+- 4: internal error, any other exception from the suite runner, raised
+  as ``suites.SuiteInternalError`` (the traceback goes to stderr;
+  manifest.json and a report.json with an ``error`` field naming the
+  exception type are written, results.csv is not).
 
 Identical config and seed reproduce byte-identical CSVs (only the JSON
 timestamp field varies).
@@ -19,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import traceback
 from dataclasses import fields as dc_fields
 from pathlib import Path
 
@@ -29,6 +34,7 @@ from .serialize import write_csv, write_json
 from .suites import (
     SUITE_ANCHORS,
     ExperimentConfig,
+    SuiteInternalError,
     apply_suite_defaults,
     list_suites,
     run_suite,
@@ -36,6 +42,7 @@ from .suites import (
 
 USAGE_ERROR = 2
 SUITE_ERROR = 3
+INTERNAL_ERROR = 4
 
 _CONFIG_FIELDS = {
     "suite": str,
@@ -104,6 +111,17 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig) -> None:
     })
 
 
+def _write_error_reports(out_dir: Path, cfg: ExperimentConfig, error: str) -> None:
+    _write_manifest(out_dir, cfg)
+    write_json(out_dir / "report.json", {
+        "suite": cfg.suite,
+        "anchor": SUITE_ANCHORS[cfg.suite],
+        "passed": False,
+        "verdicts": [],
+        "error": error,
+    })
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     try:
@@ -160,16 +178,16 @@ def main(argv: list[str] | None = None) -> int:
             result = run_suite(cfg)
             elapsed = time.time() - start
     except (ValueError, StabilityError) as exc:
-        _write_manifest(out_dir, cfg)
-        write_json(out_dir / "report.json", {
-            "suite": cfg.suite,
-            "anchor": SUITE_ANCHORS[cfg.suite],
-            "passed": False,
-            "verdicts": [],
-            "error": str(exc),
-        })
+        _write_error_reports(out_dir, cfg, str(exc))
         print(f"error: {cfg.suite} cannot run this config: {exc}", file=sys.stderr)
         return SUITE_ERROR
+    except SuiteInternalError as exc:
+        # a defect, not a verdict: keep it apart from exit 1 and still
+        # leave a report behind
+        traceback.print_exc()
+        _write_error_reports(out_dir, cfg, str(exc))
+        print(f"error: {cfg.suite} failed internally: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
     _write_manifest(out_dir, cfg)
     write_json(

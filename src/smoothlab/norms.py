@@ -17,7 +17,14 @@ import numpy as np
 
 from .dyadic import DyadicDecomposition, MaskFamily, frequency_masks, seq_norm, spatial_masks
 from .grid import Field, Grid, SpaceTimeField
-from .spectral import abs_freq_power, apply_multiplier, apply_multipliers, l2_norm, lp_norm
+from .spectral import (
+    abs_freq_power,
+    apply_multiplier,
+    apply_multipliers,
+    l2_norm,
+    lp_norm,
+    multiplier_l2_norm,
+)
 
 VARIANTS = ("mask_then_D", "D_then_mask", "weight_product")
 
@@ -121,6 +128,10 @@ def lqa_shell_terms(
     mask_then_D    :  || Q_k |D|^s f ||_{L^p}
     D_then_mask    :  || |D|^s (Q_k f) ||_{L^p}
     weight_product :  || |D|^s (|x|^a Q_k f) ||_{L^p}
+
+    At p = 2 the last two take each term from the forward transform of the
+    weighted field alone (Plancherel); mask_then_D applies its mask after
+    |D|^s and shares one transform pair across all shells instead.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
@@ -135,7 +146,10 @@ def lqa_shell_terms(
         for k in decomp.shells:
             w = masks[k] if variant == "D_then_mask" else weight_product_mask(masks, k, spec.a)
             loc = Field(f.grid, w * f.values)
-            terms[k] = lp_norm(apply_multiplier(loc, sym), p)
+            if p == 2:
+                terms[k] = multiplier_l2_norm(loc, sym)
+            else:
+                terms[k] = lp_norm(apply_multiplier(loc, sym), p)
     return terms
 
 

@@ -1,8 +1,10 @@
 """Fourier calculus on the periodic box.
 
 Every Fourier multiplier in the package goes through ``apply_multiplier``
-or ``apply_multipliers``; the only other transform is the inverse that
-synthesizes ensemble fields.  The homogeneous multiplier |D|^s is singular
+or ``apply_multipliers``, and the L^2 norm of a multiplied field through
+``multiplier_l2_norm``, which by Plancherel reads it off the forward
+transform alone; the only other transform is the inverse that synthesizes
+ensemble fields.  The homogeneous multiplier |D|^s is singular
 at xi = 0, and the zero mode is always annihilated.  Mean-zero periodic
 data is the desk-scale surrogate for Schwartz data on R^n, so this
 convention is used by every norm and operator built on top of these
@@ -65,6 +67,13 @@ def apply_multipliers(f: Field, symbols: Iterable[np.ndarray]) -> Iterator[Field
     spec = _fftn(f.values)
     for symbol in symbols:
         yield Field(f.grid, _ifftn(symbol * spec))
+
+
+def multiplier_l2_norm(f: Field, symbol: np.ndarray) -> float:
+    """|| ifft(symbol * fft f) ||_{L^2} by Plancherel, from one forward
+    transform and no inverse."""
+    spec = symbol * _fftn(f.values)
+    return float(np.sqrt(np.sum(np.abs(spec) ** 2) * f.grid.cell_volume / f.grid.size))
 
 
 def abs_freq_power(grid: Grid, s: float) -> np.ndarray:

@@ -44,7 +44,13 @@ from .harness import (
     verify_resolvent_nd,
 )
 from .norms import NormSpec, equivalence_report, lqa_sobolev_norm, phase_localized_norm
-from .schrodinger import bump_potential, magnetic_solve, smallness_audit, zero_potential
+from .schrodinger import (
+    StabilityError,
+    bump_potential,
+    magnetic_solve,
+    smallness_audit,
+    zero_potential,
+)
 from .semilinear import (
     contraction_norm,
     contraction_threshold,
@@ -642,6 +648,20 @@ def apply_suite_defaults(cfg: ExperimentConfig, explicit: set[str]) -> Experimen
     return replace(cfg, **overrides)
 
 
+class SuiteInternalError(Exception):
+    """A suite runner failed with something other than a config it cannot
+    run (``ValueError``, ``StabilityError``); the original exception is the
+    ``__cause__`` and the message is ``"<Type>: <message>"``."""
+
+
 def run_suite(cfg: ExperimentConfig) -> SuiteResult:
     cfg.validate()
-    return SUITE_RUNNERS[cfg.suite](cfg)
+    try:
+        return SUITE_RUNNERS[cfg.suite](cfg)
+    except (ValueError, StabilityError):
+        raise
+    except Exception as exc:
+        # wrapped here rather than caught in the CLI, so that an exception
+        # raised by code wrapping run_suite, such as a timing harness that
+        # stops after set-up, still propagates out of cli.main
+        raise SuiteInternalError(f"{type(exc).__name__}: {exc}") from exc

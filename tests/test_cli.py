@@ -5,7 +5,8 @@ import sys
 import pytest
 import scipy.fft
 
-from smoothlab.cli import main, parse_config_file
+from smoothlab import cli, suites
+from smoothlab.cli import INTERNAL_ERROR, main, parse_config_file
 from smoothlab.suites import SUITE_ANCHORS, list_suites
 
 
@@ -130,6 +131,47 @@ class TestRunOutputs:
         assert verdicts["homogeneity"] is False
         assert verdicts["rescale-invariance"] is False
         assert (out / "results.csv").exists()
+
+    def test_report_json_is_strict(self, tmp_path):
+        # the degenerate kpv run reports a NaN drift; RFC 8259 has no NaN token
+        out = tmp_path / "out"
+        main(["--suite", "kpv", "--seed", "0", "--shells", "6:9", "--ensemble", "1",
+              "--grid", "32", "--out", str(out)])
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert report["detail"]["refinement_drift"] == "NaN"
+
+    def test_internal_error_exits_4_with_report(self, tmp_path, monkeypatch, capsys):
+        def broken(cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(suites.SUITE_RUNNERS, "partition", broken)
+        out = tmp_path / "out"
+        rc = main(["--suite", "partition", "--seed", "0", "--out", str(out)])
+        assert rc == INTERNAL_ERROR == 4
+        assert "Traceback" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is False
+        assert report["verdicts"] == []
+        assert report["error"] == "RuntimeError: boom"
+        assert (out / "manifest.json").exists()
+        assert not (out / "results.csv").exists()
+
+    def test_exception_around_run_suite_propagates(self, tmp_path, monkeypatch):
+        # only the runner's own failures become exit 4; code that wraps
+        # run_suite gets its own exceptions back
+        class Stop(Exception):
+            pass
+
+        def stop(cfg):
+            raise Stop
+
+        monkeypatch.setattr(cli, "run_suite", stop)
+        with pytest.raises(Stop):
+            main(["--suite", "partition", "--seed", "0", "--out", str(tmp_path / "out")])
 
     @pytest.mark.parametrize("args", [
         ("--suite", "semilinear", "--dim", "2"),  # critical exponent needs n >= 3

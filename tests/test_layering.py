@@ -4,7 +4,10 @@ No module reaches into a sibling module's private names, except the two
 transform entry points ``grid._fftn``/``grid._ifftn``, which only
 ``spectral`` (every multiplier) and ``ensembles`` (the synthesis inverse)
 import; the annulus indicator stays private to ``norms``, whose
-``annulus_sup`` and ``annulus_l2`` are the public ways to use it.  No
+``annulus_sup`` and ``annulus_l2`` are the public ways to use it.  The L^2
+norm of a multiplied field goes through ``spectral.multiplier_l2_norm``,
+which needs no inverse transform: no module writes ``l2_norm`` or
+``lp_norm(..., 2)`` of an ``apply_multiplier`` call.  No
 module imports a name it does not use, no public function or class goes
 unused outside the tests except the listed test oracles, and every suite
 runner takes the config alone.  Every dyadic shell sum is assembled by
@@ -106,6 +109,35 @@ def test_shell_sums_go_through_seq_norm():
         (path.name, line)
         for path in MODULES
         for line in _shell_reductions(ast.parse(path.read_text()))
+    ]
+    assert offenders == []
+
+
+def _called_name(call: ast.Call) -> str:
+    f = call.func
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+
+
+def _l2_of_multiplied(tree: ast.Module) -> list[int]:
+    """Lines taking l2_norm(apply_multiplier(...)) or lp_norm(apply_multiplier(...), 2)."""
+    return [
+        call.lineno
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and call.args
+        and isinstance(call.args[0], ast.Call) and _called_name(call.args[0]) == "apply_multiplier"
+        and (_called_name(call) == "l2_norm"
+             or (_called_name(call) == "lp_norm" and len(call.args) > 1
+                 and isinstance(call.args[1], ast.Constant) and call.args[1].value == 2))
+    ]
+
+
+def test_l2_of_a_multiplied_field_goes_through_plancherel():
+    # the inverse transform of a field whose L^2 norm is all that is kept
+    # is wasted: multiplier_l2_norm reads the norm off the spectrum
+    offenders = [
+        (path.name, line)
+        for path in MODULES
+        for line in _l2_of_multiplied(ast.parse(path.read_text()))
     ]
     assert offenders == []
 

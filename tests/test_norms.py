@@ -34,6 +34,7 @@ from smoothlab.spectral import (
     apply_multiplier,
     lp_norm,
     mean_zero,
+    multiplier_l2_norm,
 )
 
 DEC = default_decomposition(-3, 4)
@@ -204,17 +205,50 @@ class TestWeightedShellNorms:
         f = band_limited_field(grid32, member_rng(3, 1))
         masks = spatial_masks(dec, grid32)
         sym = abs_freq_power(grid32, spec.s)
+
+        def norm(loc):
+            # at p = 2 a term is the Plancherel norm of the masked field
+            if p == 2:
+                return multiplier_l2_norm(loc, sym)
+            return lp_norm(apply_multiplier(loc, sym), p)
+
         expected = {}
         if variant == "D_then_mask":
             for k in dec.shells:
                 loc = Field(grid32, masks[k] * f.values)
-                expected[k] = lp_norm(apply_multiplier(loc, sym), p)
+                expected[k] = norm(loc)
         else:
             for k in dec.shells:
                 w = weight_product_mask(masks, k, spec.a)
                 loc = Field(grid32, w * f.values)
-                expected[k] = lp_norm(apply_multiplier(loc, sym), p)
+                expected[k] = norm(loc)
         assert lqa_shell_terms(f, dec, spec, variant, p) == expected
+
+    @pytest.mark.parametrize("variant", ["D_then_mask", "weight_product"])
+    def test_p2_terms_forward_transform_only(self, grid32, variant, fft_calls):
+        dec = default_decomposition(-2, 3)
+        spec = NormSpec(2, 0.5, 0.5)
+        f = band_limited_field(grid32, member_rng(3, 2))
+        fft_calls.clear()
+        terms = lqa_shell_terms(f, dec, spec, variant, 2)
+        assert fft_calls == ["fftn"] * len(dec.shells)
+        masks = spatial_masks(dec, grid32)
+        sym = abs_freq_power(grid32, spec.s)
+        for k in dec.shells:
+            w = masks[k] if variant == "D_then_mask" else weight_product_mask(masks, k, spec.a)
+            spatial = lp_norm(apply_multiplier(Field(grid32, w * f.values), sym), 2)
+            assert math.isclose(terms[k], spatial, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_mask_then_d_keeps_the_spatial_formula(self, grid32, p):
+        # its mask comes after |D|^s, so Plancherel does not apply
+        dec = default_decomposition(-2, 3)
+        spec = NormSpec(2, 0.5, 0.5)
+        f = band_limited_field(grid32, member_rng(3, 3))
+        masks = spatial_masks(dec, grid32)
+        df = apply_multiplier(f, abs_freq_power(grid32, spec.s))
+        expected = {k: lp_norm(Field(grid32, masks[k] * df.values), p) for k in dec.shells}
+        assert lqa_shell_terms(f, dec, spec, "mask_then_D", p) == expected
 
     def test_tail_fraction_small_for_windowed_data(self, grid32):
         dec = default_decomposition(-2, 3)
@@ -395,10 +429,11 @@ class TestPhaseLocalization:
         fft_calls.clear()
         phase_localized_norm(f, space, freq, NormSpec(2, 0.5, 0.5))
         n1, n2 = len(space.shells), len(freq.shells)
-        # one forward transform of f, one inverse per frequency shell, and a
-        # transform pair per (k1, k2) for |D|^s of the masked shell
+        # one forward transform of f, one inverse per frequency shell, and one
+        # forward transform per (k1, k2) for the Plancherel norm of the
+        # masked shell
         assert fft_calls.count("fftn") == 1 + n1 * n2
-        assert fft_calls.count("ifftn") == n2 + n1 * n2
+        assert fft_calls.count("ifftn") == n2
 
 
 class TestEquivalenceReport:

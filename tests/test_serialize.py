@@ -1,4 +1,8 @@
-from smoothlab.serialize import write_csv
+import json
+
+import numpy as np
+
+from smoothlab.serialize import write_csv, write_json
 
 
 def test_csv_deterministic_bytes(tmp_path):
@@ -10,3 +14,23 @@ def test_csv_deterministic_bytes(tmp_path):
     text = p1.read_text().splitlines()
     assert text[0] == "a,b,c"
     assert text[1].startswith("1,0.30000000000000004")
+
+
+def test_json_names_non_finite_floats(tmp_path):
+    # Python and numpy floats alike, at any depth, including inside arrays
+    payload = {
+        "py": [float("nan"), float("inf"), -float("inf"), 0.5],
+        "np": (np.float64("nan"), np.float32("inf"), np.float64(0.25), np.int64(3)),
+        "array": np.array([1.0, -np.inf]),
+    }
+    path = tmp_path / "r.json"
+    write_json(path, payload)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    assert json.loads(path.read_text(), parse_constant=reject) == {
+        "py": ["NaN", "Infinity", "-Infinity", 0.5],
+        "np": ["NaN", "Infinity", 0.25, 3],
+        "array": [1.0, "-Infinity"],
+    }

@@ -14,6 +14,7 @@ from smoothlab.spectral import (
     l2_norm,
     lp_norm,
     mean_zero,
+    multiplier_l2_norm,
     riesz_transform,
     sobolev_norm,
 )
@@ -135,6 +136,17 @@ class TestNorms:
         for want in expected:
             assert np.array_equal(next(results).values, want)
         assert fft_calls == ["fftn", "ifftn", "ifftn", "ifftn"]
+
+    @pytest.mark.parametrize("s", [-0.5, 0.5, 1.0])
+    @pytest.mark.parametrize("grid", [Grid(1, 8.0, 64), Grid(3, 8.0, 32)], ids=["1d", "3d"])
+    def test_multiplier_l2_norm_is_plancherel(self, grid, s, fft_calls):
+        f = random_field(grid, 10)
+        sym = abs_freq_power(grid, s)
+        expected = l2_norm(apply_multiplier(f, sym))
+        fft_calls.clear()
+        got = multiplier_l2_norm(f, sym)
+        assert fft_calls == ["fftn"]
+        assert math.isclose(got, expected, rel_tol=1e-13)
 
     def test_lp_constant_volume(self, grid3):
         one = Field(grid3, np.ones(grid3.shape, dtype=complex))
