@@ -6,9 +6,10 @@ the output directory.  Exit status:
 
 - 0: all verdicts pass;
 - 1: a verdict failed (reports still written);
-- 2: usage error, nothing run;
-- 3: the suite cannot run this config (manifest.json and a report.json
-  with an ``error`` field are written, results.csv is not);
+- 2: usage error, or a config ``ExperimentConfig.validate`` knows the
+  suite cannot run; nothing run;
+- 3: the suite raised that it cannot run this config (manifest.json and
+  a report.json with an ``error`` field are written, results.csv is not);
 - 4: internal error, any other exception from the suite runner, raised
   as ``suites.SuiteInternalError`` (the traceback goes to stderr;
   manifest.json and a report.json with an ``error`` field naming the

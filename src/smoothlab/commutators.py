@@ -8,7 +8,10 @@ which at p = 2 depends only on |k - m|.  The scan below measures the norm
 by power iteration on the normal operator and regresses measured log2
 norms on the predicted exponent; only the slope is certified, the
 constant is a fitted intercept.  Each operator builds its two masks and
-``|xi|^{+-s}`` once.  A pair with an empty mask is exactly zero and is not
+read-only ``|xi|^{+-s}`` once.  The power iterate is kept as its spectrum
+``F v``: the forward map takes it to the physical ``A v`` and the adjoint
+map brings ``A v`` back as ``F(A*A v)``, three transforms each, all in
+place in one buffer.  A pair with an empty mask is exactly zero and is not
 iterated, and the last power step forms only ``A v``, not ``A*(A v)``.
 
 Dilating x -> 2x carries the (k, m) operator exactly onto (k+1, m+1) when
@@ -29,7 +32,7 @@ import numpy as np
 
 from .dyadic import DyadicDecomposition, make_bump, mask_resolution_audit, spatial_masks
 from .grid import Field, Grid
-from .spectral import abs_freq_power, apply_multiplier, l2_norm, mean_zero
+from .spectral import abs_freq_power, fft_inplace, ifft_inplace, l2_norm, spectrum_l2_norm
 
 
 def predicted_exponent(k: int, m: int, s: float, p: float, n: int = 3) -> float:
@@ -43,7 +46,12 @@ def predicted_exponent(k: int, m: int, s: float, p: float, n: int = 3) -> float:
 
 @dataclass(frozen=True)
 class CommutatorOp:
-    """Q_k |D|^{-s} Q_m |D|^s on the mean-zero subspace of a grid."""
+    """A = Q_k |D|^{-s} Q_m |D|^s on the mean-zero subspace of a grid.
+
+    Both maps overwrite the array of the field they are given and return
+    a field on that same array: ``apply`` takes a spectrum ``F v`` to the
+    physical ``A v``, and ``apply_adjoint`` takes a physical ``u`` to
+    ``F(A* u)``, whose zero mode is exactly 0."""
 
     k: int
     m: int
@@ -59,34 +67,52 @@ class CommutatorOp:
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
         """Q_k, Q_m, |xi|^s and |xi|^-s, built on first use and kept.
 
-        At s = 0 both multiplier factors are the identity and are skipped
-        (None): applying the zero-mode annihilation there would inject
-        mask-dependent constants and break the disjoint-support
-        degeneration."""
+        All four are read-only, like the cached masks, so an in-place
+        product aimed at one of them raises instead of corrupting every
+        later matvec.  At s = 0 both multiplier factors are the identity
+        and are skipped (None): applying the zero-mode annihilation between
+        the masks there would inject mask-dependent constants and break
+        the disjoint-support degeneration."""
         masks = spatial_masks(self.decomp, self.grid)
         if self.s == 0:
             return masks[self.k], masks[self.m], None, None
         up, down = abs_freq_power(self.grid, self.s), abs_freq_power(self.grid, -self.s)
+        up.flags.writeable = down.flags.writeable = False
         return masks[self.k], masks[self.m], up, down
 
     @staticmethod
-    def _smooth(f: Field, symbol: np.ndarray | None) -> Field:
-        return f if symbol is None else apply_multiplier(f, symbol)
+    def _smooth(values: np.ndarray, symbol: np.ndarray | None) -> None:
+        if symbol is not None:
+            fft_inplace(values)
+            values *= symbol
+            ifft_inplace(values)
 
-    def apply(self, f: Field) -> Field:
+    def apply(self, spec: Field) -> Field:
+        """Physical A v from ``spec`` = F v, in ``spec``'s array."""
         qk, qm, up, down = self._factors
-        g = self._smooth(f, up)
-        g = Field(self.grid, qm * g.values)
-        g = self._smooth(g, down)
-        return Field(self.grid, qk * g.values)
+        x = spec.values
+        if up is not None:
+            x *= up
+        ifft_inplace(x)
+        x *= qm
+        self._smooth(x, down)
+        x *= qk
+        return Field(self.grid, x)
 
     def apply_adjoint(self, f: Field) -> Field:
+        """F(A* u) from the physical ``f`` = u, in ``f``'s array."""
         # all four factors are self-adjoint; reverse the order
         qk, qm, up, down = self._factors
-        g = Field(self.grid, qk * f.values)
-        g = self._smooth(g, down)
-        g = Field(self.grid, qm * g.values)
-        return self._smooth(g, up)
+        x = f.values
+        x *= qk
+        self._smooth(x, down)
+        x *= qm
+        fft_inplace(x)
+        if up is None:
+            x.flat[0] = 0.0  # |xi|^s zeroes the mode for s != 0; keep v mean-zero
+        else:
+            x *= up
+        return Field(self.grid, x)
 
 
 def operator_norm(
@@ -99,23 +125,31 @@ def operator_norm(
     """Power iteration on A*A from random mean-zero starts.
 
     Returns the largest Rayleigh quotient found over the trials, a lower
-    bound on the true norm (0.0 when no trial grew).  Each step forms
-    ``A v`` and tests ``||A v||`` for convergence first; ``A*(A v)`` is
-    formed only when a further step will use it, so the last step of a
-    trial forms ``A v`` alone.
+    bound on the true norm (0.0 when no trial grew).  The iterate is the
+    spectrum ``F v`` of a unit mean-zero ``v``.  Each step forms ``A v``
+    with ``op.apply`` and tests ``||A v||`` for convergence first;
+    ``op.apply_adjoint`` forms ``F(A*A v)``, whose zero mode is 0, only
+    when a further step will use it, and ``||A*A v||`` comes from
+    Plancherel.  Both maps work in place in one buffer this function
+    owns, so a trial that stops after j forward maps runs 6j - 2
+    transforms: one to enter the spectrum and three per map.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
     grid = op.grid
+    buf = np.empty(grid.shape, dtype=np.complex128)
     results = []
     for _ in range(trials):
-        v = Field(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-        v = mean_zero(v)
+        buf.real = rng.standard_normal(grid.shape)
+        buf.imag = rng.standard_normal(grid.shape)
+        buf -= buf.mean()
+        v = Field(grid, buf)
         nv = l2_norm(v)
         if nv == 0:
             continue
-        v = v * (1.0 / nv)
+        buf *= 1.0 / nv
+        fft_inplace(buf)
         est = 0.0
         for step in range(iterations):
             av = op.apply(v)
@@ -124,11 +158,11 @@ def operator_norm(
             est = na
             if na == 0 or last:
                 break
-            w = mean_zero(op.apply_adjoint(av))
-            nw = l2_norm(w)
+            v = op.apply_adjoint(av)
+            nw = spectrum_l2_norm(v)
             if nw == 0:
                 break
-            v = w * (1.0 / nw)
+            v.values *= 1.0 / nw
         results.append(est)
     return max([r for r in results if r > 0], default=0.0)
 

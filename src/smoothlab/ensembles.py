@@ -19,6 +19,8 @@ from .grid import Field, Grid, SpaceTimeField, _ifftn
 
 #: number of random time-harmonic terms in a space-time ensemble member
 SPACETIME_MODES = 3
+#: |mode| annulus every suite draws its band-limited fields from
+DEFAULT_MODE_RADIUS = (1.0, 6.0)
 
 
 def member_rng(seed: int, *indices: int) -> np.random.Generator:
@@ -32,10 +34,16 @@ def radial_window(grid: Grid, r_inner: float, r_outer: float) -> np.ndarray:
     return (1.0 - smooth_cutoff(2.0 * r / r_inner)) * smooth_cutoff(r / r_outer)
 
 
+def mode_band_fits(points_per_axis: int, hi: float, mode_scale: int = 1) -> bool:
+    """Whether the coefficient cube |mode_j| <= ceil(hi), dilated by
+    ``mode_scale``, fits inside half the lattice of the grid."""
+    return 2 * math.ceil(hi) * mode_scale + 2 <= points_per_axis
+
+
 def band_limited_field(
     grid: Grid,
     rng: np.random.Generator,
-    mode_radius: tuple[float, float] = (1.0, 6.0),
+    mode_radius: tuple[float, float] = DEFAULT_MODE_RADIUS,
     window: tuple[float, float] | None = (0.7, 3.0),
     mean_zero: bool = True,
     mode_scale: int = 1,
@@ -55,7 +63,7 @@ def band_limited_field(
     cube = (2 * kmax + 1,) * n
     re = rng.standard_normal(cube)
     im = rng.standard_normal(cube)
-    if (2 * kmax * mode_scale + 2) > grid.points_per_axis:
+    if not mode_band_fits(grid.points_per_axis, hi, mode_scale):
         raise ValueError("grid too coarse for the requested mode band")
     spectrum = np.zeros(grid.shape, dtype=np.complex128)
     N = grid.points_per_axis
@@ -79,7 +87,7 @@ def band_limited_spacetime(
     grid: Grid,
     times: Sequence[float],
     rng: np.random.Generator,
-    mode_radius: tuple[float, float] = (1.0, 6.0),
+    mode_radius: tuple[float, float] = DEFAULT_MODE_RADIUS,
     window: tuple[float, float] | None = (0.7, 3.0),
     mode_scale: int = 1,
     time_scale: float = 1.0,

@@ -19,13 +19,14 @@ import numpy as np
 from scipy import fft as _fft
 
 # scipy.fft.fftn/ifftn are looked up at call time; the worker count comes
-# from scipy.fft.set_workers in the caller's thread (the CLI's --parallel)
-def _fftn(values: np.ndarray) -> np.ndarray:
-    return _fft.fftn(values)
+# from scipy.fft.set_workers in the caller's thread (the CLI's --parallel).
+# With overwrite=True a complex input may receive the result.
+def _fftn(values: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    return _fft.fftn(values, overwrite_x=overwrite)
 
 
-def _ifftn(values: np.ndarray) -> np.ndarray:
-    return _fft.ifftn(values)
+def _ifftn(values: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    return _fft.ifftn(values, overwrite_x=overwrite)
 
 
 @dataclass(frozen=True)

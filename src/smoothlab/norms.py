@@ -43,8 +43,10 @@ class NormSpec:
         if abs(self.s) > 1:
             raise ValueError(f"s must lie in [-1, 1], got {self.s}")
 
-    def equivalence_admissible(self, dim: int) -> bool:
-        return abs(self.a) + abs(self.s) < dim / 2
+    def check_equivalence_admissible(self, dim: int) -> None:
+        """Raise unless |a| + |s| < n/2, where the three forms are equivalent."""
+        if not abs(self.a) + abs(self.s) < dim / 2:
+            raise ValueError(f"|a|+|s| = {abs(self.a) + abs(self.s)} must be < n/2 = {dim / 2}")
 
 
 @lru_cache(maxsize=64)
@@ -277,10 +279,7 @@ def equivalence_report(
     spec: NormSpec,
 ) -> EquivalenceReport:
     """Compute all three norm forms and their pairwise (max/min) ratios."""
-    if not spec.equivalence_admissible(f.grid.dim):
-        raise ValueError(
-            f"|a|+|s| = {abs(spec.a) + abs(spec.s)} must be < n/2 = {f.grid.dim / 2}"
-        )
+    spec.check_equivalence_admissible(f.grid.dim)
     values = {
         v: lqa_sobolev_norm(f, decomp, spec, variant=v) for v in VARIANTS
     }

@@ -3,8 +3,10 @@
 Every Fourier multiplier in the package goes through ``apply_multiplier``
 or ``apply_multipliers``, and the L^2 norm of a multiplied field through
 ``multiplier_l2_norm``, which by Plancherel reads it off the forward
-transform alone; the only other transform is the inverse that synthesizes
-ensemble fields.  The homogeneous multiplier |D|^s is singular
+transform alone.  A loop that owns its buffer transforms it in place with
+``fft_inplace``/``ifft_inplace`` and takes norms of the spectrum it holds
+with ``spectrum_l2_norm``; the only other transform is the inverse that
+synthesizes ensemble fields.  The homogeneous multiplier |D|^s is singular
 at xi = 0, and the zero mode is always annihilated.  Mean-zero periodic
 data is the desk-scale surrogate for Schwartz data on R^n, so this
 convention is used by every norm and operator built on top of these
@@ -74,6 +76,30 @@ def multiplier_l2_norm(f: Field, symbol: np.ndarray) -> float:
     transform and no inverse."""
     spec = symbol * _fftn(f.values)
     return float(np.sqrt(np.sum(np.abs(spec) ** 2) * f.grid.cell_volume / f.grid.size))
+
+
+def _in_place(transform, values: np.ndarray) -> np.ndarray:
+    out = transform(values, overwrite=True)
+    if not np.may_share_memory(out, values):  # a backend that ignored overwrite
+        values[...] = out
+    return values
+
+
+def fft_inplace(values: np.ndarray) -> np.ndarray:
+    """Overwrite a complex array with its forward transform; returns it."""
+    return _in_place(_fftn, values)
+
+
+def ifft_inplace(values: np.ndarray) -> np.ndarray:
+    """Overwrite a complex array with its inverse transform; returns it."""
+    return _in_place(_ifftn, values)
+
+
+def spectrum_l2_norm(spec: Field) -> float:
+    """|| ifft(spec) ||_{L^2} by Plancherel, for ``spec.values`` holding the
+    forward transform of a field."""
+    return float(np.sqrt(np.sum(np.abs(spec.values) ** 2) * spec.grid.cell_volume
+                         / spec.grid.size))
 
 
 def abs_freq_power(grid: Grid, s: float) -> np.ndarray:

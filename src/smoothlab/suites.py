@@ -30,7 +30,7 @@ from .dyadic import (
     make_bump,
     spatial_masks,
 )
-from .ensembles import band_limited_field, member_rng
+from .ensembles import DEFAULT_MODE_RADIUS, band_limited_field, member_rng, mode_band_fits
 from .grid import Grid
 from .harness import (
     box_profile,
@@ -79,6 +79,20 @@ SUITE_ANCHORS = {
 }
 
 
+#: the band-limited draws of each suite, all from ``DEFAULT_MODE_RADIUS``:
+#: (divisor of ``points`` giving its coarsest grid, largest ``mode_scale``)
+BAND_DRAWS: dict[str, tuple[tuple[int, int], ...]] = {
+    "equivalence": ((1, 1),),
+    "phase-localization": ((1, 1),),
+    "kpv": ((1, 2), (2, 1)),  # rescale probe on the fine grid; the coarse grid
+    "main-estimate": ((1, 1),),
+    "endpoint": ((1, 1),),
+    "resolvent-nd": ((1, 1),),
+    "mixed-norm": ((2, 1),),
+    "product-interp": ((1, 1),),
+}
+
+
 def list_suites() -> list[str]:
     """Catalog entries 'suite -> anchor', one per implemented suite."""
     return [f"{name} -> {anchor}" for name, anchor in SUITE_ANCHORS.items()]
@@ -111,6 +125,15 @@ class ExperimentConfig:
         Grid(self.dim, self.half_width, self.points)  # grid preconditions
         if self.k_min >= self.k_max:
             raise ValueError("need k_min < k_max")
+        # what the runner would raise on, checked before any work starts
+        for divisor, scale in BAND_DRAWS.get(self.suite, ()):
+            if not mode_band_fits(self.points // divisor, DEFAULT_MODE_RADIUS[1], scale):
+                raise ValueError(f"{self.points // divisor} points per axis are too coarse "
+                                 f"for the mode band at mode_scale {scale}")
+        if self.suite == "equivalence":
+            SHELL_SPEC.check_equivalence_admissible(self.dim)
+        if self.suite == "semilinear":
+            critical_exponent(self.dim, SEMILINEAR_WEIGHT)
 
     def grid(self) -> Grid:
         return Grid(self.dim, self.half_width, self.points)

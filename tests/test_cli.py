@@ -61,6 +61,10 @@ class TestConfig:
         assert rc == 0
         assert scipy.fft.get_workers() == 1
 
+    @pytest.mark.parametrize("suite", sorted(SUITE_ANCHORS))
+    def test_default_config_validates(self, suite):
+        suites.apply_suite_defaults(suites.ExperimentConfig(suite, 0), set()).validate()
+
     def test_parse_config_types(self, tmp_path):
         cfg = tmp_path / "t.cfg"
         cfg.write_text("suite = kpv\nseed = 3\nhalf_width = 4.0\npoints = 32\n")
@@ -176,15 +180,32 @@ class TestRunOutputs:
     @pytest.mark.parametrize("args", [
         ("--suite", "semilinear", "--dim", "2"),  # critical exponent needs n >= 3
         ("--suite", "kpv", "--grid", "8"),  # mode band does not fit the grid
+        ("--suite", "kpv", "--grid", "16"),  # nor the rescale probe's mode_scale 2
+        ("--suite", "mixed-norm", "--grid", "16"),  # nor the points // 2 grid
+        ("--suite", "resolvent-nd", "--grid", "8"),
+        ("--suite", "equivalence", "--dim", "1"),  # |a| + |s| >= n/2
     ])
-    def test_unrunnable_config_exits_3_with_report(self, tmp_path, args):
+    def test_unrunnable_config_exits_2_before_work(self, tmp_path, args, monkeypatch):
+        def unreachable(cfg):
+            raise AssertionError("the runner started")
+
+        monkeypatch.setitem(suites.SUITE_RUNNERS, args[1], unreachable)
         out = tmp_path / "out"
-        rc = main([*args, "--seed", "0", "--out", str(out)])
+        assert main([*args, "--seed", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_runner_value_error_exits_3_with_report(self, tmp_path, monkeypatch):
+        def cannot_run(cfg):
+            raise ValueError("grid too coarse for the requested mode band")
+
+        monkeypatch.setitem(suites.SUITE_RUNNERS, "partition", cannot_run)
+        out = tmp_path / "out"
+        rc = main(["--suite", "partition", "--seed", "0", "--out", str(out)])
         assert rc == 3
         report = json.loads((out / "report.json").read_text())
         assert report["passed"] is False
         assert report["verdicts"] == []
-        assert report["error"]
+        assert report["error"] == "grid too coarse for the requested mode band"
         assert (out / "manifest.json").exists()
         assert not (out / "results.csv").exists()
 

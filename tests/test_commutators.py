@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +17,22 @@ from smoothlab.commutators import (
 from smoothlab.dyadic import default_decomposition, spatial_masks
 from smoothlab.ensembles import band_limited_field, member_rng
 from smoothlab.grid import Field, Grid
-from smoothlab.spectral import l2_norm, mean_zero
+from smoothlab.spectral import (
+    abs_freq_power,
+    apply_multiplier,
+    fractional_laplacian,
+    inner_product,
+    l2_norm,
+    mean_zero,
+)
+
+
+def _spectrum(f):
+    return Field(f.grid, scipy.fft.fftn(f.values))
+
+
+def _physical(spec):
+    return Field(spec.grid, scipy.fft.ifftn(spec.values))
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +85,7 @@ class TestApply:
     def test_s_zero_disjoint_masks_annihilate(self, grid, dec):
         op = CommutatorOp(-1, 2, 0.0, dec, grid)
         f = band_limited_field(grid, member_rng(0, 1))
-        out = op.apply(f)
+        out = op.apply(_spectrum(f))
         assert np.abs(out.values).max() < 1e-13 * np.abs(f.values).max()
 
     def test_order_domain(self, grid, dec):
@@ -76,8 +93,6 @@ class TestApply:
             CommutatorOp(0, 1, 1.0, dec, grid)
 
     def test_composition_matches_factors(self, grid, dec):
-        from smoothlab.spectral import fractional_laplacian
-
         op = CommutatorOp(0, 1, 0.5, dec, grid)
         f = band_limited_field(grid, member_rng(0, 2))
         masks = spatial_masks(dec, grid)
@@ -85,24 +100,40 @@ class TestApply:
         step = Field(grid, masks[1] * step.values)
         step = fractional_laplacian(step, -0.5)
         step = Field(grid, masks[0] * step.values)
-        assert np.abs(op.apply(f).values - step.values).max() < 1e-14
+        assert np.abs(op.apply(_spectrum(f)).values - step.values).max() < 1e-14
 
     def test_adjoint_pairing(self, grid, dec):
-        from smoothlab.spectral import inner_product
-
+        # <A f, g> = <f, A* g>, with apply fed F f and apply_adjoint
+        # returning F(A* g)
         op = CommutatorOp(0, 2, 0.5, dec, grid)
         f = band_limited_field(grid, member_rng(0, 3))
         g = band_limited_field(grid, member_rng(0, 4))
-        lhs = inner_product(op.apply(f), g)
-        rhs = inner_product(f, op.apply_adjoint(g))
+        lhs = inner_product(op.apply(_spectrum(f)), g)
+        rhs = inner_product(f, _physical(op.apply_adjoint(g.copy())))
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
+
+    def test_maps_work_in_the_given_array(self, grid, dec):
+        op = CommutatorOp(0, 2, 0.5, dec, grid)
+        spec = _spectrum(band_limited_field(grid, member_rng(0, 7)))
+        av = op.apply(spec)
+        assert av.values is spec.values
+        assert op.apply_adjoint(av).values is spec.values
+
+    def test_symbols_are_read_only(self, grid, dec):
+        # an in-place product that hits a shared factor instead of the
+        # iterate must raise, not corrupt every later matvec
+        _, _, up, down = CommutatorOp(0, 2, 0.5, dec, grid)._factors
+        for symbol in (up, down):
+            assert not symbol.flags.writeable
+            with pytest.raises(ValueError):
+                symbol *= 2.0
 
     def test_off_shell_input_suppressed(self, grid, dec):
         # data supported away from shell m: output only through |D|^s tails,
         # bounded by the predicted decay value
         op = CommutatorOp(0, 2, 0.5, dec, grid)
         f = band_limited_field(grid, member_rng(0, 5), window=(0.6, 0.9))
-        out_norm = l2_norm(op.apply(f))
+        out_norm = l2_norm(op.apply(_spectrum(f)))
         bound = 2.0 ** predicted_exponent(0, 2, 0.5, 2, 3)
         assert out_norm <= 4.0 * bound * l2_norm(f)
 
@@ -128,20 +159,31 @@ class TestOperatorNorm:
         # ||A|| = ||A*||: estimate the adjoint by iterating the swapped maps
         op = CommutatorOp(0, 2, 0.5, dec, grid)
         fwd = operator_norm(op, trials=3, iterations=60, tol=1e-9, seed=1)
-
-        class Swapped:
-            grid = op.grid
-
-            @staticmethod
-            def apply(f):
-                return op.apply_adjoint(f)
-
-            @staticmethod
-            def apply_adjoint(f):
-                return op.apply(f)
-
-        bwd = operator_norm(Swapped, trials=3, iterations=60, tol=1e-9, seed=1)
+        bwd = operator_norm(_Swapped(op), trials=3, iterations=60, tol=1e-9, seed=1)
         assert abs(fwd - bwd) / fwd < 0.02
+
+    @pytest.mark.parametrize("s", [0.5, -0.5, 0.0])
+    def test_zero_mode_exact_after_every_adjoint(self, grid, dec, s):
+        # |xi|^s vanishes at xi = 0, and at s = 0 the mode is set to 0, so
+        # the iterate stays mean-zero without a projection
+        op = _Counted(CommutatorOp(0, 1, s, dec, grid))
+        operator_norm(op, trials=2, iterations=8, tol=0.0, seed=7)
+        assert len(op.zero_modes) == 2 * 7
+        assert all(z == 0.0 for z in op.zero_modes)
+
+    def test_one_trial_holds_few_grid_arrays(self, grid, dec):
+        # the iterate, A v and A*A v share one buffer; only the norms'
+        # temporaries come on top of it.  The operator's masks and symbols
+        # are built before the trace: they live as long as the operator.
+        op = CommutatorOp(0, 2, 0.5, dec, grid)
+        op._factors
+        tracemalloc.start()
+        try:
+            operator_norm(op, trials=1, iterations=20, tol=1e-9, seed=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 16 * grid.size
 
 
 class TestDecayScan:
@@ -179,9 +221,60 @@ class TestDecayScan:
         assert set(rows[0]) == {"k", "m", "s", "measured_log2", "predicted_t", "residual"}
 
 
-def _reference_operator_norm(op, trials=8, iterations=50, tol=1e-6, seed=0):
-    """The power iteration as it was before the last-step adjoint was
-    dropped: every step forms A*(A v), and the convergence test follows it."""
+class _PhysicalOp:
+    """Reference maps of the operator on physical fields, composed from the
+    masks and fractional Laplacians: ``apply`` is A v = Q_k |D|^{-s} Q_m
+    |D|^s v and ``apply_adjoint`` is A* u; neither touches its argument."""
+
+    def __init__(self, op):
+        masks = spatial_masks(op.decomp, op.grid)
+        self.grid, self.qk, self.qm = op.grid, masks[op.k], masks[op.m]
+        self.up = abs_freq_power(op.grid, op.s) if op.s else None
+        self.down = abs_freq_power(op.grid, -op.s) if op.s else None
+
+    @staticmethod
+    def _smooth(f, symbol):
+        return f if symbol is None else apply_multiplier(f, symbol)
+
+    def apply(self, f):
+        g = self._smooth(f, self.up)
+        g = self._smooth(Field(self.grid, self.qm * g.values), self.down)
+        return Field(self.grid, self.qk * g.values)
+
+    def apply_adjoint(self, f):
+        g = self._smooth(Field(self.grid, self.qk * f.values), self.down)
+        return self._smooth(Field(self.grid, self.qm * g.values), self.up)
+
+
+class _PhysicalSwapped:
+    """A* for the physical reference: the two maps exchanged."""
+
+    def __init__(self, op):
+        self.grid, self.apply, self.apply_adjoint = op.grid, op.apply_adjoint, op.apply
+
+
+class _Swapped:
+    """A* in the spectral-iterate convention of ``operator_norm``: ``apply``
+    takes F v to the physical A* v and ``apply_adjoint`` takes u to
+    F(A u), with the zero mode dropped."""
+
+    def __init__(self, op):
+        self.op, self.grid = op, op.grid
+
+    def apply(self, spec):
+        return _physical(self.op.apply_adjoint(_physical(spec)))
+
+    def apply_adjoint(self, f):
+        out = _spectrum(self.op.apply(_spectrum(f)))
+        out.values.flat[0] = 0.0
+        return out
+
+
+def _reference_operator_norm(op, trials=8, iterations=50, tol=1e-6, seed=0, steps=None):
+    """The power iteration on a physical iterate, as it was before the
+    last-step adjoint was dropped: every step forms A*(A v), and the
+    convergence test follows it.  ``steps`` collects the forward maps of
+    each trial."""
     rng = np.random.default_rng(seed)
     grid = op.grid
     results = []
@@ -193,7 +286,7 @@ def _reference_operator_norm(op, trials=8, iterations=50, tol=1e-6, seed=0):
             continue
         v = v * (1.0 / nv)
         est = 0.0
-        for _ in range(iterations):
+        for step in range(iterations):
             av = op.apply(v)
             na = l2_norm(av)
             if na == 0:
@@ -210,35 +303,54 @@ def _reference_operator_norm(op, trials=8, iterations=50, tol=1e-6, seed=0):
                 est = new_est
                 break
             est = new_est
+        if steps is not None:
+            steps.append(step + 1)
         results.append(est)
     return max([r for r in results if r > 0], default=0.0)
 
 
 class _Counted:
-    """Duck-typed operator that counts the forward maps it forms."""
+    """Duck-typed operator that logs its maps: the forward maps of each
+    trial (a trial's first map follows another forward map, or nothing)
+    and the zero mode of every adjoint result."""
 
     def __init__(self, op):
-        self.op, self.grid, self.applies = op, op.grid, 0
+        self.op, self.grid = op, op.grid
+        self.trial_maps, self.zero_modes, self._last = [], [], None
+
+    @property
+    def applies(self):
+        return sum(self.trial_maps)
 
     def apply(self, f):
-        self.applies += 1
+        if self._last != "adjoint":
+            self.trial_maps.append(0)
+        self.trial_maps[-1] += 1
+        self._last = "apply"
         return self.op.apply(f)
 
     def apply_adjoint(self, f):
-        return self.op.apply_adjoint(f)
+        self._last = "adjoint"
+        out = self.op.apply_adjoint(f)
+        self.zero_modes.append(out.values.flat[0])
+        return out
 
 
 class TestOperatorNormSteps:
-    """The last power step forms A v only; the returned float is unchanged."""
+    """The spectral iterate takes the steps of the physical reference.  The
+    transforms it saves round differently, so the norms agree to 1e-13
+    relative, not bit for bit; the last power step forms A v only."""
 
     @pytest.mark.parametrize("iterations, tol", [(60, 1e-4), (3, 1e-12)])
     def test_bit_identical_to_reference(self, grid, dec, iterations, tol):
         # a trial that converges, and one that runs out of iterations
         op = CommutatorOp(0, 2, 0.5, dec, grid)
-        counted = _Counted(op)
+        counted, steps = _Counted(op), []
         got = operator_norm(counted, trials=2, iterations=iterations, tol=tol, seed=4)
-        assert got == _reference_operator_norm(op, trials=2, iterations=iterations,
-                                               tol=tol, seed=4)
+        ref = _reference_operator_norm(_PhysicalOp(op), trials=2, iterations=iterations,
+                                       tol=tol, seed=4, steps=steps)
+        assert abs(got - ref) <= 1e-13 * ref
+        assert counted.trial_maps == steps
         if iterations == 3:
             assert counted.applies == 2 * iterations
         else:
@@ -246,30 +358,21 @@ class TestOperatorNormSteps:
 
     def test_bit_identical_for_swapped_operator(self, grid, dec):
         op = CommutatorOp(1, -1, -0.5, dec, grid)
-
-        class Swapped:
-            grid = op.grid
-
-            @staticmethod
-            def apply(f):
-                return op.apply_adjoint(f)
-
-            @staticmethod
-            def apply_adjoint(f):
-                return op.apply(f)
-
-        got = operator_norm(Swapped, trials=2, iterations=40, tol=1e-5, seed=5)
-        assert got == _reference_operator_norm(Swapped, trials=2, iterations=40,
-                                               tol=1e-5, seed=5)
+        counted, steps = _Counted(_Swapped(op)), []
+        got = operator_norm(counted, trials=2, iterations=40, tol=1e-5, seed=5)
+        ref = _reference_operator_norm(_PhysicalSwapped(_PhysicalOp(op)), trials=2,
+                                       iterations=40, tol=1e-5, seed=5, steps=steps)
+        assert abs(got - ref) <= 1e-13 * ref
+        assert counted.trial_maps == steps
 
     def test_converged_trial_transform_count(self, grid, dec, fft_calls):
-        # each matvec is two multipliers of two transforms; a trial that
-        # stops after j forward maps forms j - 1 adjoints
+        # one transform enters the spectrum and each map runs three; a
+        # trial that stops after j forward maps forms j - 1 adjoints
         op = _Counted(CommutatorOp(0, 2, 0.5, dec, grid))
         operator_norm(op, trials=1, iterations=60, tol=1e-4, seed=6)
         j = op.applies
         assert 1 < j < 60
-        assert len(fft_calls) == 8 * j - 4
+        assert len(fft_calls) == 6 * j - 2
 
     def test_empty_mask_pair_is_not_iterated(self, fft_calls):
         # shell -3 of the centered decomposition holds no point of the

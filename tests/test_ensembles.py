@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from smoothlab.ensembles import band_limited_field, band_limited_spacetime, member_rng
+from smoothlab.ensembles import (
+    band_limited_field,
+    band_limited_spacetime,
+    member_rng,
+    mode_band_fits,
+)
 from smoothlab.grid import Grid, _fftn
 
 
@@ -76,3 +81,17 @@ def test_spectrum_is_the_canonical_draw(dim, points, mode_scale):
         if 1 <= math.sqrt(np.sum(mode**2)) <= 6:
             expected[tuple(mode * mode_scale % points)] = re[idx] + 1j * im[idx]
     assert np.abs(spectrum - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("points, mode_scale, fits",
+                         [(8, 1, False), (16, 1, True), (16, 2, False), (32, 2, True)])
+def test_mode_band_fits_is_the_draw_condition(points, mode_scale, fits):
+    # the band out to |mode| = 6 needs 2 * 6 * mode_scale + 2 points per
+    # axis; the config validation asks mode_band_fits, so the draw agrees
+    assert mode_band_fits(points, 6.0, mode_scale) is fits
+    grid = Grid(3, 8.0, points)
+    if fits:
+        band_limited_field(grid, member_rng(0, 1), mode_scale=mode_scale)
+    else:
+        with pytest.raises(ValueError):
+            band_limited_field(grid, member_rng(0, 1), mode_scale=mode_scale)
