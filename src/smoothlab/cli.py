@@ -28,8 +28,6 @@ import traceback
 from dataclasses import fields as dc_fields
 from pathlib import Path
 
-import scipy.fft
-
 from .schrodinger import StabilityError
 from .serialize import write_csv, write_json
 from .suites import (
@@ -57,7 +55,6 @@ _CONFIG_FIELDS = {
     "n_times": int,
     "horizon": float,
     "out": str,
-    "parallel": int,
 }
 
 
@@ -92,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--ensemble", type=int, help="ensemble size")
     ap.add_argument("--half-width", type=float, dest="half_width", help="box half-width")
     ap.add_argument("--out", help="output directory (default: suite name)")
-    ap.add_argument("--parallel", type=int, help="number of FFT worker threads (default 1)")
     ap.add_argument("--list-suites", action="store_true", help="print the suite catalog")
     return ap
 
@@ -142,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             return _error(str(exc))
     explicit = set(values)
-    for name in ("suite", "seed", "points", "dim", "ensemble", "half_width", "out", "parallel"):
+    for name in ("suite", "seed", "points", "dim", "ensemble", "half_width", "out"):
         val = getattr(args, name, None)
         if val is not None:
             values[name] = val
@@ -174,10 +170,9 @@ def main(argv: list[str] | None = None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
-        with scipy.fft.set_workers(cfg.parallel):
-            start = time.time()
-            result = run_suite(cfg)
-            elapsed = time.time() - start
+        start = time.time()
+        result = run_suite(cfg)
+        elapsed = time.time() - start
     except (ValueError, StabilityError) as exc:
         _write_error_reports(out_dir, cfg, str(exc))
         print(f"error: {cfg.suite} cannot run this config: {exc}", file=sys.stderr)

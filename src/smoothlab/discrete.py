@@ -1,21 +1,20 @@
-"""Exact discrete kernel operator on weighted sequences over Z.
+"""Exact discrete kernel operator on sequences over Z, as a dense window matrix.
 
 The kernel is t_{k,m} = 2^(m lambda) 2^(k mu) 2^(-beta max(m,k)), summed
-over |k - m| >= 4.  Everything here is a finite sum in double precision;
-the boundedness certificates check that exact window operator norms
-settle as the window grows, and compare flat-input outputs against exact
-geometric-series values.
+over |k - m| >= 4.  ``kernel_matrix`` samples it on a finite input window
+and a padded output window; everything here is a finite sum in double
+precision.  The boundedness certificates check that exact window operator
+norms settle as the window grows, and compare flat-input outputs (the row
+sums of the matrix) against exact geometric-series values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .dyadic import WeightedSeq
 
 SEPARATION = 4  # the kernel sums over |k - m| >= 4
 #: output indices added on each side of the input window; the kernel
@@ -41,49 +40,21 @@ class KernelSpec:
         return KernelSpec(self.lam + sigma, self.mu - nu, self.beta)
 
 
-def kernel_value(spec: KernelSpec, m: int, k: int) -> float:
-    return 2.0 ** (m * spec.lam + k * spec.mu - spec.beta * max(m, k))
-
-
-def kernel_apply(
-    a: WeightedSeq,
-    spec: KernelSpec,
-    out_window: Iterable[int] | None = None,
-) -> WeightedSeq:
-    """b_m = sum_{|k-m| >= 4} t_{k,m} a_k.
-
-    The output window defaults to the input support padded by
-    ``OUTPUT_PAD`` indices.
-    """
-    support = a.support
-    if not support:
-        return WeightedSeq({})
-    if out_window is None:
-        out_window = range(min(support) - OUTPUT_PAD, max(support) + OUTPUT_PAD + 1)
-    out = {}
-    for m in out_window:
-        total = 0.0 + 0.0j
-        for k in support:
-            if abs(k - m) >= SEPARATION:
-                total += kernel_value(spec, m, k) * a[k]
-        if total != 0:
-            out[m] = total
-    return WeightedSeq(out)
-
-
-# ---------------------------------------------------------------------------
-# boundedness probes across windows
-# ---------------------------------------------------------------------------
-
-
-def _kernel_matrix(spec: KernelSpec, window: int) -> np.ndarray:
-    """Dense kernel matrix on input window [-K, K], output padded by ``OUTPUT_PAD``."""
+def kernel_matrix(spec: KernelSpec, window: int) -> np.ndarray:
+    """Dense kernel matrix T[m, k] = t_{k,m} on input window [-K, K], output
+    window [-K - OUTPUT_PAD, K + OUTPUT_PAD]; row i is output index
+    m = i - K - OUTPUT_PAD.  The entries are non-negative."""
     ks = np.arange(-window, window + 1)
     ms = np.arange(-window - OUTPUT_PAD, window + OUTPUT_PAD + 1)
     M, K = np.meshgrid(ms, ks, indexing="ij")
     T = 2.0 ** (M * spec.lam + K * spec.mu - spec.beta * np.maximum(M, K))
     T[np.abs(M - K) < SEPARATION] = 0.0
     return T
+
+
+# ---------------------------------------------------------------------------
+# boundedness probes across windows
+# ---------------------------------------------------------------------------
 
 
 def window_operator_norm(
@@ -105,7 +76,7 @@ def window_operator_norm(
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     work = spec.conjugated(sigma, nu) if (sigma or nu) else spec
-    T = _kernel_matrix(work, window)
+    T = kernel_matrix(work, window)
     if q == 1:
         return float(np.abs(T).sum(axis=0).max())
     if math.isinf(q):
@@ -182,13 +153,6 @@ def geometric_row_value(window: int) -> float:
     [-K, K]: the symmetric kernel row sum 2 sum_{j=4}^{K} 2^(-j/2)."""
     r = 2.0**-0.5
     return 2.0 * (r**SEPARATION - r ** (window + 1)) / (1.0 - r)
-
-
-def geometric_edge_value(window: int) -> float:
-    """One-sided geometric series sum_{j=4}^{2K} 2^(-j/2): the output value
-    at the bottom edge of the window for the same probe."""
-    r = 2.0**-0.5
-    return (r**SEPARATION - r ** (2 * window + 1)) / (1.0 - r)
 
 
 GEOMETRIC_ONE_SIDED = 0.25 / (1.0 - 2.0**-0.5)  # = 0.8535533905932737

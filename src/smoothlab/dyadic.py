@@ -1,5 +1,5 @@
-"""Dyadic partitions of unity in space and frequency, and weighted
-sequences over Z.
+"""Dyadic partitions of unity in space and frequency, and the weighted
+sequence norm that assembles every dyadic shell sum.
 
 The bump profile is fixed once and for all as the telescoping difference
 ``phi(s) = chi(s) - chi(2 s)`` of a smooth monotone step ``chi`` built from
@@ -12,9 +12,9 @@ family ``phi(s / 2^k)`` sums to 1 for every ``s > 0``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -97,10 +97,6 @@ class DyadicDecomposition:
 
     def shift(self, j: int) -> "DyadicDecomposition":
         return DyadicDecomposition(self.profile, self.k_min + j, self.k_max + j)
-
-
-def default_decomposition(k_min: int = -2, k_max: int = 3) -> DyadicDecomposition:
-    return DyadicDecomposition(make_bump(), k_min, k_max)
 
 
 @dataclass
@@ -207,67 +203,19 @@ def mask_resolution_audit(family: MaskFamily) -> dict[int, MaskAudit]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# weighted sequences over Z
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class WeightedSeq:
-    """Finitely supported complex sequence over Z."""
-
-    entries: dict[int, complex] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.entries = {k: complex(v) for k, v in self.entries.items() if v != 0}
-
-    @classmethod
-    def impulse(cls, k: int) -> "WeightedSeq":
-        return cls({k: 1.0})
-
-    @classmethod
-    def ones(cls, indices: Iterable[int]) -> "WeightedSeq":
-        return cls({k: 1.0 for k in indices})
-
-    @property
-    def support(self) -> list[int]:
-        return sorted(self.entries)
-
-    def __getitem__(self, k: int) -> complex:
-        return self.entries.get(k, 0.0)
-
-    def __add__(self, other: "WeightedSeq") -> "WeightedSeq":
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0.0) + v
-        return WeightedSeq(out)
-
-    def __sub__(self, other: "WeightedSeq") -> "WeightedSeq":
-        return self + (-1.0) * other
-
-    def __mul__(self, factor: complex) -> "WeightedSeq":
-        return WeightedSeq({k: factor * v for k, v in self.entries.items()})
-
-    __rmul__ = __mul__
-
-    def allclose(self, other: "WeightedSeq", tol: float = 1e-12) -> bool:
-        keys = set(self.entries) | set(other.entries)
-        return all(abs(self[k] - other[k]) <= tol for k in keys)
-
-
-def seq_norm(a: WeightedSeq | Mapping[int, complex], q: float, alpha: float) -> float:
-    """Weighted norm (sum_k 2^(k q alpha) |a_k|^q)^(1/q); sup form at q = inf.
+def seq_norm(a: Mapping[int, complex], q: float, alpha: float) -> float:
+    """Weighted norm (sum_k 2^(k q alpha) |a_k|^q)^(1/q) of a finitely
+    supported sequence over Z, given as index -> value; sup form at q = inf.
 
     The truncated ``q = inf`` case uses max, not essential sup.
     """
     if q < 1:
         raise ValueError(f"exponent q must be >= 1, got {q}")
-    entries = a.entries if isinstance(a, WeightedSeq) else dict(a)
-    if not entries:
+    if not a:
         return 0.0
     if math.isinf(q):
-        return max(2.0 ** (k * alpha) * abs(v) for k, v in entries.items())
+        return max(2.0 ** (k * alpha) * abs(v) for k, v in a.items())
     total = sum(
-        2.0 ** (k * q * alpha) * abs(v) ** q for k, v in entries.items()
+        2.0 ** (k * q * alpha) * abs(v) ** q for k, v in a.items()
     )
     return total ** (1.0 / q)

@@ -13,14 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
-
 import numpy as np
 from scipy import fft as _fft
 
-# scipy.fft.fftn/ifftn are looked up at call time; the worker count comes
-# from scipy.fft.set_workers in the caller's thread (the CLI's --parallel).
-# With overwrite=True a complex input may receive the result.
+# scipy.fft.fftn/ifftn are looked up at call time.  With overwrite=True a
+# complex input may receive the result.
 def _fftn(values: np.ndarray, overwrite: bool = False) -> np.ndarray:
     return _fft.fftn(values, overwrite_x=overwrite)
 
@@ -61,14 +58,6 @@ class Grid:
     @property
     def cell_volume(self) -> float:
         return self.spacing**self.dim
-
-    @property
-    def freq_spacing(self) -> float:
-        return np.pi / self.half_width
-
-    @property
-    def freq_max(self) -> float:
-        return self.freq_spacing * (self.points_per_axis // 2)
 
     @cached_property
     def axis(self) -> np.ndarray:
@@ -177,9 +166,6 @@ class SpaceTimeField:
         for j in range(self.n_times):
             yield self.slice(j)
 
-    def copy(self) -> "SpaceTimeField":
-        return SpaceTimeField(self.grid, self.times.copy(), self.values.copy())
-
     def __add__(self, other: "SpaceTimeField") -> "SpaceTimeField":
         return SpaceTimeField(self.grid, self.times, self.values + other.values)
 
@@ -190,16 +176,6 @@ class SpaceTimeField:
         return SpaceTimeField(self.grid, self.times, self.values * factor)
 
     __rmul__ = __mul__
-
-
-def plane_wave(grid: Grid, mode: Sequence[int]) -> Field:
-    """``exp(i xi . x)`` for the lattice frequency ``xi = (pi/L) * mode``."""
-    if len(mode) != grid.dim:
-        raise ValueError(f"mode needs {grid.dim} integers, got {len(mode)}")
-    phase = np.zeros(grid.shape)
-    for j, m in enumerate(mode):
-        phase = phase + (np.pi / grid.half_width) * m * grid.coord(j)
-    return Field(grid, np.exp(1j * phase))
 
 
 def gaussian(grid: Grid, width: float = 1.0, center: float = 0.0) -> Field:

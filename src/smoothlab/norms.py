@@ -1,10 +1,10 @@
-"""Composite shell norms: annulus sums, weighted Sobolev sums, local-energy
-functionals, space-time smoothing norms, the phase-localized norm and the
-three-way equivalence report.
+"""Composite shell norms: annulus sums, weighted Sobolev sums, space-time
+smoothing norms, the phase-localized norm and the three-way equivalence
+report.
 
-Every dyadic shell sum runs over the finite range of a DyadicDecomposition
-and is assembled by ``dyadic.seq_norm``; ``lqa_tail_fraction`` gives the
-share of the two boundary shells, the truncation tail.
+Every dyadic shell sum runs over the finite range of a DyadicDecomposition,
+whose two boundary shells are truncation tail, and is assembled by
+``dyadic.seq_norm``.
 """
 
 from __future__ import annotations
@@ -82,26 +82,6 @@ def annulus_sup_norm(f: Field, decomp: DyadicDecomposition) -> float:
     return seq_norm({k: annulus_l2(f, k) for k in decomp.shells}, math.inf, -0.5)
 
 
-def morrey_campanato(f: Field) -> float:
-    """Scale-invariant local energy: sup_R (R^-1 int_{|x|<=R} |f|^2)^(1/2).
-
-    The sup over all R > 0 is evaluated on a dyadic ladder (with arithmetic
-    midpoints) spanning grid spacing to box half-width; the integrand is
-    monotone in R between ladder points up to quadrature error.
-    """
-    grid = f.grid
-    k_lo = math.ceil(math.log2(grid.spacing))
-    k_hi = math.floor(math.log2(grid.half_width))
-    ladder = [2.0**k for k in range(k_lo, k_hi + 1)]
-    r = grid.radius
-    a2 = np.abs(f.values) ** 2
-    best = 0.0
-    for R in sorted(ladder + [1.5 * R for R in ladder[:-1]]):
-        val = np.sum(a2[r <= R]) * grid.cell_volume / R
-        best = max(best, float(val))
-    return math.sqrt(best)
-
-
 # ---------------------------------------------------------------------------
 # weighted shell-Sobolev norms (the three equivalent forms)
 # ---------------------------------------------------------------------------
@@ -176,17 +156,6 @@ def lqa_sobolev_norm(
     """
     terms = lqa_shell_terms(f, decomp, spec, variant, p)
     return seq_norm(terms, spec.q, _shell_weight(spec, variant))
-
-
-def lqa_tail_fraction(f: Field, decomp: DyadicDecomposition, spec: NormSpec) -> float:
-    """Share of the two boundary shells in the D_then_mask norm at p = 2
-    (q-power mass; at q = inf the boundary max relative to the global max)."""
-    terms = lqa_shell_terms(f, decomp, spec)
-    total = seq_norm(terms, spec.q, spec.a)
-    if total == 0:
-        return 0.0
-    share = seq_norm({k: terms[k] for k in (decomp.k_min, decomp.k_max)}, spec.q, spec.a) / total
-    return share if math.isinf(spec.q) else share**spec.q
 
 
 # ---------------------------------------------------------------------------

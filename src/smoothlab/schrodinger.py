@@ -98,12 +98,9 @@ def _free_symbol(grid: Grid, t: float) -> np.ndarray:
     return np.exp(-1j * t * grid.freq_radius**2)
 
 
-def free_propagate(f: Field, t: float) -> Field:
-    """Exact spectral free flow over time t."""
-    return apply_multiplier(f, _free_symbol(f.grid, t))
-
-
 def free_evolution(f: Field, times: Sequence[float]) -> SpaceTimeField:
+    """Exact spectral free flow of f at each of the times, from one forward
+    transform."""
     times = np.asarray(times, dtype=float)
     symbols = (_free_symbol(f.grid, t) for t in times)
     vals = np.stack([g.values for g in apply_multipliers(f, symbols)])

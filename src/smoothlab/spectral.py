@@ -74,8 +74,7 @@ def apply_multipliers(f: Field, symbols: Iterable[np.ndarray]) -> Iterator[Field
 def multiplier_l2_norm(f: Field, symbol: np.ndarray) -> float:
     """|| ifft(symbol * fft f) ||_{L^2} by Plancherel, from one forward
     transform and no inverse."""
-    spec = symbol * _fftn(f.values)
-    return float(np.sqrt(np.sum(np.abs(spec) ** 2) * f.grid.cell_volume / f.grid.size))
+    return spectrum_l2_norm(Field(f.grid, symbol * _fftn(f.values)))
 
 
 def _in_place(transform, values: np.ndarray) -> np.ndarray:
@@ -117,27 +116,6 @@ def abs_freq_power(grid: Grid, s: float) -> np.ndarray:
     return out
 
 
-def fractional_laplacian(f: Field, s: float) -> Field:
-    """|D|^s f: Fourier coefficients scaled by |xi|^s, zero mode dropped."""
-    return apply_multiplier(f, abs_freq_power(f.grid, s))
-
-
-def riesz_transform(f: Field, axis: int) -> Field:
-    """Multiplier xi_axis / |xi| with the zero mode dropped.
-
-    Sign convention: the symbol is real, so sum_j R_j(R_j f) = f minus its
-    mean (no minus sign).
-    """
-    grid = f.grid
-    if not 0 <= axis < grid.dim:
-        raise ValueError(f"axis {axis} out of range for dim {grid.dim}")
-    r = grid.freq_radius
-    sym = np.zeros(grid.shape)
-    nz = r > 0
-    sym[nz] = (np.broadcast_to(grid.freq_coord(axis), grid.shape)[nz]) / r[nz]
-    return apply_multiplier(f, sym)
-
-
 def derivative(f: Field, axis: int) -> Field:
     """Spectral partial derivative i xi_axis."""
     grid = f.grid
@@ -177,10 +155,7 @@ def l2_norm(f: Field) -> float:
     return float(np.sqrt(np.sum(np.abs(f.values) ** 2) * f.grid.cell_volume))
 
 
-def inner_product(f: Field, g: Field) -> complex:
-    return complex(np.sum(f.values * np.conj(g.values)) * f.grid.cell_volume)
-
-
 def sobolev_norm(f: Field, s: float) -> float:
-    """Homogeneous Sobolev norm: L^2 norm of |D|^s f."""
-    return l2_norm(fractional_laplacian(f, s))
+    """Homogeneous Sobolev norm: L^2 norm of |D|^s f, from one forward
+    transform."""
+    return multiplier_l2_norm(f, abs_freq_power(f.grid, s))

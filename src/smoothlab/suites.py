@@ -18,18 +18,14 @@ from . import grid as grid_mod
 from .commutators import decay_scan, diagonal_scan
 from .discrete import (
     GEOMETRIC_ONE_SIDED,
+    OUTPUT_PAD,
     KernelSpec,
     bound_probe,
     geometric_row_value,
-    kernel_apply,
+    kernel_matrix,
     window_operator_norm,
 )
-from .dyadic import (
-    DyadicDecomposition,
-    WeightedSeq,
-    make_bump,
-    spatial_masks,
-)
+from .dyadic import DyadicDecomposition, make_bump, spatial_masks
 from .ensembles import DEFAULT_MODE_RADIUS, band_limited_field, member_rng, mode_band_fits
 from .grid import Grid
 from .harness import (
@@ -111,7 +107,6 @@ class ExperimentConfig:
     n_times: int = 9
     horizon: float = 1.0
     out: str | None = None
-    parallel: int = 1
 
     def validate(self) -> None:
         if self.suite not in SUITE_ANCHORS:
@@ -120,8 +115,6 @@ class ExperimentConfig:
             raise ValueError("seed is mandatory")
         if self.ensemble < 1:
             raise ValueError("ensemble must be >= 1")
-        if self.parallel < 1:
-            raise ValueError("parallel (FFT worker threads) must be >= 1")
         Grid(self.dim, self.half_width, self.points)  # grid preconditions
         if self.k_min >= self.k_max:
             raise ValueError("need k_min < k_max")
@@ -134,6 +127,11 @@ class ExperimentConfig:
             SHELL_SPEC.check_equivalence_admissible(self.dim)
         if self.suite == "semilinear":
             critical_exponent(self.dim, SEMILINEAR_WEIGHT)
+        # mixed-norm takes L^2 over the transverse fibers x' = (x_2, ..., x_n),
+        # and product-interp's Sobolev embedding exponent 2n/(n-1) is finite
+        # only for n >= 2
+        if self.suite in ("mixed-norm", "product-interp") and self.dim < 2:
+            raise ValueError(f"{self.suite} needs dimension >= 2, got {self.dim}")
 
     def grid(self) -> Grid:
         return Grid(self.dim, self.half_width, self.points)
@@ -373,13 +371,13 @@ def run_discrete_bounds(cfg: ExperimentConfig) -> SuiteResult:
                     f"estimates {tuple(round(e, 6) for e in probe.estimates)}",
                 )
             )
-    # exact geometric values for the flat input at the canonical exponents
+    # exact geometric values for the flat input at the canonical exponents:
+    # its output is the row sums of the kernel matrix, and output index -K
+    # is row OUTPUT_PAD
     K = KERNEL_WINDOWS[-1]
-    spec = KernelSpec(0.5, 0.5, 1.0)
-    flat = WeightedSeq.ones(range(-K, K + 1))
-    out = kernel_apply(flat, spec)
-    sup = max(abs(v) for v in out.entries.values())
-    edge = abs(out[-K])
+    flat_out = kernel_matrix(KernelSpec(0.5, 0.5, 1.0), K).sum(axis=1)
+    sup = float(flat_out.max())
+    edge = float(flat_out[OUTPUT_PAD])
     err_row = abs(sup - geometric_row_value(K))
     err_edge = abs(edge - GEOMETRIC_ONE_SIDED)
     rows.append({"check": "flat_sup_vs_geometric_row", "value": sup,

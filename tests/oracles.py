@@ -1,0 +1,101 @@
+"""Reference implementations the tests check the package against.
+
+No suite runs these.  They are closed forms, textbook operators and
+plain constructors that the tests use as independent oracles: the dyadic
+decomposition with the default bump, lattice plane waves, the L^2 inner
+product, the Morrey-Campanato local energy, the one-sided geometric edge
+value of the discrete kernel, the boundary-shell share of a shell norm,
+the Riesz transforms (whose identities pin the zero-mode convention of the
+multiplier pathway) and the fractional Laplacian as a transform pair.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from smoothlab.discrete import SEPARATION
+from smoothlab.dyadic import DyadicDecomposition, make_bump, seq_norm
+from smoothlab.grid import Field, Grid
+from smoothlab.norms import NormSpec, lqa_shell_terms
+from smoothlab.spectral import abs_freq_power, apply_multiplier
+
+
+def default_decomposition(k_min: int = -2, k_max: int = 3) -> DyadicDecomposition:
+    return DyadicDecomposition(make_bump(), k_min, k_max)
+
+
+def plane_wave(grid: Grid, mode: Sequence[int]) -> Field:
+    """``exp(i xi . x)`` for the lattice frequency ``xi = (pi/L) * mode``."""
+    if len(mode) != grid.dim:
+        raise ValueError(f"mode needs {grid.dim} integers, got {len(mode)}")
+    phase = np.zeros(grid.shape)
+    for j, m in enumerate(mode):
+        phase = phase + (np.pi / grid.half_width) * m * grid.coord(j)
+    return Field(grid, np.exp(1j * phase))
+
+
+def inner_product(f: Field, g: Field) -> complex:
+    return complex(np.sum(f.values * np.conj(g.values)) * f.grid.cell_volume)
+
+
+def morrey_campanato(f: Field) -> float:
+    """Scale-invariant local energy: sup_R (R^-1 int_{|x|<=R} |f|^2)^(1/2).
+
+    The sup over all R > 0 is evaluated on a dyadic ladder (with arithmetic
+    midpoints) spanning grid spacing to box half-width; the integrand is
+    monotone in R between ladder points up to quadrature error.
+    """
+    grid = f.grid
+    k_lo = math.ceil(math.log2(grid.spacing))
+    k_hi = math.floor(math.log2(grid.half_width))
+    ladder = [2.0**k for k in range(k_lo, k_hi + 1)]
+    r = grid.radius
+    a2 = np.abs(f.values) ** 2
+    best = 0.0
+    for R in sorted(ladder + [1.5 * R for R in ladder[:-1]]):
+        val = np.sum(a2[r <= R]) * grid.cell_volume / R
+        best = max(best, float(val))
+    return math.sqrt(best)
+
+
+def geometric_edge_value(window: int) -> float:
+    """One-sided geometric series sum_{j=4}^{2K} 2^(-j/2): the output value
+    at the bottom edge of the window for the flat input on [-K, K] at
+    lambda = mu = 1/2, beta = 1."""
+    r = 2.0**-0.5
+    return (r**SEPARATION - r ** (2 * window + 1)) / (1.0 - r)
+
+
+def lqa_tail_fraction(f: Field, decomp: DyadicDecomposition, spec: NormSpec) -> float:
+    """Share of the two boundary shells in the D_then_mask norm at p = 2
+    (q-power mass; at q = inf the boundary max relative to the global max)."""
+    terms = lqa_shell_terms(f, decomp, spec)
+    total = seq_norm(terms, spec.q, spec.a)
+    if total == 0:
+        return 0.0
+    share = seq_norm({k: terms[k] for k in (decomp.k_min, decomp.k_max)}, spec.q, spec.a) / total
+    return share if math.isinf(spec.q) else share**spec.q
+
+
+def riesz_transform(f: Field, axis: int) -> Field:
+    """Multiplier xi_axis / |xi| with the zero mode dropped.
+
+    Sign convention: the symbol is real, so sum_j R_j(R_j f) = f minus its
+    mean (no minus sign).
+    """
+    grid = f.grid
+    if not 0 <= axis < grid.dim:
+        raise ValueError(f"axis {axis} out of range for dim {grid.dim}")
+    r = grid.freq_radius
+    sym = np.zeros(grid.shape)
+    nz = r > 0
+    sym[nz] = (np.broadcast_to(grid.freq_coord(axis), grid.shape)[nz]) / r[nz]
+    return apply_multiplier(f, sym)
+
+
+def fractional_laplacian(f: Field, s: float) -> Field:
+    """|D|^s f: Fourier coefficients scaled by |xi|^s, zero mode dropped."""
+    return apply_multiplier(f, abs_freq_power(f.grid, s))

@@ -184,26 +184,27 @@ def test_criterion_9_mixed_norm():
 def test_criterion_10_free_propagator():
     with criterion(10, "free propagator exactness") as rec:
         t0 = time.time()
-        from smoothlab.grid import Grid, gaussian, plane_wave
-        from smoothlab.schrodinger import free_propagate
+        from oracles import plane_wave
+        from smoothlab.grid import Grid, gaussian
+        from smoothlab.schrodinger import free_evolution
         from smoothlab.spectral import l2_norm
 
         g3 = Grid(3, 8.0, 16)
         pw = plane_wave(g3, (1, 0, 2))
         xi2 = (np.pi / 8) ** 2 * 5
         phase_err = float(np.abs(
-            free_propagate(pw, 0.3).values - np.exp(-1j * 0.3 * xi2) * pw.values
+            free_evolution(pw, [0.3]).slice(0).values - np.exp(-1j * 0.3 * xi2) * pw.values
         ).max())
 
         g1 = Grid(1, 20.0, 256)
         u = gaussian(g1)
         m0 = l2_norm(u)
         for _ in range(1000):
-            u = free_propagate(u, 1e-3)
+            u = free_evolution(u, [1e-3]).slice(0)
         drift = abs(l2_norm(u) - m0) / m0
 
         t_ev = 0.1
-        evolved = free_propagate(gaussian(g1), t_ev)
+        evolved = free_evolution(gaussian(g1), [t_ev]).slice(0)
         x = g1.axis
         exact = (1 + 2j * t_ev) ** -0.5 * np.exp(-(x**2) / (2 * (1 + 2j * t_ev)))
         gauss_err = float(np.abs(evolved.values - exact).max())
@@ -220,7 +221,7 @@ def test_criterion_10_free_propagator():
 def test_criterion_11_magnetic_self_convergence():
     with criterion(11, "magnetic splitting order and mass") as rec:
         t0 = time.time()
-        from smoothlab.dyadic import default_decomposition
+        from oracles import default_decomposition
         from smoothlab.ensembles import band_limited_field, member_rng
         from smoothlab.grid import Grid
         from smoothlab.schrodinger import bump_potential, magnetic_solve, smallness_audit

@@ -3,7 +3,6 @@ import subprocess
 import sys
 
 import pytest
-import scipy.fft
 
 from smoothlab import cli, suites
 from smoothlab.cli import INTERNAL_ERROR, main, parse_config_file
@@ -47,19 +46,12 @@ class TestConfig:
     def test_bad_shells_format(self):
         assert main(["--suite", "partition", "--seed", "1", "--shells", "oops"]) == 2
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_parallel_below_one_rejected(self, tmp_path, workers):
+    def test_parallel_is_an_unknown_flag(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["--suite", "partition", "--seed", "1", "--out", str(out),
-                   "--parallel", workers])
+                   "--parallel", "2"])
         assert rc == 2
         assert not out.exists()
-
-    def test_parallel_reset_after_run(self, tmp_path):
-        rc = main(["--suite", "partition", "--seed", "1", "--out", str(tmp_path / "out"),
-                   "--parallel", "4"])
-        assert rc == 0
-        assert scipy.fft.get_workers() == 1
 
     @pytest.mark.parametrize("suite", sorted(SUITE_ANCHORS))
     def test_default_config_validates(self, suite):
@@ -184,6 +176,8 @@ class TestRunOutputs:
         ("--suite", "mixed-norm", "--grid", "16"),  # nor the points // 2 grid
         ("--suite", "resolvent-nd", "--grid", "8"),
         ("--suite", "equivalence", "--dim", "1"),  # |a| + |s| >= n/2
+        ("--suite", "product-interp", "--dim", "1"),  # embedding exponent 2n/(n-1)
+        ("--suite", "mixed-norm", "--dim", "1"),  # no transverse fibers x'
     ])
     def test_unrunnable_config_exits_2_before_work(self, tmp_path, args, monkeypatch):
         def unreachable(cfg):

@@ -14,14 +14,13 @@ from smoothlab.commutators import (
     operator_norm,
     predicted_exponent,
 )
-from smoothlab.dyadic import default_decomposition, spatial_masks
+from oracles import default_decomposition, fractional_laplacian, inner_product
+from smoothlab.dyadic import spatial_masks
 from smoothlab.ensembles import band_limited_field, member_rng
 from smoothlab.grid import Field, Grid
 from smoothlab.spectral import (
     abs_freq_power,
     apply_multiplier,
-    fractional_laplacian,
-    inner_product,
     l2_norm,
     mean_zero,
 )

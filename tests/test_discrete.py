@@ -1,56 +1,44 @@
 import math
 
-import numpy as np
 import pytest
 
+from oracles import geometric_edge_value
 from smoothlab.discrete import (
     GEOMETRIC_ONE_SIDED,
+    OUTPUT_PAD,
     KernelSpec,
     bound_probe,
-    geometric_edge_value,
     geometric_row_value,
-    kernel_apply,
+    kernel_matrix,
     window_operator_norm,
 )
-from smoothlab.dyadic import WeightedSeq, seq_norm
+from smoothlab.dyadic import seq_norm
 
 SPEC = KernelSpec(0.5, 0.5, 1.0)
 
 
 class TestKernelApply:
     def test_impulse_response(self):
-        b = kernel_apply(WeightedSeq.impulse(0), SPEC)
+        # column k = 0 is the output of the impulse at 0
+        K = 12
+        b = dict(zip(range(-K - OUTPUT_PAD, K + OUTPUT_PAD + 1), kernel_matrix(SPEC, K)[:, K]))
         for m in range(-12, 13):
             expected = 2.0 ** (-abs(m) / 2) if abs(m) >= 4 else 0.0
             assert abs(b[m] - expected) < 1e-15
         assert seq_norm(b, math.inf, 0.0) == 0.25
 
-    def test_zero_input(self):
-        assert kernel_apply(WeightedSeq({}), SPEC).entries == {}
-
-    def test_linearity_exact(self):
-        rng = np.random.default_rng(0)
-        window = range(-30, 31)
-        a1 = WeightedSeq({int(k): complex(*rng.standard_normal(2))
-                          for k in rng.integers(-6, 7, 5)})
-        a2 = WeightedSeq({int(k): complex(*rng.standard_normal(2))
-                          for k in rng.integers(-6, 7, 5)})
-        lhs = kernel_apply(a1 + a2, SPEC, out_window=window)
-        rhs = kernel_apply(a1, SPEC, out_window=window) + kernel_apply(
-            a2, SPEC, out_window=window)
-        assert lhs.allclose(rhs, tol=1e-14)
-
 
 class TestBoundProbe:
     def test_flat_input_geometric_values(self):
         K = 64
-        flat = WeightedSeq.ones(range(-K, K + 1))
-        out = kernel_apply(flat, SPEC)
-        sup = max(abs(v) for v in out.entries.values())
+        flat_out = kernel_matrix(SPEC, K).sum(axis=1)
+        sup = flat_out.max()
         assert abs(sup - geometric_row_value(K)) < 1e-12
         assert abs(sup - 2 * GEOMETRIC_ONE_SIDED) < 1e-6
-        assert abs(abs(out[-K]) - geometric_edge_value(K)) < 1e-12
-        assert abs(abs(out[-K]) - GEOMETRIC_ONE_SIDED) < 1e-6
+        assert sup == window_operator_norm(SPEC, math.inf, K)
+        edge = flat_out[OUTPUT_PAD]  # output index -K
+        assert abs(edge - geometric_edge_value(K)) < 1e-12
+        assert abs(edge - GEOMETRIC_ONE_SIDED) < 1e-6
 
     def test_q1_column_sums_uniform(self):
         # column sums are the exact l1 -> l1 norm and stay bounded in K

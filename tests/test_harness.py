@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from smoothlab import harness
-from smoothlab.dyadic import default_decomposition, spatial_masks
+from oracles import default_decomposition
+from smoothlab.dyadic import spatial_masks
 from smoothlab.ensembles import band_limited_field, band_limited_spacetime, member_rng
 from smoothlab.grid import Field, Grid, SpaceTimeField
 from smoothlab.harness import (

@@ -8,9 +8,10 @@ import; the annulus indicator stays private to ``norms``, whose
 norm of a multiplied field goes through ``spectral.multiplier_l2_norm``,
 which needs no inverse transform: no module writes ``l2_norm`` or
 ``lp_norm(..., 2)`` of an ``apply_multiplier`` call.  No
-module imports a name it does not use, no public function or class goes
-unused outside the tests except the listed test oracles, and every suite
-runner takes the config alone.  Every dyadic shell sum is assembled by
+module imports a name it does not use, no public function, class, method
+or property goes unused outside the tests (the reference implementations
+only tests call live in ``tests/oracles.py``), and every suite runner takes
+the config alone.  Every dyadic shell sum is assembled by
 ``dyadic.seq_norm``: no module reduces a comprehension over a shell range
 with ``sum``, ``max`` or ``min``.  The only process-lifetime caches are the
 two mask caches, and ``CommutatorOp`` builds its masks and symbols in one
@@ -234,37 +235,45 @@ def test_commutator_factors_built_in_one_cached_property():
     ]
 
 
-#: public names that only tests call: reference implementations the
-#: tests check suite code against, the boundary-shell share kept for a
-#: per-run diagnostics report, and the Riesz transforms, whose identities
-#: pin the zero-mode convention of the multiplier pathway
-TEST_ORACLES = {
-    "default_decomposition",
-    "plane_wave",
-    "free_propagate",
-    "inner_product",
-    "morrey_campanato",  # the upper bound of test_dual_bound_against_morrey
-    "geometric_edge_value",  # closed form that kernel_apply is tested against
-    "lqa_tail_fraction",
-    "riesz_transform",  # sum_j R_j^2 = I - mean checks the zero-mode convention
-}
 BENCH_FILES = sorted((Path(smoothlab.__file__).parents[2] / "bench").glob("*.py"))
 
 
+def _units(path: Path) -> list[tuple[ast.AST, str, set[str]]]:
+    """(node, qualified name, names used) for each top-level statement, and
+    for the header and each member of a top-level class, so that a method
+    used only by its own body has no caller."""
+    out = []
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, ast.ClassDef):
+            header = stmt.bases + stmt.keywords + stmt.decorator_list
+            out.append((stmt, stmt.name, set().union(*map(_names, header))))
+            out += [(m, f"{stmt.name}.{getattr(m, 'name', '')}", _names(m)) for m in stmt.body]
+        else:
+            out.append((stmt, getattr(stmt, "name", ""), _names(stmt)))
+    return out
+
+
 def test_every_public_definition_has_a_caller():
-    # the names each top-level statement of src/ and bench/ uses; a
-    # definition's own body does not count as a caller
-    statements = [
-        (path, stmt, _names(stmt))
-        for path in MODULES + BENCH_FILES
-        for stmt in ast.parse(path.read_text()).body
+    # every public function and class of src/, and every public method and
+    # property of a public class, is named by a statement of src/ or bench/
+    # outside its own definition; code under tests/ does not count, and the
+    # reference implementations only tests call live in tests/oracles.py
+    units = [(path, qualname, names)
+             for path in MODULES + BENCH_FILES for _, qualname, names in _units(path)]
+    definitions = [
+        (path, qualname, node.name)
+        for path in MODULES for node, qualname, _ in _units(path)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(part.startswith("_") for part in qualname.split("."))
     ]
     unused = [
-        stmt.name
-        for path, stmt, _ in statements
-        if path in MODULES
-        and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and not stmt.name.startswith("_")
-        and not any(stmt.name in names for _, other, names in statements if other is not stmt)
+        qualname
+        for path, qualname, name in definitions
+        if not any(
+            name in names
+            for other, other_qualname, names in units
+            if not (other == path and (other_qualname == qualname
+                                       or other_qualname.startswith(qualname + ".")))
+        )
     ]
-    assert sorted(unused) == sorted(TEST_ORACLES)
+    assert unused == []

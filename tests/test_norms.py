@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import default_decomposition, lqa_tail_fraction, morrey_campanato
 from smoothlab.dyadic import (
-    default_decomposition,
     frequency_masks,
     make_bump,
     seq_norm,
@@ -23,8 +23,6 @@ from smoothlab.norms import (
     forcing_norm,
     lqa_shell_terms,
     lqa_sobolev_norm,
-    lqa_tail_fraction,
-    morrey_campanato,
     phase_localized_norm,
     smoothing_norm,
     weight_product_mask,

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from smoothlab.dyadic import default_decomposition
+from oracles import default_decomposition
 from smoothlab.ensembles import band_limited_spacetime, member_rng
 from smoothlab.grid import Grid, SpaceTimeField, gaussian
 from smoothlab.schrodinger import magnetic_solve, zero_potential, bump_potential

@@ -3,19 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from smoothlab.grid import Field, Grid, gaussian, plane_wave
+from oracles import fractional_laplacian, plane_wave, riesz_transform
+from smoothlab.grid import Field, Grid, gaussian
 from smoothlab.spectral import (
     abs_freq_power,
     apply_multiplier,
     apply_multipliers,
     derivative,
-    fractional_laplacian,
     gradient,
     l2_norm,
     lp_norm,
     mean_zero,
     multiplier_l2_norm,
-    riesz_transform,
     sobolev_norm,
 )
 
@@ -147,6 +146,15 @@ class TestNorms:
         got = multiplier_l2_norm(f, sym)
         assert fft_calls == ["fftn"]
         assert math.isclose(got, expected, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, -0.5])
+    def test_sobolev_norm_from_one_transform(self, grid3, s, fft_calls):
+        f = random_field(grid3, 11)
+        expected = l2_norm(fractional_laplacian(f, s))
+        fft_calls.clear()
+        got = sobolev_norm(f, s)
+        assert fft_calls == ["fftn"]
+        assert math.isclose(got, expected, rel_tol=1e-14)
 
     def test_lp_constant_volume(self, grid3):
         one = Field(grid3, np.ones(grid3.shape, dtype=complex))
