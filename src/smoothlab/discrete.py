@@ -3,9 +3,10 @@
 The kernel is t_{k,m} = 2^(m lambda) 2^(k mu) 2^(-beta max(m,k)), summed
 over |k - m| >= 4.  ``kernel_matrix`` samples it on a finite input window
 and a padded output window; everything here is a finite sum in double
-precision.  The boundedness certificates check that exact window operator
-norms settle as the window grows, and compare flat-input outputs (the row
-sums of the matrix) against exact geometric-series values.
+precision.  The boundedness certificates check that exact unweighted
+l^q -> l^q window operator norms settle as the window grows, and compare
+flat-input outputs (the row sums of the matrix) against exact
+geometric-series values.
 """
 
 from __future__ import annotations
@@ -34,11 +35,6 @@ class KernelSpec:
     mu: float
     beta: float
 
-    def conjugated(self, sigma: float, nu: float) -> "KernelSpec":
-        """Kernel of J^sigma T J^(-nu): exponents shift to
-        (lambda + sigma, mu - nu) with beta unchanged."""
-        return KernelSpec(self.lam + sigma, self.mu - nu, self.beta)
-
 
 def kernel_matrix(spec: KernelSpec, window: int) -> np.ndarray:
     """Dense kernel matrix T[m, k] = t_{k,m} on input window [-K, K], output
@@ -57,26 +53,17 @@ def kernel_matrix(spec: KernelSpec, window: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def window_operator_norm(
-    spec: KernelSpec,
-    q: float,
-    window: int,
-    *,
-    sigma: float = 0.0,
-    nu: float = 0.0,
-) -> float:
-    """Exact l^{q,sigma} -> l^{q,nu} norm of the kernel on a window, for
+def window_operator_norm(spec: KernelSpec, q: float, window: int) -> float:
+    """Exact unweighted l^q -> l^q norm of the kernel on a window, for
     q in {1, 2, inf}.
 
-    The weighted case reduces exactly to the plain norm of the conjugated
-    kernel.  q = 1 and q = inf use the column / row sum formulas; q = 2 is
-    the largest singular value of the window matrix.  Any other finite q
-    gets the q = 2 value.
+    q = 1 and q = inf use the column / row sum formulas; q = 2 is the
+    largest singular value of the window matrix.  Any other finite q gets
+    the q = 2 value.
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    work = spec.conjugated(sigma, nu) if (sigma or nu) else spec
-    T = kernel_matrix(work, window)
+    T = kernel_matrix(spec, window)
     if q == 1:
         return float(np.abs(T).sum(axis=0).max())
     if math.isinf(q):
@@ -86,12 +73,10 @@ def window_operator_norm(
 
 @dataclass
 class BoundProbe:
-    """Stability report for one (spec, q, sigma, nu) probe across windows."""
+    """Stability report for one (spec, q) probe across windows."""
 
     spec: KernelSpec
     q: float
-    sigma: float
-    nu: float
     windows: tuple[int, ...]
     estimates: tuple[float, ...]
     drifts: tuple[float, ...]
@@ -105,8 +90,9 @@ class BoundProbe:
                     "lam": self.spec.lam,
                     "mu": self.spec.mu,
                     "beta": self.spec.beta,
-                    "sigma": self.sigma,
-                    "nu": self.nu,
+                    # unweighted probe; the zero weights keep the results.csv layout
+                    "sigma": 0.0,
+                    "nu": 0.0,
                     "q": self.q,
                     "K": K,
                     "estimate": est,
@@ -120,32 +106,17 @@ def bound_probe(
     spec: KernelSpec,
     q: float,
     window_sizes: Sequence[int] = (8, 16, 32, 64),
-    *,
-    sigma: float = 0.0,
-    nu: float = 0.0,
 ) -> BoundProbe:
     """Probe the window operator norms and declare stability when the last
     consecutive pair of estimates differs by less than ``STABILITY_TOL``.
-
-    Weighted probes require lambda + sigma > 0 and mu - nu > 0.
     """
-    if sigma or nu:
-        if not spec.lam + sigma > 0:
-            raise ValueError(f"weighted probe needs lambda + sigma > 0, got {spec.lam + sigma}")
-        if not spec.mu - nu > 0:
-            raise ValueError(f"weighted probe needs mu - nu > 0, got {spec.mu - nu}")
-    estimates = [
-        window_operator_norm(spec, q, K, sigma=sigma, nu=nu)
-        for K in window_sizes
-    ]
+    estimates = [window_operator_norm(spec, q, K) for K in window_sizes]
     drifts = [
         abs(b - a) / a if a > 0 else math.inf
         for a, b in zip(estimates[:-1], estimates[1:])
     ]
     stable = bool(drifts) and drifts[-1] < STABILITY_TOL
-    return BoundProbe(
-        spec, q, sigma, nu, tuple(window_sizes), tuple(estimates), tuple(drifts), stable
-    )
+    return BoundProbe(spec, q, tuple(window_sizes), tuple(estimates), tuple(drifts), stable)
 
 
 def geometric_row_value(window: int) -> float:

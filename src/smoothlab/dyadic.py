@@ -1,9 +1,9 @@
 """Dyadic partitions of unity in space and frequency, and the weighted
 sequence norm that assembles every dyadic shell sum.
 
-The bump profile is fixed once and for all as the telescoping difference
-``phi(s) = chi(s) - chi(2 s)`` of a smooth monotone step ``chi`` built from
-the standard ``exp(-1/t)`` mollifier, so that every build produces
+The bump ``bump(s) = phi(s) = chi(s) - chi(2 s)`` is fixed once and for
+all as the telescoping difference of a smooth monotone step ``chi`` built
+from the standard ``exp(-1/t)`` mollifier, so that every build produces
 bit-comparable masks.  ``chi`` equals 1 on ``(0, 1]`` and 0 on ``[2, inf)``,
 hence ``phi`` is nonnegative, supported in ``(1/2, 2)``, and the shifted
 family ``phi(s / 2^k)`` sums to 1 for every ``s > 0``.
@@ -49,29 +49,21 @@ def smooth_cutoff(s):
     return smooth_step(2.0 - np.asarray(s, dtype=float))
 
 
-@dataclass(frozen=True)
-class BumpProfile:
+def bump(s):
     """The radial bump phi(s) = chi(s) - chi(2s), supported in (1/2, 2)."""
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        return smooth_cutoff(s) - smooth_cutoff(2.0 * s)
-
-
-def make_bump() -> BumpProfile:
-    return BumpProfile()
+    s = np.asarray(s, dtype=float)
+    return smooth_cutoff(s) - smooth_cutoff(2.0 * s)
 
 
 @dataclass(frozen=True)
 class DyadicDecomposition:
-    """A finite range of dyadic shells sharing one bump profile.
+    """A finite range of dyadic shells of the one bump.
 
     Shell ``k`` refers to the annulus ``2^(k-1) <= r <= 2^(k+1)``; the
     spatial mask is ``Q_k(x) = phi(|x| / 2^k)`` and the frequency mask is
-    the same profile on the lattice ``|xi|``.
+    the same bump on the lattice ``|xi|``.
     """
 
-    profile: BumpProfile
     k_min: int
     k_max: int
 
@@ -92,18 +84,17 @@ class DyadicDecomposition:
         r = np.asarray(r, dtype=float)
         total = np.zeros_like(r)
         for k in self.shells:
-            total = total + self.profile(r / 2.0**k)
+            total = total + bump(r / 2.0**k)
         return total
 
     def shift(self, j: int) -> "DyadicDecomposition":
-        return DyadicDecomposition(self.profile, self.k_min + j, self.k_max + j)
+        return DyadicDecomposition(self.k_min + j, self.k_max + j)
 
 
 @dataclass
 class MaskFamily:
     """Shell-indexed family of real mask arrays over one grid."""
 
-    decomposition: DyadicDecomposition
     grid: Grid
     masks: dict[int, np.ndarray]
 
@@ -115,22 +106,22 @@ class MaskFamily:
 
 
 @lru_cache(maxsize=64)
-def _cached_masks(profile: BumpProfile, grid: Grid, kind: str, k: int) -> np.ndarray:
-    """The shell-k mask ``profile(r / 2^k)``, one read-only array per shell.
+def _cached_masks(grid: Grid, kind: str, k: int) -> np.ndarray:
+    """The shell-k mask ``bump(r / 2^k)``, one read-only array per shell.
 
     Entries are keyed by shell, not by decomposition, so every
     decomposition that holds shell k on this grid shares one array.  The
     cache is bounded at 64 arrays (128 MiB at 64^3).
     """
     r = grid.radius if kind == "spatial" else grid.freq_radius
-    mask = profile(r / 2.0**k)
+    mask = bump(r / 2.0**k)
     mask.flags.writeable = False
     return mask
 
 
 def _mask_family(decomp: DyadicDecomposition, grid: Grid, kind: str) -> MaskFamily:
-    masks = {k: _cached_masks(decomp.profile, grid, kind, k) for k in decomp.shells}
-    return MaskFamily(decomp, grid, masks)
+    masks = {k: _cached_masks(grid, kind, k) for k in decomp.shells}
+    return MaskFamily(grid, masks)
 
 
 def spatial_masks(decomp: DyadicDecomposition, grid: Grid) -> MaskFamily:
@@ -177,7 +168,7 @@ class MaskAudit:
         return self.nonzero_samples >= RESOLVED_MIN_SAMPLES and lo <= self.mass_ratio <= hi
 
 
-def _continuum_mask_mass(profile: BumpProfile, k: int, dim: int) -> float:
+def _continuum_mask_mass(k: int, dim: int) -> float:
     # int Q_k(x)^2 dx over R^n by radial midpoint quadrature on the support
     lo, hi = 2.0 ** (k - 1), 2.0 ** (k + 1)
     r = np.linspace(lo, hi, 2049)
@@ -186,7 +177,7 @@ def _continuum_mask_mass(profile: BumpProfile, k: int, dim: int) -> float:
     sphere = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}.get(dim)
     if sphere is None:
         sphere = dim * np.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
-    vals = profile(mid / 2.0**k) ** 2 * sphere * mid ** (dim - 1)
+    vals = bump(mid / 2.0**k) ** 2 * sphere * mid ** (dim - 1)
     return float(np.sum(vals * w))
 
 
@@ -198,7 +189,7 @@ def mask_resolution_audit(family: MaskFamily) -> dict[int, MaskAudit]:
         m = family[k]
         nz = int(np.count_nonzero(m))
         disc = float(np.sum(m**2) * grid.cell_volume)
-        cont = _continuum_mask_mass(family.decomposition.profile, k, grid.dim)
+        cont = _continuum_mask_mass(k, grid.dim)
         out[k] = MaskAudit(k, nz, disc, cont)
     return out
 

@@ -114,9 +114,6 @@ class Field:
                 f"sample shape {self.values.shape} does not match grid {self.grid.shape}"
             )
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
     def __add__(self, other: "Field") -> "Field":
         return Field(self.grid, self.values + other.values)
 

@@ -218,20 +218,24 @@ def _lowpass(F: SpaceTimeField, threshold: float) -> SpaceTimeField:
     return SpaceTimeField(F.grid, F.times, vals)
 
 
+#: shells j of the frequency thresholds 2^j that split the endpoint forcing
+ENDPOINT_THRESHOLD_SHELLS = (-2, -1, 0, 1, 2)
+
+
 def verify_free_endpoint(
     grid: Grid,
     decomp: DyadicDecomposition,
     times: Sequence[float],
     ensemble: int = 10,
     seed: int = 0,
-    threshold_shells: Sequence[int] = (-2, -1, 0, 1, 2),
 ) -> EstimateReport:
     """Endpoint bound: sup-L^2 plus smoothing norm of the solution against
     the data norm plus the best split of the forcing between the data-side
     space-time norm and L^1_t L^2_x.
 
     The split family is the trivial pair plus smooth frequency-threshold
-    splits at 2^j; the minimizing split is recorded per member.
+    splits at 2^j for j in ``ENDPOINT_THRESHOLD_SHELLS``; the minimizing
+    split is recorded per member.
     """
     times = np.asarray(times, dtype=float)
     members = []
@@ -245,7 +249,7 @@ def verify_free_endpoint(
             "all-forcing-norm": forcing_norm(F, decomp),
             "all-l1l2": l1t_l2x_norm(F),
         }
-        for j in threshold_shells:
+        for j in ENDPOINT_THRESHOLD_SHELLS:
             low = _lowpass(F, 2.0**j)
             high = F - low
             splits[f"threshold-2^{j}"] = forcing_norm(low, decomp) + l1t_l2x_norm(high)
@@ -348,7 +352,6 @@ def _x1_profile(values: np.ndarray, grid: Grid, times: np.ndarray | None = None)
 
 def verify_resolvent_nd(
     grid: Grid,
-    lambdas: Sequence[complex] | None = None,
     ensemble: int = 20,
     seed: int = 0,
 ) -> EstimateReport:
@@ -362,12 +365,11 @@ def verify_resolvent_nd(
     """
     if grid.dim < 2:
         raise ValueError("needs dim >= 2")
-    if lambdas is None:
-        rng = member_rng(seed, 43)
-        lambdas = [
-            complex(rng.uniform(-4, 6), rng.choice([-1, 1]) * rng.uniform(0.5, 3.0))
-            for _ in range(20)
-        ]
+    rng = member_rng(seed, 43)
+    lambdas = [
+        complex(rng.uniform(-4, 6), rng.choice([-1, 1]) * rng.uniform(0.5, 3.0))
+        for _ in range(20)
+    ]
 
     def member(g: Grid, idx: int, lam: complex) -> dict:
         rng = member_rng(seed, 44, idx)

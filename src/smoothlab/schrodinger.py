@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dyadic import DyadicDecomposition, make_bump
+from .dyadic import DyadicDecomposition, bump
 from .grid import Field, Grid, SpaceTimeField
 from .norms import annulus_sup
 from .spectral import (
@@ -83,9 +83,8 @@ def bump_potential(
     grid: Grid, amplitude: float, shell: int = 0, direction: int = 0
 ) -> MagneticPotential:
     """Single radial bump on one dyadic shell along one axis."""
-    prof = make_bump()
     comps = [np.zeros(grid.shape) for _ in range(grid.dim)]
-    comps[direction] = amplitude * prof(grid.radius / 2.0**shell)
+    comps[direction] = amplitude * bump(grid.radius / 2.0**shell)
     return MagneticPotential(grid, tuple(comps))
 
 

@@ -5,7 +5,9 @@ linear solution, and each step feeds the nonlinearity ``V u |u|^(p-1)``
 of the previous iterate back through the magnetic solver.  Contraction is
 certified in the intersection norm (max of sup-in-time L^2 and the
 smoothing norm), and a bisection locates the empirical radius of initial
-data sizes for which every contraction ratio stays below 1.
+data sizes for which every contraction ratio stays below 1.  The potential
+``shell_potential`` is the bump on the unit shell; its shell weight
+exponent a enters only through the critical power ``critical_exponent``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import DyadicDecomposition, make_bump
+from .dyadic import DyadicDecomposition, bump
 from .grid import Field, Grid, SpaceTimeField
 from .norms import forcing_norm, smoothing_norm, sup_l2_norm
 from .schrodinger import MagneticPotential, magnetic_solve
@@ -36,11 +38,10 @@ def critical_exponent(n: int, a) -> Fraction:
 
 @dataclass
 class SemilinearPotential:
-    """Measurable potential V with its shell weight exponent a."""
+    """Measurable potential V on the grid."""
 
     grid: Grid
     values: np.ndarray
-    a: float
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -51,9 +52,9 @@ class SemilinearPotential:
         return bool(np.max(np.abs(self.values)) == 0.0)
 
 
-def shell_potential(grid: Grid, amplitude: float, shell: int = 0, a: float = 1.0) -> SemilinearPotential:
-    prof = make_bump()
-    return SemilinearPotential(grid, amplitude * prof(grid.radius / 2.0**shell), a)
+def shell_potential(grid: Grid, amplitude: float) -> SemilinearPotential:
+    """The bump on the unit shell, ``amplitude * phi(|x|)``."""
+    return SemilinearPotential(grid, amplitude * bump(grid.radius))
 
 
 def nonlinearity(u: SpaceTimeField, V: SemilinearPotential, p: float) -> SpaceTimeField:

@@ -25,7 +25,7 @@ from .discrete import (
     kernel_matrix,
     window_operator_norm,
 )
-from .dyadic import DyadicDecomposition, make_bump, spatial_masks
+from .dyadic import DyadicDecomposition, spatial_masks
 from .ensembles import DEFAULT_MODE_RADIUS, band_limited_field, member_rng, mode_band_fits
 from .grid import Grid
 from .harness import (
@@ -137,7 +137,7 @@ class ExperimentConfig:
         return Grid(self.dim, self.half_width, self.points)
 
     def decomposition(self) -> DyadicDecomposition:
-        return DyadicDecomposition(make_bump(), self.k_min, self.k_max)
+        return DyadicDecomposition(self.k_min, self.k_max)
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_times)
@@ -262,7 +262,7 @@ def _phase_constants(cfg: ExperimentConfig, points: int,
 
 
 def run_phase_localization(cfg: ExperimentConfig) -> SuiteResult:
-    freq_decomp = DyadicDecomposition(make_bump(), -2, 2)
+    freq_decomp = DyadicDecomposition(-2, 2)
     f_c, b_c = _phase_constants(cfg, cfg.points, freq_decomp)
     f_f, b_f = _phase_constants(cfg, cfg.points * 2, freq_decomp)
     # shells outside the box give zero constants, which fail the
@@ -322,16 +322,15 @@ def run_commutator_scan(cfg: ExperimentConfig) -> SuiteResult:
                 f"slope {scan.slope:.4f} over {scan.regression_points} resolved records",
             )
         )
-    # diagonal scale covariance on one fixed grid; the near-degenerate top
-    # of the normal operator needs deep power iteration, so this sub-check
-    # runs at a smaller grid where full convergence is affordable
+    # diagonal scale covariance on one fixed grid; its deep power iteration
+    # (DIAGONAL_ITERATIONS) runs at a smaller grid where full convergence
+    # is affordable
     g = Grid(cfg.dim, cfg.half_width, min(cfg.points, 32))
     decomp = cfg.decomposition()
     diag_band = range(-1, 3)
     worst = 0.0
     for s in COMMUTATOR_S_VALUES:
-        vals = diagonal_scan(s, diag_band, decomp, g, trials=2, iterations=120,
-                             tol=1e-9, seed=cfg.seed)
+        vals = diagonal_scan(s, diag_band, decomp, g, seed=cfg.seed)
         report["diagonal"][str(s)] = vals
         ks = sorted(vals)
         for a, b in zip(ks[:-1], ks[1:]):
@@ -412,10 +411,10 @@ def _member_rows(report, suite: str) -> list[dict]:
         rows.append({
             "suite": suite,
             "member": i,
-            "lhs": m.get("lhs", math.nan),
-            "rhs": m.get("rhs", math.nan),
-            "ratio": m.get("ratio", math.nan),
-            "degenerate": bool(m.get("degenerate", False)),
+            "lhs": m["lhs"],
+            "rhs": m["rhs"],
+            "ratio": m["ratio"],
+            "degenerate": bool(m["degenerate"]),
         })
     return rows
 
@@ -437,7 +436,7 @@ def run_kpv(cfg: ExperimentConfig) -> SuiteResult:
         _verdict("refinement-stability", drift < 0.15, f"drift {drift:.4f}"),
     ]
     rows = _member_rows(fine, "kpv") + [
-        {"suite": "kpv-coarse", "member": i, **{k: m.get(k, math.nan) for k in ("lhs", "rhs", "ratio")}}
+        {"suite": "kpv-coarse", "member": i, **{k: m[k] for k in ("lhs", "rhs", "ratio")}}
         for i, m in enumerate(coarse.members)
     ]
     return SuiteResult("kpv", SUITE_ANCHORS["kpv"], verdicts, rows,
@@ -481,12 +480,12 @@ def run_endpoint(cfg: ExperimentConfig) -> SuiteResult:
                                cfg.ensemble, cfg.seed)
     rows = _member_rows(rep, "endpoint")
     for row, m in zip(rows, rep.members):
-        row["best_split"] = m.get("best_split", "")
+        row["best_split"] = m["best_split"]
     verdicts = [
         _verdict("ratio-finite", 0 < rep.ratio < math.inf, f"max ratio {rep.ratio:.5f}"),
         _verdict("splits-explored",
-                 len({m.get("best_split") for m in rep.members}) >= 1,
-                 f"minimizers {sorted({m.get('best_split') for m in rep.members})}"),
+                 len({m["best_split"] for m in rep.members}) >= 1,
+                 f"minimizers {sorted({m['best_split'] for m in rep.members})}"),
     ]
     return SuiteResult("endpoint", SUITE_ANCHORS["endpoint"], verdicts, rows,
                        {"ratio": rep.ratio})
@@ -560,7 +559,7 @@ def run_product_interp(cfg: ExperimentConfig) -> SuiteResult:
                        _member_rows(rep, "product-interp"), {"probes": rep.probes})
 
 
-#: shell weight exponent a of the semilinear potential, and the Picard
+#: shell weight exponent a of the semilinear critical power, and the Picard
 #: convergence tolerance in the iteration norm
 SEMILINEAR_WEIGHT = 1.0
 PICARD_TOL = 1e-8
@@ -570,7 +569,7 @@ def run_semilinear(cfg: ExperimentConfig) -> SuiteResult:
     g = cfg.grid()
     decomp = cfg.decomposition()
     p = float(critical_exponent(cfg.dim, SEMILINEAR_WEIGHT))
-    V = shell_potential(g, 4.0, shell=0, a=SEMILINEAR_WEIGHT)
+    V = shell_potential(g, 4.0)
     A = zero_potential(g)
     prof = mean_zero(grid_mod.gaussian(g, width=0.5, center=1.5))
     times = cfg.times()
@@ -596,7 +595,7 @@ def run_semilinear(cfg: ExperimentConfig) -> SuiteResult:
     nl_bound = nonlinearity_forcing_bound(run.final, V, p, decomp)
 
     # V = 0 degenerates to the linear flow exactly
-    V0 = shell_potential(g, 0.0, shell=0, a=SEMILINEAR_WEIGHT)
+    V0 = shell_potential(g, 0.0)
     lin_run = picard_solve(prof * (0.05 / l2_norm(prof)), V0, A, p, times, decomp)
     linear = magnetic_solve(prof * (0.05 / l2_norm(prof)), A, None, times)
     lin_gap = contraction_norm(lin_run.final - linear, decomp)

@@ -1,11 +1,10 @@
 """Reference implementations the tests check the package against.
 
 No suite runs these.  They are closed forms, textbook operators and
-plain constructors that the tests use as independent oracles: the dyadic
-decomposition with the default bump, lattice plane waves, the L^2 inner
-product, the Morrey-Campanato local energy, the one-sided geometric edge
-value of the discrete kernel, the boundary-shell share of a shell norm,
-the Riesz transforms (whose identities pin the zero-mode convention of the
+plain constructors that the tests use as independent oracles: lattice
+plane waves, the L^2 inner product, the Morrey-Campanato local energy,
+the one-sided geometric edge value of the discrete kernel, the
+boundary-shell share of a shell norm, the Riesz transforms (whose identities pin the zero-mode convention of the
 multiplier pathway) and the fractional Laplacian as a transform pair.
 """
 
@@ -17,14 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from smoothlab.discrete import SEPARATION
-from smoothlab.dyadic import DyadicDecomposition, make_bump, seq_norm
+from smoothlab.dyadic import DyadicDecomposition, seq_norm
 from smoothlab.grid import Field, Grid
 from smoothlab.norms import NormSpec, lqa_shell_terms
 from smoothlab.spectral import abs_freq_power, apply_multiplier
-
-
-def default_decomposition(k_min: int = -2, k_max: int = 3) -> DyadicDecomposition:
-    return DyadicDecomposition(make_bump(), k_min, k_max)
 
 
 def plane_wave(grid: Grid, mode: Sequence[int]) -> Field:

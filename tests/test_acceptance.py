@@ -221,14 +221,14 @@ def test_criterion_10_free_propagator():
 def test_criterion_11_magnetic_self_convergence():
     with criterion(11, "magnetic splitting order and mass") as rec:
         t0 = time.time()
-        from oracles import default_decomposition
+        from smoothlab.dyadic import DyadicDecomposition
         from smoothlab.ensembles import band_limited_field, member_rng
         from smoothlab.grid import Grid
         from smoothlab.schrodinger import bump_potential, magnetic_solve, smallness_audit
         from smoothlab.spectral import l2_norm
 
         g = Grid(3, 8.0, 32)
-        decomp = default_decomposition(-2, 3)
+        decomp = DyadicDecomposition(-2, 3)
         unit = bump_potential(g, 1.0, shell=1)
         amp = 0.1 / smallness_audit(unit, decomp).total
         A = bump_potential(g, amp, shell=1)

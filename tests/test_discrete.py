@@ -52,23 +52,8 @@ class TestBoundProbe:
         probe = bound_probe(KernelSpec(lam, mu, lam + mu), q, (8, 16, 32, 64))
         assert probe.stable
         assert probe.drifts[-1] < 0.05
-
-    def test_weighted_reduces_to_conjugated_plain(self):
-        spec = KernelSpec(0.25, 0.75, 1.2)
-        weighted = bound_probe(spec, 2, (8, 16), sigma=0.1, nu=-0.1)
-        plain = bound_probe(spec.conjugated(0.1, -0.1), 2, (8, 16))
-        assert weighted.estimates == plain.estimates
-
-    def test_zero_weights_reduce_exactly(self):
-        a = bound_probe(SPEC, 2, (8, 16), sigma=0.0, nu=0.0)
-        b = bound_probe(SPEC, 2, (8, 16))
-        assert a.estimates == b.estimates
-
-    def test_sign_conditions_named(self):
-        with pytest.raises(ValueError, match="lambda"):
-            bound_probe(SPEC, 2, (8,), sigma=-0.6, nu=0.0)
-        with pytest.raises(ValueError, match="mu"):
-            bound_probe(SPEC, 2, (8,), sigma=0.0, nu=0.6)
+        # the probe is unweighted; its rows keep zero sigma and nu cells
+        assert all(row["sigma"] == 0.0 and row["nu"] == 0.0 for row in probe.rows())
 
     def test_q_domain(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import default_decomposition
 from smoothlab.dyadic import (
+    DyadicDecomposition,
+    bump,
     frequency_masks,
-    make_bump,
     mask_resolution_audit,
     seq_norm,
     spatial_masks,
@@ -18,16 +18,13 @@ from smoothlab.grid import Grid
 
 class TestBumpProfile:
     def test_peak_value(self):
-        bump = make_bump()
         assert bump(1.0) == 1.0
 
     def test_support_endpoints(self):
-        bump = make_bump()
         assert bump(0.5) == 0.0
         assert bump(2.0) == 0.0
 
     def test_nonnegative_and_supported(self):
-        bump = make_bump()
         s = np.linspace(1e-3, 4.0, 2000)
         vals = bump(s)
         assert np.all(vals >= 0)
@@ -38,12 +35,11 @@ class TestBumpProfile:
         # direct summation oracle at 1000 random points in (2^-6, 2^6)
         rng = np.random.default_rng(0)
         s = np.exp(rng.uniform(np.log(2.0**-6), np.log(2.0**6), size=1000))
-        decomp = default_decomposition(-8, 8)
+        decomp = DyadicDecomposition(-8, 8)
         assert np.abs(decomp.partition_sum(s) - 1.0).max() < 1e-12
 
     def test_smoothness_bounded_fourth_differences(self):
         # refinement sweep: 4th finite differences stay bounded as h shrinks
-        bump = make_bump()
         sups = []
         for h in (2e-3, 1e-3, 5e-4):
             s = np.arange(0.4, 2.2, h)
@@ -56,7 +52,7 @@ class TestBumpProfile:
 class TestMasks:
     def test_partition_on_grid_point(self):
         grid = Grid(1, 8.0, 256)
-        decomp = default_decomposition(-2, 2)
+        decomp = DyadicDecomposition(-2, 2)
         masks = spatial_masks(decomp, grid)
         total = sum(masks[k] for k in masks)
         i = int(np.argmin(np.abs(grid.axis - 1.3)))
@@ -64,13 +60,13 @@ class TestMasks:
 
     def test_mask_support_and_center(self):
         grid = Grid(1, 8.0, 256)
-        masks = spatial_masks(default_decomposition(-2, 2), grid)
+        masks = spatial_masks(DyadicDecomposition(-2, 2), grid)
         at = lambda x: int(np.argmin(np.abs(grid.axis - x)))
         assert masks[0][at(3.0)] == 0.0
         assert masks[1][at(2.0)] == 1.0
 
     def test_partition_identity_random_points(self):
-        decomp = default_decomposition(-3, 4)
+        decomp = DyadicDecomposition(-3, 4)
         rng = np.random.default_rng(1)
         lo, hi = decomp.covered_interval
         r = np.exp(rng.uniform(np.log(lo), np.log(hi), 1000))
@@ -78,7 +74,7 @@ class TestMasks:
 
     def test_support_discipline(self):
         grid = Grid(2, 8.0, 64)
-        masks = spatial_masks(default_decomposition(-2, 2), grid)
+        masks = spatial_masks(DyadicDecomposition(-2, 2), grid)
         shells = sorted(masks.masks)
         for i, k in enumerate(shells):
             for m in shells[i + 2 :]:
@@ -87,7 +83,7 @@ class TestMasks:
     def test_frequency_masks(self):
         # half-width 4 pi puts |xi| = 1 on the lattice with spacing 1/4
         grid = Grid(1, 4 * np.pi, 256)
-        decomp = default_decomposition(-1, 3)
+        decomp = DyadicDecomposition(-1, 3)
         masks = frequency_masks(decomp, grid)
         for k in decomp.shells:
             assert masks[k].flat[0] == 0.0  # zero frequency below all shells
@@ -98,7 +94,7 @@ class TestMasks:
 
     def test_resolution_audit(self):
         grid = Grid(3, 8.0, 64)
-        masks = spatial_masks(default_decomposition(-3, 3), grid)
+        masks = spatial_masks(DyadicDecomposition(-3, 3), grid)
         audit = mask_resolution_audit(masks)
         assert not audit[-3].resolved()  # below grid spacing
         assert audit[1].resolved()
@@ -106,27 +102,27 @@ class TestMasks:
 
 
 class TestMaskCache:
-    """One read-only cached array per (profile, grid, kind, shell)."""
+    """One read-only cached array per (grid, kind, shell)."""
 
     def test_decompositions_share_shell_arrays(self):
         grid = Grid(3, 8.0, 16)
-        a = spatial_masks(default_decomposition(-2, 1), grid)
-        b = spatial_masks(default_decomposition(0, 3), grid)
+        a = spatial_masks(DyadicDecomposition(-2, 1), grid)
+        b = spatial_masks(DyadicDecomposition(0, 3), grid)
         for k in (0, 1):
             assert a[k] is b[k]
-            assert np.array_equal(a[k], make_bump()(grid.radius / 2.0**k))
+            assert np.array_equal(a[k], bump(grid.radius / 2.0**k))
 
     def test_frequency_and_spatial_shells_are_distinct(self):
         grid = Grid(3, 8.0, 16)
-        decomp = default_decomposition(-1, 1)
+        decomp = DyadicDecomposition(-1, 1)
         freq = frequency_masks(decomp, grid)
-        assert freq[0] is frequency_masks(default_decomposition(0, 2), grid)[0]
+        assert freq[0] is frequency_masks(DyadicDecomposition(0, 2), grid)[0]
         assert freq[0] is not spatial_masks(decomp, grid)[0]
-        assert np.array_equal(freq[0], make_bump()(grid.freq_radius))
+        assert np.array_equal(freq[0], bump(grid.freq_radius))
 
     def test_cached_masks_are_read_only(self):
         grid = Grid(3, 8.0, 16)
-        masks = spatial_masks(default_decomposition(-1, 1), grid)
+        masks = spatial_masks(DyadicDecomposition(-1, 1), grid)
         with pytest.raises(ValueError):
             masks[0][...] = 0.0
         with pytest.raises(ValueError):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from smoothlab import harness
-from oracles import default_decomposition
-from smoothlab.dyadic import spatial_masks
+from smoothlab.dyadic import DyadicDecomposition, spatial_masks
 from smoothlab.ensembles import band_limited_field, band_limited_spacetime, member_rng
 from smoothlab.grid import Field, Grid, SpaceTimeField
 from smoothlab.harness import (
@@ -34,7 +33,7 @@ from smoothlab.schrodinger import (
 )
 from smoothlab.spectral import l2_norm
 
-DEC = default_decomposition(-2, 3)
+DEC = DyadicDecomposition(-2, 3)
 GRID = Grid(3, 8.0, 16)
 TIMES = np.linspace(0, 1.0, 5)
 
@@ -160,20 +159,28 @@ class TestEndpoint:
         assert 0 < lhs / rhs < math.inf
 
     def test_members_have_positive_rhs(self):
-        rep = verify_free_endpoint(GRID, DEC, TIMES, ensemble=2, seed=3,
-                                   threshold_shells=())
+        rep = verify_free_endpoint(GRID, DEC, TIMES, ensemble=2, seed=3)
         for m in rep.members:
             assert m["rhs"] > 0
 
     def test_trivial_split_family_is_min(self):
+        # the recorded split is the argmin over the trivial pair and every
+        # threshold split, rebuilt here from member 0's own draw
+        from smoothlab.harness import ENDPOINT_THRESHOLD_SHELLS, _lowpass
         from smoothlab.norms import forcing_norm, l1t_l2x_norm
 
-        F = band_limited_spacetime(GRID, TIMES, member_rng(3, 31, 0), mode_radius=(1, 4))
+        rng = member_rng(3, 31, 0)
+        f = band_limited_field(GRID, rng)
+        F = band_limited_spacetime(GRID, TIMES, rng)
         vals = {"all-forcing-norm": forcing_norm(F, DEC), "all-l1l2": l1t_l2x_norm(F)}
-        rep = verify_free_endpoint(GRID, DEC, TIMES, ensemble=1, seed=3,
-                                   threshold_shells=())
+        for j in ENDPOINT_THRESHOLD_SHELLS:
+            low = _lowpass(F, 2.0**j)
+            vals[f"threshold-2^{j}"] = forcing_norm(low, DEC) + l1t_l2x_norm(F - low)
+        assert len(vals) == 7
+        rep = verify_free_endpoint(GRID, DEC, TIMES, ensemble=1, seed=3)
         best = rep.members[0]["best_split"]
         assert best == min(vals, key=vals.get)
+        assert rep.members[0]["rhs"] == l2_norm(f) + vals[best]
 
     def test_threshold_split_partitions(self):
         from smoothlab.harness import _lowpass
@@ -241,7 +248,7 @@ class TestResolventNd:
 
     def test_degenerate_flagged(self):
         g2 = Grid(2, 8.0, 32)
-        rep = verify_resolvent_nd(g2, lambdas=[complex(0, 1)], ensemble=2, seed=6)
+        rep = verify_resolvent_nd(g2, ensemble=2, seed=6)
         assert not rep.degenerate  # random members are nonzero
 
     def test_dim_domain(self):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import default_decomposition, lqa_tail_fraction, morrey_campanato
+from oracles import lqa_tail_fraction, morrey_campanato
 from smoothlab.dyadic import (
+    DyadicDecomposition,
+    bump,
     frequency_masks,
-    make_bump,
     seq_norm,
     spatial_masks,
 )
@@ -35,7 +36,7 @@ from smoothlab.spectral import (
     multiplier_l2_norm,
 )
 
-DEC = default_decomposition(-3, 4)
+DEC = DyadicDecomposition(-3, 4)
 
 
 def indicator(grid, condition):
@@ -109,7 +110,7 @@ class TestLocalEnergyNorms:
         # -3 phi(|x|) peaks at |x| = 1, a grid point inside shell 0; phi
         # vanishes on the closed shell-2 annulus [2, 8]; shell 10 holds no
         # grid point at all
-        values = -3.0 * make_bump()(grid32.radius)
+        values = -3.0 * bump(grid32.radius)
         assert annulus_sup(values, grid32, 0) == 3.0
         assert annulus_sup(values, grid32, 2) == 0.0
         assert annulus_sup(values, grid32, 10) == 0.0
@@ -137,7 +138,7 @@ class TestLocalEnergyNorms:
 
     def test_dual_bound_against_morrey(self, grid32):
         # sup_k 2^(-k/2) ||f||_{L^2(annulus)} <= C |||f||| with C <= 2
-        dec = default_decomposition(-2, 3)
+        dec = DyadicDecomposition(-2, 3)
         for i in range(50):
             f = band_limited_field(grid32, member_rng(0, 99, i))
             lhs = annulus_sup_norm(f, dec)
@@ -147,7 +148,7 @@ class TestLocalEnergyNorms:
 
 class TestWeightedShellNorms:
     def test_zero_field(self, grid32):
-        dec = default_decomposition(-2, 3)
+        dec = DyadicDecomposition(-2, 3)
         zero = Field(grid32, np.zeros(grid32.shape, dtype=complex))
         for variant in ("mask_then_D", "D_then_mask", "weight_product"):
             assert lqa_sobolev_norm(zero, dec, NormSpec(2, 0.5, 0.5), variant) == 0.0
@@ -155,7 +156,7 @@ class TestWeightedShellNorms:
     def test_variant_comparability_single_bump(self):
         # all three forms within a common factor 4 on a bump at |x| = 2,
         # with the measured constant stable under refinement
-        dec = default_decomposition(-2, 3)
+        dec = DyadicDecomposition(-2, 3)
         spec = NormSpec(2, 0.5, 0.5)
         spreads = []
         for n_pts in (32, 64):
@@ -176,13 +177,13 @@ class TestWeightedShellNorms:
         fine = Grid(3, 4.0, 64)  # same samples represent f(2x)
         f = mean_zero(gaussian(coarse, width=0.35, center=2.0))
         f2 = Field(fine, f.values)
-        base = lqa_sobolev_norm(f, default_decomposition(-1, 3), spec, "weight_product")
-        dil = lqa_sobolev_norm(f2, default_decomposition(-2, 2), spec, "weight_product")
+        base = lqa_sobolev_norm(f, DyadicDecomposition(-1, 3), spec, "weight_product")
+        dil = lqa_sobolev_norm(f2, DyadicDecomposition(-2, 2), spec, "weight_product")
         factor = 2.0 ** (spec.s - spec.a - 3 / 2)
         assert abs(dil / base - factor) / factor < 0.02
 
     def test_homogeneity_and_triangle(self, grid32):
-        dec = default_decomposition(-2, 3)
+        dec = DyadicDecomposition(-2, 3)
         spec = NormSpec(2, 0.5, 0.5)
         rng_pairs = [(band_limited_field(grid32, member_rng(1, 5, i)),
                       band_limited_field(grid32, member_rng(1, 6, i)))
@@ -198,7 +199,7 @@ class TestWeightedShellNorms:
     @pytest.mark.parametrize("variant", ["D_then_mask", "weight_product"])
     def test_shell_terms_equal_separate_loops(self, grid32, variant, p):
         # one loop per variant, as written before the two were merged
-        dec = default_decomposition(-2, 3)
+        dec = DyadicDecomposition(-2, 3)
         spec = NormSpec(2, 0.5, 0.5)
         f = band_limited_field(grid32, member_rng(3, 1))
         masks = spatial_masks(dec, grid32)
@@ -224,7 +225,7 @@ class TestWeightedShellNorms:
 
     @pytest.mark.parametrize("variant", ["D_then_mask", "weight_product"])
     def test_p2_terms_forward_transform_only(self, grid32, variant, fft_calls):
-        dec = default_decomposition(-2, 3)
+        dec = DyadicDecomposition(-2, 3)
         spec = NormSpec(2, 0.5, 0.5)
         f = band_limited_field(grid32, member_rng(3, 2))
         fft_calls.clear()
@@ -240,7 +241,7 @@ class TestWeightedShellNorms:
     @pytest.mark.parametrize("p", [2, 4])
     def test_mask_then_d_keeps_the_spatial_formula(self, grid32, p):
         # its mask comes after |D|^s, so Plancherel does not apply
-        dec = default_decomposition(-2, 3)
+        dec = DyadicDecomposition(-2, 3)
         spec = NormSpec(2, 0.5, 0.5)
         f = band_limited_field(grid32, member_rng(3, 3))
         masks = spatial_masks(dec, grid32)
@@ -249,7 +250,7 @@ class TestWeightedShellNorms:
         assert lqa_shell_terms(f, dec, spec, "mask_then_D", p) == expected
 
     def test_tail_fraction_small_for_windowed_data(self, grid32):
-        dec = default_decomposition(-2, 3)
+        dec = DyadicDecomposition(-2, 3)
         f = band_limited_field(grid32, member_rng(3, 0))
         assert lqa_tail_fraction(f, dec, NormSpec(2, 0.5, 0.5)) < 0.01
 
@@ -265,8 +266,8 @@ class TestNormOpProperties:
 
     @staticmethod
     def _norm_ops(grid):
-        dec = default_decomposition(-2, 3)
-        freq = default_decomposition(-2, 2)
+        dec = DyadicDecomposition(-2, 3)
+        freq = DyadicDecomposition(-2, 2)
         spec = NormSpec(2, 0.5, 0.5)
         return {
             "morrey": morrey_campanato,
@@ -299,7 +300,7 @@ class TestNormOpProperties:
 
     def test_spacetime_norm_homogeneity(self):
         grid = Grid(3, 8.0, 16)
-        dec = default_decomposition(-2, 3)
+        dec = DyadicDecomposition(-2, 3)
         times = np.linspace(0, 1, 5)
         from smoothlab.ensembles import band_limited_spacetime
 
@@ -310,7 +311,7 @@ class TestNormOpProperties:
 
 class TestSpaceTimeNorms:
     def test_constant_in_time_reduces_to_spatial(self, grid32):
-        dec = default_decomposition(-2, 3)
+        dec = DyadicDecomposition(-2, 3)
         f = band_limited_field(grid32, member_rng(2, 0))
         times = np.linspace(0, 1, 5)
         u = SpaceTimeField(grid32, times, np.broadcast_to(f.values, (5,) + grid32.shape).copy())
@@ -321,12 +322,12 @@ class TestSpaceTimeNorms:
         times = np.linspace(0, 1, 4)
         z = SpaceTimeField(grid32, times,
                            np.zeros((4,) + grid32.shape, dtype=complex))
-        dec = default_decomposition(-2, 3)
+        dec = DyadicDecomposition(-2, 3)
         assert forcing_norm(z, dec) == 0.0
         assert smoothing_norm(z, dec) == 0.0
 
     def test_needs_two_slices(self, grid32):
-        dec = default_decomposition(-2, 3)
+        dec = DyadicDecomposition(-2, 3)
         one = SpaceTimeField(grid32, [0.0],
                              np.zeros((1,) + grid32.shape, dtype=complex))
         with pytest.raises(ValueError):
@@ -336,7 +337,7 @@ class TestSpaceTimeNorms:
         # u(4t, 2x) changes the smoothing norm by 2^(-n/2), verified by
         # recomputation on the rescaled grid within 10%
         grid = Grid(3, 8.0, 64)
-        dec = default_decomposition(-2, 3)
+        dec = DyadicDecomposition(-2, 3)
         times = np.linspace(0, 1, 9)
         from smoothlab.ensembles import band_limited_spacetime
 
@@ -352,8 +353,8 @@ class TestSpaceTimeNorms:
 class TestPhaseLocalization:
     def test_single_shell_function_collapses(self):
         grid = Grid(3, 2 * np.pi, 32)
-        space = default_decomposition(-2, 2)
-        freq = default_decomposition(-1, 1)
+        space = DyadicDecomposition(-2, 2)
+        freq = DyadicDecomposition(-1, 1)
         from smoothlab.dyadic import frequency_masks
         from smoothlab.grid import _fftn, _ifftn
 
@@ -372,15 +373,15 @@ class TestPhaseLocalization:
         assert math.isclose(loc, math.sqrt(sum(v**2 for v in per_shell)), rel_tol=1e-12)
 
     def test_zero(self, grid32):
-        space = default_decomposition(-2, 3)
-        freq = default_decomposition(-2, 2)
+        space = DyadicDecomposition(-2, 3)
+        freq = DyadicDecomposition(-2, 2)
         zero = Field(grid32, np.zeros(grid32.shape, dtype=complex))
         assert phase_localized_norm(zero, space, freq, NormSpec(2, 0.5, 0.5)) == 0.0
 
     def test_high_q_reverse_direction(self, grid32):
         # q = inf side: the plain norm is bounded by the localized one
-        space = default_decomposition(-2, 3)
-        freq = default_decomposition(-2, 2)
+        space = DyadicDecomposition(-2, 3)
+        freq = DyadicDecomposition(-2, 2)
         spec = NormSpec(math.inf, -0.5, 0.5)
         ratios = []
         for i in range(10):
@@ -394,8 +395,8 @@ class TestPhaseLocalization:
     def test_low_q_embedding_direction(self, grid32):
         # q = 1 side: localized norm bounded by the plain norm times a
         # stable constant
-        space = default_decomposition(-2, 3)
-        freq = default_decomposition(-2, 2)
+        space = DyadicDecomposition(-2, 3)
+        freq = DyadicDecomposition(-2, 2)
         spec = NormSpec(1, 0.5, -0.5)
         ratios = []
         for i in range(10):
@@ -412,8 +413,8 @@ class TestPhaseLocalization:
     def test_orderings_equal_per_shell_oracle(self, grid32, spec):
         # one localization per frequency shell, each by its own transform
         # pair, summed in the order the definition states
-        space = default_decomposition(-2, 3)
-        freq = default_decomposition(-2, 2)
+        space = DyadicDecomposition(-2, 3)
+        freq = DyadicDecomposition(-2, 2)
         f = band_limited_field(grid32, member_rng(7, 2))
         pk = frequency_masks(freq, grid32)
         shells = {k2: apply_multiplier(f, pk[k2]) for k2 in freq.shells}
@@ -421,8 +422,8 @@ class TestPhaseLocalization:
         assert phase_localized_norm(f, space, freq, spec) == seq_norm(outer, 2, 0.0)
 
     def test_one_forward_transform_per_field(self, grid32, fft_calls):
-        space = default_decomposition(-2, 3)
-        freq = default_decomposition(-2, 2)
+        space = DyadicDecomposition(-2, 3)
+        freq = DyadicDecomposition(-2, 2)
         f = band_limited_field(grid32, member_rng(7, 3))
         fft_calls.clear()
         phase_localized_norm(f, space, freq, NormSpec(2, 0.5, 0.5))
@@ -436,20 +437,20 @@ class TestPhaseLocalization:
 
 class TestEquivalenceReport:
     def test_zero_flagged(self, grid32):
-        dec = default_decomposition(-2, 3)
+        dec = DyadicDecomposition(-2, 3)
         zero = Field(grid32, np.zeros(grid32.shape, dtype=complex))
         rep = equivalence_report(zero, dec, NormSpec(2, 0.5, 0.5))
         assert rep.degenerate
 
     def test_admissibility(self, grid32):
-        dec = default_decomposition(-2, 3)
+        dec = DyadicDecomposition(-2, 3)
         f = band_limited_field(grid32, member_rng(8, 0))
         with pytest.raises(ValueError):
             equivalence_report(f, dec, NormSpec(2, 1.0, 0.9))
 
     def test_single_bump_ratio(self):
         grid = Grid(3, 8.0, 64)
-        dec = default_decomposition(-2, 3)
+        dec = DyadicDecomposition(-2, 3)
         f = mean_zero(gaussian(grid, width=0.35, center=2.0))
         rep = equivalence_report(f, dec, NormSpec(2, 0.5, 0.5))
         assert not rep.degenerate

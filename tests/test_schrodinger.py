@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import default_decomposition, plane_wave
+from oracles import plane_wave
+from smoothlab.dyadic import DyadicDecomposition
 from smoothlab.ensembles import band_limited_field, band_limited_spacetime, member_rng
 from smoothlab.grid import Field, Grid, SpaceTimeField, _fftn, _ifftn, gaussian
 from smoothlab.schrodinger import (
@@ -26,7 +27,7 @@ def grid():
     return Grid(3, 8.0, 16)
 
 
-DEC = default_decomposition(-2, 3)
+DEC = DyadicDecomposition(-2, 3)
 
 
 class TestFreePropagator:
@@ -165,8 +166,8 @@ class TestMagneticPotential:
         g2 = Grid(3, 4.0, 64)
         A1 = bump_potential(g1, 0.01, shell=1)
         A2 = MagneticPotential(g2, tuple(2.0 * c for c in A1.components))
-        aud1 = smallness_audit(A1, default_decomposition(-1, 3)).total
-        aud2 = smallness_audit(A2, default_decomposition(-2, 2)).total
+        aud1 = smallness_audit(A1, DyadicDecomposition(-1, 3)).total
+        aud2 = smallness_audit(A2, DyadicDecomposition(-2, 2)).total
         assert abs(aud2 - aud1) / aud1 < 1e-12
 
 
@@ -201,7 +202,7 @@ class TestMagneticSolver:
 
     def test_mass_drift_small_potential(self):
         g = Grid(3, 8.0, 32)
-        decomp = default_decomposition(-2, 3)
+        decomp = DyadicDecomposition(-2, 3)
         unit = bump_potential(g, 1.0, shell=1)
         scale = 0.1 / smallness_audit(unit, decomp).total
         A = bump_potential(g, scale, shell=1)

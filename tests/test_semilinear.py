@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import default_decomposition
+from smoothlab.dyadic import DyadicDecomposition
 from smoothlab.ensembles import band_limited_spacetime, member_rng
 from smoothlab.grid import Grid, SpaceTimeField, gaussian
 from smoothlab.schrodinger import magnetic_solve, zero_potential, bump_potential
@@ -19,7 +19,7 @@ from smoothlab.semilinear import (
 )
 from smoothlab.spectral import l2_norm, mean_zero
 
-DEC = default_decomposition(-2, 3)
+DEC = DyadicDecomposition(-2, 3)
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def setup(grid):
-    V = shell_potential(grid, 4.0, shell=0, a=1.0)
+    V = shell_potential(grid, 4.0)
     A = zero_potential(grid)
     prof = mean_zero(gaussian(grid, width=0.5, center=1.5))
     times = np.linspace(0, 1.0, 9)
@@ -100,7 +100,7 @@ class TestNonlinearity:
         # V equal to the shell-0 bump and u living on one shell: both sides
         # are single-shell quantities and the ratio is finite
         _, _, _, times = setup
-        V1 = shell_potential(grid, 1.0, shell=0, a=1.0)
+        V1 = shell_potential(grid, 1.0)
         u = band_limited_spacetime(grid, times, member_rng(9, 2),
                                    mode_radius=(1, 4), window=(1.0, 1.8))
         rep = nonlinearity_forcing_bound(u, V1, 1.4, DEC)
@@ -117,7 +117,7 @@ class TestPicard:
 
     def test_zero_potential_linear_in_one_step(self, grid, setup):
         _, A, prof, times = setup
-        V0 = shell_potential(grid, 0.0, shell=0, a=1.0)
+        V0 = shell_potential(grid, 0.0)
         f = prof * (0.05 / l2_norm(prof))
         run = picard_solve(f, V0, A, 1.4, times, DEC)
         linear = magnetic_solve(f, A, None, times)
