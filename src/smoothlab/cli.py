@@ -108,15 +108,20 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig) -> None:
     })
 
 
-def _write_error_reports(out_dir: Path, cfg: ExperimentConfig, error: str) -> None:
-    _write_manifest(out_dir, cfg)
+def _write_report(out_dir: Path, cfg: ExperimentConfig, passed: bool, verdicts: list,
+                  **fields) -> None:
     write_json(out_dir / "report.json", {
         "suite": cfg.suite,
         "anchor": SUITE_ANCHORS[cfg.suite],
-        "passed": False,
-        "verdicts": [],
-        "error": error,
+        "passed": passed,
+        "verdicts": verdicts,
+        **fields,
     })
+
+
+def _write_error_reports(out_dir: Path, cfg: ExperimentConfig, error: str) -> None:
+    _write_manifest(out_dir, cfg)
+    _write_report(out_dir, cfg, False, [], error=error)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -186,26 +191,13 @@ def main(argv: list[str] | None = None) -> int:
         return INTERNAL_ERROR
 
     _write_manifest(out_dir, cfg)
-    write_json(
-        out_dir / "report.json",
-        {
-            "suite": result.suite,
-            "anchor": result.anchor,
-            "passed": result.passed,
-            "verdicts": [v.__dict__ for v in result.verdicts],
-            "detail": result.report,
-        },
-    )
-    fieldnames: list[str] = []
-    for row in result.csv_rows:
-        for key in row:
-            if key not in fieldnames:
-                fieldnames.append(key)
-    write_csv(out_dir / "results.csv", result.csv_rows, fieldnames)
+    _write_report(out_dir, cfg, result.passed, [v.__dict__ for v in result.verdicts],
+                  detail=result.report)
+    write_csv(out_dir / "results.csv", result.csv_rows)
 
     for v in result.verdicts:
-        print(f"[{'PASS' if v.passed else 'FAIL'}] {result.suite}: {v.name} ({v.detail})")
-    print(f"{result.suite}: {'all verdicts passed' if result.passed else 'verdict failure'} "
+        print(f"[{'PASS' if v.passed else 'FAIL'}] {cfg.suite}: {v.name} ({v.detail})")
+    print(f"{cfg.suite}: {'all verdicts passed' if result.passed else 'verdict failure'} "
           f"in {elapsed:.1f}s; reports in {out_dir}/")
     return 0 if result.passed else 1
 

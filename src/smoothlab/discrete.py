@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .harness import relative_drift
+
 SEPARATION = 4  # the kernel sums over |k - m| >= 4
 #: output indices added on each side of the input window; the kernel
 #: tails beyond decay geometrically
@@ -111,10 +113,7 @@ def bound_probe(
     consecutive pair of estimates differs by less than ``STABILITY_TOL``.
     """
     estimates = [window_operator_norm(spec, q, K) for K in window_sizes]
-    drifts = [
-        abs(b - a) / a if a > 0 else math.inf
-        for a, b in zip(estimates[:-1], estimates[1:])
-    ]
+    drifts = [relative_drift(b, a) for a, b in zip(estimates[:-1], estimates[1:])]
     stable = bool(drifts) and drifts[-1] < STABILITY_TOL
     return BoundProbe(spec, q, tuple(window_sizes), tuple(estimates), tuple(drifts), stable)
 

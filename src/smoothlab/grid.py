@@ -114,21 +114,10 @@ class Field:
                 f"sample shape {self.values.shape} does not match grid {self.grid.shape}"
             )
 
-    def __add__(self, other: "Field") -> "Field":
-        return Field(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "Field") -> "Field":
-        return Field(self.grid, self.values - other.values)
-
     def __mul__(self, factor) -> "Field":
-        if isinstance(factor, Field):
-            return Field(self.grid, self.values * factor.values)
         return Field(self.grid, self.values * factor)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "Field":
-        return Field(self.grid, -self.values)
 
 
 @dataclass

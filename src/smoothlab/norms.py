@@ -49,6 +49,12 @@ class NormSpec:
             raise ValueError(f"|a|+|s| = {abs(self.a) + abs(self.s)} must be < n/2 = {dim / 2}")
 
 
+#: the solution-side l^{inf,-1/2} H^{1/2} and data-side l^{1,1/2} H^{-1/2}
+#: spatial norms of the smoothing estimates
+SOLUTION_SPEC = NormSpec(math.inf, -0.5, 0.5)
+DATA_SPEC = NormSpec(1, 0.5, -0.5)
+
+
 @lru_cache(maxsize=64)
 def _annulus_mask(grid: Grid, k: int) -> np.ndarray:
     """Read-only bool indicator of the closed annulus 2^(k-1) <= |x| <= 2^(k+1);
@@ -180,16 +186,14 @@ def _require_slices(u: SpaceTimeField) -> None:
 def forcing_norm(F: SpaceTimeField, decomp: DyadicDecomposition) -> float:
     """Time-L^2 of the l^{1,1/2} H^{-1/2} spatial norm (the data-side norm)."""
     _require_slices(F)
-    spec = NormSpec(1, 0.5, -0.5)
-    vals = [lqa_sobolev_norm(f, decomp, spec) for f in F.slices()]
+    vals = [lqa_sobolev_norm(f, decomp, DATA_SPEC) for f in F.slices()]
     return time_l2(np.array(vals), F.times)
 
 
 def smoothing_norm(u: SpaceTimeField, decomp: DyadicDecomposition) -> float:
     """Time-L^2 of the l^{inf,-1/2} H^{1/2} spatial norm (the solution-side norm)."""
     _require_slices(u)
-    spec = NormSpec(math.inf, -0.5, 0.5)
-    vals = [lqa_sobolev_norm(f, decomp, spec) for f in u.slices()]
+    vals = [lqa_sobolev_norm(f, decomp, SOLUTION_SPEC) for f in u.slices()]
     return time_l2(np.array(vals), u.times)
 
 

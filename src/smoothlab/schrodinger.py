@@ -216,15 +216,9 @@ def effective_scalar_potential(A: MagneticPotential) -> np.ndarray:
     return w
 
 
-@dataclass
-class SmallnessAudit:
-    """Scale-invariant weighted sup budget of a magnetic potential."""
-
-    total: float
-
-
-def smallness_audit(A: MagneticPotential, decomp: DyadicDecomposition) -> SmallnessAudit:
-    """max_j sum_k sum_{|beta|<=1} 2^(k(1+|beta|)) sup_{annulus k} |D^beta A_j|."""
+def smallness_audit(A: MagneticPotential, decomp: DyadicDecomposition) -> float:
+    """Scale-invariant weighted sup budget of a magnetic potential:
+    max_j sum_k sum_{|beta|<=1} 2^(k(1+|beta|)) sup_{annulus k} |D^beta A_j|."""
     grid = A.grid
     sums = []
     for c in A.components:
@@ -239,7 +233,7 @@ def smallness_audit(A: MagneticPotential, decomp: DyadicDecomposition) -> Smalln
                 term += 2.0 ** (2 * k) * annulus_sup(d, grid, k)
             terms.append(term)
         sums.append(sum(terms))
-    return SmallnessAudit(max(sums, default=0.0))
+    return max(sums, default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dyadic import DyadicDecomposition, bump
 from .grid import Field, Grid, SpaceTimeField
-from .norms import forcing_norm, smoothing_norm, sup_l2_norm
+from .norms import smoothing_norm, sup_l2_norm
 from .schrodinger import MagneticPotential, magnetic_solve
 from .spectral import l2_norm
 
@@ -72,30 +72,6 @@ def contraction_norm(u: SpaceTimeField, decomp: DyadicDecomposition) -> float:
     """Norm of the iteration space: max of sup-in-time L^2 and the
     smoothing norm (equivalent to their sum up to a factor 2)."""
     return max(sup_l2_norm(u), smoothing_norm(u, decomp))
-
-
-@dataclass
-class BoundReport:
-    lhs: float
-    rhs: float
-
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.rhs if self.rhs > 0 else math.nan
-
-    @property
-    def degenerate(self) -> bool:
-        return self.rhs == 0.0
-
-
-def nonlinearity_forcing_bound(
-    u: SpaceTimeField, V: SemilinearPotential, p: float, decomp: DyadicDecomposition
-) -> BoundReport:
-    """Data-side norm of the nonlinearity against the p-th power of the
-    iteration norm (the chain endpoint actually used by the recurrence)."""
-    lhs = forcing_norm(nonlinearity(u, V, p), decomp)
-    rhs = contraction_norm(u, decomp) ** p
-    return BoundReport(lhs, rhs)
 
 
 @dataclass

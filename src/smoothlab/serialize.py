@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -27,14 +27,15 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: str | Path, rows: Sequence[Mapping], fieldnames: Iterable[str] | None = None) -> None:
-    path = Path(path)
-    rows = list(rows)
-    if fieldnames is None:
-        fieldnames = list(rows[0].keys()) if rows else []
-    with path.open("w", newline="") as fh:
+def write_csv(path: str | Path, rows: Sequence[Mapping]) -> None:
+    """One column per key of any row, in order of first appearance; a row
+    without a key leaves its cell empty."""
+    fieldnames: list[str] = []
+    for row in rows:
+        fieldnames += [key for key in row if key not in fieldnames]
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(fieldnames))
+        writer.writerow(fieldnames)
         for row in rows:
             writer.writerow([_format_cell(row.get(name, "")) for name in fieldnames])
 

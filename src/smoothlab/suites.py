@@ -30,6 +30,8 @@ from .ensembles import DEFAULT_MODE_RADIUS, band_limited_field, member_rng, mode
 from .grid import Grid
 from .harness import (
     box_profile,
+    nonlinearity_forcing_bound,
+    relative_drift,
     resolvent_kernel_apply,
     verify_free_endpoint,
     verify_kpv,
@@ -51,7 +53,6 @@ from .semilinear import (
     contraction_norm,
     contraction_threshold,
     critical_exponent,
-    nonlinearity_forcing_bound,
     picard_solve,
     shell_potential,
 )
@@ -152,8 +153,6 @@ class Verdict:
 
 @dataclass
 class SuiteResult:
-    suite: str
-    anchor: str
     verdicts: list[Verdict]
     csv_rows: list[dict] = field(default_factory=list)
     report: dict = field(default_factory=dict)
@@ -200,8 +199,7 @@ def run_partition(cfg: ExperimentConfig) -> SuiteResult:
         _verdict("frequency-partition", freq_err < 1e-10, f"max err {freq_err:.3e}"),
         _verdict("support-discipline", overlap == 0.0, f"max overlap {overlap:.3e}"),
     ]
-    return SuiteResult("partition", SUITE_ANCHORS["partition"], verdicts, rows,
-                       {"spatial_err": spatial_err, "frequency_err": freq_err})
+    return SuiteResult(verdicts, rows, {"spatial_err": spatial_err, "frequency_err": freq_err})
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +231,14 @@ def _equivalence_max_ratio(cfg: ExperimentConfig, points: int) -> tuple[float, l
 def run_equivalence(cfg: ExperimentConfig) -> SuiteResult:
     coarse, rows_c = _equivalence_max_ratio(cfg, cfg.points)
     fine, rows_f = _equivalence_max_ratio(cfg, cfg.points * 2)
-    drift = abs(fine - coarse) / coarse if coarse > 0 else math.inf
+    drift = relative_drift(fine, coarse)
     verdicts = [
         _verdict("ratios-finite", 0 < coarse < math.inf and 0 < fine < math.inf,
                  f"max ratio {coarse:.4f} (N={cfg.points}), {fine:.4f} (N={cfg.points*2})"),
         _verdict("refinement-stability", drift < 0.15, f"drift {drift:.4f}"),
     ]
     return SuiteResult(
-        "equivalence", SUITE_ANCHORS["equivalence"], verdicts, rows_c + rows_f,
+        verdicts, rows_c + rows_f,
         {"spec": SHELL_SPEC.__dict__, "max_ratio_coarse": coarse, "max_ratio_fine": fine,
          "drift": drift},
     )
@@ -266,9 +264,9 @@ def run_phase_localization(cfg: ExperimentConfig) -> SuiteResult:
     f_c, b_c = _phase_constants(cfg, cfg.points, freq_decomp)
     f_f, b_f = _phase_constants(cfg, cfg.points * 2, freq_decomp)
     # shells outside the box give zero constants, which fail the
-    # two-sided verdict; the drifts are then undefined
-    drift_f = abs(f_f - f_c) / f_c if f_c > 0 else math.inf
-    drift_b = abs(b_f - b_c) / b_c if b_c > 0 else math.inf
+    # two-sided verdict; the drifts are then infinite
+    drift_f = relative_drift(f_f, f_c)
+    drift_b = relative_drift(b_f, b_c)
     rows = [
         {"side": "localized_over_plain", "points": cfg.points, "constant": f_c},
         {"side": "localized_over_plain", "points": cfg.points * 2, "constant": f_f},
@@ -282,9 +280,7 @@ def run_phase_localization(cfg: ExperimentConfig) -> SuiteResult:
         _verdict("forward-stability", drift_f < 0.15, f"drift {drift_f:.4f}"),
         _verdict("backward-stability", drift_b < 0.15, f"drift {drift_b:.4f}"),
     ]
-    return SuiteResult("phase-localization", SUITE_ANCHORS["phase-localization"],
-                       verdicts, rows,
-                       {"forward": [f_c, f_f], "backward": [b_c, b_f]})
+    return SuiteResult(verdicts, rows, {"forward": [f_c, f_f], "backward": [b_c, b_f]})
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +335,7 @@ def run_commutator_scan(cfg: ExperimentConfig) -> SuiteResult:
     verdicts.append(
         _verdict("diagonal-scale-covariance", worst < 0.05, f"max deviation {worst:.4f}")
     )
-    return SuiteResult("commutator-scan", SUITE_ANCHORS["commutator-scan"],
-                       verdicts, rows, report)
+    return SuiteResult(verdicts, rows, report)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +391,7 @@ def run_discrete_bounds(cfg: ExperimentConfig) -> SuiteResult:
     verdicts.append(_verdict("divergence-control",
                              monotone and growth[-1] > 4 * growth[0],
                              f"growth {tuple(round(v, 3) for v in growth)}"))
-    return SuiteResult("discrete-bounds", SUITE_ANCHORS["discrete-bounds"],
-                       verdicts, rows, {"windows": KERNEL_WINDOWS})
+    return SuiteResult(verdicts, rows, {"windows": KERNEL_WINDOWS})
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +420,7 @@ def run_kpv(cfg: ExperimentConfig) -> SuiteResult:
     coarse_grid = Grid(cfg.dim, cfg.half_width, cfg.points // 2)
     coarse = verify_kpv(coarse_grid, decomp, times, cfg.ensemble, cfg.seed,
                         rescale_probe=False)
-    drift = abs(fine.ratio - coarse.ratio) / coarse.ratio
+    drift = relative_drift(fine.ratio, coarse.ratio)
     verdicts = [
         _verdict("ratio-finite", 0 < fine.ratio < math.inf, f"max ratio {fine.ratio:.5f}"),
         _verdict("homogeneity", fine.probes.get("homogeneity_drift", math.nan) < 1e-12,
@@ -439,8 +433,7 @@ def run_kpv(cfg: ExperimentConfig) -> SuiteResult:
         {"suite": "kpv-coarse", "member": i, **{k: m[k] for k in ("lhs", "rhs", "ratio")}}
         for i, m in enumerate(coarse.members)
     ]
-    return SuiteResult("kpv", SUITE_ANCHORS["kpv"], verdicts, rows,
-                       {"probes": fine.probes, "refinement_drift": drift})
+    return SuiteResult(verdicts, rows, {"probes": fine.probes, "refinement_drift": drift})
 
 
 #: smallness-audit total the main-estimate potential is scaled to
@@ -451,14 +444,13 @@ def run_main_estimate(cfg: ExperimentConfig) -> SuiteResult:
     g = cfg.grid()
     decomp = cfg.decomposition()
     unit = bump_potential(g, 1.0, shell=1, direction=0)
-    unit_total = smallness_audit(unit, decomp).total
+    unit_total = smallness_audit(unit, decomp)
     if unit_total == 0:
         # no grid point of the shell range meets the unit bump, so the audit
         # cannot calibrate the potential; stop before any solve
         verdict = _verdict("audit-resolvable", False,
                            f"unit-bump audit is 0 on shells {cfg.k_min}:{cfg.k_max}")
-        return SuiteResult("main-estimate", SUITE_ANCHORS["main-estimate"], [verdict],
-                           [], {"unit_audit_total": unit_total})
+        return SuiteResult([verdict], [], {"unit_audit_total": unit_total})
     A = bump_potential(g, AUDIT_TARGET / unit_total, shell=1, direction=0)
     rep = verify_main(g, decomp, cfg.times(), A, cfg.ensemble, cfg.seed)
     verdicts = [
@@ -470,9 +462,7 @@ def run_main_estimate(cfg: ExperimentConfig) -> SuiteResult:
         _verdict("free-consistency", rep.probes["free_consistency"] < 1e-8,
                  f"relative gap {rep.probes['free_consistency']:.2e}"),
     ]
-    return SuiteResult("main-estimate", SUITE_ANCHORS["main-estimate"], verdicts,
-                       _member_rows(rep, "main-estimate"),
-                       {"probes": rep.probes})
+    return SuiteResult(verdicts, _member_rows(rep, "main-estimate"), {"probes": rep.probes})
 
 
 def run_endpoint(cfg: ExperimentConfig) -> SuiteResult:
@@ -487,8 +477,7 @@ def run_endpoint(cfg: ExperimentConfig) -> SuiteResult:
                  len({m["best_split"] for m in rep.members}) >= 1,
                  f"minimizers {sorted({m['best_split'] for m in rep.members})}"),
     ]
-    return SuiteResult("endpoint", SUITE_ANCHORS["endpoint"], verdicts, rows,
-                       {"ratio": rep.ratio})
+    return SuiteResult(verdicts, rows, {"ratio": rep.ratio})
 
 
 def run_resolvent_1d(cfg: ExperimentConfig) -> SuiteResult:
@@ -505,8 +494,7 @@ def run_resolvent_1d(cfg: ExperimentConfig) -> SuiteResult:
         _verdict("box-closed-form", abs(box_sup - target) < 1e-6,
                  f"sup v {box_sup:.8f} vs 1 - 1/e = {target:.8f}"),
     ]
-    return SuiteResult("resolvent-1d", SUITE_ANCHORS["resolvent-1d"], verdicts,
-                       rows, {"ratio": rep.ratio, "box_sup": box_sup})
+    return SuiteResult(verdicts, rows, {"ratio": rep.ratio, "box_sup": box_sup})
 
 
 def run_resolvent_nd(cfg: ExperimentConfig) -> SuiteResult:
@@ -517,8 +505,7 @@ def run_resolvent_nd(cfg: ExperimentConfig) -> SuiteResult:
         _verdict("refinement-stability", rep.probes["refinement_drift"] < 0.10,
                  f"drift {rep.probes['refinement_drift']:.4f}"),
     ]
-    return SuiteResult("resolvent-nd", SUITE_ANCHORS["resolvent-nd"], verdicts,
-                       _member_rows(rep, "resolvent-nd"), {"probes": rep.probes})
+    return SuiteResult(verdicts, _member_rows(rep, "resolvent-nd"), {"probes": rep.probes})
 
 
 def run_mixed_norm(cfg: ExperimentConfig) -> SuiteResult:
@@ -527,7 +514,7 @@ def run_mixed_norm(cfg: ExperimentConfig) -> SuiteResult:
     coarse = verify_mixed_norm(Grid(cfg.dim, cfg.half_width, cfg.points // 2),
                                cfg.decomposition(), cfg.times(), cfg.ensemble,
                                cfg.seed, rotation_probe=False)
-    drift = abs(fine.ratio - coarse.ratio) / coarse.ratio
+    drift = relative_drift(fine.ratio, coarse.ratio)
     verdicts = [
         _verdict("ratio-finite", 0 < fine.ratio < math.inf, f"max ratio {fine.ratio:.5f}"),
         _verdict("rotation-exact", fine.probes["rotation_mismatch"] < 1e-10,
@@ -539,8 +526,7 @@ def run_mixed_norm(cfg: ExperimentConfig) -> SuiteResult:
                  f"sup {fine.probes['inclusion_sup_max_ratio']:.4f}"),
         _verdict("refinement-stability", drift < 0.15, f"drift {drift:.4f}"),
     ]
-    return SuiteResult("mixed-norm", SUITE_ANCHORS["mixed-norm"], verdicts,
-                       _member_rows(fine, "mixed-norm"),
+    return SuiteResult(verdicts, _member_rows(fine, "mixed-norm"),
                        {"probes": fine.probes, "refinement_drift": drift})
 
 
@@ -555,8 +541,7 @@ def run_product_interp(cfg: ExperimentConfig) -> SuiteResult:
     ]
     verdicts.append(_verdict("hardy-sharp-bound", rep.probes["hardy_max_ratio"] <= 2.0,
                              f"max {rep.probes['hardy_max_ratio']:.4f} <= 2"))
-    return SuiteResult("product-interp", SUITE_ANCHORS["product-interp"], verdicts,
-                       _member_rows(rep, "product-interp"), {"probes": rep.probes})
+    return SuiteResult(verdicts, _member_rows(rep, "product-interp"), {"probes": rep.probes})
 
 
 #: shell weight exponent a of the semilinear critical power, and the Picard
@@ -616,12 +601,12 @@ def run_semilinear(cfg: ExperimentConfig) -> SuiteResult:
         _verdict("difference-shape-constant", 0 < shape_c < math.inf,
                  f"max constant {shape_c:.4f}"),
         _verdict("nonlinearity-bound-finite",
-                 not nl_bound.degenerate and nl_bound.ratio < math.inf,
-                 f"ratio {nl_bound.ratio:.4f}"),
+                 not nl_bound["degenerate"] and nl_bound["ratio"] < math.inf,
+                 f"ratio {nl_bound['ratio']:.4f}"),
         _verdict("zero-potential-degenerates", lin_gap == 0.0,
                  f"gap {lin_gap:.2e}"),
     ]
-    return SuiteResult("semilinear", SUITE_ANCHORS["semilinear"], verdicts, rows,
+    return SuiteResult(verdicts, rows,
                        {"p": p, "a": SEMILINEAR_WEIGHT, "threshold": threshold.threshold,
                         "trace": threshold.trace,
                         "contraction": [s.__dict__ for s in run.states]})

@@ -230,9 +230,9 @@ def test_criterion_11_magnetic_self_convergence():
         g = Grid(3, 8.0, 32)
         decomp = DyadicDecomposition(-2, 3)
         unit = bump_potential(g, 1.0, shell=1)
-        amp = 0.1 / smallness_audit(unit, decomp).total
+        amp = 0.1 / smallness_audit(unit, decomp)
         A = bump_potential(g, amp, shell=1)
-        audit = smallness_audit(A, decomp).total
+        audit = smallness_audit(A, decomp)
         f = band_limited_field(g, member_rng(SEED, 71), mode_radius=(1, 4))
 
         sols = [magnetic_solve(f, A, None, [0.0, 0.25], dt=dt).values[-1]

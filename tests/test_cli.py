@@ -75,6 +75,18 @@ class TestRunOutputs:
         assert (out / "results.csv").exists()
         assert (out / "manifest.json").exists()
 
+    def test_report_names_suite_and_anchor_from_the_config(self, tmp_path, capsys):
+        # the runner's result carries neither; the CLI takes both from the config
+        out = tmp_path / "out"
+        rc = main(["--suite", "resolvent-1d", "--seed", "0", "--out", str(out)])
+        assert rc == 0
+        report = json.loads((out / "report.json").read_text())
+        assert set(report) == {"suite", "anchor", "passed", "verdicts", "detail"}
+        assert (report["suite"], report["anchor"]) == ("resolvent-1d", "Lemma 9.3")
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("[PASS] resolvent-1d: ")
+        assert lines[-1].startswith("resolvent-1d: all verdicts passed")
+
     def test_determinism_byte_identical_csv(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -17,7 +17,9 @@ with ``sum``, ``max`` or ``min``.  The only process-lifetime caches are the
 two mask caches, and ``CommutatorOp`` builds its masks and symbols in one
 cached property instead of once per matvec.  Every optional parameter of a
 public function or method is set by some call in ``src/`` or ``bench/``,
-apart from the few seams listed in ``UNSET_PARAMETERS``.
+apart from the few seams listed in ``UNSET_PARAMETERS``.  Every relative
+drift goes through ``harness.relative_drift``: no module divides
+``abs(x - r)`` by ``r``.
 """
 
 import ast
@@ -340,3 +342,31 @@ def test_every_optional_parameter_is_set_in_src():
             unset += [(callee, name) for name, index in params
                       if not any(_sets(c, name, index) for c in mine)]
     assert sorted(unset) == sorted(UNSET_PARAMETERS)
+
+
+def _written_out_drifts(tree: ast.Module) -> list[int]:
+    """Lines dividing abs(x - r) (or abs(r - x)) by r, outside
+    ``relative_drift``."""
+    skip = {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "relative_drift"
+            for node in ast.walk(fn)}
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and id(node) not in skip
+        and isinstance(node.left, ast.Call) and getattr(node.left.func, "id", "") == "abs"
+        and len(node.left.args) == 1 and isinstance(diff := node.left.args[0], ast.BinOp)
+        and isinstance(diff.op, ast.Sub)
+        and ast.dump(node.right) in (ast.dump(diff.left), ast.dump(diff.right))
+    ]
+
+
+def test_relative_drifts_go_through_one_rule():
+    # a drift written out by hand is a second copy of the zero-reference
+    # rule in harness.relative_drift (and raises ZeroDivisionError there)
+    offenders = [
+        (path.name, line)
+        for path in MODULES
+        for line in _written_out_drifts(ast.parse(path.read_text()))
+    ]
+    assert offenders == []

@@ -133,7 +133,7 @@ class TestMagneticPotential:
         assert np.abs(w.real - a1**2).max() < 1e-12
 
     def test_audit_zero(self, grid):
-        assert smallness_audit(zero_potential(grid), DEC).total == 0.0
+        assert smallness_audit(zero_potential(grid), DEC) == 0.0
 
     def test_audit_single_bump_fd_oracle(self):
         # spectral-derivative audit against a centered-difference oracle on
@@ -142,7 +142,7 @@ class TestMagneticPotential:
 
         g = Grid(3, 8.0, 128)
         A = bump_potential(g, 0.01, shell=2)
-        audit = smallness_audit(A, DEC).total
+        audit = smallness_audit(A, DEC)
         comp = A.components[0]
         h = g.spacing
         sups1 = [
@@ -166,8 +166,8 @@ class TestMagneticPotential:
         g2 = Grid(3, 4.0, 64)
         A1 = bump_potential(g1, 0.01, shell=1)
         A2 = MagneticPotential(g2, tuple(2.0 * c for c in A1.components))
-        aud1 = smallness_audit(A1, DyadicDecomposition(-1, 3)).total
-        aud2 = smallness_audit(A2, DyadicDecomposition(-2, 2)).total
+        aud1 = smallness_audit(A1, DyadicDecomposition(-1, 3))
+        aud2 = smallness_audit(A2, DyadicDecomposition(-2, 2))
         assert abs(aud2 - aud1) / aud1 < 1e-12
 
 
@@ -204,7 +204,7 @@ class TestMagneticSolver:
         g = Grid(3, 8.0, 32)
         decomp = DyadicDecomposition(-2, 3)
         unit = bump_potential(g, 1.0, shell=1)
-        scale = 0.1 / smallness_audit(unit, decomp).total
+        scale = 0.1 / smallness_audit(unit, decomp)
         A = bump_potential(g, scale, shell=1)
         f = band_limited_field(g, member_rng(1, 4), mode_radius=(1, 4))
         u = magnetic_solve(f, A, None, [0.0, 1.0])
@@ -255,7 +255,7 @@ class TestZeroComponents:
         g = Grid(3, 8.0, 32)
         A = bump_potential(g, 0.05, shell=0, direction=0)
         fft_calls.clear()
-        total = smallness_audit(A, DEC).total
+        total = smallness_audit(A, DEC)
         assert len(fft_calls) == 4
         sums = []
         for c in A.components:

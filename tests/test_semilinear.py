@@ -7,13 +7,13 @@ import pytest
 from smoothlab.dyadic import DyadicDecomposition
 from smoothlab.ensembles import band_limited_spacetime, member_rng
 from smoothlab.grid import Grid, SpaceTimeField, gaussian
+from smoothlab.harness import nonlinearity_forcing_bound
 from smoothlab.schrodinger import magnetic_solve, zero_potential, bump_potential
 from smoothlab.semilinear import (
     contraction_norm,
     contraction_threshold,
     critical_exponent,
     nonlinearity,
-    nonlinearity_forcing_bound,
     picard_solve,
     shell_potential,
 )
@@ -89,12 +89,12 @@ class TestNonlinearity:
         p = 1.4
         r1 = nonlinearity_forcing_bound(u, V, p, DEC)
         r2 = nonlinearity_forcing_bound(2.5 * u, V, p, DEC)
-        assert math.isclose(r1.ratio, r2.ratio, rel_tol=1e-10)
+        assert math.isclose(r1["ratio"], r2["ratio"], rel_tol=1e-10)
 
     def test_forcing_bound_degenerate_flagged(self, grid, setup):
         V, _, _, times = setup
         u = SpaceTimeField(grid, times, np.zeros((len(times),) + grid.shape, complex))
-        assert nonlinearity_forcing_bound(u, V, 1.4, DEC).degenerate
+        assert nonlinearity_forcing_bound(u, V, 1.4, DEC)["degenerate"]
 
     def test_forcing_bound_single_shell(self, grid, setup):
         # V equal to the shell-0 bump and u living on one shell: both sides
@@ -104,8 +104,8 @@ class TestNonlinearity:
         u = band_limited_spacetime(grid, times, member_rng(9, 2),
                                    mode_radius=(1, 4), window=(1.0, 1.8))
         rep = nonlinearity_forcing_bound(u, V1, 1.4, DEC)
-        assert not rep.degenerate
-        assert 0 < rep.ratio < math.inf
+        assert not rep["degenerate"]
+        assert 0 < rep["ratio"] < math.inf
 
 
 class TestPicard:

@@ -16,6 +16,13 @@ def test_csv_deterministic_bytes(tmp_path):
     assert text[1].startswith("1,0.30000000000000004")
 
 
+def test_csv_header_is_the_union_of_row_keys(tmp_path):
+    # keys in order of first appearance; a row without a key leaves it empty
+    path = tmp_path / "rows.csv"
+    write_csv(path, [{"a": 1, "b": 2}, {"a": 3, "c": "z"}, {"c": "w", "b": 4}])
+    assert path.read_text().splitlines() == ["a,b,c", "1,2,", "3,,z", ",4,w"]
+
+
 def test_json_names_non_finite_floats(tmp_path):
     # Python and numpy floats alike, at any depth, including inside arrays
     payload = {
