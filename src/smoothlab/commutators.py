@@ -5,15 +5,16 @@ at p = 2,
 
     t(k, m, s, 2) = n (k + m)/2 - (n - max(s,0)) max(k,m) - max(s,0) min(k,m)
 
-which depends only on |k - m|.  The scan below measures the norm
-by power iteration on the normal operator and regresses measured log2
-norms on the predicted exponent; only the slope is certified, the
-constant is a fitted intercept.  Each operator builds its two masks and
-read-only ``|xi|^{+-s}`` once.  The power iterate is kept as its spectrum
-``F v``: the forward map takes it to the physical ``A v`` and the adjoint
-map brings ``A v`` back as ``F(A*A v)``, three transforms each, all in
-place in one buffer.  A pair with an empty mask is exactly zero and is not
-iterated, and the last power step forms only ``A v``, not ``A*(A v)``.
+which depends only on |k - m|.  The scan below measures the norm by a
+Lanczos iteration on the normal operator, which stops on its Ritz
+residual and returns a lower bound, and regresses measured log2 norms on
+the predicted exponent; only the slope is certified, the constant is a
+fitted intercept.  Each operator builds its two masks and read-only
+``|xi|^{+-s}`` once, before the solver allocates its buffers.  The
+Lanczos vectors are spectra ``F v``: the forward map takes one to the
+physical ``A v`` and the adjoint map brings ``A v`` back as
+``F(A*A v)``, three transforms each, in place in one buffer.  A pair
+with an empty mask is exactly zero and is not iterated.
 
 Dilating x -> 2x carries the (k, m) operator exactly onto (k+1, m+1) when
 both the box and spacing scale along, so each shell pair is evaluated on
@@ -33,7 +34,7 @@ import numpy as np
 
 from .dyadic import DyadicDecomposition, mask_resolution_audit, spatial_masks
 from .grid import Field, Grid
-from .spectral import abs_freq_power, fft_inplace, ifft_inplace, l2_norm, spectrum_l2_norm
+from .spectral import abs_freq_power, fft_inplace, ifft_inplace
 
 
 def predicted_exponent(k: int, m: int, s: float, n: int = 3) -> float:
@@ -115,56 +116,67 @@ class CommutatorOp:
         return Field(self.grid, x)
 
 
-def operator_norm(
-    op: CommutatorOp,
-    trials: int = 8,
-    iterations: int = 50,
-    tol: float = 1e-6,
-    seed: int = 0,
-) -> float:
-    """Power iteration on A*A from random mean-zero starts.
+#: relative Ritz residual at which the Lanczos solve stops
+LANCZOS_TOL = 1e-10
+#: Lanczos steps after which the solve returns its top Ritz value as it is
+LANCZOS_MAX_STEPS = 200
 
-    Returns the largest Rayleigh quotient found over the trials, a lower
-    bound on the true norm (0.0 when no trial grew).  The iterate is the
-    spectrum ``F v`` of a unit mean-zero ``v``.  Each step forms ``A v``
-    with ``op.apply`` and tests ``||A v||`` for convergence first;
-    ``op.apply_adjoint`` forms ``F(A*A v)``, whose zero mode is 0, only
-    when a further step will use it, and ``||A*A v||`` comes from
-    Plancherel.  Both maps work in place in one buffer this function
-    owns, so a trial that stops after j forward maps runs 6j - 2
-    transforms: one to enter the spectrum and three per map.
+
+def _real_dot(x: np.ndarray, y: np.ndarray) -> float:
+    """Re <x, y> over the float64 views, with no copy and no BLAS call (a
+    threaded BLAS would make the sum depend on the thread count)."""
+    return float(np.einsum("i,i->", x.view(np.float64).ravel(), y.view(np.float64).ravel()))
+
+
+def operator_norm(op: CommutatorOp, seed: int = 0) -> float:
+    """Lanczos iteration on the normal operator F A*A F^-1 from one seeded
+    mean-zero spectrum.
+
+    Returns sqrt(theta) for the top Ritz value theta, a lower bound on the
+    true norm: the Krylov space holds every power iterate of the start.  The
+    solve stops once the Ritz residual beta_j |s_j| (s_j the last entry of
+    theta's eigenvector of the tridiagonal T_j) is at most ``LANCZOS_TOL``
+    times theta, or after ``LANCZOS_MAX_STEPS`` steps.  A step is one
+    ``op.apply`` and one ``op.apply_adjoint``, six transforms, so a solve of
+    j steps runs 1 + 6j of them: one enters the spectrum.  The operator is
+    Hermitian on complex spectra, hence symmetric on their (Re, Im) pairs,
+    so the real inner product Re <x, y> is the one the recurrence needs.
+    The solve holds three grid buffers and, past the seeded draw, makes no
+    grid-sized temporary; build the operator's factors first, so that they
+    do not stack on the buffers.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
     grid = op.grid
-    buf = np.empty(grid.shape, dtype=np.complex128)
-    results = []
-    for _ in range(trials):
-        buf.real = rng.standard_normal(grid.shape)
-        buf.imag = rng.standard_normal(grid.shape)
-        buf -= buf.mean()
-        v = Field(grid, buf)
-        nv = l2_norm(v)
-        if nv == 0:
-            continue
-        buf *= 1.0 / nv
-        fft_inplace(buf)
-        est = 0.0
-        for step in range(iterations):
-            av = op.apply(v)
-            na = l2_norm(av)  # ||A v|| for unit v
-            last = step == iterations - 1 or (est > 0 and abs(na - est) <= tol * est)
-            est = na
-            if na == 0 or last:
-                break
-            v = op.apply_adjoint(av)
-            nw = spectrum_l2_norm(v)
-            if nw == 0:
-                break
-            v.values *= 1.0 / nw
-        results.append(est)
-    return max([r for r in results if r > 0], default=0.0)
+    rng = np.random.default_rng(seed)
+    v = np.empty(grid.shape, dtype=np.complex128)
+    v.real = rng.standard_normal(grid.shape)
+    v.imag = rng.standard_normal(grid.shape)
+    v -= v.mean()
+    fft_inplace(v)
+    v *= 1.0 / math.sqrt(_real_dot(v, v))
+    prev, spare = np.zeros_like(v), np.empty_like(v)
+    alphas: list[float] = []
+    betas: list[float] = []
+    beta = 0.0
+    for _ in range(LANCZOS_MAX_STEPS):
+        np.copyto(spare, v)
+        w = op.apply_adjoint(op.apply(Field(grid, spare))).values
+        alpha = _real_dot(v, w)
+        # w -= beta prev + alpha v, through prev, which is not needed again
+        prev *= beta
+        w -= prev
+        np.multiply(v, alpha, out=prev)
+        w -= prev
+        beta = math.sqrt(_real_dot(w, w))
+        alphas.append(alpha)
+        t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        values, vectors = np.linalg.eigh(t)
+        theta = values[-1]
+        if beta == 0 or beta * abs(vectors[-1, -1]) <= LANCZOS_TOL * theta:
+            break
+        betas.append(beta)
+        w *= 1.0 / beta
+        prev, v, spare = v, w, prev
+    return math.sqrt(max(theta, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +240,6 @@ def measure_pair_norm(
     *,
     dim: int = 3,
     points: int = 64,
-    trials: int = 4,
-    iterations: int = 30,
     seed: int = 0,
 ) -> tuple[float, bool]:
     """Operator norm of the (k, m) pair measured at its centered dyadic
@@ -243,7 +253,8 @@ def measure_pair_norm(
     if audits[kk].nonzero_samples == 0 or audits[mm].nonzero_samples == 0:
         return 0.0, resolved
     op = CommutatorOp(kk, mm, s, decomp, grid)
-    return operator_norm(op, trials=trials, iterations=iterations, seed=seed), resolved
+    op._factors  # built before the solver's buffers, not on top of them
+    return operator_norm(op, seed=seed), resolved
 
 
 def decay_scan(
@@ -253,8 +264,6 @@ def decay_scan(
     *,
     dim: int = 3,
     points: int = 64,
-    trials: int = 4,
-    iterations: int = 30,
     seed: int = 0,
 ) -> DecayScanResult:
     """Measure every (k, m) pair at least ``MIN_SEPARATION`` shells apart
@@ -274,10 +283,7 @@ def decay_scan(
                 continue
             key = (m - k > 0, abs(m - k))
             if key not in classes:
-                classes[key] = measure_pair_norm(
-                    k, m, s, dim=dim, points=points,
-                    trials=trials, iterations=iterations, seed=seed,
-                )
+                classes[key] = measure_pair_norm(k, m, s, dim=dim, points=points, seed=seed)
             value, resolved = classes[key]
             measured = math.log2(value) if value > 0 else -math.inf
             records.append(
@@ -298,13 +304,6 @@ def decay_scan(
     return DecayScanResult(records, float(slope), float(intercept), len(pts))
 
 
-#: power iteration depth of the diagonal scan: the near-degenerate top of
-#: the diagonal normal operator needs deep iteration to converge
-DIAGONAL_TRIALS = 2
-DIAGONAL_ITERATIONS = 120
-DIAGONAL_TOL = 1e-9
-
-
 def diagonal_scan(
     s: float,
     k_values: Sequence[int],
@@ -318,6 +317,6 @@ def diagonal_scan(
     out = {}
     for k in k_values:
         op = CommutatorOp(k, k, s, decomp, grid)
-        out[k] = operator_norm(op, trials=DIAGONAL_TRIALS, iterations=DIAGONAL_ITERATIONS,
-                               tol=DIAGONAL_TOL, seed=seed)
+        op._factors  # built before the solver's buffers, not on top of them
+        out[k] = operator_norm(op, seed=seed)
     return out

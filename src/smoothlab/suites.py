@@ -300,10 +300,7 @@ def run_commutator_scan(cfg: ExperimentConfig) -> SuiteResult:
     verdicts: list[Verdict] = []
     report: dict = {"slopes": {}, "diagonal": {}}
     for s in COMMUTATOR_S_VALUES:
-        scan = decay_scan(
-            s, k_range, k_range, dim=cfg.dim, points=cfg.points,
-            trials=4, iterations=30, seed=cfg.seed,
-        )
+        scan = decay_scan(s, k_range, k_range, dim=cfg.dim, points=cfg.points, seed=cfg.seed)
         rows.extend({**r, "s": s} for r in scan.csv_rows())
         report["slopes"][str(s)] = {
             "slope": scan.slope,
@@ -318,9 +315,7 @@ def run_commutator_scan(cfg: ExperimentConfig) -> SuiteResult:
                 f"slope {scan.slope:.4f} over {scan.regression_points} resolved records",
             )
         )
-    # diagonal scale covariance on one fixed grid; its deep power iteration
-    # (DIAGONAL_ITERATIONS) runs at a smaller grid where full convergence
-    # is affordable
+    # diagonal scale covariance on one fixed grid
     g = Grid(cfg.dim, cfg.half_width, min(cfg.points, 32))
     decomp = cfg.decomposition()
     diag_band = range(-1, 3)

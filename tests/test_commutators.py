@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,9 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smoothlab
 from smoothlab.commutators import (
+    LANCZOS_MAX_STEPS,
     CommutatorOp,
     decay_scan,
     measure_pair_norm,
@@ -131,55 +137,85 @@ class TestApply:
 class TestOperatorNorm:
     def test_zero_operator(self, grid, dec):
         op = CommutatorOp(-1, 2, 0.0, dec, grid)
-        assert operator_norm(op, trials=2, iterations=10, seed=0) == 0.0
+        assert operator_norm(op, seed=0) == 0.0
 
     def test_identity_like_diagonal(self, grid, dec):
         # k = m, s = 0 is multiplication by Q_k^2: norm = max Q_k^2 <= 1
         op = CommutatorOp(0, 0, 0.0, dec, grid)
-        est = operator_norm(op, trials=3, iterations=60, tol=1e-9, seed=0)
+        est = operator_norm(op, seed=0)
         masks = spatial_masks(dec, grid)
         assert est <= (masks[0] ** 2).max() + 1e-9
         assert est > 0.95 * (masks[0] ** 2).max()
 
-    def test_trials_domain(self, grid, dec):
-        with pytest.raises(ValueError):
-            operator_norm(CommutatorOp(0, 0, 0.5, dec, grid), trials=0)
+    def test_matches_dense_top_singular_value(self):
+        # on a 16^2 grid the operator is a 256 x 256 matrix, assembled
+        # column by column from the physical unit vectors
+        g, d = Grid(2, 8.0, 16), DyadicDecomposition(-2, 3)
+        op = CommutatorOp(0, 1, 0.5, d, g)
+        cols = []
+        for i in range(g.size):
+            e = np.zeros(g.size, complex)
+            e[i] = 1.0
+            cols.append(op.apply(_spectrum(Field(g, e.reshape(g.shape)))).values.ravel())
+        dense = np.linalg.svd(np.array(cols).T, compute_uv=False)[0]
+        assert abs(operator_norm(op, seed=0) - dense) <= 1e-10 * dense
 
     def test_adjoint_norm_agrees(self, grid, dec):
         # ||A|| = ||A*||: estimate the adjoint by iterating the swapped maps
         op = CommutatorOp(0, 2, 0.5, dec, grid)
-        fwd = operator_norm(op, trials=3, iterations=60, tol=1e-9, seed=1)
-        bwd = operator_norm(_Swapped(op), trials=3, iterations=60, tol=1e-9, seed=1)
-        assert abs(fwd - bwd) / fwd < 0.02
+        fwd = operator_norm(op, seed=1)
+        bwd = operator_norm(_Swapped(op), seed=1)
+        assert abs(fwd - bwd) / fwd < 1e-9
 
     @pytest.mark.parametrize("s", [0.5, -0.5, 0.0])
     def test_zero_mode_exact_after_every_adjoint(self, grid, dec, s):
         # |xi|^s vanishes at xi = 0, and at s = 0 the mode is set to 0, so
-        # the iterate stays mean-zero without a projection
+        # the Lanczos vectors stay mean-zero without a projection
         op = _Counted(CommutatorOp(0, 1, s, dec, grid))
-        operator_norm(op, trials=2, iterations=8, tol=0.0, seed=7)
-        assert len(op.zero_modes) == 2 * 7
+        operator_norm(op, seed=7)
+        assert len(op.zero_modes) == op.applies > 1
         assert all(z == 0.0 for z in op.zero_modes)
 
     def test_one_trial_holds_few_grid_arrays(self, grid, dec):
-        # the iterate, A v and A*A v share one buffer; only the norms'
-        # temporaries come on top of it.  The operator's masks and symbols
+        # the solve holds three grid buffers: the last two Lanczos vectors
+        # and the one the maps work in.  The operator's masks and symbols
         # are built before the trace: they live as long as the operator.
         op = CommutatorOp(0, 2, 0.5, dec, grid)
         op._factors
         tracemalloc.start()
         try:
-            operator_norm(op, trials=1, iterations=20, tol=1e-9, seed=8)
+            operator_norm(op, seed=8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 16 * grid.size
+        # on top: numpy's cast buffer for the complex-by-real products, and
+        # the small tridiagonal matrix with its eigenvectors
+        assert peak <= 3 * 16 * grid.size + 16 * np.getbufsize() + 64 * 1024
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # the inner products avoid BLAS, whose threaded sums round
+        # differently with the thread count
+        code = (
+            "from smoothlab.commutators import CommutatorOp, operator_norm\n"
+            "from smoothlab.dyadic import DyadicDecomposition\n"
+            "from smoothlab.grid import Grid\n"
+            "op = CommutatorOp(2, 2, -0.5, DyadicDecomposition(-2, 3), Grid(3, 8.0, 32))\n"
+            "print(operator_norm(op, seed=0).hex())\n"
+        )
+        src = str(Path(smoothlab.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, check=True)
+            out.append(proc.stdout)
+        assert out[0] == out[1] != ""
 
 
 class TestDecayScan:
     def test_s_zero_far_pairs_excluded(self):
-        scan = decay_scan(0.0, range(-1, 3), range(-1, 3), points=32,
-                          trials=2, iterations=10, seed=0)
+        scan = decay_scan(0.0, range(-1, 3), range(-1, 3), points=32, seed=0)
         far = [r for r in scan.records if abs(r.k - r.m) >= 3]
         assert far and all(r.measured_log2 == -math.inf for r in far)
         assert all(not r.resolved for r in far)
@@ -188,21 +224,19 @@ class TestDecayScan:
         # for fixed k and s = 1/2 the measured norms fall shell by shell
         vals = []
         for d in (3, 4):
-            v, res = measure_pair_norm(0, d, 0.5, points=64, trials=2,
-                                          iterations=20, seed=1)
+            v, res = measure_pair_norm(0, d, 0.5, points=64, seed=1)
             assert res
             vals.append(v)
         assert vals[0] > vals[1] > 0
 
     def test_dilation_covariance_of_reduction(self):
         # the centered reduction assigns one value per (direction, separation)
-        a = measure_pair_norm(-3, 0, 0.5, points=32, trials=2, iterations=15, seed=2)
-        b = measure_pair_norm(1, 4, 0.5, points=32, trials=2, iterations=15, seed=2)
+        a = measure_pair_norm(-3, 0, 0.5, points=32, seed=2)
+        b = measure_pair_norm(1, 4, 0.5, points=32, seed=2)
         assert math.isclose(a[0], b[0], rel_tol=1e-9)
 
     def test_scan_regression_bookkeeping(self):
-        scan = decay_scan(0.5, range(-1, 4), range(-1, 4), points=32,
-                          trials=2, iterations=15, seed=3)
+        scan = decay_scan(0.5, range(-1, 4), range(-1, 4), points=32, seed=3)
         resolved = [r for r in scan.records if r.resolved]
         assert scan.regression_points == len(resolved)
         for r in scan.records:
@@ -246,7 +280,9 @@ class _PhysicalSwapped:
 class _Swapped:
     """A* in the spectral-iterate convention of ``operator_norm``: ``apply``
     takes F v to the physical A* v and ``apply_adjoint`` takes u to
-    F(A u), with the zero mode dropped."""
+    F(A u).  A* does not annihilate constants, so the zero mode is kept:
+    dropping it would measure ||A* P_0|| for the mean-zero projection P_0,
+    2e-3 below ||A|| on the (0, 2) pair at s = 1/2."""
 
     def __init__(self, op):
         self.op, self.grid = op, op.grid
@@ -255,114 +291,77 @@ class _Swapped:
         return _physical(self.op.apply_adjoint(_physical(spec)))
 
     def apply_adjoint(self, f):
-        out = _spectrum(self.op.apply(_spectrum(f)))
-        out.values.flat[0] = 0.0
-        return out
+        return _spectrum(self.op.apply(_spectrum(f)))
 
 
-def _reference_operator_norm(op, trials=8, iterations=50, tol=1e-6, seed=0, steps=None):
-    """The power iteration on a physical iterate, as it was before the
-    last-step adjoint was dropped: every step forms A*(A v), and the
-    convergence test follows it.  ``steps`` collects the forward maps of
-    each trial."""
+def _reference_operator_norm(op, iterations, tol, seed):
+    """The power iteration on a physical iterate, from the start
+    ``operator_norm`` uses for the same seed: every step forms A*(A v), and
+    the convergence test follows it.  Its estimate ||A v|| is the square
+    root of a Rayleigh quotient of A*A at a power iterate of the start; the
+    top Ritz value over a Krylov space that holds that iterate is at least
+    as large."""
     rng = np.random.default_rng(seed)
     grid = op.grid
-    results = []
-    for _ in range(trials):
-        v = Field(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-        v = mean_zero(v)
-        nv = l2_norm(v)
-        if nv == 0:
-            continue
-        v = v * (1.0 / nv)
-        est = 0.0
-        for step in range(iterations):
-            av = op.apply(v)
-            na = l2_norm(av)
-            if na == 0:
-                est = 0.0
-                break
-            new_est = na
-            w = mean_zero(op.apply_adjoint(av))
-            nw = l2_norm(w)
-            if nw == 0:
-                est = new_est
-                break
-            v = w * (1.0 / nw)
-            if est > 0 and abs(new_est - est) <= tol * est:
-                est = new_est
-                break
-            est = new_est
-        if steps is not None:
-            steps.append(step + 1)
-        results.append(est)
-    return max([r for r in results if r > 0], default=0.0)
+    v = Field(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    v = mean_zero(v)
+    v = Field(grid, v.values * (1.0 / l2_norm(v)))
+    est = 0.0
+    for _ in range(iterations):
+        av = op.apply(v)
+        new_est = l2_norm(av)
+        w = mean_zero(op.apply_adjoint(av))
+        v = Field(grid, w.values * (1.0 / l2_norm(w)))
+        if est > 0 and abs(new_est - est) <= tol * est:
+            return new_est
+        est = new_est
+    return est
 
 
 class _Counted:
-    """Duck-typed operator that logs its maps: the forward maps of each
-    trial (a trial's first map follows another forward map, or nothing)
-    and the zero mode of every adjoint result."""
+    """Duck-typed operator that counts its forward maps and logs the zero
+    mode of every adjoint result."""
 
     def __init__(self, op):
         self.op, self.grid = op, op.grid
-        self.trial_maps, self.zero_modes, self._last = [], [], None
-
-    @property
-    def applies(self):
-        return sum(self.trial_maps)
+        self.applies, self.zero_modes = 0, []
 
     def apply(self, f):
-        if self._last != "adjoint":
-            self.trial_maps.append(0)
-        self.trial_maps[-1] += 1
-        self._last = "apply"
+        self.applies += 1
         return self.op.apply(f)
 
     def apply_adjoint(self, f):
-        self._last = "adjoint"
         out = self.op.apply_adjoint(f)
         self.zero_modes.append(out.values.flat[0])
         return out
 
 
 class TestOperatorNormSteps:
-    """The spectral iterate takes the steps of the physical reference.  The
-    transforms it saves round differently, so the norms agree to 1e-13
-    relative, not bit for bit; the last power step forms A v only."""
+    """The Lanczos solve against the power iteration it replaced, and its
+    transform count."""
 
-    @pytest.mark.parametrize("iterations, tol", [(60, 1e-4), (3, 1e-12)])
-    def test_bit_identical_to_reference(self, grid, dec, iterations, tol):
-        # a trial that converges, and one that runs out of iterations
-        op = CommutatorOp(0, 2, 0.5, dec, grid)
-        counted, steps = _Counted(op), []
-        got = operator_norm(counted, trials=2, iterations=iterations, tol=tol, seed=4)
-        ref = _reference_operator_norm(_PhysicalOp(op), trials=2, iterations=iterations,
-                                       tol=tol, seed=4, steps=steps)
-        assert abs(got - ref) <= 1e-13 * ref
-        assert counted.trial_maps == steps
-        if iterations == 3:
-            assert counted.applies == 2 * iterations
+    @pytest.mark.parametrize("case", ["converged", "capped", "swapped"])
+    def test_not_below_power_iteration_reference(self, grid, dec, case):
+        # a reference that converges, one that runs out of iterations, and
+        # one on the adjoint's maps, each from the Lanczos start
+        if case == "swapped":
+            op = CommutatorOp(1, -1, -0.5, dec, grid)
+            fast, slow = _Swapped(op), _PhysicalSwapped(_PhysicalOp(op))
+            iterations, tol = 40, 1e-5
         else:
-            assert counted.applies < 2 * iterations
+            op = CommutatorOp(0, 2, 0.5, dec, grid)
+            fast, slow = op, _PhysicalOp(op)
+            iterations, tol = (60, 1e-4) if case == "converged" else (3, 1e-12)
+        got = operator_norm(fast, seed=4)
+        ref = _reference_operator_norm(slow, iterations, tol, seed=4)
+        assert 0 < ref <= got
 
-    def test_bit_identical_for_swapped_operator(self, grid, dec):
-        op = CommutatorOp(1, -1, -0.5, dec, grid)
-        counted, steps = _Counted(_Swapped(op)), []
-        got = operator_norm(counted, trials=2, iterations=40, tol=1e-5, seed=5)
-        ref = _reference_operator_norm(_PhysicalSwapped(_PhysicalOp(op)), trials=2,
-                                       iterations=40, tol=1e-5, seed=5, steps=steps)
-        assert abs(got - ref) <= 1e-13 * ref
-        assert counted.trial_maps == steps
-
-    def test_converged_trial_transform_count(self, grid, dec, fft_calls):
-        # one transform enters the spectrum and each map runs three; a
-        # trial that stops after j forward maps forms j - 1 adjoints
+    def test_transforms_per_solve(self, grid, dec, fft_calls):
+        # one transform enters the spectrum and each step runs three per map
         op = _Counted(CommutatorOp(0, 2, 0.5, dec, grid))
-        operator_norm(op, trials=1, iterations=60, tol=1e-4, seed=6)
-        j = op.applies
-        assert 1 < j < 60
-        assert len(fft_calls) == 6 * j - 2
+        operator_norm(op, seed=6)
+        assert 1 < op.applies < LANCZOS_MAX_STEPS
+        assert len(fft_calls) == 1 + 6 * op.applies
 
     def test_empty_mask_pair_is_not_iterated(self, fft_calls):
         # shell -3 of the centered decomposition holds no point of the

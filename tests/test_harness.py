@@ -23,7 +23,7 @@ from smoothlab.harness import (
     verify_resolvent_1d,
     verify_resolvent_nd,
 )
-from smoothlab.norms import weight_product_mask
+from smoothlab.norms import NormSpec, lqa_sobolev_norm, weight_product_mask
 from smoothlab.schrodinger import (
     bump_potential,
     duhamel,
@@ -323,7 +323,10 @@ class TestProductInterpolation:
         f = band_limited_field(GRID, member_rng(8, 0), mode_radius=(1, 4),
                                window=(1.0, 2.0))
         one = Field(GRID, np.ones(GRID.shape, complex))
-        assert np.abs(f.values * one.values - f.values).max() == 0.0
+        fg = Field(GRID, f.values * one.values)
+        spec = NormSpec(2, 0.5, 0.5)
+        assert lqa_sobolev_norm(fg, DEC, spec, variant="D_then_mask") == lqa_sobolev_norm(
+            f, DEC, spec, variant="D_then_mask")
 
     def test_report_probes(self):
         rep = verify_product_and_interpolation(GRID, DEC, ensemble=4, seed=8)

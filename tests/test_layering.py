@@ -19,10 +19,13 @@ cached property instead of once per matvec.  Every optional parameter of a
 public function or method is set by some call in ``src/`` or ``bench/``,
 apart from the few seams listed in ``UNSET_PARAMETERS``.  Every relative
 drift goes through ``harness.relative_drift``: no module divides
-``abs(x - r)`` by ``r``.
+``abs(x - r)`` by ``r``.  No module imports or loads ``scipy.linalg`` or
+``scipy.sparse``.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import smoothlab
@@ -223,7 +226,7 @@ def _called_names(node: ast.AST) -> set[str]:
 
 
 def test_commutator_factors_built_in_one_cached_property():
-    # a power iteration runs hundreds of matvecs per operator; building a
+    # a Lanczos solve runs up to a hundred matvecs per operator; building a
     # mask family or |xi|^s inside apply/apply_adjoint rebuilds it each time
     tree = ast.parse((Path(smoothlab.__file__).parent / "commutators.py").read_text())
     op = next(node for node in tree.body
@@ -370,3 +373,28 @@ def test_relative_drifts_go_through_one_rule():
         for line in _written_out_drifts(ast.parse(path.read_text()))
     ]
     assert offenders == []
+
+
+HEAVY_SCIPY = ("scipy.linalg", "scipy.sparse")
+
+
+def test_no_module_imports_scipy_linalg_or_sparse():
+    # loading scipy.sparse.linalg (for eigsh) brings in scipy.linalg and
+    # scipy.sparse, 8.2 MiB of RSS in every suite run: about 7 % of the
+    # phase-localization peak and 9 % of the main-estimate one.  The first
+    # check finds any import statement, lazy ones included; the second
+    # finds what importing the package loads through other modules.
+    imports = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, a.name) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imports += [(path.name, f"{node.module}.{a.name}") for a in node.names]
+    assert [(f, m) for f, m in imports if m.startswith(HEAVY_SCIPY)] == []
+    code = "".join(f"import smoothlab.{p.stem}\n" for p in MODULES if p.stem != "__init__")
+    code += f"import sys; print(sorted(m for m in sys.modules if m.startswith({HEAVY_SCIPY})))"
+    src = str(Path(smoothlab.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, cwd=src)
+    assert proc.stdout.strip() == "[]"
