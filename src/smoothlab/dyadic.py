@@ -21,26 +21,24 @@ import numpy as np
 from .grid import Grid
 
 
-def _mollifier(t: np.ndarray) -> np.ndarray:
-    """exp(-1/t) for t > 0, identically 0 for t <= 0."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    with np.errstate(over="ignore", divide="ignore"):
-        out[pos] = np.exp(-1.0 / t[pos])
-    return out
-
-
 def smooth_step(t):
-    """Smooth monotone step: 0 for t <= 0, 1 for t >= 1."""
+    """Smooth monotone step: 0 for t <= 0, 1 for t >= 1.
+
+    On the open band 0 < t < 1 it is g / (g + h) with the ``exp(-1/t)``
+    mollifier g = exp(-1/t) and h = exp(-1/(1 - t)); outside the band it
+    is exactly 0.0 or 1.0 and no exponential is taken.  One of g, h is at
+    least exp(-2) on the band, so g + h > 0.  Near 0 and 1 an exponential
+    and the quotient underflow, and a subnormal t overflows -1/t to -inf,
+    all silently.
+    """
     t = np.asarray(t, dtype=float)
-    g = _mollifier(t)
-    h = _mollifier(1.0 - t)
-    with np.errstate(invalid="ignore"):
-        out = np.where(g + h > 0, g / (g + h), 0.0)
-    # flat regions are exact 0.0 / 1.0, no rounding residue
-    out = np.where(t <= 0, 0.0, out)
-    out = np.where(t >= 1, 1.0, out)
+    out = np.where(t >= 1, 1.0, 0.0)
+    band = (t > 0) & (t < 1)
+    tb = t[band]
+    with np.errstate(over="ignore", divide="ignore", under="ignore"):
+        g = np.exp(-1.0 / tb)
+        h = np.exp(-1.0 / (1.0 - tb))
+        out[band] = g / (g + h)
     return out
 
 
@@ -117,6 +115,17 @@ def _cached_masks(grid: Grid, kind: str, k: int) -> np.ndarray:
     mask = bump(r / 2.0**k)
     mask.flags.writeable = False
     return mask
+
+
+def shell_box(grid: Grid, k: int) -> slice:
+    """The indices along one axis with ``|x_j| < 2^(k+1)``.
+
+    The shell-k spatial mask vanishes outside the cube ``shell_box^n``:
+    ``bump`` is exactly 0 from s = 2 on, and ``|x| >= |x_j|``.  The box
+    always holds the centre index, where x_j = 0.
+    """
+    inside = np.flatnonzero(np.abs(grid.axis) < 2.0 ** (k + 1))
+    return slice(int(inside[0]), int(inside[-1]) + 1)
 
 
 def _mask_family(decomp: DyadicDecomposition, grid: Grid, kind: str) -> MaskFamily:

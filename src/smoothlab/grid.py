@@ -17,9 +17,9 @@ import numpy as np
 from scipy import fft as _fft
 
 # scipy.fft.fftn/ifftn are looked up at call time.  With overwrite=True a
-# complex input may receive the result.
-def _fftn(values: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    return _fft.fftn(values, overwrite_x=overwrite)
+# complex input may receive the result; axes=None transforms every axis.
+def _fftn(values: np.ndarray, overwrite: bool = False, axes=None) -> np.ndarray:
+    return _fft.fftn(values, overwrite_x=overwrite, axes=axes)
 
 
 def _ifftn(values: np.ndarray, overwrite: bool = False) -> np.ndarray:

@@ -15,15 +15,23 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import DyadicDecomposition, MaskFamily, frequency_masks, seq_norm, spatial_masks
+from .dyadic import (
+    DyadicDecomposition,
+    MaskFamily,
+    frequency_masks,
+    seq_norm,
+    shell_box,
+    spatial_masks,
+)
 from .grid import Field, Grid, SpaceTimeField
 from .spectral import (
     abs_freq_power,
     apply_multiplier,
     apply_multipliers,
+    boxed_fftn,
     l2_norm,
     lp_norm,
-    multiplier_l2_norm,
+    spectrum_l2_norm,
 )
 
 VARIANTS = ("mask_then_D", "D_then_mask", "weight_product")
@@ -72,20 +80,22 @@ def annulus_sup(values: np.ndarray, grid: Grid, k: int) -> float:
     return float(np.abs(values[mask]).max()) if mask.any() else 0.0
 
 
-def annulus_l2(f: Field, k: int) -> float:
-    """L^2 norm of f over the dyadic annulus of shell k."""
-    m = _annulus_mask(f.grid, k)
-    return float(np.sqrt(np.sum(m * np.abs(f.values) ** 2) * f.grid.cell_volume))
+def annulus_l2_terms(f: Field, decomp: DyadicDecomposition) -> dict[int, float]:
+    """L^2 norm of f over the dyadic annulus of each shell of the range,
+    from one |f|^2."""
+    a2 = np.abs(f.values) ** 2
+    return {k: float(np.sqrt(np.sum(_annulus_mask(f.grid, k) * a2) * f.grid.cell_volume))
+            for k in decomp.shells}
 
 
 def annulus_sum_norm(f: Field, decomp: DyadicDecomposition) -> float:
     """sum_k 2^(k/2) ||f||_{L^2(annulus k)} over the truncated shell range."""
-    return seq_norm({k: annulus_l2(f, k) for k in decomp.shells}, 1, 0.5)
+    return seq_norm(annulus_l2_terms(f, decomp), 1, 0.5)
 
 
 def annulus_sup_norm(f: Field, decomp: DyadicDecomposition) -> float:
     """sup_k 2^(-k/2) ||f||_{L^2(annulus k)} over the truncated shell range."""
-    return seq_norm({k: annulus_l2(f, k) for k in decomp.shells}, math.inf, -0.5)
+    return seq_norm(annulus_l2_terms(f, decomp), math.inf, -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +128,9 @@ def lqa_shell_terms(
     weight_product :  || |D|^s (|x|^a Q_k f) ||_{L^p}
 
     At p = 2 the last two take each term from the forward transform of the
-    weighted field alone (Plancherel); mask_then_D applies its mask after
-    |D|^s and shares one transform pair across all shells instead.
+    weighted field alone (Plancherel), run only on the lines that meet the
+    shell's cube ``shell_box``; mask_then_D applies its mask after |D|^s
+    and shares one transform pair across all shells instead.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
@@ -133,11 +144,11 @@ def lqa_shell_terms(
     else:
         for k in decomp.shells:
             w = masks[k] if variant == "D_then_mask" else weight_product_mask(masks, k, spec.a)
-            loc = Field(f.grid, w * f.values)
             if p == 2:
-                terms[k] = multiplier_l2_norm(loc, sym)
+                spectrum = boxed_fftn(w, f.values, shell_box(f.grid, k))
+                terms[k] = spectrum_l2_norm(Field(f.grid, sym * spectrum))
             else:
-                terms[k] = lp_norm(apply_multiplier(loc, sym), p)
+                terms[k] = lp_norm(apply_multiplier(Field(f.grid, w * f.values), sym), p)
     return terms
 
 

@@ -8,13 +8,16 @@ def fft_calls(monkeypatch):
 
     ``grid._fftn``/``_ifftn`` look the transforms up at call time, so
     replacing the module attributes sees every transform the package runs.
+    A transform over all axes is named ``"fftn"``; a pass over some axes
+    carries them, as in ``"fftn(axes=(0,))"``.
     """
     calls: list[str] = []
     for name in ("fftn", "ifftn"):
         real = getattr(scipy.fft, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
-            calls.append(_name)
+            axes = kwargs.get("axes")
+            calls.append(_name if axes is None else f"{_name}(axes={tuple(axes)})")
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, name, counted)

@@ -5,7 +5,8 @@ plain constructors that the tests use as independent oracles: lattice
 plane waves, the L^2 inner product, the Morrey-Campanato local energy,
 the one-sided geometric edge value of the discrete kernel, the
 boundary-shell share of a shell norm, the Riesz transforms (whose identities pin the zero-mode convention of the
-multiplier pathway) and the fractional Laplacian as a transform pair.
+multiplier pathway), the fractional Laplacian as a transform pair and the
+smooth step evaluated on the whole line.
 """
 
 from __future__ import annotations
@@ -94,3 +95,26 @@ def riesz_transform(f: Field, axis: int) -> Field:
 def fractional_laplacian(f: Field, s: float) -> Field:
     """|D|^s f: Fourier coefficients scaled by |xi|^s, zero mode dropped."""
     return apply_multiplier(f, abs_freq_power(f.grid, s))
+
+
+def _mollifier(t: np.ndarray) -> np.ndarray:
+    """exp(-1/t) for t > 0, identically 0 for t <= 0."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    pos = t > 0
+    with np.errstate(over="ignore", divide="ignore"):
+        out[pos] = np.exp(-1.0 / t[pos])
+    return out
+
+
+def smooth_step(t):
+    """g / (g + h) with both mollifiers taken at every point, then the flat
+    regions overwritten with exact 0.0 / 1.0."""
+    t = np.asarray(t, dtype=float)
+    g = _mollifier(t)
+    h = _mollifier(1.0 - t)
+    with np.errstate(invalid="ignore"):
+        out = np.where(g + h > 0, g / (g + h), 0.0)
+    out = np.where(t <= 0, 0.0, out)
+    out = np.where(t >= 1, 1.0, out)
+    return out

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from smoothlab.dyadic import (
     DyadicDecomposition,
     bump,
     frequency_masks,
     mask_resolution_audit,
     seq_norm,
+    shell_box,
+    smooth_step,
     spatial_masks,
 )
 from smoothlab.grid import Grid
@@ -47,6 +50,19 @@ class TestBumpProfile:
             sups.append(np.abs(d4).max())
         assert all(np.isfinite(v) for v in sups)
         assert sups[-1] < 2.0 * sups[0] + 1e3
+
+    def test_smooth_step_bit_identical_to_whole_line_oracle(self):
+        # the band-only evaluation takes the same exponentials on 0 < t < 1
+        # and writes the same exact 0.0 / 1.0 elsewhere
+        rng = np.random.default_rng(1)
+        edges = [0.0, -0.0, 1.0, 5e-324, 1e-300, 1 - 1e-12, 1 - 2**-53, 0.5,
+                 np.inf, -np.inf, np.nan]
+        t = np.concatenate([rng.uniform(-0.5, 1.5, 100_000), edges])
+        with np.errstate(all="raise"):
+            got = smooth_step(t)
+        assert np.array_equal(got.view(np.uint64), oracles.smooth_step(t).view(np.uint64))
+        for x in (0.3, 5e-324, 2.0, -1.0):
+            assert smooth_step(x).tobytes() == oracles.smooth_step(x).tobytes()
 
 
 class TestMasks:
@@ -99,6 +115,20 @@ class TestMasks:
         assert not audit[-3].resolved()  # below grid spacing
         assert audit[1].resolved()
         assert 0.5 < audit[1].mass_ratio < 2.0
+
+    @pytest.mark.parametrize("grid", [Grid(3, 8.0, 16), Grid(3, 8.0, 32), Grid(3, 8.0, 64),
+                                      Grid(2, 8.0, 32)], ids=["16^3", "32^3", "64^3", "32^2"])
+    def test_spatial_masks_vanish_outside_their_box(self, grid):
+        # every grid a suite builds at its default config, and every shell
+        # of the commutator scan's widened range
+        masks = spatial_masks(DyadicDecomposition(-4, 5), grid)
+        for k in masks:
+            box = shell_box(grid, k)
+            assert box.start <= grid.points_per_axis // 2 < box.stop
+            outside = np.ones(grid.shape, dtype=bool)
+            outside[(box,) * grid.dim] = False
+            assert not masks[k][outside].any()
+            assert np.abs(grid.axis[box]).max() < 2.0 ** (k + 1)
 
 
 class TestMaskCache:

@@ -4,10 +4,11 @@ No module reaches into a sibling module's private names, except the two
 transform entry points ``grid._fftn``/``grid._ifftn``, which only
 ``spectral`` (every multiplier) and ``ensembles`` (the synthesis inverse)
 import; the annulus indicator stays private to ``norms``, whose
-``annulus_sup`` and ``annulus_l2`` are the public ways to use it.  The L^2
-norm of a multiplied field goes through ``spectral.multiplier_l2_norm``,
-which needs no inverse transform: no module writes ``l2_norm`` or
-``lp_norm(..., 2)`` of an ``apply_multiplier`` call.  No
+``annulus_sup`` and ``annulus_l2_terms`` are the public ways to use it.
+The L^2 norm of a multiplied field goes through
+``spectral.multiplier_l2_norm``, which needs no inverse transform: no
+module writes ``l2_norm`` or ``lp_norm(..., 2)`` of an
+``apply_multiplier`` call.  No
 module imports a name it does not use, no public function, class, method
 or property goes unused outside the tests (the reference implementations
 only tests call live in ``tests/oracles.py``), and every suite runner takes
@@ -20,7 +21,7 @@ public function or method is set by some call in ``src/`` or ``bench/``,
 apart from the few seams listed in ``UNSET_PARAMETERS``.  Every relative
 drift goes through ``harness.relative_drift``: no module divides
 ``abs(x - r)`` by ``r``.  No module imports or loads ``scipy.linalg`` or
-``scipy.sparse``.
+``scipy.sparse``, and no module but ``grid`` names ``scipy.fft``.
 """
 
 import ast
@@ -398,3 +399,31 @@ def test_no_module_imports_scipy_linalg_or_sparse():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, cwd=src)
     assert proc.stdout.strip() == "[]"
+
+
+def _scipy_fft_references(tree: ast.Module) -> list[int]:
+    """Lines importing scipy.fft or one of its names, or naming
+    ``scipy.fft`` as an attribute."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", "") == "scipy":
+            names = [f"scipy.{node.attr}"]
+        else:
+            continue
+        if any(name == "scipy.fft" or name.startswith("scipy.fft.") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_grid_references_scipy_fft():
+    # grid._fftn/_ifftn look the transforms up at call time, so the bench
+    # span wrappers and the fft_calls fixture see every transform, the axis
+    # passes of spectral.boxed_fftn included; a module that binds scipy.fft
+    # itself would run transforms neither of them counts
+    users = sorted({path.name for path in MODULES
+                    if _scipy_fft_references(ast.parse(path.read_text()))})
+    assert users == ["grid.py"]

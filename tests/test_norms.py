@@ -16,7 +16,7 @@ from smoothlab.grid import Field, Grid, SpaceTimeField, gaussian
 from smoothlab.norms import (
     NormSpec,
     _annulus_mask,
-    annulus_l2,
+    annulus_l2_terms,
     annulus_sum_norm,
     annulus_sup,
     annulus_sup_norm,
@@ -37,6 +37,8 @@ from smoothlab.spectral import (
 )
 
 DEC = DyadicDecomposition(-3, 4)
+#: the forward axis passes of one pruned transform on a 3-d grid
+PRUNED_PASSES = ["fftn(axes=(0,))", "fftn(axes=(1,))", "fftn(axes=(2,))"]
 
 
 def indicator(grid, condition):
@@ -117,13 +119,20 @@ class TestLocalEnergyNorms:
 
     def test_annulus_pair_equals_hand_written_sums(self, grid32):
         # the weighted sum and sup as written before they went through
-        # seq_norm, compared bit for bit
+        # seq_norm, compared bit for bit; each annulus norm as written when
+        # every shell took its own |f|^2
         f = band_limited_field(grid32, member_rng(0, 98))
+
+        def annulus_l2(k):
+            m = _annulus_mask(grid32, k)
+            return float(np.sqrt(np.sum(m * np.abs(f.values) ** 2) * grid32.cell_volume))
+
+        assert annulus_l2_terms(f, DEC) == {k: annulus_l2(k) for k in DEC.shells}
         assert annulus_sum_norm(f, DEC) == sum(
-            2.0 ** (k / 2) * annulus_l2(f, k) for k in DEC.shells
+            2.0 ** (k / 2) * annulus_l2(k) for k in DEC.shells
         )
         assert annulus_sup_norm(f, DEC) == max(
-            2.0 ** (-k / 2) * annulus_l2(f, k) for k in DEC.shells
+            2.0 ** (-k / 2) * annulus_l2(k) for k in DEC.shells
         )
 
     def test_annulus_mask_cache_is_bounded_read_only_bool(self, grid32):
@@ -231,7 +240,8 @@ class TestWeightedShellNorms:
         f = band_limited_field(grid32, member_rng(3, 2))
         fft_calls.clear()
         terms = lqa_shell_terms(f, dec, spec, variant, 2)
-        assert fft_calls == ["fftn"] * len(dec.shells)
+        # every shell is transformed axis by axis on the lines its cube meets
+        assert fft_calls == PRUNED_PASSES * len(dec.shells)
         masks = spatial_masks(dec, grid32)
         sym = abs_freq_power(grid32, spec.s)
         for k in dec.shells:
@@ -428,12 +438,11 @@ class TestPhaseLocalization:
         f = band_limited_field(grid32, member_rng(7, 3))
         fft_calls.clear()
         phase_localized_norm(f, space, freq, NormSpec(2, 0.5, 0.5))
-        n1, n2 = len(space.shells), len(freq.shells)
-        # one forward transform of f, one inverse per frequency shell, and one
-        # forward transform per (k1, k2) for the Plancherel norm of the
-        # masked shell
-        assert fft_calls.count("fftn") == 1 + n1 * n2
-        assert fft_calls.count("ifftn") == n2
+        # one forward transform of f; per frequency shell one inverse, then
+        # the Plancherel norm of each masked spatial shell from its forward
+        # transform, run axis by axis on the lines the shell's cube meets
+        per_shell = ["ifftn"] + PRUNED_PASSES * len(space.shells)
+        assert fft_calls == ["fftn"] + per_shell * len(freq.shells)
 
 
 class TestEquivalenceReport:

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from oracles import fractional_laplacian, plane_wave, riesz_transform
+from smoothlab.dyadic import DyadicDecomposition, shell_box, spatial_masks
 from smoothlab.grid import Field, Grid, gaussian
 from smoothlab.spectral import (
     abs_freq_power,
     apply_multiplier,
     apply_multipliers,
+    boxed_fftn,
     derivative,
     gradient,
     l2_norm,
@@ -190,3 +193,31 @@ class TestNorms:
         spec = np.sqrt(np.sum(np.abs(_fftn(f.values)) ** 2) / grid3.size
                        * grid3.cell_volume)
         assert math.isclose(phys, spec, rel_tol=1e-10)
+
+
+class TestBoxedFFT:
+    """``boxed_fftn`` equals the full transform of the weighted field; only
+    the sign of a zero may differ, which ``np.array_equal`` allows."""
+
+    @pytest.mark.parametrize("grid", [Grid(3, 8.0, 32), Grid(3, 8.0, 64),
+                                      Grid(1, 8.0, 64), Grid(2, 8.0, 64)],
+                             ids=["32^3", "64^3", "1d", "2d"])
+    def test_equals_full_transform_on_every_shell(self, grid):
+        f = random_field(grid, 12)
+        masks = spatial_masks(DyadicDecomposition(-3, 4), grid)
+        for k in masks:
+            got = boxed_fftn(masks[k], f.values, shell_box(grid, k))
+            assert np.array_equal(got, scipy.fft.fftn(masks[k] * f.values))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_one_pass_per_axis(self, dim, fft_calls):
+        # a cube of 8 of the 16 points per axis, in fftn's axis order
+        grid = Grid(dim, 8.0, 16)
+        f = random_field(grid, 13)
+        box = slice(4, 12)
+        cube = np.zeros(grid.shape)
+        cube[(box,) * dim] = np.random.default_rng(8).random((8,) * dim)
+        fft_calls.clear()
+        got = boxed_fftn(cube, f.values, box)
+        assert fft_calls == [f"fftn(axes=({ax},))" for ax in range(dim)]
+        assert np.array_equal(got, scipy.fft.fftn(cube * f.values))
