@@ -163,8 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     if "seed" not in values:
         return _error("--seed is required (determinism contract)")
 
-    known = {f.name for f in dc_fields(ExperimentConfig)}
-    cfg = ExperimentConfig(**{k: v for k, v in values.items() if k in known})
+    cfg = ExperimentConfig(**values)
     cfg = apply_suite_defaults(cfg, explicit)
     try:
         cfg.validate()

@@ -45,11 +45,10 @@ def band_limited_field(
     rng: np.random.Generator,
     mode_radius: tuple[float, float] = DEFAULT_MODE_RADIUS,
     window: tuple[float, float] | None = (0.7, 3.0),
-    mean_zero: bool = True,
     mode_scale: int = 1,
 ) -> Field:
-    """Random field with lattice modes in an |mode| annulus, spatially
-    windowed to the mid shells.
+    """Random mean-zero field with lattice modes in an |mode| annulus,
+    spatially windowed to the mid shells.
 
     The coefficient draw covers the fixed cube |mode_j| <= ceil(hi) in a
     canonical order, so the realization is independent of the grid size.
@@ -78,9 +77,7 @@ def band_limited_field(
         values = values * radial_window(
             grid, window[0] / mode_scale, window[1] / mode_scale
         )
-    if mean_zero:
-        values = values - values.mean()
-    return Field(grid, values)
+    return Field(grid, values - values.mean())
 
 
 def band_limited_spacetime(
@@ -106,11 +103,8 @@ def band_limited_spacetime(
     omega_max = 4.0 * np.pi / span if span > 0 else 1.0
     omegas = rng.uniform(-omega_max, omega_max, size=SPACETIME_MODES) * time_scale
     thetas = rng.uniform(0, 2 * np.pi, size=SPACETIME_MODES)
-    profiles = [
-        band_limited_field(grid, rng, mode_radius, window, mean_zero=True,
-                           mode_scale=mode_scale)
-        for _ in range(SPACETIME_MODES)
-    ]
+    profiles = [band_limited_field(grid, rng, mode_radius, window, mode_scale=mode_scale)
+                for _ in range(SPACETIME_MODES)]
     vals = np.zeros((len(times),) + grid.shape, dtype=np.complex128)
     for om, th, prof in zip(omegas, thetas, profiles):
         envelope = np.exp(1j * (om * times + th))

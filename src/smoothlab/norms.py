@@ -146,7 +146,8 @@ def lqa_shell_terms(
             w = masks[k] if variant == "D_then_mask" else weight_product_mask(masks, k, spec.a)
             if p == 2:
                 spectrum = boxed_fftn(w, f.values, shell_box(f.grid, k))
-                terms[k] = spectrum_l2_norm(Field(f.grid, sym * spectrum))
+                spectrum *= sym
+                terms[k] = spectrum_l2_norm(Field(f.grid, spectrum))
             else:
                 terms[k] = lp_norm(apply_multiplier(Field(f.grid, w * f.values), sym), p)
     return terms

@@ -79,12 +79,10 @@ def zero_potential(grid: Grid) -> MagneticPotential:
     return MagneticPotential(grid, tuple(np.zeros(grid.shape) for _ in range(grid.dim)))
 
 
-def bump_potential(
-    grid: Grid, amplitude: float, shell: int = 0, direction: int = 0
-) -> MagneticPotential:
-    """Single radial bump on one dyadic shell along one axis."""
+def bump_potential(grid: Grid, amplitude: float, shell: int = 0) -> MagneticPotential:
+    """Single radial bump on one dyadic shell along the first axis."""
     comps = [np.zeros(grid.shape) for _ in range(grid.dim)]
-    comps[direction] = amplitude * bump(grid.radius / 2.0**shell)
+    comps[0] = amplitude * bump(grid.radius / 2.0**shell)
     return MagneticPotential(grid, tuple(comps))
 
 

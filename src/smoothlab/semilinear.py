@@ -26,6 +26,14 @@ from .schrodinger import MagneticPotential, magnetic_solve
 from .spectral import l2_norm
 
 
+#: Picard tolerance in the iteration norm, and the step cap of each run
+PICARD_TOL = 1e-8
+PICARD_MAX_ITER = 14
+#: data sizes delta bracketing the contraction threshold, and bisection steps
+THRESHOLD_BRACKET = (1e-2, 4.0)
+BISECT_STEPS = 5
+
+
 def critical_exponent(n: int, a) -> Fraction:
     """p = (n + 4) / (n + 2a), the L^2-critical power for shell weight a."""
     if n < 3:
@@ -167,12 +175,9 @@ def contraction_threshold(
     p: float,
     times: Sequence[float],
     decomp: DyadicDecomposition,
-    delta_lo: float = 1e-3,
-    delta_hi: float = 4.0,
-    bisect_steps: int = 6,
-    **picard_kw,
 ) -> ThresholdReport:
-    """Bisect the initial-data size delta = ||f||_{L^2} for contraction.
+    """Bisect the initial-data size delta = ||f||_{L^2} for contraction
+    over ``THRESHOLD_BRACKET`` in ``BISECT_STEPS`` steps.
 
     Returns the largest tested delta with every contraction ratio below 1;
     `trace` records each probe.
@@ -181,25 +186,22 @@ def contraction_threshold(
     if base == 0:
         raise ValueError("profile must be nonzero")
 
-    def probe(delta: float) -> PicardRun:
-        f = f_profile * (delta / base)
-        return picard_solve(f, V, A, p, times, decomp, **picard_kw)
-
     trace = []
-    lo_run = probe(delta_lo)
-    trace.append({"delta": delta_lo, "contracting": lo_run.contracting})
-    if not lo_run.contracting:
+
+    def contracts(delta: float) -> bool:
+        run = picard_solve(f_profile * (delta / base), V, A, p, times, decomp,
+                           max_iter=PICARD_MAX_ITER, tol=PICARD_TOL)
+        trace.append({"delta": delta, "contracting": run.contracting})
+        return run.contracting
+
+    lo, hi = THRESHOLD_BRACKET
+    if not contracts(lo):
         return ThresholdReport(0.0, trace)
-    hi_run = probe(delta_hi)
-    trace.append({"delta": delta_hi, "contracting": hi_run.contracting})
-    if hi_run.contracting:
-        return ThresholdReport(delta_hi, trace)
-    lo, hi = delta_lo, delta_hi
-    for _ in range(bisect_steps):
+    if contracts(hi):
+        return ThresholdReport(hi, trace)
+    for _ in range(BISECT_STEPS):
         mid = math.sqrt(lo * hi)
-        run = probe(mid)
-        trace.append({"delta": mid, "contracting": run.contracting})
-        if run.contracting:
+        if contracts(mid):
             lo = mid
         else:
             hi = mid

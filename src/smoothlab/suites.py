@@ -30,6 +30,8 @@ from .ensembles import DEFAULT_MODE_RADIUS, band_limited_field, member_rng, mode
 from .grid import Grid
 from .harness import (
     box_profile,
+    kpv_ensemble,
+    mixed_norm_ensemble,
     nonlinearity_forcing_bound,
     relative_drift,
     resolvent_kernel_apply,
@@ -50,6 +52,8 @@ from .schrodinger import (
     zero_potential,
 )
 from .semilinear import (
+    PICARD_MAX_ITER,
+    PICARD_TOL,
     contraction_norm,
     contraction_threshold,
     critical_exponent,
@@ -412,9 +416,8 @@ def run_kpv(cfg: ExperimentConfig) -> SuiteResult:
     decomp = cfg.decomposition()
     times = cfg.times()
     fine = verify_kpv(cfg.grid(), decomp, times, cfg.ensemble, cfg.seed)
-    coarse_grid = Grid(cfg.dim, cfg.half_width, cfg.points // 2)
-    coarse = verify_kpv(coarse_grid, decomp, times, cfg.ensemble, cfg.seed,
-                        rescale_probe=False)
+    coarse = kpv_ensemble(Grid(cfg.dim, cfg.half_width, cfg.points // 2), decomp, times,
+                          cfg.ensemble, cfg.seed)
     drift = relative_drift(fine.ratio, coarse.ratio)
     verdicts = [
         _verdict("ratio-finite", 0 < fine.ratio < math.inf, f"max ratio {fine.ratio:.5f}"),
@@ -438,7 +441,7 @@ AUDIT_TARGET = 0.1
 def run_main_estimate(cfg: ExperimentConfig) -> SuiteResult:
     g = cfg.grid()
     decomp = cfg.decomposition()
-    unit = bump_potential(g, 1.0, shell=1, direction=0)
+    unit = bump_potential(g, 1.0, shell=1)
     unit_total = smallness_audit(unit, decomp)
     if unit_total == 0:
         # no grid point of the shell range meets the unit bump, so the audit
@@ -446,7 +449,7 @@ def run_main_estimate(cfg: ExperimentConfig) -> SuiteResult:
         verdict = _verdict("audit-resolvable", False,
                            f"unit-bump audit is 0 on shells {cfg.k_min}:{cfg.k_max}")
         return SuiteResult([verdict], [], {"unit_audit_total": unit_total})
-    A = bump_potential(g, AUDIT_TARGET / unit_total, shell=1, direction=0)
+    A = bump_potential(g, AUDIT_TARGET / unit_total, shell=1)
     rep = verify_main(g, decomp, cfg.times(), A, cfg.ensemble, cfg.seed)
     verdicts = [
         _verdict("audit-within-budget", rep.probes["audit_total"] <= AUDIT_TARGET * (1 + 1e-9),
@@ -478,7 +481,7 @@ def run_endpoint(cfg: ExperimentConfig) -> SuiteResult:
 def run_resolvent_1d(cfg: ExperimentConfig) -> SuiteResult:
     rep = verify_resolvent_1d(seed=cfg.seed, n_pairs=max(cfg.ensemble, 20))
     rows = _member_rows(rep, "resolvent-1d")
-    x, v, l1 = resolvent_kernel_apply(box_profile(0.0, 1.0), complex(-1.0))
+    v, l1 = resolvent_kernel_apply(box_profile(0.0, 1.0), complex(-1.0))
     box_sup = float(np.abs(v).max())
     target = 1.0 - math.exp(-1.0)
     rows.append({"suite": "resolvent-1d", "member": "box", "lhs": box_sup,
@@ -495,20 +498,21 @@ def run_resolvent_1d(cfg: ExperimentConfig) -> SuiteResult:
 def run_resolvent_nd(cfg: ExperimentConfig) -> SuiteResult:
     g = Grid(max(cfg.dim - 1, 2), cfg.half_width, cfg.points)
     rep = verify_resolvent_nd(g, ensemble=cfg.ensemble, seed=cfg.seed)
+    fine = verify_resolvent_nd(g.refine(), ensemble=cfg.ensemble, seed=cfg.seed)
+    drift = relative_drift(fine.ratio, rep.ratio)
     verdicts = [
         _verdict("ratio-finite", 0 < rep.ratio < math.inf, f"max ratio {rep.ratio:.5f}"),
-        _verdict("refinement-stability", rep.probes["refinement_drift"] < 0.10,
-                 f"drift {rep.probes['refinement_drift']:.4f}"),
+        _verdict("refinement-stability", drift < 0.10, f"drift {drift:.4f}"),
     ]
-    return SuiteResult(verdicts, _member_rows(rep, "resolvent-nd"), {"probes": rep.probes})
+    return SuiteResult(verdicts, _member_rows(rep, "resolvent-nd"),
+                       {"probes": {"refinement_drift": drift}})
 
 
 def run_mixed_norm(cfg: ExperimentConfig) -> SuiteResult:
     fine = verify_mixed_norm(cfg.grid(), cfg.decomposition(), cfg.times(),
                              cfg.ensemble, cfg.seed)
-    coarse = verify_mixed_norm(Grid(cfg.dim, cfg.half_width, cfg.points // 2),
-                               cfg.decomposition(), cfg.times(), cfg.ensemble,
-                               cfg.seed, rotation_probe=False)
+    coarse = mixed_norm_ensemble(Grid(cfg.dim, cfg.half_width, cfg.points // 2),
+                                 cfg.times(), cfg.ensemble, cfg.seed)
     drift = relative_drift(fine.ratio, coarse.ratio)
     verdicts = [
         _verdict("ratio-finite", 0 < fine.ratio < math.inf, f"max ratio {fine.ratio:.5f}"),
@@ -539,10 +543,8 @@ def run_product_interp(cfg: ExperimentConfig) -> SuiteResult:
     return SuiteResult(verdicts, _member_rows(rep, "product-interp"), {"probes": rep.probes})
 
 
-#: shell weight exponent a of the semilinear critical power, and the Picard
-#: convergence tolerance in the iteration norm
+#: shell weight exponent a of the semilinear critical power
 SEMILINEAR_WEIGHT = 1.0
-PICARD_TOL = 1e-8
 
 
 def run_semilinear(cfg: ExperimentConfig) -> SuiteResult:
@@ -554,12 +556,10 @@ def run_semilinear(cfg: ExperimentConfig) -> SuiteResult:
     prof = mean_zero(grid_mod.gaussian(g, width=0.5, center=1.5))
     times = cfg.times()
 
-    threshold = contraction_threshold(prof, V, A, p, times, decomp,
-                                      delta_lo=1e-2, delta_hi=4.0,
-                                      bisect_steps=5, tol=PICARD_TOL, max_iter=14)
+    threshold = contraction_threshold(prof, V, A, p, times, decomp)
     delta = min(threshold.threshold, 0.1) if threshold.threshold > 0 else 0.0
     run = picard_solve(prof * (delta / l2_norm(prof)), V, A, p, times, decomp,
-                       max_iter=14, tol=PICARD_TOL)
+                       max_iter=PICARD_MAX_ITER, tol=PICARD_TOL)
 
     # recurrence-difference shape constant over the converged run
     shape_consts = []

@@ -14,12 +14,14 @@ from smoothlab.grid import Grid, _fftn
 
 def test_same_member_across_refinement():
     # the same (seed, member) denotes the same continuum field at every N:
-    # coarse samples are a subset of fine samples
+    # coarse samples are a subset of fine samples, up to the subtracted
+    # mean, which each grid takes by its own quadrature
     g32 = Grid(3, 8.0, 32)
     g64 = Grid(3, 8.0, 64)
-    f32 = band_limited_field(g32, member_rng(5, 0), mean_zero=False)
-    f64 = band_limited_field(g64, member_rng(5, 0), mean_zero=False)
-    assert np.abs(f64.values[::2, ::2, ::2] - f32.values).max() < 1e-10
+    f32 = band_limited_field(g32, member_rng(5, 0))
+    f64 = band_limited_field(g64, member_rng(5, 0))
+    diff = f64.values[::2, ::2, ::2] - f32.values
+    assert np.abs(diff - diff.flat[0]).max() < 1e-10
 
 
 def test_window_keeps_support_off_origin_and_boundary():
@@ -65,12 +67,12 @@ def test_deterministic_under_seed():
 
 @pytest.mark.parametrize("dim,points,mode_scale", [(1, 32, 1), (2, 32, 2), (3, 32, 1), (3, 64, 2)])
 def test_spectrum_is_the_canonical_draw(dim, points, mode_scale):
-    # unwindowed and with the mean kept, the lattice spectrum is exactly
-    # re + 1j*im of the cube draw (C order over |mode_j| <= 6) on every mode
-    # with 1 <= |mode| <= 6, placed at mode_scale * mode, and 0 elsewhere
+    # unwindowed, the field has no zero mode, so removing its mean moves it
+    # by rounding only; its lattice spectrum is re + 1j*im of the cube draw
+    # (C order over |mode_j| <= 6) on every mode with 1 <= |mode| <= 6,
+    # placed at mode_scale * mode, and 0 elsewhere
     g = Grid(dim, 8.0, points)
-    f = band_limited_field(g, member_rng(7, dim), window=None, mean_zero=False,
-                           mode_scale=mode_scale)
+    f = band_limited_field(g, member_rng(7, dim), window=None, mode_scale=mode_scale)
     spectrum = _fftn(f.values) / points**dim
     draw = member_rng(7, dim)
     cube = (13,) * dim

@@ -14,6 +14,8 @@ from smoothlab.harness import (
     relative_drift,
     inclusion_l2_vs_weighted_sum,
     inclusion_weighted_sup_vs_mixed,
+    kpv_ensemble,
+    mixed_norm_ensemble,
     resolvent_kernel_apply,
     verify_free_endpoint,
     verify_kpv,
@@ -33,6 +35,7 @@ from smoothlab.schrodinger import (
     zero_potential,
 )
 from smoothlab.spectral import l2_norm
+from smoothlab.suites import ExperimentConfig, run_kpv, run_mixed_norm, run_resolvent_nd
 
 DEC = DyadicDecomposition(-2, 3)
 GRID = Grid(3, 8.0, 16)
@@ -63,14 +66,20 @@ class TestKpv:
         assert m["degenerate"]
 
     def test_report_shape(self):
-        rep = verify_kpv(GRID, DEC, TIMES, ensemble=3, seed=1, rescale_probe=False)
+        # the rescale probe draws at mode_scale 2, which needs 32 points
+        grid = Grid(3, 8.0, 32)
+        rep = verify_kpv(grid, DEC, TIMES, ensemble=3, seed=1)
         assert 0 < rep.ratio < math.inf
         assert len(rep.members) == 3
         assert rep.probes["homogeneity_drift"] < 1e-12
+        assert set(rep.probes) == {"homogeneity_drift", "rescale_drift"}
+        # the verifier is its bare ensemble plus the probes
+        bare = kpv_ensemble(grid, DEC, TIMES, 3, 1)
+        assert bare.probes == {} and bare.members == rep.members
 
     def test_ensemble_doubling_stability(self):
-        r20 = verify_kpv(GRID, DEC, TIMES, ensemble=10, seed=1, rescale_probe=False)
-        r40 = verify_kpv(GRID, DEC, TIMES, ensemble=20, seed=1, rescale_probe=False)
+        r20 = kpv_ensemble(GRID, DEC, TIMES, 10, 1)
+        r40 = kpv_ensemble(GRID, DEC, TIMES, 20, 1)
         assert abs(r40.ratio - r20.ratio) / r20.ratio < 0.15
 
 
@@ -155,7 +164,7 @@ class TestMainFreeConsistency:
         expected = _fresh_free_consistency(2)
         solves.clear()
         rep = verify_main(GRID, DEC, TIMES, potential, ensemble=2, seed=2)
-        assert rep.members[0]["degenerate"] and "ratio_zero_potential" not in rep.members[0]
+        assert rep.members[0]["degenerate"] and "max_inflation" in rep.probes
         assert rep.probes["free_consistency"] == expected
         assert solves == [False, True, False, True]
 
@@ -210,17 +219,17 @@ class TestEndpoint:
 
 class TestResolvent1d:
     def test_box_closed_form(self):
-        x, v, l1 = resolvent_kernel_apply(box_profile(0, 1), complex(-1.0))
+        v, l1 = resolvent_kernel_apply(box_profile(0, 1), complex(-1.0))
         assert abs(np.abs(v).max() - (1 - math.exp(-1))) < 1e-6
         assert abs(l1 - 1.0) < 1e-12
 
     def test_mirror_branch_symmetry(self):
-        _, v_minus, _ = resolvent_kernel_apply(box_profile(0, 1), complex(-1.0))
-        _, v_plus, _ = resolvent_kernel_apply(box_profile(0, 1), complex(+1.0))
+        v_minus, _ = resolvent_kernel_apply(box_profile(0, 1), complex(-1.0))
+        v_plus, _ = resolvent_kernel_apply(box_profile(0, 1), complex(+1.0))
         assert abs(np.abs(v_minus).max() - np.abs(v_plus).max()) < 1e-12
 
     def test_zero_profile(self):
-        _, v, l1 = resolvent_kernel_apply(lambda y: np.zeros_like(y), complex(-2.0))
+        v, l1 = resolvent_kernel_apply(lambda y: np.zeros_like(y), complex(-2.0))
         assert np.abs(v).max() == 0.0 and l1 == 0.0
 
     def test_contraction_over_ensemble(self):
@@ -229,7 +238,7 @@ class TestResolvent1d:
 
     def test_imaginary_axis_either_branch(self):
         w = gaussian_profile(0.0, 0.3, 1.0)
-        _, v, l1 = resolvent_kernel_apply(w, complex(0.0, 2.0))
+        v, l1 = resolvent_kernel_apply(w, complex(0.0, 2.0))
         assert np.abs(v).max() <= l1 * (1 + 1e-6)
 
 
@@ -303,6 +312,47 @@ class TestMixedNorm:
     def test_rotation_probe_exact(self):
         rep = verify_mixed_norm(GRID, DEC, TIMES, ensemble=2, seed=7)
         assert rep.probes["rotation_mismatch"] < 1e-10
+        # the verifier is its bare ensemble plus the probes
+        bare = mixed_norm_ensemble(GRID, TIMES, 2, 7)
+        assert bare.probes == {} and bare.members == rep.members
+
+
+class TestSecondGridRuns:
+    """A suite's second-grid run measures the bare ensemble, no probe."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        real = getattr(harness, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+        return calls
+
+    def test_kpv_coarse_run_draws_each_member_once(self, monkeypatch):
+        # fine ensemble, homogeneity member, rescaled ensemble, coarse ensemble
+        calls = self._count(monkeypatch, "_kpv_member")
+        cfg = ExperimentConfig("kpv", 0, points=32, ensemble=2, n_times=3)
+        run_kpv(cfg)
+        assert len(calls) == 3 * cfg.ensemble + 1
+
+    def test_mixed_norm_coarse_run_skips_the_inclusions(self, monkeypatch):
+        calls = self._count(monkeypatch, "inclusion_l2_vs_weighted_sum")
+        cfg = ExperimentConfig("mixed-norm", 0, points=32, ensemble=2, n_times=3)
+        run_mixed_norm(cfg)
+        assert len(calls) == cfg.ensemble
+
+    def test_resolvent_nd_drift_is_two_verifier_runs(self):
+        cfg = ExperimentConfig("resolvent-nd", 6, points=32, ensemble=3)
+        g = Grid(2, cfg.half_width, 32)
+        coarse = verify_resolvent_nd(g, ensemble=3, seed=6)
+        fine = verify_resolvent_nd(Grid(2, cfg.half_width, 64), ensemble=3, seed=6)
+        assert coarse.probes == fine.probes == {}
+        drift = run_resolvent_nd(cfg).report["probes"]["refinement_drift"]
+        assert drift == relative_drift(fine.ratio, coarse.ratio)
 
 
 class TestProductInterpolation:

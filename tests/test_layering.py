@@ -18,7 +18,10 @@ with ``sum``, ``max`` or ``min``.  The only process-lifetime caches are the
 two mask caches, and ``CommutatorOp`` builds its masks and symbols in one
 cached property instead of once per matvec.  Every optional parameter of a
 public function or method is set by some call in ``src/`` or ``bench/``,
-apart from the few seams listed in ``UNSET_PARAMETERS``.  Every relative
+apart from the few seams listed in ``UNSET_PARAMETERS``, and none defaults
+to a bool: an on/off switch is a second function in disguise.  The
+verifiers in ``harness`` measure on the grid they are given: it calls
+neither ``Grid(...)`` nor ``.refine()``, and the suites refine.  Every relative
 drift goes through ``harness.relative_drift``: no module divides
 ``abs(x - r)`` by ``r``.  No module imports or loads ``scipy.linalg`` or
 ``scipy.sparse``, and no module but ``grid`` names ``scipy.fft``.
@@ -310,16 +313,22 @@ def _optional_parameters(func: ast.FunctionDef, method: bool) -> list[tuple[str,
     return out
 
 
-def _public_functions(path: Path):
-    """(callee name, optional parameters) of each public function and of
-    each public method of a public class."""
+def _public_defs(path: Path):
+    """(definition, is a method) of each public function and of each
+    public method of a public class."""
     for stmt in ast.parse(path.read_text()).body:
         if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
-            yield stmt.name, _optional_parameters(stmt, method=False)
+            yield stmt, False
         elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
             for member in stmt.body:
                 if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
-                    yield member.name, _optional_parameters(member, method=True)
+                    yield member, True
+
+
+def _public_functions(path: Path):
+    """(callee name, optional parameters) of each public function and method."""
+    for func, method in _public_defs(path):
+        yield func.name, _optional_parameters(func, method)
 
 
 def _sets(call: ast.Call, name: str, index: int | None) -> bool:
@@ -427,3 +436,26 @@ def test_only_grid_references_scipy_fft():
     users = sorted({path.name for path in MODULES
                     if _scipy_fft_references(ast.parse(path.read_text()))})
     assert users == ["grid.py"]
+
+
+def test_no_public_parameter_defaults_to_a_bool():
+    # an on/off switch doubles the configurations a test must cover; a
+    # caller that wants less work calls the smaller function instead
+    switches = []
+    for path in MODULES:
+        for func, _ in _public_defs(path):
+            a = func.args
+            positional = a.posonlyargs + a.args
+            defaults = list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+            defaults += zip(a.kwonlyargs, a.kw_defaults)
+            switches += [(path.name, func.name, arg.arg) for arg, d in defaults
+                         if isinstance(d, ast.Constant) and isinstance(d.value, bool)]
+    assert switches == []
+
+
+def test_harness_builds_no_grid():
+    # a verifier measures on the grid it is given; refinement is the suites'
+    tree = ast.parse((Path(smoothlab.__file__).parent / "harness.py").read_text())
+    builds = [call.lineno for call in ast.walk(tree)
+              if isinstance(call, ast.Call) and _called_name(call) in ("Grid", "refine")]
+    assert builds == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import plane_wave
-from smoothlab.dyadic import DyadicDecomposition
+from smoothlab.dyadic import DyadicDecomposition, bump
 from smoothlab.ensembles import band_limited_field, band_limited_spacetime, member_rng
 from smoothlab.grid import Field, Grid, SpaceTimeField, _fftn, _ifftn, gaussian
 from smoothlab.schrodinger import (
@@ -223,7 +223,7 @@ class TestZeroComponents:
 
     def test_divergence_equals_three_component_sum(self):
         g = Grid(3, 8.0, 16)
-        A = bump_potential(g, 0.3, shell=0, direction=1)
+        A = MagneticPotential(g, (np.zeros(g.shape), 0.3 * bump(g.radius), np.zeros(g.shape)))
         u = band_limited_field(g, member_rng(3, 0)).values
         comps = tuple(c * u for c in A.components)
         full = np.zeros(g.shape, dtype=complex)
@@ -236,7 +236,7 @@ class TestZeroComponents:
         # 2 transforms per divergence x 2 per half-step x 2 half-steps,
         # plus the forward/inverse pair of the spectral step
         g = Grid(3, 8.0, 16)
-        A = bump_potential(g, 0.05, shell=0, direction=0)
+        A = bump_potential(g, 0.05, shell=0)
         f = band_limited_field(g, member_rng(3, 1))
         h = 0.01
         fft_calls.clear()
@@ -253,7 +253,7 @@ class TestZeroComponents:
         from smoothlab.spectral import gradient
 
         g = Grid(3, 8.0, 32)
-        A = bump_potential(g, 0.05, shell=0, direction=0)
+        A = bump_potential(g, 0.05, shell=0)
         fft_calls.clear()
         total = smallness_audit(A, DEC)
         assert len(fft_calls) == 4

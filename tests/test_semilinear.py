@@ -168,9 +168,7 @@ class TestPicard:
 
     def test_threshold_bisection(self, grid, setup):
         V, A, prof, times = setup
-        rep = contraction_threshold(prof, V, A, 1.4, times, DEC,
-                                    delta_lo=0.01, delta_hi=8.0, bisect_steps=3,
-                                    max_iter=10, tol=1e-7)
+        rep = contraction_threshold(prof, V, A, 1.4, times, DEC)
         assert rep.threshold > 0
         assert any(not t["contracting"] for t in rep.trace)
 
