@@ -155,18 +155,12 @@ def verify_kpv(
 
 
 def _weighted_solution_lhs(u: SpaceTimeField, decomp: DyadicDecomposition) -> float:
-    vals = [
-        lqa_sobolev_norm(s, decomp, SOLUTION_SPEC, variant="weight_product")
-        for s in u.slices()
-    ]
+    vals = lqa_sobolev_norm(u.slices(), decomp, SOLUTION_SPEC, variant="weight_product")
     return time_l2(np.array(vals), u.times) ** 2
 
 
 def _weighted_data_rhs(f: Field, F: SpaceTimeField, decomp: DyadicDecomposition) -> float:
-    vals = [
-        lqa_sobolev_norm(s, decomp, DATA_SPEC, variant="weight_product")
-        for s in F.slices()
-    ]
+    vals = lqa_sobolev_norm(F.slices(), decomp, DATA_SPEC, variant="weight_product")
     return l2_norm(f) ** 2 + time_l2(np.array(vals), F.times) ** 2
 
 
@@ -519,19 +513,14 @@ def verify_product_and_interpolation(
         f = band_limited_field(grid, rng)
         g = band_limited_field(grid, rng)
         fg = Field(grid, f.values * g.values)
-        lhs = lqa_sobolev_norm(fg, decomp, spec, variant="D_then_mask", p=2)
-        rhs = lqa_sobolev_norm(f, decomp, NormSpec(4, 0.25, 0.5), p=4) * lqa_lp_norm(
-            g, decomp, 4, 0.25, 4
-        ) + lqa_lp_norm(f, decomp, 4, 0.25, 4) * lqa_sobolev_norm(
-            g, decomp, NormSpec(4, 0.25, 0.5), p=4
-        )
+        [lhs] = lqa_sobolev_norm((fg,), decomp, spec, variant="D_then_mask", p=2)
+        nf4, ng4 = lqa_sobolev_norm((f, g), decomp, NormSpec(4, 0.25, 0.5), p=4)
+        rhs = nf4 * lqa_lp_norm(g, decomp, 4, 0.25, 4) + lqa_lp_norm(f, decomp, 4, 0.25, 4) * ng4
         members.append(_ratio_record(lhs, rhs))
 
-        lhs_i = lqa_sobolev_norm(f, decomp, spec)
-        rhs_i = math.sqrt(
-            lqa_sobolev_norm(f, decomp, NormSpec(2, 0.4, 1.0))
-            * lqa_lp_norm(f, decomp, 2, 0.6, 2)
-        )
+        [lhs_i] = lqa_sobolev_norm((f,), decomp, spec)
+        [nf_s1] = lqa_sobolev_norm((f,), decomp, NormSpec(2, 0.4, 1.0))
+        rhs_i = math.sqrt(nf_s1 * lqa_lp_norm(f, decomp, 2, 0.6, 2))
         sub["interpolation"].append(_ratio_record(lhs_i, rhs_i))
         sub["sobolev"].append(_ratio_record(lp_norm(f, 2 * n / (n - 1)), sobolev_norm(f, 0.5)))
         sub["hardy"].append(hardy_ratio(f))

@@ -5,6 +5,11 @@ report.
 Every dyadic shell sum runs over the finite range of a DyadicDecomposition,
 whose two boundary shells are truncation tail, and is assembled by
 ``dyadic.seq_norm``.
+
+The weighted shell-Sobolev norms take a batch of fields of one grid, such
+as the time slices of a space-time field, and build their masks, weights
+and |xi|^s once per batch; a single field is a batch of one.  A shell
+whose mask holds no grid point gives exactly 0.0 without a transform.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -114,14 +120,15 @@ def weight_product_mask(masks: MaskFamily, k: int, a: float) -> np.ndarray:
 
 
 def lqa_shell_terms(
-    f: Field,
+    fields: Iterable[Field],
     decomp: DyadicDecomposition,
     spec: NormSpec,
     variant: str = "D_then_mask",
     p: float = 2,
-) -> dict[int, float]:
-    """Unweighted per-shell B-norm values of the selected variant, over
-    every shell of the range (boundary shells count as truncation tail).
+) -> list[dict[int, float]]:
+    """Unweighted per-shell B-norm values of the selected variant, one dict
+    per field of one grid, in order, over every shell of the range
+    (boundary shells count as truncation tail).
 
     mask_then_D    :  || Q_k |D|^s f ||_{L^p}
     D_then_mask    :  || |D|^s (Q_k f) ||_{L^p}
@@ -131,26 +138,55 @@ def lqa_shell_terms(
     weighted field alone (Plancherel), run only on the lines that meet the
     shell's cube ``shell_box``; mask_then_D applies its mask after |D|^s
     and shares one transform pair across all shells instead.
+
+    The masks, weights, |xi|^s and shell cubes are built once per call.
+    The fields are drawn one at a time, and each field and its spectra are
+    dropped before the next is drawn, so a generator of fields is never
+    held in full.  A shell whose mask has no nonzero sample gives exactly
+    0.0 and runs no transform.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    masks = spatial_masks(decomp, f.grid)
-    sym = abs_freq_power(f.grid, spec.s)
-    terms: dict[int, float] = {}
-    if variant == "mask_then_D":
-        df = apply_multiplier(f, sym)
-        for k in decomp.shells:
-            terms[k] = lp_norm(Field(f.grid, masks[k] * df.values), p)
-    else:
-        for k in decomp.shells:
-            w = masks[k] if variant == "D_then_mask" else weight_product_mask(masks, k, spec.a)
+    out = []
+    terms_of = None
+    for f in fields:
+        if terms_of is None:
+            terms_of = _shell_terms_on(f.grid, decomp, spec, variant, p)
+        out.append(terms_of(f))
+        del f  # released before the next field is drawn
+    return out
+
+
+def _shell_terms_on(
+    grid: Grid, decomp: DyadicDecomposition, spec: NormSpec, variant: str, p: float
+) -> Callable[[Field], dict[int, float]]:
+    """The per-field shell terms of ``lqa_shell_terms``, with the masks,
+    weights, |xi|^s and shell cubes of the grid built once."""
+    masks = spatial_masks(decomp, grid)
+    sym = abs_freq_power(grid, spec.s)
+    live = [k for k in decomp.shells if masks[k].any()]
+    weights = {k: weight_product_mask(masks, k, spec.a) if variant == "weight_product"
+               else masks[k] for k in live}
+    boxes = {k: shell_box(grid, k) for k in live}
+
+    def terms_of(f: Field) -> dict[int, float]:
+        terms = dict.fromkeys(decomp.shells, 0.0)
+        if not live:
+            return terms
+        if variant == "mask_then_D":
+            df = apply_multiplier(f, sym).values
+            for k in live:
+                terms[k] = lp_norm(Field(grid, masks[k] * df), p)
+            return terms
+        for k in live:
             if p == 2:
-                spectrum = boxed_fftn(w, f.values, shell_box(f.grid, k))
+                spectrum = boxed_fftn(weights[k], f.values, boxes[k])
                 spectrum *= sym
-                terms[k] = spectrum_l2_norm(Field(f.grid, spectrum))
+                terms[k] = spectrum_l2_norm(Field(grid, spectrum))
             else:
-                terms[k] = lp_norm(apply_multiplier(Field(f.grid, w * f.values), sym), p)
-    return terms
+                terms[k] = lp_norm(apply_multiplier(Field(grid, weights[k] * f.values), sym), p)
+        return terms
+    return terms_of
 
 
 def _shell_weight(spec: NormSpec, variant: str) -> float:
@@ -160,20 +196,22 @@ def _shell_weight(spec: NormSpec, variant: str) -> float:
 
 
 def lqa_sobolev_norm(
-    f: Field,
+    fields: Iterable[Field],
     decomp: DyadicDecomposition,
     spec: NormSpec,
     variant: str = "D_then_mask",
     p: float = 2,
-) -> float:
-    """Weighted shell-Sobolev norm in one of its three equivalent forms.
+) -> list[float]:
+    """Weighted shell-Sobolev norm in one of its three equivalent forms,
+    one per field of one grid, in order, from one ``lqa_shell_terms`` call.
 
     The first two variants carry the dyadic weight 2^(k a) explicitly; the
     weight_product form carries it inside the |x|^a factor and is summed
     unweighted.
     """
-    terms = lqa_shell_terms(f, decomp, spec, variant, p)
-    return seq_norm(terms, spec.q, _shell_weight(spec, variant))
+    weight = _shell_weight(spec, variant)
+    return [seq_norm(terms, spec.q, weight)
+            for terms in lqa_shell_terms(fields, decomp, spec, variant, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +236,13 @@ def _require_slices(u: SpaceTimeField) -> None:
 def forcing_norm(F: SpaceTimeField, decomp: DyadicDecomposition) -> float:
     """Time-L^2 of the l^{1,1/2} H^{-1/2} spatial norm (the data-side norm)."""
     _require_slices(F)
-    vals = [lqa_sobolev_norm(f, decomp, DATA_SPEC) for f in F.slices()]
-    return time_l2(np.array(vals), F.times)
+    return time_l2(np.array(lqa_sobolev_norm(F.slices(), decomp, DATA_SPEC)), F.times)
 
 
 def smoothing_norm(u: SpaceTimeField, decomp: DyadicDecomposition) -> float:
     """Time-L^2 of the l^{inf,-1/2} H^{1/2} spatial norm (the solution-side norm)."""
     _require_slices(u)
-    vals = [lqa_sobolev_norm(f, decomp, SOLUTION_SPEC) for f in u.slices()]
-    return time_l2(np.array(vals), u.times)
+    return time_l2(np.array(lqa_sobolev_norm(u.slices(), decomp, SOLUTION_SPEC)), u.times)
 
 
 def sup_l2_norm(u: SpaceTimeField) -> float:
@@ -235,8 +271,7 @@ def phase_localized_norm(
     pk = frequency_masks(freq_decomp, f.grid)
     # one forward transform of f; each frequency shell is made when needed
     localized = apply_multipliers(f, (pk[k2] for k2 in freq_decomp.shells))
-    outer_terms = {k2: lqa_sobolev_norm(loc, space_decomp, spec)
-                   for k2, loc in zip(freq_decomp.shells, localized)}
+    outer_terms = dict(zip(freq_decomp.shells, lqa_sobolev_norm(localized, space_decomp, spec)))
     return seq_norm(outer_terms, 2, 0.0)
 
 
@@ -265,9 +300,7 @@ def equivalence_report(
 ) -> EquivalenceReport:
     """Compute all three norm forms and their pairwise (max/min) ratios."""
     spec.check_equivalence_admissible(f.grid.dim)
-    values = {
-        v: lqa_sobolev_norm(f, decomp, spec, variant=v) for v in VARIANTS
-    }
+    values = {v: lqa_sobolev_norm((f,), decomp, spec, variant=v)[0] for v in VARIANTS}
     if any(val == 0.0 for val in values.values()):
         return EquivalenceReport(
             {f"{a}/{b}": 0.0 for a in VARIANTS for b in VARIANTS if a < b}, degenerate=True

@@ -193,13 +193,18 @@ def duhamel(F: SpaceTimeField, t_out: Sequence[float]) -> SpaceTimeField:
 # ---------------------------------------------------------------------------
 
 
-def _divergence(grid: Grid, comps: Components) -> np.ndarray:
-    """Spectral divergence; identically-zero components are not transformed
-    (their term is exactly zero, and x + 0 == x)."""
+def _nonzero_components(comps: Components) -> dict[int, np.ndarray]:
+    """The components that are not identically zero, by axis."""
+    return {j: c for j, c in enumerate(comps) if c.any()}
+
+
+def _divergence(grid: Grid, comps: dict[int, np.ndarray]) -> np.ndarray:
+    """Spectral divergence sum_j d_j comps[j] over the given axes.  The
+    callers leave out identically-zero components: their term is exactly
+    zero, and x + 0 == x."""
     out = np.zeros(grid.shape, dtype=np.complex128)
-    for j, c in enumerate(comps):
-        if c.any():
-            out += derivative(Field(grid, c), j).values
+    for j, c in comps.items():
+        out += derivative(Field(grid, c), j).values
     return out
 
 
@@ -210,7 +215,7 @@ def effective_scalar_potential(A: MagneticPotential) -> np.ndarray:
     w = np.zeros(grid.shape, dtype=np.complex128)
     for c in comps:
         w += c.astype(complex) ** 2
-    w -= 1j * _divergence(grid, comps)
+    w -= 1j * _divergence(grid, _nonzero_components(comps))
     return w
 
 
@@ -242,13 +247,13 @@ def smallness_audit(A: MagneticPotential, decomp: DyadicDecomposition) -> float:
 def _local_rhs(
     grid: Grid,
     u: np.ndarray,
-    comps: Components,
+    comps: dict[int, np.ndarray],
     w_vals: np.ndarray,
     f_vals: np.ndarray,
 ) -> np.ndarray:
     """i times the non-Laplacian part of Lap_A, plus forcing:
-    2 div(A u) - i W u + F."""
-    div = _divergence(grid, tuple(c * u for c in comps))
+    2 div(A u) - i W u + F, over the non-zero components ``comps``."""
+    div = _divergence(grid, {j: c * u for j, c in comps.items()})
     return 2.0 * div - 1j * w_vals * u + f_vals
 
 
@@ -263,9 +268,10 @@ def magnetic_solve(
 
     Each step takes a midpoint-rule half-step of the local terms, an exact
     spectral Laplacian step, and a second local half-step (order 2).  A
-    vanishing potential degenerates to the exact forced free march;
-    identically-zero components of a non-vanishing one are skipped by the
-    divergence, so a single-axis potential costs 10 transforms per step.
+    vanishing potential degenerates to the exact forced free march; the
+    non-zero components of a non-vanishing one are found once per solve,
+    and only they are multiplied and differentiated, so a single-axis
+    potential costs 10 transforms per step.
     Growth of the local stage beyond ``GROWTH_BUDGET`` per step raises
     StabilityError naming the step.
     """
@@ -279,7 +285,7 @@ def magnetic_solve(
     if dt is None:
         dt = 0.5 * grid.spacing**2
 
-    comps = A.components
+    comps = _nonzero_components(A.components)
     w = effective_scalar_potential(A)
 
     def local_half(u: np.ndarray, t_a: float, t_b: float) -> np.ndarray:

@@ -255,7 +255,7 @@ def _phase_constants(cfg: ExperimentConfig, points: int,
     fwd, bwd = 0.0, 0.0
     for i in range(cfg.ensemble):
         f = band_limited_field(g, member_rng(cfg.seed, 67, i))
-        plain = lqa_sobolev_norm(f, decomp, SHELL_SPEC)
+        [plain] = lqa_sobolev_norm((f,), decomp, SHELL_SPEC)
         phased = phase_localized_norm(f, decomp, freq_decomp, SHELL_SPEC)
         if plain > 0 and phased > 0:
             fwd = max(fwd, phased / plain)

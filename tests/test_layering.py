@@ -23,8 +23,11 @@ to a bool: an on/off switch is a second function in disguise.  The
 verifiers in ``harness`` measure on the grid they are given: it calls
 neither ``Grid(...)`` nor ``.refine()``, and the suites refine.  Every relative
 drift goes through ``harness.relative_drift``: no module divides
-``abs(x - r)`` by ``r``.  No module imports or loads ``scipy.linalg`` or
-``scipy.sparse``, and no module but ``grid`` names ``scipy.fft``.
+``abs(x - r)`` by ``r``.  The shell-Sobolev norms of the time slices of a
+space-time field are taken in one batched call: no module calls
+``lqa_sobolev_norm`` or ``lqa_shell_terms`` in a loop over ``.slices()``.
+No module imports or loads ``scipy.linalg`` or ``scipy.sparse``, and no
+module but ``grid`` names ``scipy.fft``.
 """
 
 import ast
@@ -381,6 +384,40 @@ def test_relative_drifts_go_through_one_rule():
         (path.name, line)
         for path in MODULES
         for line in _written_out_drifts(ast.parse(path.read_text()))
+    ]
+    assert offenders == []
+
+
+BATCHED_NORMS = {"lqa_sobolev_norm", "lqa_shell_terms"}
+
+
+def _over_slices(node: ast.AST) -> bool:
+    return "slices" in _called_names(node)
+
+
+def _per_slice_norm_calls(tree: ast.Module) -> list[int]:
+    """Lines calling a batched shell norm inside a for loop or a
+    comprehension that runs over ``.slices()``."""
+    bodies = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For) and _over_slices(node.iter):
+            bodies += node.body
+        elif (isinstance(node, (*COMPREHENSIONS, ast.DictComp))
+              and any(_over_slices(gen.iter) for gen in node.generators)):
+            bodies += [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+    return [call.lineno for body in bodies for call in ast.walk(body)
+            if isinstance(call, ast.Call) and _called_name(call) in BATCHED_NORMS]
+
+
+def test_shell_norms_take_all_slices_in_one_call():
+    # one call per time slice rebuilt the masks, weights and |xi|^s of the
+    # norm for every slice; a batch of slices builds them once
+    assert _per_slice_norm_calls(ast.parse(
+        "vals = [lqa_sobolev_norm(s, d, S) for s in u.slices()]")) == [1]
+    offenders = [
+        (path.name, line)
+        for path in MODULES
+        for line in _per_slice_norm_calls(ast.parse(path.read_text()))
     ]
     assert offenders == []
 

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from smoothlab.dyadic import (
     bump,
     frequency_masks,
     seq_norm,
+    shell_box,
     spatial_masks,
 )
 from smoothlab.ensembles import band_limited_field, member_rng
 from smoothlab.grid import Field, Grid, SpaceTimeField, gaussian
 from smoothlab.norms import (
+    VARIANTS,
     NormSpec,
     _annulus_mask,
     annulus_l2_terms,
@@ -31,9 +34,11 @@ from smoothlab.norms import (
 from smoothlab.spectral import (
     abs_freq_power,
     apply_multiplier,
+    boxed_fftn,
     lp_norm,
     mean_zero,
     multiplier_l2_norm,
+    spectrum_l2_norm,
 )
 
 DEC = DyadicDecomposition(-3, 4)
@@ -160,7 +165,7 @@ class TestWeightedShellNorms:
         dec = DyadicDecomposition(-2, 3)
         zero = Field(grid32, np.zeros(grid32.shape, dtype=complex))
         for variant in ("mask_then_D", "D_then_mask", "weight_product"):
-            assert lqa_sobolev_norm(zero, dec, NormSpec(2, 0.5, 0.5), variant) == 0.0
+            assert lqa_sobolev_norm((zero,), dec, NormSpec(2, 0.5, 0.5), variant) == [0.0]
 
     def test_variant_comparability_single_bump(self):
         # all three forms within a common factor 4 on a bump at |x| = 2,
@@ -172,7 +177,7 @@ class TestWeightedShellNorms:
             grid = Grid(3, 8.0, n_pts)
             f = mean_zero(gaussian(grid, width=0.35, center=2.0))
             vals = [
-                lqa_sobolev_norm(f, dec, spec, variant=v)
+                lqa_sobolev_norm((f,), dec, spec, variant=v)[0]
                 for v in ("mask_then_D", "D_then_mask", "weight_product")
             ]
             spreads.append(max(vals) / min(vals))
@@ -186,8 +191,8 @@ class TestWeightedShellNorms:
         fine = Grid(3, 4.0, 64)  # same samples represent f(2x)
         f = mean_zero(gaussian(coarse, width=0.35, center=2.0))
         f2 = Field(fine, f.values)
-        base = lqa_sobolev_norm(f, DyadicDecomposition(-1, 3), spec, "weight_product")
-        dil = lqa_sobolev_norm(f2, DyadicDecomposition(-2, 2), spec, "weight_product")
+        [base] = lqa_sobolev_norm((f,), DyadicDecomposition(-1, 3), spec, "weight_product")
+        [dil] = lqa_sobolev_norm((f2,), DyadicDecomposition(-2, 2), spec, "weight_product")
         factor = 2.0 ** (spec.s - spec.a - 3 / 2)
         assert abs(dil / base - factor) / factor < 0.02
 
@@ -198,12 +203,10 @@ class TestWeightedShellNorms:
                       band_limited_field(grid32, member_rng(1, 6, i)))
                      for i in range(20)]
         for f, g in rng_pairs:
-            nf = lqa_sobolev_norm(f, dec, spec)
-            assert math.isclose(lqa_sobolev_norm(2.5 * f, dec, spec), 2.5 * nf,
-                                rel_tol=1e-12)
             f_plus_g = Field(grid32, f.values + g.values)
-            assert lqa_sobolev_norm(f_plus_g, dec, spec) <= nf + lqa_sobolev_norm(
-                g, dec, spec) + 1e-9 * nf
+            nf, nf25, nfg, ng = lqa_sobolev_norm((f, 2.5 * f, f_plus_g, g), dec, spec)
+            assert math.isclose(nf25, 2.5 * nf, rel_tol=1e-12)
+            assert nfg <= nf + ng + 1e-9 * nf
 
     @pytest.mark.parametrize("p", [2, 4])
     @pytest.mark.parametrize("variant", ["D_then_mask", "weight_product"])
@@ -231,7 +234,7 @@ class TestWeightedShellNorms:
                 w = weight_product_mask(masks, k, spec.a)
                 loc = Field(grid32, w * f.values)
                 expected[k] = norm(loc)
-        assert lqa_shell_terms(f, dec, spec, variant, p) == expected
+        assert lqa_shell_terms((f,), dec, spec, variant, p) == [expected]
 
     @pytest.mark.parametrize("variant", ["D_then_mask", "weight_product"])
     def test_p2_terms_forward_transform_only(self, grid32, variant, fft_calls):
@@ -239,9 +242,10 @@ class TestWeightedShellNorms:
         spec = NormSpec(2, 0.5, 0.5)
         f = band_limited_field(grid32, member_rng(3, 2))
         fft_calls.clear()
-        terms = lqa_shell_terms(f, dec, spec, variant, 2)
-        # every shell is transformed axis by axis on the lines its cube meets
-        assert fft_calls == PRUNED_PASSES * len(dec.shells)
+        [terms] = lqa_shell_terms((f,), dec, spec, variant, 2)
+        # every shell is transformed axis by axis on the lines its cube
+        # meets, except shell -2, which holds no grid point at 32^3
+        assert fft_calls == PRUNED_PASSES * (len(dec.shells) - 1)
         masks = spatial_masks(dec, grid32)
         sym = abs_freq_power(grid32, spec.s)
         for k in dec.shells:
@@ -258,7 +262,54 @@ class TestWeightedShellNorms:
         masks = spatial_masks(dec, grid32)
         df = apply_multiplier(f, abs_freq_power(grid32, spec.s))
         expected = {k: lp_norm(Field(grid32, masks[k] * df.values), p) for k in dec.shells}
-        assert lqa_shell_terms(f, dec, spec, "mask_then_D", p) == expected
+        assert lqa_shell_terms((f,), dec, spec, "mask_then_D", p) == [expected]
+
+    @pytest.mark.parametrize("points", [16, 32])
+    @pytest.mark.parametrize("p", [2, 4])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_batch_equals_per_field_calls(self, variant, p, points):
+        # one call on a generator of fields gives, bit for bit, what one
+        # call per field gives
+        grid = Grid(3, 8.0, points)
+        dec = DyadicDecomposition(-2, 3)
+        spec = NormSpec(2, 0.5, 0.5)
+        fields = [band_limited_field(grid, member_rng(3, 6, i), mode_radius=(1, 4))
+                  for i in range(3)]
+        batch = lqa_shell_terms((f for f in fields), dec, spec, variant, p)
+        assert batch == [lqa_shell_terms((f,), dec, spec, variant, p)[0] for f in fields]
+        assert lqa_sobolev_norm(iter(fields), dec, spec, variant, p) == [
+            lqa_sobolev_norm((f,), dec, spec, variant, p)[0] for f in fields]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_each_field_released_before_the_next_is_drawn(self, grid32, variant):
+        dec = DyadicDecomposition(-2, 3)
+        refs = []
+
+        def fields():
+            for i in range(3):
+                assert all(ref() is None for ref in refs), f"a field is alive at draw {i}"
+                held = [band_limited_field(grid32, member_rng(3, 7, i))]
+                refs.append(weakref.ref(held[0]))
+                yield held.pop()
+
+        assert len(lqa_shell_terms(fields(), dec, NormSpec(2, 0.5, 0.5), variant)) == 3
+
+    @pytest.mark.parametrize("p", [2, 4])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_empty_shells_are_zero_without_a_transform(self, grid32, variant, p, fft_calls):
+        # the 32^3 spacing is 0.5, so shells -3 and -2 (|x| < 1/2 off the
+        # origin, where the masks vanish) hold no grid point
+        dec = DyadicDecomposition(-3, -2)
+        spec = NormSpec(2, 0.5, 0.5)
+        f = band_limited_field(grid32, member_rng(3, 9))
+        masks = spatial_masks(dec, grid32)
+        assert not masks[-3].any() and not masks[-2].any()
+        fft_calls.clear()
+        assert lqa_shell_terms((f,), dec, spec, variant, p) == [{-3: 0.0, -2: 0.0}]
+        assert fft_calls == []
+        # the pruned transform of the zero field gives the same 0.0
+        spectrum = boxed_fftn(masks[-2], f.values, shell_box(grid32, -2))
+        assert spectrum_l2_norm(Field(grid32, spectrum * abs_freq_power(grid32, spec.s))) == 0.0
 
     def test_tail_fraction_small_for_windowed_data(self, grid32):
         dec = DyadicDecomposition(-2, 3)
@@ -284,8 +335,8 @@ class TestNormOpProperties:
             "morrey": morrey_campanato,
             "annulus_sum": lambda f: annulus_sum_norm(f, dec),
             "annulus_sup": lambda f: annulus_sup_norm(f, dec),
-            "lqa": lambda f: lqa_sobolev_norm(f, dec, spec),
-            "lqa_weight": lambda f: lqa_sobolev_norm(f, dec, spec, "weight_product"),
+            "lqa": lambda f: lqa_sobolev_norm((f,), dec, spec)[0],
+            "lqa_weight": lambda f: lqa_sobolev_norm((f,), dec, spec, "weight_product")[0],
             "phase": lambda f: phase_localized_norm(f, dec, freq, spec),
         }
 
@@ -326,7 +377,7 @@ class TestSpaceTimeNorms:
         f = band_limited_field(grid32, member_rng(2, 0))
         times = np.linspace(0, 1, 5)
         u = SpaceTimeField(grid32, times, np.broadcast_to(f.values, (5,) + grid32.shape).copy())
-        spatial = lqa_sobolev_norm(f, dec, NormSpec(math.inf, -0.5, 0.5))
+        [spatial] = lqa_sobolev_norm((f,), dec, NormSpec(math.inf, -0.5, 0.5))
         assert math.isclose(smoothing_norm(u, dec), spatial, rel_tol=1e-12)
 
     def test_zero(self, grid32):
@@ -378,7 +429,7 @@ class TestPhaseLocalization:
         # P_0 f0 = f0 only up to the neighbour-shell overlap; compare against
         # the explicit one-term assembly instead of the plain norm
         per_shell = [
-            lqa_sobolev_norm(Field(grid, _ifftn(pk[k] * _fftn(f0.values))), space, spec)
+            lqa_sobolev_norm((Field(grid, _ifftn(pk[k] * _fftn(f0.values))),), space, spec)[0]
             for k in freq.shells
         ]
         assert math.isclose(loc, math.sqrt(sum(v**2 for v in per_shell)), rel_tol=1e-12)
@@ -397,7 +448,7 @@ class TestPhaseLocalization:
         ratios = []
         for i in range(10):
             f = band_limited_field(grid32, member_rng(6, 100 + i))
-            plain = lqa_sobolev_norm(f, space, spec)
+            [plain] = lqa_sobolev_norm((f,), space, spec)
             loc = phase_localized_norm(f, space, freq, spec)
             if loc > 0:
                 ratios.append(plain / loc)
@@ -412,7 +463,7 @@ class TestPhaseLocalization:
         ratios = []
         for i in range(10):
             f = band_limited_field(grid32, member_rng(6, i))
-            plain = lqa_sobolev_norm(f, space, spec)
+            [plain] = lqa_sobolev_norm((f,), space, spec)
             loc = phase_localized_norm(f, space, freq, spec)
             if plain > 0:
                 ratios.append(loc / plain)
@@ -429,7 +480,7 @@ class TestPhaseLocalization:
         f = band_limited_field(grid32, member_rng(7, 2))
         pk = frequency_masks(freq, grid32)
         shells = {k2: apply_multiplier(f, pk[k2]) for k2 in freq.shells}
-        outer = {k2: lqa_sobolev_norm(loc, space, spec) for k2, loc in shells.items()}
+        outer = {k2: lqa_sobolev_norm((loc,), space, spec)[0] for k2, loc in shells.items()}
         assert phase_localized_norm(f, space, freq, spec) == seq_norm(outer, 2, 0.0)
 
     def test_one_forward_transform_per_field(self, grid32, fft_calls):
@@ -440,8 +491,9 @@ class TestPhaseLocalization:
         phase_localized_norm(f, space, freq, NormSpec(2, 0.5, 0.5))
         # one forward transform of f; per frequency shell one inverse, then
         # the Plancherel norm of each masked spatial shell from its forward
-        # transform, run axis by axis on the lines the shell's cube meets
-        per_shell = ["ifftn"] + PRUNED_PASSES * len(space.shells)
+        # transform, run axis by axis on the lines the shell's cube meets;
+        # spatial shell -2 holds no grid point at 32^3 and runs none
+        per_shell = ["ifftn"] + PRUNED_PASSES * (len(space.shells) - 1)
         assert fft_calls == ["fftn"] + per_shell * len(freq.shells)
 
 
