@@ -9,12 +9,13 @@ which depends only on |k - m|.  The scan below measures the norm by a
 Lanczos iteration on the normal operator, which stops on its Ritz
 residual and returns a lower bound, and regresses measured log2 norms on
 the predicted exponent; only the slope is certified, the constant is a
-fitted intercept.  Each operator builds its two masks and read-only
-``|xi|^{+-s}`` once, before the solver allocates its buffers.  The
-Lanczos vectors are spectra ``F v``: the forward map takes one to the
-physical ``A v`` and the adjoint map brings ``A v`` back as
-``F(A*A v)``, three transforms each, in place in one buffer.  A pair
-with an empty mask is exactly zero and is not iterated.
+fitted intercept.  An operator is named by its shell pair, s and grid;
+it fetches just its two masks ``spatial_mask(grid, k)`` and builds
+read-only ``|xi|^{+-s}`` once, before the solver allocates its buffers.
+The Lanczos vectors are spectra ``F v``: the forward map takes one to the
+physical ``A v`` and the adjoint map brings ``A v`` back as ``F(A*A v)``,
+three transforms each, in place in one buffer.  A pair with an empty
+mask is exactly zero and is not iterated.
 
 Dilating x -> 2x carries the (k, m) operator exactly onto (k+1, m+1) when
 both the box and spacing scale along, so each shell pair is evaluated on
@@ -32,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import DyadicDecomposition, mask_resolution_audit, spatial_masks
+from .dyadic import mask_audit, spatial_mask
 from .grid import Field, Grid
 from .spectral import abs_freq_power, fft_inplace, ifft_inplace
 
@@ -57,7 +58,6 @@ class CommutatorOp:
     k: int
     m: int
     s: float
-    decomp: DyadicDecomposition
     grid: Grid
 
     def __post_init__(self) -> None:
@@ -74,12 +74,12 @@ class CommutatorOp:
         and are skipped (None): applying the zero-mode annihilation between
         the masks there would inject mask-dependent constants and break
         the disjoint-support degeneration."""
-        masks = spatial_masks(self.decomp, self.grid)
+        qk, qm = spatial_mask(self.grid, self.k), spatial_mask(self.grid, self.m)
         if self.s == 0:
-            return masks[self.k], masks[self.m], None, None
+            return qk, qm, None, None
         up, down = abs_freq_power(self.grid, self.s), abs_freq_power(self.grid, -self.s)
         up.flags.writeable = down.flags.writeable = False
-        return masks[self.k], masks[self.m], up, down
+        return qk, qm, up, down
 
     @staticmethod
     def _smooth(values: np.ndarray, symbol: np.ndarray | None) -> None:
@@ -222,17 +222,6 @@ class DecayScanResult:
         ]
 
 
-def _centered_setup(k: int, m: int, points: int, dim: int):
-    """Grid and shifted shell pair with the outer shell two octaves inside
-    the box, exploiting exact dilation covariance."""
-    hi = max(k, m)
-    shift = 2 - hi  # place the outer shell at index 2
-    kk, mm = k + shift, m + shift
-    grid = Grid(dim, 8.0, points)
-    decomp = DyadicDecomposition(min(kk, mm) - 1, max(kk, mm) + 1)
-    return grid, decomp, kk, mm
-
-
 def measure_pair_norm(
     k: int,
     m: int,
@@ -245,14 +234,18 @@ def measure_pair_norm(
     """Operator norm of the (k, m) pair measured at its centered dyadic
     position; returns (norm, resolved).
 
+    By exact dilation covariance the pair is shifted so that its outer
+    shell sits at index 2, two octaves inside the box of half-width 8.
     A pair whose mask holds no grid point is exactly the zero operator:
     its norm is 0.0 and nothing is iterated."""
-    grid, decomp, kk, mm = _centered_setup(k, m, points, dim)
-    audits = mask_resolution_audit(spatial_masks(decomp, grid))
-    resolved = audits[kk].resolved() and audits[mm].resolved()
-    if audits[kk].nonzero_samples == 0 or audits[mm].nonzero_samples == 0:
+    shift = 2 - max(k, m)
+    kk, mm = k + shift, m + shift
+    grid = Grid(dim, 8.0, points)
+    audit_k, audit_m = mask_audit(grid, kk), mask_audit(grid, mm)
+    resolved = audit_k.resolved() and audit_m.resolved()
+    if audit_k.nonzero_samples == 0 or audit_m.nonzero_samples == 0:
         return 0.0, resolved
-    op = CommutatorOp(kk, mm, s, decomp, grid)
+    op = CommutatorOp(kk, mm, s, grid)
     op._factors  # built before the solver's buffers, not on top of them
     return operator_norm(op, seed=seed), resolved
 
@@ -307,7 +300,6 @@ def decay_scan(
 def diagonal_scan(
     s: float,
     k_values: Sequence[int],
-    decomp: DyadicDecomposition,
     grid: Grid,
     *,
     seed: int = 0,
@@ -316,7 +308,7 @@ def diagonal_scan(
     scale-covariance check."""
     out = {}
     for k in k_values:
-        op = CommutatorOp(k, k, s, decomp, grid)
+        op = CommutatorOp(k, k, s, grid)
         op._factors  # built before the solver's buffers, not on top of them
         out[k] = operator_norm(op, seed=seed)
     return out

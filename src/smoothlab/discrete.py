@@ -60,11 +60,11 @@ def window_operator_norm(spec: KernelSpec, q: float, window: int) -> float:
     q in {1, 2, inf}.
 
     q = 1 and q = inf use the column / row sum formulas; q = 2 is the
-    largest singular value of the window matrix.  Any other finite q gets
-    the q = 2 value.
+    largest singular value of the window matrix.  Any other q raises
+    ``ValueError``.
     """
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
+    if not (q in (1, 2) or math.isinf(q)):
+        raise ValueError(f"q must be 1, 2 or inf, got {q}")
     T = kernel_matrix(spec, window)
     if q == 1:
         return float(np.abs(T).sum(axis=0).max())

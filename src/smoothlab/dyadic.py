@@ -7,6 +7,9 @@ from the standard ``exp(-1/t)`` mollifier, so that every build produces
 bit-comparable masks.  ``chi`` equals 1 on ``(0, 1]`` and 0 on ``[2, inf)``,
 hence ``phi`` is nonnegative, supported in ``(1/2, 2)``, and the shifted
 family ``phi(s / 2^k)`` sums to 1 for every ``s > 0``.
+
+A mask is named by its grid and shell index alone: ``spatial_mask(grid, k)``
+is ``Q_k`` and ``frequency_mask(grid, k)`` is ``P_k``, one cached array each.
 """
 
 from __future__ import annotations
@@ -89,27 +92,13 @@ class DyadicDecomposition:
         return DyadicDecomposition(self.k_min + j, self.k_max + j)
 
 
-@dataclass
-class MaskFamily:
-    """Shell-indexed family of real mask arrays over one grid."""
-
-    grid: Grid
-    masks: dict[int, np.ndarray]
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        return self.masks[k]
-
-    def __iter__(self):
-        return iter(sorted(self.masks))
-
-
 @lru_cache(maxsize=64)
 def _cached_masks(grid: Grid, kind: str, k: int) -> np.ndarray:
     """The shell-k mask ``bump(r / 2^k)``, one read-only array per shell.
 
-    Entries are keyed by shell, not by decomposition, so every
-    decomposition that holds shell k on this grid shares one array.  The
-    cache is bounded at 64 arrays (128 MiB at 64^3).
+    Entries are keyed by grid, kind and shell, so every shell range that
+    holds shell k on this grid shares one array.  The cache is bounded at
+    64 arrays (128 MiB at 64^3).
     """
     r = grid.radius if kind == "spatial" else grid.freq_radius
     mask = bump(r / 2.0**k)
@@ -128,27 +117,21 @@ def shell_box(grid: Grid, k: int) -> slice:
     return slice(int(inside[0]), int(inside[-1]) + 1)
 
 
-def _mask_family(decomp: DyadicDecomposition, grid: Grid, kind: str) -> MaskFamily:
-    masks = {k: _cached_masks(grid, kind, k) for k in decomp.shells}
-    return MaskFamily(grid, masks)
+def spatial_mask(grid: Grid, k: int) -> np.ndarray:
+    """The mask Q_k(x) = phi(|x| / 2^k) sampled on the grid, read-only and
+    shared: one cached array per grid and shell.
 
-
-def spatial_masks(decomp: DyadicDecomposition, grid: Grid) -> MaskFamily:
-    """Masks Q_k(x) = phi(|x| / 2^k) sampled on the grid.
-
-    Shells need not be resolvable on the grid: the boundary shells are
-    truncation tail, and ``mask_resolution_audit`` reports how well each
-    shell is sampled.  The masks are read-only and shared: one cached
-    array per shell and grid serves every decomposition that holds that
-    shell.
+    A shell need not be resolvable on the grid: the boundary shells of a
+    range are truncation tail, and ``mask_audit`` reports how well a shell
+    is sampled.
     """
-    return _mask_family(decomp, grid, "spatial")
+    return _cached_masks(grid, "spatial", k)
 
 
-def frequency_masks(decomp: DyadicDecomposition, grid: Grid) -> MaskFamily:
-    """Masks P_k(xi) = phi(|xi| / 2^k) on the frequency lattice (FFT order),
-    read-only and shared per shell as in ``spatial_masks``."""
-    return _mask_family(decomp, grid, "frequency")
+def frequency_mask(grid: Grid, k: int) -> np.ndarray:
+    """The mask P_k(xi) = phi(|xi| / 2^k) on the frequency lattice (FFT
+    order), read-only and shared as in ``spatial_mask``."""
+    return _cached_masks(grid, "frequency", k)
 
 
 #: a sampled mask is resolved when it holds at least this many grid points
@@ -190,17 +173,11 @@ def _continuum_mask_mass(k: int, dim: int) -> float:
     return float(np.sum(vals * w))
 
 
-def mask_resolution_audit(family: MaskFamily) -> dict[int, MaskAudit]:
-    """Per-shell sampling diagnostics for a spatial mask family."""
-    grid = family.grid
-    out = {}
-    for k in family:
-        m = family[k]
-        nz = int(np.count_nonzero(m))
-        disc = float(np.sum(m**2) * grid.cell_volume)
-        cont = _continuum_mask_mass(k, grid.dim)
-        out[k] = MaskAudit(k, nz, disc, cont)
-    return out
+def mask_audit(grid: Grid, k: int) -> MaskAudit:
+    """Sampling diagnostics of the shell-k spatial mask on the grid."""
+    m = spatial_mask(grid, k)
+    disc = float(np.sum(m**2) * grid.cell_volume)
+    return MaskAudit(k, int(np.count_nonzero(m)), disc, _continuum_mask_mass(k, grid.dim))
 
 
 def seq_norm(a: Mapping[int, complex], q: float, alpha: float) -> float:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dyadic import DyadicDecomposition, seq_norm, smooth_cutoff, spatial_masks
+from .dyadic import DyadicDecomposition, seq_norm, smooth_cutoff, spatial_mask
 from .ensembles import band_limited_field, band_limited_spacetime, member_rng
 from .grid import Field, Grid, SpaceTimeField
 from .norms import (
@@ -175,7 +175,7 @@ def verify_main(
     """Weighted-energy smoothing bound for the magnetic flow, with a
     paired zero-potential run measuring the ratio inflation caused by the
     potential and an exact consistency check of the free reduction on
-    member 0 (reusing its paired run; a degenerate member 0 has none)."""
+    member 0 (reusing its paired run)."""
     times = np.asarray(times, dtype=float)
     audit_total = smallness_audit(A, decomp)
     members = []
@@ -189,15 +189,12 @@ def verify_main(
         lhs = _weighted_solution_lhs(u, decomp)
         rhs = _weighted_data_rhs(f, F, decomp)
         rec = _ratio_record(lhs, rhs)
-        lhs0 = None
+        lhs0 = _weighted_solution_lhs(magnetic_solve(f, zero, F, times), decomp)
         if not rec["degenerate"]:
-            lhs0 = _weighted_solution_lhs(magnetic_solve(f, zero, F, times), decomp)
             inflations.append(rec["ratio"] / (lhs0 / rhs))
         if i == 0:
             # exact free reduction: the zero-potential solver path is the
             # free propagator plus the trapezoid Duhamel march
-            if lhs0 is None:
-                lhs0 = _weighted_solution_lhs(magnetic_solve(f, zero, F, times), decomp)
             lhs_free = _weighted_solution_lhs(free_evolution(f, times) + duhamel(F, times), decomp)
             consistency = abs(lhs0 - lhs_free) / max(lhs_free, 1e-300)
         members.append(rec)
@@ -389,8 +386,7 @@ def verify_resolvent_nd(
 
 
 def _weighted_shell_l2(f: Field, decomp: DyadicDecomposition, a: float) -> dict[int, float]:
-    masks = spatial_masks(decomp, f.grid)
-    return {k: l2_norm(Field(f.grid, weight_product_mask(masks, k, a) * f.values))
+    return {k: l2_norm(Field(f.grid, weight_product_mask(f.grid, k, a) * f.values))
             for k in decomp.shells}
 
 
@@ -473,9 +469,8 @@ def verify_mixed_norm(
 
 def lqa_lp_norm(f: Field, decomp: DyadicDecomposition, q: float, a: float, p: float) -> float:
     """Plain weighted shell-L^p norm (no smoothing factor)."""
-    masks = spatial_masks(decomp, f.grid)
     terms = {
-        k: lp_norm(Field(f.grid, masks[k] * f.values), p) for k in decomp.shells
+        k: lp_norm(Field(f.grid, spatial_mask(f.grid, k) * f.values), p) for k in decomp.shells
     }
     return seq_norm(terms, q, a)
 

@@ -21,14 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .dyadic import (
-    DyadicDecomposition,
-    MaskFamily,
-    frequency_masks,
-    seq_norm,
-    shell_box,
-    spatial_masks,
-)
+from .dyadic import DyadicDecomposition, frequency_mask, seq_norm, shell_box, spatial_mask
 from .grid import Field, Grid, SpaceTimeField
 from .spectral import (
     abs_freq_power,
@@ -109,10 +102,9 @@ def annulus_sup_norm(f: Field, decomp: DyadicDecomposition) -> float:
 # ---------------------------------------------------------------------------
 
 
-def weight_product_mask(masks: MaskFamily, k: int, a: float) -> np.ndarray:
+def weight_product_mask(grid: Grid, k: int, a: float) -> np.ndarray:
     """|x|^a Q_k(x), with the value forced to 0 off the mask support."""
-    grid = masks.grid
-    q = masks[k]
+    q = spatial_mask(grid, k)
     out = np.zeros(grid.shape)
     supp = q > 0
     out[supp] = grid.radius[supp] ** a * q[supp]
@@ -162,10 +154,10 @@ def _shell_terms_on(
 ) -> Callable[[Field], dict[int, float]]:
     """The per-field shell terms of ``lqa_shell_terms``, with the masks,
     weights, |xi|^s and shell cubes of the grid built once."""
-    masks = spatial_masks(decomp, grid)
+    masks = {k: spatial_mask(grid, k) for k in decomp.shells}
     sym = abs_freq_power(grid, spec.s)
     live = [k for k in decomp.shells if masks[k].any()]
-    weights = {k: weight_product_mask(masks, k, spec.a) if variant == "weight_product"
+    weights = {k: weight_product_mask(grid, k, spec.a) if variant == "weight_product"
                else masks[k] for k in live}
     boxes = {k: shell_box(grid, k) for k in live}
 
@@ -268,9 +260,9 @@ def phase_localized_norm(
 ) -> float:
     """Frequency-outer phase-localized norm: the unweighted l^2 sum over
     frequency shells k2 of the weighted spatial l^{q,a} norm of P_k2 f."""
-    pk = frequency_masks(freq_decomp, f.grid)
+    pk = [frequency_mask(f.grid, k2) for k2 in freq_decomp.shells]
     # one forward transform of f; each frequency shell is made when needed
-    localized = apply_multipliers(f, (pk[k2] for k2 in freq_decomp.shells))
+    localized = apply_multipliers(f, pk)
     outer_terms = dict(zip(freq_decomp.shells, lqa_sobolev_norm(localized, space_decomp, spec)))
     return seq_norm(outer_terms, 2, 0.0)
 

@@ -25,7 +25,7 @@ from .discrete import (
     kernel_matrix,
     window_operator_norm,
 )
-from .dyadic import DyadicDecomposition, spatial_masks
+from .dyadic import DyadicDecomposition, spatial_mask
 from .ensembles import DEFAULT_MODE_RADIUS, band_limited_field, member_rng, mode_band_fits
 from .grid import Grid
 from .harness import (
@@ -186,12 +186,11 @@ def run_partition(cfg: ExperimentConfig) -> SuiteResult:
 
     # support discipline on a sampled grid
     g = Grid(cfg.dim, cfg.half_width, min(cfg.points, 32))
-    masks = spatial_masks(decomp, g)
     overlap = 0.0
     shells = list(decomp.shells)
     for i, k in enumerate(shells):
         for m in shells[i + 2 :]:
-            overlap = max(overlap, float(np.max(masks[k] * masks[m])))
+            overlap = max(overlap, float(np.max(spatial_mask(g, k) * spatial_mask(g, m))))
 
     rows = [
         {"check": "spatial_partition_max_err", "value": spatial_err},
@@ -321,11 +320,10 @@ def run_commutator_scan(cfg: ExperimentConfig) -> SuiteResult:
         )
     # diagonal scale covariance on one fixed grid
     g = Grid(cfg.dim, cfg.half_width, min(cfg.points, 32))
-    decomp = cfg.decomposition()
     diag_band = range(-1, 3)
     worst = 0.0
     for s in COMMUTATOR_S_VALUES:
-        vals = diagonal_scan(s, diag_band, decomp, g, seed=cfg.seed)
+        vals = diagonal_scan(s, diag_band, g, seed=cfg.seed)
         report["diagonal"][str(s)] = vals
         ks = sorted(vals)
         for a, b in zip(ks[:-1], ks[1:]):

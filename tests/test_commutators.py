@@ -21,7 +21,7 @@ from smoothlab.commutators import (
     predicted_exponent,
 )
 from oracles import fractional_laplacian, inner_product
-from smoothlab.dyadic import DyadicDecomposition, spatial_masks
+from smoothlab.dyadic import _cached_masks, spatial_mask
 from smoothlab.ensembles import band_limited_field, member_rng
 from smoothlab.grid import Field, Grid
 from smoothlab.spectral import (
@@ -43,11 +43,6 @@ def _physical(spec):
 @pytest.fixture(scope="module")
 def grid():
     return Grid(3, 8.0, 32)
-
-
-@pytest.fixture(scope="module")
-def dec():
-    return DyadicDecomposition(-2, 3)
 
 
 class TestPredictedExponent:
@@ -78,56 +73,55 @@ class TestPredictedExponent:
 
 
 class TestApply:
-    def test_s_zero_disjoint_masks_annihilate(self, grid, dec):
-        op = CommutatorOp(-1, 2, 0.0, dec, grid)
+    def test_s_zero_disjoint_masks_annihilate(self, grid):
+        op = CommutatorOp(-1, 2, 0.0, grid)
         f = band_limited_field(grid, member_rng(0, 1))
         out = op.apply(_spectrum(f))
         assert np.abs(out.values).max() < 1e-13 * np.abs(f.values).max()
 
-    def test_order_domain(self, grid, dec):
+    def test_order_domain(self, grid):
         with pytest.raises(ValueError):
-            CommutatorOp(0, 1, 1.0, dec, grid)
+            CommutatorOp(0, 1, 1.0, grid)
 
-    def test_composition_matches_factors(self, grid, dec):
-        op = CommutatorOp(0, 1, 0.5, dec, grid)
+    def test_composition_matches_factors(self, grid):
+        op = CommutatorOp(0, 1, 0.5, grid)
         f = band_limited_field(grid, member_rng(0, 2))
-        masks = spatial_masks(dec, grid)
         step = fractional_laplacian(f, 0.5)
-        step = Field(grid, masks[1] * step.values)
+        step = Field(grid, spatial_mask(grid, 1) * step.values)
         step = fractional_laplacian(step, -0.5)
-        step = Field(grid, masks[0] * step.values)
+        step = Field(grid, spatial_mask(grid, 0) * step.values)
         assert np.abs(op.apply(_spectrum(f)).values - step.values).max() < 1e-14
 
-    def test_adjoint_pairing(self, grid, dec):
+    def test_adjoint_pairing(self, grid):
         # <A f, g> = <f, A* g>, with apply fed F f and apply_adjoint
         # returning F(A* g)
-        op = CommutatorOp(0, 2, 0.5, dec, grid)
+        op = CommutatorOp(0, 2, 0.5, grid)
         f = band_limited_field(grid, member_rng(0, 3))
         g = band_limited_field(grid, member_rng(0, 4))
         lhs = inner_product(op.apply(_spectrum(f)), g)
         rhs = inner_product(f, _physical(op.apply_adjoint(Field(g.grid, g.values.copy()))))
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
 
-    def test_maps_work_in_the_given_array(self, grid, dec):
-        op = CommutatorOp(0, 2, 0.5, dec, grid)
+    def test_maps_work_in_the_given_array(self, grid):
+        op = CommutatorOp(0, 2, 0.5, grid)
         spec = _spectrum(band_limited_field(grid, member_rng(0, 7)))
         av = op.apply(spec)
         assert av.values is spec.values
         assert op.apply_adjoint(av).values is spec.values
 
-    def test_symbols_are_read_only(self, grid, dec):
+    def test_symbols_are_read_only(self, grid):
         # an in-place product that hits a shared factor instead of the
         # iterate must raise, not corrupt every later matvec
-        _, _, up, down = CommutatorOp(0, 2, 0.5, dec, grid)._factors
+        _, _, up, down = CommutatorOp(0, 2, 0.5, grid)._factors
         for symbol in (up, down):
             assert not symbol.flags.writeable
             with pytest.raises(ValueError):
                 symbol *= 2.0
 
-    def test_off_shell_input_suppressed(self, grid, dec):
+    def test_off_shell_input_suppressed(self, grid):
         # data supported away from shell m: output only through |D|^s tails,
         # bounded by the predicted decay value
-        op = CommutatorOp(0, 2, 0.5, dec, grid)
+        op = CommutatorOp(0, 2, 0.5, grid)
         f = band_limited_field(grid, member_rng(0, 5), window=(0.6, 0.9))
         out_norm = l2_norm(op.apply(_spectrum(f)))
         bound = 2.0 ** predicted_exponent(0, 2, 0.5, 3)
@@ -135,23 +129,23 @@ class TestApply:
 
 
 class TestOperatorNorm:
-    def test_zero_operator(self, grid, dec):
-        op = CommutatorOp(-1, 2, 0.0, dec, grid)
+    def test_zero_operator(self, grid):
+        op = CommutatorOp(-1, 2, 0.0, grid)
         assert operator_norm(op, seed=0) == 0.0
 
-    def test_identity_like_diagonal(self, grid, dec):
+    def test_identity_like_diagonal(self, grid):
         # k = m, s = 0 is multiplication by Q_k^2: norm = max Q_k^2 <= 1
-        op = CommutatorOp(0, 0, 0.0, dec, grid)
+        op = CommutatorOp(0, 0, 0.0, grid)
         est = operator_norm(op, seed=0)
-        masks = spatial_masks(dec, grid)
-        assert est <= (masks[0] ** 2).max() + 1e-9
-        assert est > 0.95 * (masks[0] ** 2).max()
+        peak = (spatial_mask(grid, 0) ** 2).max()
+        assert est <= peak + 1e-9
+        assert est > 0.95 * peak
 
     def test_matches_dense_top_singular_value(self):
         # on a 16^2 grid the operator is a 256 x 256 matrix, assembled
         # column by column from the physical unit vectors
-        g, d = Grid(2, 8.0, 16), DyadicDecomposition(-2, 3)
-        op = CommutatorOp(0, 1, 0.5, d, g)
+        g = Grid(2, 8.0, 16)
+        op = CommutatorOp(0, 1, 0.5, g)
         cols = []
         for i in range(g.size):
             e = np.zeros(g.size, complex)
@@ -160,27 +154,27 @@ class TestOperatorNorm:
         dense = np.linalg.svd(np.array(cols).T, compute_uv=False)[0]
         assert abs(operator_norm(op, seed=0) - dense) <= 1e-10 * dense
 
-    def test_adjoint_norm_agrees(self, grid, dec):
+    def test_adjoint_norm_agrees(self, grid):
         # ||A|| = ||A*||: estimate the adjoint by iterating the swapped maps
-        op = CommutatorOp(0, 2, 0.5, dec, grid)
+        op = CommutatorOp(0, 2, 0.5, grid)
         fwd = operator_norm(op, seed=1)
         bwd = operator_norm(_Swapped(op), seed=1)
         assert abs(fwd - bwd) / fwd < 1e-9
 
     @pytest.mark.parametrize("s", [0.5, -0.5, 0.0])
-    def test_zero_mode_exact_after_every_adjoint(self, grid, dec, s):
+    def test_zero_mode_exact_after_every_adjoint(self, grid, s):
         # |xi|^s vanishes at xi = 0, and at s = 0 the mode is set to 0, so
         # the Lanczos vectors stay mean-zero without a projection
-        op = _Counted(CommutatorOp(0, 1, s, dec, grid))
+        op = _Counted(CommutatorOp(0, 1, s, grid))
         operator_norm(op, seed=7)
         assert len(op.zero_modes) == op.applies > 1
         assert all(z == 0.0 for z in op.zero_modes)
 
-    def test_one_trial_holds_few_grid_arrays(self, grid, dec):
+    def test_one_trial_holds_few_grid_arrays(self, grid):
         # the solve holds three grid buffers: the last two Lanczos vectors
         # and the one the maps work in.  The operator's masks and symbols
         # are built before the trace: they live as long as the operator.
-        op = CommutatorOp(0, 2, 0.5, dec, grid)
+        op = CommutatorOp(0, 2, 0.5, grid)
         op._factors
         tracemalloc.start()
         try:
@@ -197,9 +191,8 @@ class TestOperatorNorm:
         # differently with the thread count
         code = (
             "from smoothlab.commutators import CommutatorOp, operator_norm\n"
-            "from smoothlab.dyadic import DyadicDecomposition\n"
             "from smoothlab.grid import Grid\n"
-            "op = CommutatorOp(2, 2, -0.5, DyadicDecomposition(-2, 3), Grid(3, 8.0, 32))\n"
+            "op = CommutatorOp(2, 2, -0.5, Grid(3, 8.0, 32))\n"
             "print(operator_norm(op, seed=0).hex())\n"
         )
         src = str(Path(smoothlab.__file__).parents[1])
@@ -251,8 +244,8 @@ class _PhysicalOp:
     |D|^s v and ``apply_adjoint`` is A* u; neither touches its argument."""
 
     def __init__(self, op):
-        masks = spatial_masks(op.decomp, op.grid)
-        self.grid, self.qk, self.qm = op.grid, masks[op.k], masks[op.m]
+        self.grid = op.grid
+        self.qk, self.qm = spatial_mask(op.grid, op.k), spatial_mask(op.grid, op.m)
         self.up = abs_freq_power(op.grid, op.s) if op.s else None
         self.down = abs_freq_power(op.grid, -op.s) if op.s else None
 
@@ -341,35 +334,35 @@ class TestOperatorNormSteps:
     transform count."""
 
     @pytest.mark.parametrize("case", ["converged", "capped", "swapped"])
-    def test_not_below_power_iteration_reference(self, grid, dec, case):
+    def test_not_below_power_iteration_reference(self, grid, case):
         # a reference that converges, one that runs out of iterations, and
         # one on the adjoint's maps, each from the Lanczos start
         if case == "swapped":
-            op = CommutatorOp(1, -1, -0.5, dec, grid)
+            op = CommutatorOp(1, -1, -0.5, grid)
             fast, slow = _Swapped(op), _PhysicalSwapped(_PhysicalOp(op))
             iterations, tol = 40, 1e-5
         else:
-            op = CommutatorOp(0, 2, 0.5, dec, grid)
+            op = CommutatorOp(0, 2, 0.5, grid)
             fast, slow = op, _PhysicalOp(op)
             iterations, tol = (60, 1e-4) if case == "converged" else (3, 1e-12)
         got = operator_norm(fast, seed=4)
         ref = _reference_operator_norm(slow, iterations, tol, seed=4)
         assert 0 < ref <= got
 
-    def test_transforms_per_solve(self, grid, dec, fft_calls):
+    def test_transforms_per_solve(self, grid, fft_calls):
         # one transform enters the spectrum and each step runs three per map
-        op = _Counted(CommutatorOp(0, 2, 0.5, dec, grid))
+        op = _Counted(CommutatorOp(0, 2, 0.5, grid))
         operator_norm(op, seed=6)
         assert 1 < op.applies < LANCZOS_MAX_STEPS
         assert len(fft_calls) == 1 + 6 * op.applies
 
     def test_empty_mask_pair_is_not_iterated(self, fft_calls):
-        # shell -3 of the centered decomposition holds no point of the
-        # spacing-0.25 grid, so the operator is exactly zero
+        # the pair is centered at (-3, 2), and shell -3 holds no point of
+        # the spacing-0.25 grid, so the operator is exactly zero
         assert measure_pair_norm(-3, 2, 0.5, points=64) == (0.0, False)
         assert fft_calls == []
 
-    def test_symbols_built_at_most_twice(self, grid, dec, monkeypatch):
+    def test_symbols_built_at_most_twice(self, grid, monkeypatch):
         import smoothlab.commutators as commutators
         import smoothlab.spectral as spectral
 
@@ -381,8 +374,28 @@ class TestOperatorNormSteps:
 
         monkeypatch.setattr(spectral, "abs_freq_power", counted)
         monkeypatch.setattr(commutators, "abs_freq_power", counted, raising=False)
-        op = CommutatorOp(0, 2, 0.5, dec, grid)
+        op = CommutatorOp(0, 2, 0.5, grid)
         f = band_limited_field(grid, member_rng(0, 6))
         for _ in range(3):
             f = op.apply_adjoint(op.apply(f))
         assert len(calls) <= 2
+
+
+class TestMaskFetches:
+    """An operator is named by its shell pair and grid: it builds the masks
+    of its two shells and no other.  Each test starts from an empty cache,
+    so that every mask it asks for is a miss."""
+
+    def test_factors_build_two_masks(self, grid):
+        _cached_masks.cache_clear()
+        qk, qm, _, _ = CommutatorOp(-1, 1, 0.5, grid)._factors
+        assert _cached_masks.cache_info().misses == 2
+        assert qk is spatial_mask(grid, -1) and qm is spatial_mask(grid, 1)
+
+    def test_measure_pair_norm_builds_at_most_two_masks(self):
+        # the (0, 3) pair is centered at (-1, 2); its audit and its
+        # operator share the two masks
+        _cached_masks.cache_clear()
+        norm, resolved = measure_pair_norm(0, 3, 0.5, dim=2, points=64, seed=0)
+        assert norm > 0 and resolved
+        assert _cached_masks.cache_info().misses <= 2

@@ -58,6 +58,10 @@ class TestBoundProbe:
     def test_q_domain(self):
         with pytest.raises(ValueError):
             window_operator_norm(SPEC, 0.5, 8)
+        # only q = 1, 2 and inf have an exact window formula; q = 3 must
+        # not return the q = 2 value
+        with pytest.raises(ValueError):
+            window_operator_norm(SPEC, 3, 8)
 
     def test_divergence_when_beta_small(self):
         bad = KernelSpec(0.5, 0.5, 0.9)

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 import oracles
 from smoothlab.dyadic import (
     DyadicDecomposition,
+    _cached_masks,
     bump,
-    frequency_masks,
-    mask_resolution_audit,
+    frequency_mask,
+    mask_audit,
     seq_norm,
     shell_box,
     smooth_step,
-    spatial_masks,
+    spatial_mask,
 )
 from smoothlab.grid import Grid
 
@@ -69,17 +70,15 @@ class TestMasks:
     def test_partition_on_grid_point(self):
         grid = Grid(1, 8.0, 256)
         decomp = DyadicDecomposition(-2, 2)
-        masks = spatial_masks(decomp, grid)
-        total = sum(masks[k] for k in masks)
+        total = sum(spatial_mask(grid, k) for k in decomp.shells)
         i = int(np.argmin(np.abs(grid.axis - 1.3)))
         assert abs(total[i] - 1.0) < 1e-12
 
     def test_mask_support_and_center(self):
         grid = Grid(1, 8.0, 256)
-        masks = spatial_masks(DyadicDecomposition(-2, 2), grid)
         at = lambda x: int(np.argmin(np.abs(grid.axis - x)))
-        assert masks[0][at(3.0)] == 0.0
-        assert masks[1][at(2.0)] == 1.0
+        assert spatial_mask(grid, 0)[at(3.0)] == 0.0
+        assert spatial_mask(grid, 1)[at(2.0)] == 1.0
 
     def test_partition_identity_random_points(self):
         decomp = DyadicDecomposition(-3, 4)
@@ -90,44 +89,41 @@ class TestMasks:
 
     def test_support_discipline(self):
         grid = Grid(2, 8.0, 64)
-        masks = spatial_masks(DyadicDecomposition(-2, 2), grid)
-        shells = sorted(masks.masks)
+        shells = list(DyadicDecomposition(-2, 2).shells)
         for i, k in enumerate(shells):
             for m in shells[i + 2 :]:
-                assert np.max(masks[k] * masks[m]) == 0.0
+                assert np.max(spatial_mask(grid, k) * spatial_mask(grid, m)) == 0.0
 
     def test_frequency_masks(self):
         # half-width 4 pi puts |xi| = 1 on the lattice with spacing 1/4
         grid = Grid(1, 4 * np.pi, 256)
         decomp = DyadicDecomposition(-1, 3)
-        masks = frequency_masks(decomp, grid)
         for k in decomp.shells:
-            assert masks[k].flat[0] == 0.0  # zero frequency below all shells
+            assert frequency_mask(grid, k).flat[0] == 0.0  # zero frequency below all shells
         idx = int(np.argmin(np.abs(grid.freq_axis - 1.0)))
-        assert masks[0][idx] == 1.0
+        assert frequency_mask(grid, 0)[idx] == 1.0
         mid = int(np.argmin(np.abs(grid.freq_axis - 1.25)))
-        assert abs(sum(masks[k][mid] for k in masks) - 1.0) < 1e-12
+        assert abs(sum(frequency_mask(grid, k)[mid] for k in decomp.shells) - 1.0) < 1e-12
 
     def test_resolution_audit(self):
         grid = Grid(3, 8.0, 64)
-        masks = spatial_masks(DyadicDecomposition(-3, 3), grid)
-        audit = mask_resolution_audit(masks)
-        assert not audit[-3].resolved()  # below grid spacing
-        assert audit[1].resolved()
-        assert 0.5 < audit[1].mass_ratio < 2.0
+        assert not mask_audit(grid, -3).resolved()  # below grid spacing
+        audit = mask_audit(grid, 1)
+        assert audit.k == 1
+        assert audit.resolved()
+        assert 0.5 < audit.mass_ratio < 2.0
 
     @pytest.mark.parametrize("grid", [Grid(3, 8.0, 16), Grid(3, 8.0, 32), Grid(3, 8.0, 64),
                                       Grid(2, 8.0, 32)], ids=["16^3", "32^3", "64^3", "32^2"])
     def test_spatial_masks_vanish_outside_their_box(self, grid):
         # every grid a suite builds at its default config, and every shell
         # of the commutator scan's widened range
-        masks = spatial_masks(DyadicDecomposition(-4, 5), grid)
-        for k in masks:
+        for k in DyadicDecomposition(-4, 5).shells:
             box = shell_box(grid, k)
             assert box.start <= grid.points_per_axis // 2 < box.stop
             outside = np.ones(grid.shape, dtype=bool)
             outside[(box,) * grid.dim] = False
-            assert not masks[k][outside].any()
+            assert not spatial_mask(grid, k)[outside].any()
             assert np.abs(grid.axis[box]).max() < 2.0 ** (k + 1)
 
 
@@ -135,28 +131,32 @@ class TestMaskCache:
     """One read-only cached array per (grid, kind, shell)."""
 
     def test_decompositions_share_shell_arrays(self):
+        # a shell is fetched by (grid, k) alone, so a second fetch on an
+        # equal grid, as any shell range holding k makes it, is a cache hit
         grid = Grid(3, 8.0, 16)
-        a = spatial_masks(DyadicDecomposition(-2, 1), grid)
-        b = spatial_masks(DyadicDecomposition(0, 3), grid)
         for k in (0, 1):
-            assert a[k] is b[k]
-            assert np.array_equal(a[k], bump(grid.radius / 2.0**k))
+            first = spatial_mask(grid, k)
+            hits = _cached_masks.cache_info().hits
+            assert spatial_mask(Grid(3, 8.0, 16), k) is first
+            assert _cached_masks.cache_info().hits == hits + 1
+            assert np.array_equal(first, bump(grid.radius / 2.0**k))
 
     def test_frequency_and_spatial_shells_are_distinct(self):
         grid = Grid(3, 8.0, 16)
-        decomp = DyadicDecomposition(-1, 1)
-        freq = frequency_masks(decomp, grid)
-        assert freq[0] is frequency_masks(DyadicDecomposition(0, 2), grid)[0]
-        assert freq[0] is not spatial_masks(decomp, grid)[0]
-        assert np.array_equal(freq[0], bump(grid.freq_radius))
+        freq = frequency_mask(grid, 0)
+        assert freq is frequency_mask(grid, 0)
+        assert freq is not spatial_mask(grid, 0)
+        assert np.array_equal(freq, bump(grid.freq_radius))
 
     def test_cached_masks_are_read_only(self):
         grid = Grid(3, 8.0, 16)
-        masks = spatial_masks(DyadicDecomposition(-1, 1), grid)
         with pytest.raises(ValueError):
-            masks[0][...] = 0.0
+            spatial_mask(grid, 0)[...] = 0.0
         with pytest.raises(ValueError):
-            masks[1] *= 2.0
+            frequency_mask(grid, 1)[...] = 0.0
+        q = spatial_mask(grid, 1)
+        with pytest.raises(ValueError):
+            q *= 2.0
 
 
 class TestWeightedSeq:

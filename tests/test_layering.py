@@ -220,7 +220,12 @@ def test_lru_caches_are_the_two_mask_caches():
     assert cached == {"dyadic._cached_masks", "norms._annulus_mask"}
 
 
-FACTOR_BUILDERS = {"spatial_masks", "abs_freq_power", "fractional_laplacian"}
+FACTOR_BUILDERS = {"spatial_mask", "abs_freq_power", "fractional_laplacian"}
+
+
+def _defined_functions(path: Path) -> set[str]:
+    return {node.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
 
 
 def _called_names(node: ast.AST) -> set[str]:
@@ -233,8 +238,11 @@ def _called_names(node: ast.AST) -> set[str]:
 
 
 def test_commutator_factors_built_in_one_cached_property():
-    # a Lanczos solve runs up to a hundred matvecs per operator; building a
-    # mask family or |xi|^s inside apply/apply_adjoint rebuilds it each time
+    # a Lanczos solve runs up to a hundred matvecs per operator; fetching a
+    # mask or building |xi|^s inside apply/apply_adjoint repeats it each time;
+    # a renamed builder would leave this guard checking nothing
+    oracles = Path(__file__).parent / "oracles.py"
+    assert FACTOR_BUILDERS <= set().union(*map(_defined_functions, [*MODULES, oracles]))
     tree = ast.parse((Path(smoothlab.__file__).parent / "commutators.py").read_text())
     op = next(node for node in tree.body
               if isinstance(node, ast.ClassDef) and node.name == "CommutatorOp")

@@ -8,10 +8,10 @@ from oracles import lqa_tail_fraction, morrey_campanato
 from smoothlab.dyadic import (
     DyadicDecomposition,
     bump,
-    frequency_masks,
+    frequency_mask,
     seq_norm,
     shell_box,
-    spatial_masks,
+    spatial_mask,
 )
 from smoothlab.ensembles import band_limited_field, member_rng
 from smoothlab.grid import Field, Grid, SpaceTimeField, gaussian
@@ -215,7 +215,6 @@ class TestWeightedShellNorms:
         dec = DyadicDecomposition(-2, 3)
         spec = NormSpec(2, 0.5, 0.5)
         f = band_limited_field(grid32, member_rng(3, 1))
-        masks = spatial_masks(dec, grid32)
         sym = abs_freq_power(grid32, spec.s)
 
         def norm(loc):
@@ -227,11 +226,11 @@ class TestWeightedShellNorms:
         expected = {}
         if variant == "D_then_mask":
             for k in dec.shells:
-                loc = Field(grid32, masks[k] * f.values)
+                loc = Field(grid32, spatial_mask(grid32, k) * f.values)
                 expected[k] = norm(loc)
         else:
             for k in dec.shells:
-                w = weight_product_mask(masks, k, spec.a)
+                w = weight_product_mask(grid32, k, spec.a)
                 loc = Field(grid32, w * f.values)
                 expected[k] = norm(loc)
         assert lqa_shell_terms((f,), dec, spec, variant, p) == [expected]
@@ -246,10 +245,10 @@ class TestWeightedShellNorms:
         # every shell is transformed axis by axis on the lines its cube
         # meets, except shell -2, which holds no grid point at 32^3
         assert fft_calls == PRUNED_PASSES * (len(dec.shells) - 1)
-        masks = spatial_masks(dec, grid32)
         sym = abs_freq_power(grid32, spec.s)
         for k in dec.shells:
-            w = masks[k] if variant == "D_then_mask" else weight_product_mask(masks, k, spec.a)
+            w = (spatial_mask(grid32, k) if variant == "D_then_mask"
+                 else weight_product_mask(grid32, k, spec.a))
             spatial = lp_norm(apply_multiplier(Field(grid32, w * f.values), sym), 2)
             assert math.isclose(terms[k], spatial, rel_tol=1e-13)
 
@@ -259,9 +258,9 @@ class TestWeightedShellNorms:
         dec = DyadicDecomposition(-2, 3)
         spec = NormSpec(2, 0.5, 0.5)
         f = band_limited_field(grid32, member_rng(3, 3))
-        masks = spatial_masks(dec, grid32)
         df = apply_multiplier(f, abs_freq_power(grid32, spec.s))
-        expected = {k: lp_norm(Field(grid32, masks[k] * df.values), p) for k in dec.shells}
+        expected = {k: lp_norm(Field(grid32, spatial_mask(grid32, k) * df.values), p)
+                    for k in dec.shells}
         assert lqa_shell_terms((f,), dec, spec, "mask_then_D", p) == [expected]
 
     @pytest.mark.parametrize("points", [16, 32])
@@ -302,13 +301,12 @@ class TestWeightedShellNorms:
         dec = DyadicDecomposition(-3, -2)
         spec = NormSpec(2, 0.5, 0.5)
         f = band_limited_field(grid32, member_rng(3, 9))
-        masks = spatial_masks(dec, grid32)
-        assert not masks[-3].any() and not masks[-2].any()
+        assert not spatial_mask(grid32, -3).any() and not spatial_mask(grid32, -2).any()
         fft_calls.clear()
         assert lqa_shell_terms((f,), dec, spec, variant, p) == [{-3: 0.0, -2: 0.0}]
         assert fft_calls == []
         # the pruned transform of the zero field gives the same 0.0
-        spectrum = boxed_fftn(masks[-2], f.values, shell_box(grid32, -2))
+        spectrum = boxed_fftn(spatial_mask(grid32, -2), f.values, shell_box(grid32, -2))
         assert spectrum_l2_norm(Field(grid32, spectrum * abs_freq_power(grid32, spec.s))) == 0.0
 
     def test_tail_fraction_small_for_windowed_data(self, grid32):
@@ -417,19 +415,18 @@ class TestPhaseLocalization:
         grid = Grid(3, 2 * np.pi, 32)
         space = DyadicDecomposition(-2, 2)
         freq = DyadicDecomposition(-1, 1)
-        from smoothlab.dyadic import frequency_masks
         from smoothlab.grid import _fftn, _ifftn
 
         rng = member_rng(5, 0)
         f = band_limited_field(grid, rng, window=(0.7, 2.0))
-        pk = frequency_masks(freq, grid)
-        f0 = Field(grid, _ifftn(pk[0] * _fftn(f.values)))
+        f0 = Field(grid, _ifftn(frequency_mask(grid, 0) * _fftn(f.values)))
         spec = NormSpec(2, 0.5, 0.5)
         loc = phase_localized_norm(f0, space, freq, spec)
         # P_0 f0 = f0 only up to the neighbour-shell overlap; compare against
         # the explicit one-term assembly instead of the plain norm
         per_shell = [
-            lqa_sobolev_norm((Field(grid, _ifftn(pk[k] * _fftn(f0.values))),), space, spec)[0]
+            lqa_sobolev_norm((Field(grid, _ifftn(frequency_mask(grid, k) * _fftn(f0.values))),),
+                             space, spec)[0]
             for k in freq.shells
         ]
         assert math.isclose(loc, math.sqrt(sum(v**2 for v in per_shell)), rel_tol=1e-12)
@@ -478,8 +475,7 @@ class TestPhaseLocalization:
         space = DyadicDecomposition(-2, 3)
         freq = DyadicDecomposition(-2, 2)
         f = band_limited_field(grid32, member_rng(7, 2))
-        pk = frequency_masks(freq, grid32)
-        shells = {k2: apply_multiplier(f, pk[k2]) for k2 in freq.shells}
+        shells = {k2: apply_multiplier(f, frequency_mask(grid32, k2)) for k2 in freq.shells}
         outer = {k2: lqa_sobolev_norm((loc,), space, spec)[0] for k2, loc in shells.items()}
         assert phase_localized_norm(f, space, freq, spec) == seq_norm(outer, 2, 0.0)
 
