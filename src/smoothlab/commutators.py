@@ -9,13 +9,18 @@ which depends only on |k - m|.  The scan below measures the norm by a
 Lanczos iteration on the normal operator, which stops on its Ritz
 residual and returns a lower bound, and regresses measured log2 norms on
 the predicted exponent; only the slope is certified, the constant is a
-fitted intercept.  An operator is named by its shell pair, s and grid;
-it fetches just its two masks ``spatial_mask(grid, k)`` and builds
-read-only ``|xi|^{+-s}`` once, before the solver allocates its buffers.
-The Lanczos vectors are spectra ``F v``: the forward map takes one to the
-physical ``A v`` and the adjoint map brings ``A v`` back as ``F(A*A v)``,
-three transforms each, in place in one buffer.  A pair with an empty
-mask is exactly zero and is not iterated.
+fitted intercept.  The top Ritz pair of each Lanczos step comes from
+Sturm counts and a tridiagonal solve, with no LAPACK call.  An operator
+is named by its shell pair, s and grid; it fetches just its two masks
+``spatial_mask(grid, k)`` and builds read-only ``|xi|^{+-s}`` once,
+before the solver allocates its buffers.  The Lanczos vectors are
+spectra ``F v``: the forward map takes one to the physical ``A v`` and
+the adjoint map brings ``A v`` back as ``F(A*A v)``, three transforms
+each, in place in one buffer.  Each transform beside a mask runs its
+axis passes only on the lines that the mask's cube ``shell_box`` meets:
+a forward one reads a field that vanishes off the cube, and an inverse
+one is exact on the cube, where the mask product that follows keeps it.
+A pair with an empty mask is exactly zero and is not iterated.
 
 Dilating x -> 2x carries the (k, m) operator exactly onto (k+1, m+1) when
 both the box and spacing scale along, so each shell pair is evaluated on
@@ -33,12 +38,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import mask_audit, spatial_mask
+from .dyadic import mask_audit, shell_box, spatial_mask
 from .grid import Field, Grid
-from .spectral import abs_freq_power, fft_inplace, ifft_inplace
+from .spectral import abs_freq_power, boxed_fft_inplace, boxed_ifft_inplace, fft_inplace
 
 
-def predicted_exponent(k: int, m: int, s: float, n: int = 3) -> float:
+def predicted_exponent(k: int, m: int, s: float, n: int) -> float:
     """Predicted dyadic decay exponent t(k, m, s, 2) of the L^2 -> L^2 norm
     in dimension n."""
     s_plus = max(s, 0.0)
@@ -82,21 +87,25 @@ class CommutatorOp:
         return qk, qm, up, down
 
     @staticmethod
-    def _smooth(values: np.ndarray, symbol: np.ndarray | None) -> None:
+    def _smooth(values: np.ndarray, symbol: np.ndarray | None, box_in: slice,
+                box_out: slice) -> None:
+        """|D|^{-s}-type multiplier of a field that vanishes outside the cube
+        ``box_in^n``, exact on ``box_out^n``, whose mask product follows."""
         if symbol is not None:
-            fft_inplace(values)
+            boxed_fft_inplace(values, box_in)
             values *= symbol
-            ifft_inplace(values)
+            boxed_ifft_inplace(values, box_out)
 
     def apply(self, spec: Field) -> Field:
         """Physical A v from ``spec`` = F v, in ``spec``'s array."""
         qk, qm, up, down = self._factors
+        box_k, box_m = shell_box(self.grid, self.k), shell_box(self.grid, self.m)
         x = spec.values
         if up is not None:
             x *= up
-        ifft_inplace(x)
+        boxed_ifft_inplace(x, box_m)
         x *= qm
-        self._smooth(x, down)
+        self._smooth(x, down, box_m, box_k)
         x *= qk
         return Field(self.grid, x)
 
@@ -104,11 +113,12 @@ class CommutatorOp:
         """F(A* u) from the physical ``f`` = u, in ``f``'s array."""
         # all four factors are self-adjoint; reverse the order
         qk, qm, up, down = self._factors
+        box_k, box_m = shell_box(self.grid, self.k), shell_box(self.grid, self.m)
         x = f.values
         x *= qk
-        self._smooth(x, down)
+        self._smooth(x, down, box_k, box_m)
         x *= qm
-        fft_inplace(x)
+        boxed_fft_inplace(x, box_m)
         if up is None:
             x.flat[0] = 0.0  # |xi|^s zeroes the mode for s != 0; keep v mean-zero
         else:
@@ -128,22 +138,140 @@ def _real_dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", x.view(np.float64).ravel(), y.view(np.float64).ravel()))
 
 
-def operator_norm(op: CommutatorOp, seed: int = 0) -> float:
+def _at_or_above_spectrum(alphas: list[float], beta_sq: list[float], x: float) -> bool:
+    """Whether no eigenvalue of the tridiagonal T with diagonal ``alphas``
+    and squared off-diagonal ``beta_sq`` (led by a 0) exceeds x: the Sturm
+    count, no pivot of the LDL^T factorization of T - x positive."""
+    d = -1.0
+    for a, b2 in zip(alphas, beta_sq):
+        d = a - x - b2 / d
+        if d > 0:
+            return False
+    return True
+
+
+def _newton_step(alphas: list[float], beta_sq: list[float], x: float) -> float | None:
+    """The Newton step at x towards the root of the last pivot d_j(x) of
+    T - x, or None when an earlier pivot is not negative.
+
+    Where every earlier pivot is negative, x lies above the spectrum of the
+    leading block, and there d_j is convex and decreasing with the top
+    eigenvalue as its root; the step is then at most 0 exactly when
+    ``_at_or_above_spectrum`` holds at x."""
+    d, slope = -1.0, 0.0
+    for a, b2 in zip(alphas, beta_sq):
+        if d >= 0:
+            return None
+        q = b2 / d
+        slope = -1.0 + q * slope / d
+        d = a - x - q
+    return -d / slope
+
+
+def _top_eigenvalue(alphas: list[float], beta_sq: list[float], lo: float,
+                    x: float) -> tuple[float, float]:
+    """Adjacent floats lo < hi with the top eigenvalue of T between them in
+    the Sturm count: hi is at or above the spectrum and lo is not.
+
+    ``lo`` comes in as a float below the top eigenvalue and x as a start
+    near it.  Newton steps from x narrow the bracket, a doubling search from
+    the last of them finds hi, and bisection closes it to one ulp (Golub &
+    Van Loan, Matrix Computations, 4th ed., 8.4)."""
+    hi, width = math.inf, 0.0
+    while True:  # x lies strictly inside (lo, hi) here
+        step = _newton_step(alphas, beta_sq, x)
+        if _at_or_above_spectrum(alphas, beta_sq, x) if step is None else step <= 0:
+            hi = x
+        else:
+            lo = x
+        if step is None:
+            break
+        width = abs(step)
+        x += step
+        if not lo < x < hi:
+            break
+    width = max(math.ulp(lo), 2.0 * width)
+    while hi == math.inf:
+        if _at_or_above_spectrum(alphas, beta_sq, lo + width):
+            hi = lo + width
+        else:
+            lo, width = lo + width, 2.0 * width
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _at_or_above_spectrum(alphas, beta_sq, mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _inverse_iteration(alphas: list[float], betas: list[float], beta_sq: list[float],
+                       shift: float, start: list[float]) -> list[float]:
+    """The unit vector along (T - shift)^-1 start, by one Thomas solve.
+
+    ``shift`` lies at or above the spectrum, so T - shift is negative
+    semidefinite and its elimination needs no pivoting; its pivots are
+    those of ``_at_or_above_spectrum``, with an exact zero moved to -1 ulp
+    of the shift."""
+    pivots, y = [], []
+    d, z = -1.0, 0.0
+    for a, b2, b, s in zip(alphas, beta_sq, [0.0] + betas, start):
+        z = s - b / d * z
+        d = (a - shift - b2 / d) or -math.ulp(shift)
+        pivots.append(d)
+        y.append(z)
+    upper, x = betas + [0.0], 0.0
+    for i in reversed(range(len(y))):
+        x = y[i] = (y[i] - upper[i] * x) / pivots[i]
+    norm = math.hypot(*y)
+    return [c / norm for c in y]
+
+
+def _top_ritz_pair(alphas: list[float], betas: list[float], beta_sq: list[float],
+                   previous: tuple[float, float, list[float]] | None
+                   ) -> tuple[float, float, list[float]]:
+    """(below, theta, s) for the tridiagonal T_j: theta is the smallest float
+    that no eigenvalue exceeds in the Sturm count, below the float under
+    it, and s theta's unit eigenvector; ``previous`` is the same triple for
+    T_{j-1} (None at j = 1).
+
+    By interlacing the top eigenvalue does not fall from T_{j-1} to T_j, so
+    the previous ``below`` stays below it.  Newton starts from the top Ritz
+    value of T_j on the span of (s_{j-1}, 0) and e_j, a 2 x 2 problem, or
+    from theta_{j-1} if that is larger, and s comes from one solve at theta
+    from (s_{j-1}, 0)."""
+    if previous is None:
+        return math.nextafter(alphas[0], -math.inf), alphas[0], [1.0]
+    below, theta, vector = previous
+    a, r = alphas[-1], betas[-1] * vector[-1]
+    start = max(theta, 0.5 * (theta + a) + math.hypot(0.5 * (theta - a), r))
+    below, theta = _top_eigenvalue(alphas, beta_sq, below, start)
+    return below, theta, _inverse_iteration(alphas, betas, beta_sq, theta, vector + [0.0])
+
+
+def operator_norm(op: CommutatorOp, seed: int) -> float:
     """Lanczos iteration on the normal operator F A*A F^-1 from one seeded
     mean-zero spectrum.
 
     Returns sqrt(theta) for the top Ritz value theta, a lower bound on the
-    true norm: the Krylov space holds every power iterate of the start.  The
+    true norm up to rounding: the Krylov space holds every power iterate of
+    the start.  The
     solve stops once the Ritz residual beta_j |s_j| (s_j the last entry of
-    theta's eigenvector of the tridiagonal T_j) is at most ``LANCZOS_TOL``
-    times theta, or after ``LANCZOS_MAX_STEPS`` steps.  A step is one
-    ``op.apply`` and one ``op.apply_adjoint``, six transforms, so a solve of
-    j steps runs 1 + 6j of them: one enters the spectrum.  The operator is
-    Hermitian on complex spectra, hence symmetric on their (Re, Im) pairs,
-    so the real inner product Re <x, y> is the one the recurrence needs.
-    The solve holds three grid buffers and, past the seeded draw, makes no
-    grid-sized temporary; build the operator's factors first, so that they
-    do not stack on the buffers.
+    theta's unit eigenvector of the tridiagonal T_j) is at most
+    ``LANCZOS_TOL`` times theta, or after ``LANCZOS_MAX_STEPS`` steps.  The
+    top Ritz pair of each T_j is found without LAPACK, whose threaded calls
+    kept a second core spinning: theta by Sturm-count bisection, warm-started
+    from theta_{j-1} and narrowed by Newton steps, and s_j by one
+    inverse-iteration solve.
+
+    A step is one ``op.apply`` and one ``op.apply_adjoint``, each three
+    transforms at s != 0, run as axis passes on the lines its masks' cubes
+    meet, so a solve of j steps runs 1 + 18j transform calls: one enters
+    the spectrum.
+    The operator is Hermitian on complex spectra, hence symmetric on their
+    (Re, Im) pairs, so the real inner product Re <x, y> is the one the
+    recurrence needs.  The solve holds three grid buffers and, past the
+    seeded draw, makes no grid-sized temporary; build the operator's
+    factors first, so that they do not stack on the buffers.
     """
     grid = op.grid
     rng = np.random.default_rng(seed)
@@ -156,7 +284,9 @@ def operator_norm(op: CommutatorOp, seed: int = 0) -> float:
     prev, spare = np.zeros_like(v), np.empty_like(v)
     alphas: list[float] = []
     betas: list[float] = []
+    beta_sq = [0.0]
     beta = 0.0
+    ritz = None
     for _ in range(LANCZOS_MAX_STEPS):
         np.copyto(spare, v)
         w = op.apply_adjoint(op.apply(Field(grid, spare))).values
@@ -168,12 +298,12 @@ def operator_norm(op: CommutatorOp, seed: int = 0) -> float:
         w -= prev
         beta = math.sqrt(_real_dot(w, w))
         alphas.append(alpha)
-        t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        values, vectors = np.linalg.eigh(t)
-        theta = values[-1]
-        if beta == 0 or beta * abs(vectors[-1, -1]) <= LANCZOS_TOL * theta:
+        ritz = _top_ritz_pair(alphas, betas, beta_sq, ritz)
+        _, theta, vector = ritz
+        if beta == 0 or beta * abs(vector[-1]) <= LANCZOS_TOL * theta:
             break
         betas.append(beta)
+        beta_sq.append(beta * beta)
         w *= 1.0 / beta
         prev, v, spare = v, w, prev
     return math.sqrt(max(theta, 0.0))
@@ -227,9 +357,9 @@ def measure_pair_norm(
     m: int,
     s: float,
     *,
-    dim: int = 3,
-    points: int = 64,
-    seed: int = 0,
+    dim: int,
+    points: int,
+    seed: int,
 ) -> tuple[float, bool]:
     """Operator norm of the (k, m) pair measured at its centered dyadic
     position; returns (norm, resolved).
@@ -255,9 +385,9 @@ def decay_scan(
     k_range: Sequence[int],
     m_range: Sequence[int],
     *,
-    dim: int = 3,
-    points: int = 64,
-    seed: int = 0,
+    dim: int,
+    points: int,
+    seed: int,
 ) -> DecayScanResult:
     """Measure every (k, m) pair at least ``MIN_SEPARATION`` shells apart
     and regress measured log2 norms on the predicted exponent.
@@ -302,7 +432,7 @@ def diagonal_scan(
     k_values: Sequence[int],
     grid: Grid,
     *,
-    seed: int = 0,
+    seed: int,
 ) -> dict[int, float]:
     """Diagonal (k, k) operator norms on one fixed grid, for the
     scale-covariance check."""

@@ -22,8 +22,8 @@ def _fftn(values: np.ndarray, overwrite: bool = False, axes=None) -> np.ndarray:
     return _fft.fftn(values, overwrite_x=overwrite, axes=axes)
 
 
-def _ifftn(values: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    return _fft.ifftn(values, overwrite_x=overwrite)
+def _ifftn(values: np.ndarray, overwrite: bool = False, axes=None) -> np.ndarray:
+    return _fft.ifftn(values, overwrite_x=overwrite, axes=axes)
 
 
 @dataclass(frozen=True)

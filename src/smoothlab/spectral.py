@@ -4,16 +4,17 @@ Every Fourier multiplier in the package goes through ``apply_multiplier``
 or ``apply_multipliers``, and the L^2 norm of a multiplied field through
 ``multiplier_l2_norm``, which by Plancherel reads it off the forward
 transform alone.  A field under a weight that vanishes outside a cube of
-indices, such as a spatial shell mask, is transformed by ``boxed_fftn``,
-which runs the axis passes only on the lines that can be nonzero.  A loop
-that owns its buffer transforms it in place with
-``fft_inplace``/``ifft_inplace`` and takes norms of the spectrum it holds
-with ``spectrum_l2_norm``; the only other transform is the inverse that
-synthesizes ensemble fields.  The homogeneous multiplier |D|^s is singular
-at xi = 0, and the zero mode is always annihilated.  Mean-zero periodic
-data is the desk-scale surrogate for Schwartz data on R^n, so this
-convention is used by every norm and operator built on top of these
-routines.
+indices, such as a spatial shell mask, is transformed by ``boxed_fftn``.
+A loop that owns its buffer transforms it in place: with ``fft_inplace``,
+with ``boxed_fft_inplace`` when the buffer vanishes outside a cube, and
+with ``boxed_ifft_inplace`` when only the values on a cube are kept; the
+pruned pair runs the axis passes only on the lines that meet the cube.
+Norms of a held spectrum go through ``spectrum_l2_norm``; the only other
+transform is the inverse that synthesizes ensemble fields.  The
+homogeneous multiplier |D|^s is singular at xi = 0, and the zero mode is
+always annihilated.  Mean-zero periodic data is the desk-scale surrogate
+for Schwartz data on R^n, so this convention is used by every norm and
+operator built on top of these routines.
 """
 
 from __future__ import annotations
@@ -84,22 +85,47 @@ def boxed_fftn(weight: np.ndarray, values: np.ndarray, box: slice) -> np.ndarray
     """``fftn(weight * values)`` for a weight that vanishes outside the index
     cube ``box^n``, equal to it up to the sign of zeros.
 
-    Only the cube is multiplied.  The axis passes run in ``fftn``'s own
-    order, axis 0 first, each on just the lines that can be nonzero: a cube
-    of m points on an N-point axis costs N m^2 + N^2 m + N^3 line elements
-    instead of 3 N^3 (input pruning; Markel, IEEE Trans. Audio
-    Electroacoust. 19(4), 1971).  A cube as wide as the axis takes the
-    same full passes as ``fftn``.
+    Only the cube is multiplied, and ``boxed_fft_inplace`` transforms it.
     """
-    n = values.ndim
-    cube = (box,) * n
+    cube = (box,) * values.ndim
     spec = np.zeros(values.shape, dtype=complex)
     np.multiply(weight[cube], values[cube], out=spec[cube])
+    return boxed_fft_inplace(spec, box)
+
+
+def boxed_fft_inplace(values: np.ndarray, box: slice) -> np.ndarray:
+    """Overwrite a complex array that vanishes outside the index cube
+    ``box^n`` with its forward transform, equal to ``fftn`` up to the sign
+    of zeros; returns it.
+
+    The axis passes run in ``fftn``'s own order, axis 0 first, each on just
+    the lines that can be nonzero: a cube of m points on an N-point axis
+    costs N m^2 + N^2 m + N^3 line elements instead of 3 N^3 (input
+    pruning; Markel, IEEE Trans. Audio Electroacoust. 19(4), 1971).  A cube
+    as wide as the axis takes the same full passes as ``fftn``.
+    """
+    n = values.ndim
     for ax in range(n):
         # the axes up to ax are full lines by now; the later ones are still
         # zero outside the box
-        _in_place(_fftn, spec[(slice(None),) * (ax + 1) + (box,) * (n - ax - 1)], axes=(ax,))
-    return spec
+        _in_place(_fftn, values[(slice(None),) * (ax + 1) + (box,) * (n - ax - 1)], axes=(ax,))
+    return values
+
+
+def boxed_ifft_inplace(values: np.ndarray, box: slice) -> np.ndarray:
+    """Overwrite a complex array with its inverse transform on the index
+    cube ``box^n``, bit for bit the values of ``ifftn`` there; returns it.
+
+    Outside the cube the array is left holding partial sums, so the caller
+    multiplies it by a weight that vanishes there.  The passes run in
+    ``ifftn``'s order, each on just the lines that reach the cube: axis 0 on
+    all N^2 lines, axis 1 on the N m whose axis-0 index lies in the box,
+    axis 2 on the m^2 lines of the cube (output pruning).
+    """
+    n = values.ndim
+    for ax in range(n):
+        _in_place(_ifftn, values[(box,) * ax + (slice(None),) * (n - ax)], axes=(ax,))
+    return values
 
 
 def _in_place(transform, values: np.ndarray, **axes) -> np.ndarray:
@@ -112,11 +138,6 @@ def _in_place(transform, values: np.ndarray, **axes) -> np.ndarray:
 def fft_inplace(values: np.ndarray) -> np.ndarray:
     """Overwrite a complex array with its forward transform; returns it."""
     return _in_place(_fftn, values)
-
-
-def ifft_inplace(values: np.ndarray) -> np.ndarray:
-    """Overwrite a complex array with its inverse transform; returns it."""
-    return _in_place(_ifftn, values)
 
 
 def spectrum_l2_norm(spec: Field) -> float:

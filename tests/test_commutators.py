@@ -17,11 +17,12 @@ from smoothlab.commutators import (
     CommutatorOp,
     decay_scan,
     measure_pair_norm,
+    _top_ritz_pair,
     operator_norm,
     predicted_exponent,
 )
 from oracles import fractional_laplacian, inner_product
-from smoothlab.dyadic import _cached_masks, spatial_mask
+from smoothlab.dyadic import _cached_masks, shell_box, spatial_mask
 from smoothlab.ensembles import band_limited_field, member_rng
 from smoothlab.grid import Field, Grid
 from smoothlab.spectral import (
@@ -183,7 +184,7 @@ class TestOperatorNorm:
         finally:
             tracemalloc.stop()
         # on top: numpy's cast buffer for the complex-by-real products, and
-        # the small tridiagonal matrix with its eigenvectors
+        # the Python lists of the tridiagonal T and its top Ritz vector
         assert peak <= 3 * 16 * grid.size + 16 * np.getbufsize() + 64 * 1024
 
     def test_bits_do_not_depend_on_blas_threads(self):
@@ -208,7 +209,7 @@ class TestOperatorNorm:
 
 class TestDecayScan:
     def test_s_zero_far_pairs_excluded(self):
-        scan = decay_scan(0.0, range(-1, 3), range(-1, 3), points=32, seed=0)
+        scan = decay_scan(0.0, range(-1, 3), range(-1, 3), dim=3, points=32, seed=0)
         far = [r for r in scan.records if abs(r.k - r.m) >= 3]
         assert far and all(r.measured_log2 == -math.inf for r in far)
         assert all(not r.resolved for r in far)
@@ -217,25 +218,53 @@ class TestDecayScan:
         # for fixed k and s = 1/2 the measured norms fall shell by shell
         vals = []
         for d in (3, 4):
-            v, res = measure_pair_norm(0, d, 0.5, points=64, seed=1)
+            v, res = measure_pair_norm(0, d, 0.5, dim=3, points=64, seed=1)
             assert res
             vals.append(v)
         assert vals[0] > vals[1] > 0
 
     def test_dilation_covariance_of_reduction(self):
         # the centered reduction assigns one value per (direction, separation)
-        a = measure_pair_norm(-3, 0, 0.5, points=32, seed=2)
-        b = measure_pair_norm(1, 4, 0.5, points=32, seed=2)
+        a = measure_pair_norm(-3, 0, 0.5, dim=3, points=32, seed=2)
+        b = measure_pair_norm(1, 4, 0.5, dim=3, points=32, seed=2)
         assert math.isclose(a[0], b[0], rel_tol=1e-9)
 
     def test_scan_regression_bookkeeping(self):
-        scan = decay_scan(0.5, range(-1, 4), range(-1, 4), points=32, seed=3)
+        scan = decay_scan(0.5, range(-1, 4), range(-1, 4), dim=3, points=32, seed=3)
         resolved = [r for r in scan.records if r.resolved]
         assert scan.regression_points == len(resolved)
         for r in scan.records:
             assert r.residual == r.measured_log2 - r.predicted_t
         rows = scan.csv_rows()
         assert set(rows[0]) == {"k", "m", "s", "measured_log2", "predicted_t", "residual"}
+
+
+class TestTopRitzPair:
+    """The LAPACK-free top Ritz pair against ``np.linalg.eigh``, which the
+    solve used before, on tridiagonals grown one row at a time as in a
+    Lanczos solve."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_eigh_at_every_step(self, seed):
+        rng = np.random.default_rng(seed)
+        alphas, betas, beta_sq, ritz = [], [], [0.0], None
+        for j in range(1, 41):
+            alphas.append(float(rng.uniform(0.5, 1.5)) * 10.0**-seed)
+            ritz = _top_ritz_pair(alphas, betas, beta_sq, ritz)
+            below, theta, vector = ritz
+            t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            values, vectors = np.linalg.eigh(t)
+            assert below == np.nextafter(theta, -np.inf)
+            assert abs(theta - values[-1]) <= 8 * np.finfo(float).eps * values[-1]
+            assert len(vector) == j and math.isclose(math.hypot(*vector), 1.0, rel_tol=1e-14)
+            assert abs(abs(vector[-1]) - abs(vectors[-1, -1])) <= 1e-12
+            beta = float(rng.uniform(0.1, 0.5)) * 10.0**-seed
+            betas.append(beta)
+            beta_sq.append(beta * beta)
+
+    def test_one_by_one_is_exact(self):
+        # the zero operator stops after one step with theta exactly 0
+        assert _top_ritz_pair([0.0], [], [0.0], None)[1:] == (0.0, [1.0])
 
 
 class _PhysicalOp:
@@ -349,17 +378,39 @@ class TestOperatorNormSteps:
         ref = _reference_operator_norm(slow, iterations, tol, seed=4)
         assert 0 < ref <= got
 
-    def test_transforms_per_solve(self, grid, fft_calls):
-        # one transform enters the spectrum and each step runs three per map
+    def test_transforms_per_solve(self, grid, fft_calls, monkeypatch):
+        # one full transform enters the spectrum; each step then runs six
+        # transforms, each as one pass per axis on the lines that meet the
+        # cube of the mask beside it
+        lines = []
+        for name in ("fftn", "ifftn"):
+            real = getattr(scipy.fft, name)
+
+            def sized(values, *args, _real=real, **kwargs):
+                lines.append(values.size // grid.points_per_axis)
+                return _real(values, *args, **kwargs)
+
+            monkeypatch.setattr(scipy.fft, name, sized)
         op = _Counted(CommutatorOp(0, 2, 0.5, grid))
         operator_norm(op, seed=6)
-        assert 1 < op.applies < LANCZOS_MAX_STEPS
-        assert len(fft_calls) == 1 + 6 * op.applies
+        steps = op.applies
+        assert 1 < steps < LANCZOS_MAX_STEPS
+        maps = ("ifftn", "fftn", "ifftn", "fftn", "ifftn", "fftn")
+        assert fft_calls == ["fftn"] + [f"{name}(axes=({ax},))"
+                                        for name in maps for ax in range(3)] * steps
+        # a transform beside a cube of w points runs N^2 + N w + w^2 lines;
+        # shell 0 spans 7 of the 32 points per axis and shell 2 spans 31
+        n = grid.points_per_axis
+        w0, w2 = (len(range(n)[shell_box(grid, k)]) for k in (0, 2))
+        assert (w0, w2) == (7, 31)
+        per_step = sum(n * n + n * w + w * w for w in (w2, w2, w0, w0, w2, w2))
+        assert sum(lines[1:]) == per_step * steps
+        assert per_step < 6 * 3 * n * n  # below six full transforms
 
     def test_empty_mask_pair_is_not_iterated(self, fft_calls):
         # the pair is centered at (-3, 2), and shell -3 holds no point of
         # the spacing-0.25 grid, so the operator is exactly zero
-        assert measure_pair_norm(-3, 2, 0.5, points=64) == (0.0, False)
+        assert measure_pair_norm(-3, 2, 0.5, dim=3, points=64, seed=0) == (0.0, False)
         assert fft_calls == []
 
     def test_symbols_built_at_most_twice(self, grid, monkeypatch):

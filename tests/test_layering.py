@@ -26,8 +26,9 @@ drift goes through ``harness.relative_drift``: no module divides
 ``abs(x - r)`` by ``r``.  The shell-Sobolev norms of the time slices of a
 space-time field are taken in one batched call: no module calls
 ``lqa_sobolev_norm`` or ``lqa_shell_terms`` in a loop over ``.slices()``.
-No module imports or loads ``scipy.linalg`` or ``scipy.sparse``, and no
-module but ``grid`` names ``scipy.fft``.
+No module imports or loads ``scipy.linalg`` or ``scipy.sparse``, no
+module but ``grid`` names ``scipy.fft``, and ``commutators`` names no
+``numpy.linalg``: its Lanczos solve runs no LAPACK call.
 """
 
 import ast
@@ -455,20 +456,22 @@ def test_no_module_imports_scipy_linalg_or_sparse():
     assert proc.stdout.strip() == "[]"
 
 
-def _scipy_fft_references(tree: ast.Module) -> list[int]:
-    """Lines importing scipy.fft or one of its names, or naming
-    ``scipy.fft`` as an attribute."""
+def _module_references(tree: ast.Module, module: str, package_names: set[str]) -> list[int]:
+    """Lines importing ``module`` (a ``package.sub`` name) or one of its
+    names, or naming it as an attribute of its package, bound under one of
+    ``package_names``."""
+    package = module.split(".")[0]
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
-        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", "") == "scipy":
-            names = [f"scipy.{node.attr}"]
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", "") in package_names:
+            names = [f"{package}.{node.attr}"]
         else:
             continue
-        if any(name == "scipy.fft" or name.startswith("scipy.fft.") for name in names):
+        if any(name == module or name.startswith(module + ".") for name in names):
             lines.append(node.lineno)
     return lines
 
@@ -479,8 +482,24 @@ def test_only_grid_references_scipy_fft():
     # passes of spectral.boxed_fftn included; a module that binds scipy.fft
     # itself would run transforms neither of them counts
     users = sorted({path.name for path in MODULES
-                    if _scipy_fft_references(ast.parse(path.read_text()))})
+                    if _module_references(ast.parse(path.read_text()), "scipy.fft", {"scipy"})})
     assert users == ["grid.py"]
+
+
+def test_commutators_call_no_numpy_linalg():
+    # an eigh of the tridiagonal matrix at every Lanczos step ran LAPACK,
+    # whose threaded call kept the second core spinning: commutator-scan
+    # used half again as much CPU time as wall time; the top Ritz pair is
+    # found by Sturm counts and a Thomas solve instead
+    numpy_names = {"np", "numpy"}
+    assert _module_references(ast.parse("import numpy as np\nnp.linalg.eigh(t)\n"),
+                              "numpy.linalg", numpy_names) == [2]
+    assert _module_references(ast.parse("from numpy.linalg import eigh\n"),
+                              "numpy.linalg", numpy_names) == [1]
+    assert _module_references(ast.parse("from numpy import linalg\n"),
+                              "numpy.linalg", numpy_names) == [1]
+    path = Path(smoothlab.__file__).parent / "commutators.py"
+    assert _module_references(ast.parse(path.read_text()), "numpy.linalg", numpy_names) == []
 
 
 def test_no_public_parameter_defaults_to_a_bool():

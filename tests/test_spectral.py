@@ -11,7 +11,9 @@ from smoothlab.spectral import (
     abs_freq_power,
     apply_multiplier,
     apply_multipliers,
+    boxed_fft_inplace,
     boxed_fftn,
+    boxed_ifft_inplace,
     derivative,
     gradient,
     l2_norm,
@@ -221,3 +223,57 @@ class TestBoxedFFT:
         got = boxed_fftn(cube, f.values, box)
         assert fft_calls == [f"fftn(axes=({ax},))" for ax in range(dim)]
         assert np.array_equal(got, scipy.fft.fftn(cube * f.values))
+
+
+def _random_cube(rng, n):
+    """A random index range of an n-point axis, at least one point wide."""
+    start = int(rng.integers(0, n))
+    return slice(start, int(rng.integers(start + 1, n + 1)))
+
+
+class TestPrunedPair:
+    """The in-place pruned transforms: the forward one of an array that is
+    zero outside a cube equals ``fftn`` up to the sign of zeros, which
+    ``==`` ignores, and the inverse one equals ``ifftn`` on the cube."""
+
+    @pytest.mark.parametrize("shape", [(64,), (32, 32), (16, 16, 16), (32, 32, 32)],
+                             ids=["1d", "2d", "16^3", "32^3"])
+    def test_forward_equals_full_transform_on_cube_data(self, shape):
+        rng = np.random.default_rng(21)
+        for _ in range(6):
+            box = _random_cube(rng, shape[0])
+            cube = (box,) * len(shape)
+            values = np.zeros(shape, dtype=complex)
+            values[cube] = (rng.standard_normal(values[cube].shape)
+                            + 1j * rng.standard_normal(values[cube].shape))
+            expected = scipy.fft.fftn(values)
+            got = boxed_fft_inplace(values, box)
+            assert got is values
+            assert (got == expected).all()
+
+    @pytest.mark.parametrize("shape", [(64,), (32, 32), (16, 16, 16), (32, 32, 32)],
+                             ids=["1d", "2d", "16^3", "32^3"])
+    def test_inverse_equals_full_transform_on_the_cube(self, shape):
+        rng = np.random.default_rng(22)
+        for _ in range(6):
+            box = _random_cube(rng, shape[0])
+            cube = (box,) * len(shape)
+            values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            expected = scipy.fft.ifftn(values)
+            got = boxed_ifft_inplace(values, box)
+            assert got is values
+            assert (got[cube] == expected[cube]).all()
+
+    def test_full_width_cube_is_the_full_transform(self, grid3):
+        values = random_field(grid3, 23).values
+        whole = slice(0, grid3.points_per_axis)
+        assert (boxed_fft_inplace(values.copy(), whole) == scipy.fft.fftn(values)).all()
+        assert (boxed_ifft_inplace(values.copy(), whole) == scipy.fft.ifftn(values)).all()
+
+    def test_one_pass_per_axis_on_the_lines_that_meet_the_cube(self, fft_calls):
+        # the inverse passes run in ifftn's axis order: every line of axis 0,
+        # then the lines whose earlier indices lie in the cube
+        values = random_field(Grid(3, 8.0, 16), 24).values
+        fft_calls.clear()
+        boxed_ifft_inplace(values, slice(4, 12))
+        assert fft_calls == [f"ifftn(axes=({ax},))" for ax in range(3)]
