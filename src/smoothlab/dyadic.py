@@ -117,6 +117,17 @@ def shell_box(grid: Grid, k: int) -> slice:
     return slice(int(inside[0]), int(inside[-1]) + 1)
 
 
+def frequency_band(grid: Grid, k: int) -> int:
+    """The largest signed FFT index j with ``|xi_j| < 2^(k+1)``.
+
+    The shell-k frequency mask vanishes unless every index of a lattice
+    point satisfies ``|j| <= frequency_band``, as ``shell_box`` bounds the
+    spatial mask; a band of N/2 covers the whole axis.
+    """
+    nonneg = np.abs(grid.freq_axis[: grid.points_per_axis // 2 + 1])
+    return int(np.flatnonzero(nonneg < 2.0 ** (k + 1))[-1])
+
+
 def spatial_mask(grid: Grid, k: int) -> np.ndarray:
     """The mask Q_k(x) = phi(|x| / 2^k) sampled on the grid, read-only and
     shared: one cached array per grid and shell.

@@ -4,7 +4,9 @@ the mid shells, and their space-time extensions.
 Coefficients are drawn on a fixed small frequency cube independent of the
 grid size, so the same (seed, member) pair denotes the same continuum
 field at every refinement level; refinement drift then measures
-discretization, not ensemble churn.  Seeds are recorded in every report.
+discretization, not ensemble churn.  The field is synthesized by
+``spectral.banded_ifft_inplace``, which inverts the spectrum only on the
+lines that the coefficient cube meets.  Seeds are recorded in every report.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .dyadic import smooth_cutoff
-from .grid import Field, Grid, SpaceTimeField, _ifftn
+from .grid import Field, Grid, SpaceTimeField
+from .spectral import banded_ifft_inplace
 
 #: number of random time-harmonic terms in a space-time ensemble member
 SPACETIME_MODES = 3
@@ -72,11 +75,10 @@ def band_limited_field(
     # the band fits inside half the lattice, so no two modes share a slot
     spectrum[tuple((kvec[:, band] * mode_scale) % N)] = re[band] + 1j * im[band]
     # unnormalized inverse transform scaled so samples are sums of unit plane waves
-    values = _ifftn(spectrum) * (N**n)
+    values = banded_ifft_inplace(spectrum, kmax * mode_scale)
+    values *= N**n
     if window is not None:
-        values = values * radial_window(
-            grid, window[0] / mode_scale, window[1] / mode_scale
-        )
+        values *= radial_window(grid, window[0] / mode_scale, window[1] / mode_scale)
     return Field(grid, values - values.mean())
 
 

@@ -8,8 +8,12 @@ whose two boundary shells are truncation tail, and is assembled by
 
 The weighted shell-Sobolev norms take a batch of fields of one grid, such
 as the time slices of a space-time field, and build their masks, weights
-and |xi|^s once per batch; a single field is a batch of one.  A shell
-whose mask holds no grid point gives exactly 0.0 without a transform.
+and |xi|^s once per batch; a single field is a batch of one.  At p = 2 the
+batch also shares one complex and one real work buffer, which every shell
+term of every field overwrites.  A shell whose mask holds no grid point,
+and every shell of a field with no nonzero sample, gives exactly 0.0
+without a transform.  The phase-localized norm inverts each frequency
+piece only on the band of indices its shell's mask leaves nonzero.
 """
 
 from __future__ import annotations
@@ -21,16 +25,24 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .dyadic import DyadicDecomposition, frequency_mask, seq_norm, shell_box, spatial_mask
+from .dyadic import (
+    DyadicDecomposition,
+    frequency_band,
+    frequency_mask,
+    seq_norm,
+    shell_box,
+    spatial_mask,
+)
 from .grid import Field, Grid, SpaceTimeField
 from .spectral import (
     abs_freq_power,
     apply_multiplier,
-    apply_multipliers,
+    banded_ifft_inplace,
     boxed_fftn,
+    fft_inplace,
     l2_norm,
     lp_norm,
-    spectrum_l2_norm,
+    power_l2_norm,
 )
 
 VARIANTS = ("mask_then_D", "D_then_mask", "weight_product")
@@ -115,8 +127,8 @@ def lqa_shell_terms(
     fields: Iterable[Field],
     decomp: DyadicDecomposition,
     spec: NormSpec,
-    variant: str = "D_then_mask",
-    p: float = 2,
+    variant: str,
+    p: float,
 ) -> list[dict[int, float]]:
     """Unweighted per-shell B-norm values of the selected variant, one dict
     per field of one grid, in order, over every shell of the range
@@ -131,11 +143,12 @@ def lqa_shell_terms(
     shell's cube ``shell_box``; mask_then_D applies its mask after |D|^s
     and shares one transform pair across all shells instead.
 
-    The masks, weights, |xi|^s and shell cubes are built once per call.
-    The fields are drawn one at a time, and each field and its spectra are
-    dropped before the next is drawn, so a generator of fields is never
-    held in full.  A shell whose mask has no nonzero sample gives exactly
-    0.0 and runs no transform.
+    The masks, weights, |xi|^s, shell cubes and, at p = 2, one complex
+    and one real work buffer are built once per call.  The fields are
+    drawn one at a time, and each field is dropped before the next is
+    drawn, so a generator of fields is never held in full.  A shell whose
+    mask has no nonzero sample, and every shell of a field with no
+    nonzero sample, gives exactly 0.0 and runs no transform.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
@@ -153,17 +166,20 @@ def _shell_terms_on(
     grid: Grid, decomp: DyadicDecomposition, spec: NormSpec, variant: str, p: float
 ) -> Callable[[Field], dict[int, float]]:
     """The per-field shell terms of ``lqa_shell_terms``, with the masks,
-    weights, |xi|^s and shell cubes of the grid built once."""
+    weights, |xi|^s, shell cubes and work buffers of the grid built once."""
     masks = {k: spatial_mask(grid, k) for k in decomp.shells}
     sym = abs_freq_power(grid, spec.s)
     live = [k for k in decomp.shells if masks[k].any()]
     weights = {k: weight_product_mask(grid, k, spec.a) if variant == "weight_product"
                else masks[k] for k in live}
     boxes = {k: shell_box(grid, k) for k in live}
+    spectrum = power = None  # the p = 2 terms of the weighted variants overwrite these
+    if p == 2 and variant != "mask_then_D":
+        spectrum, power = np.empty(grid.shape, dtype=complex), np.empty(grid.shape)
 
     def terms_of(f: Field) -> dict[int, float]:
         terms = dict.fromkeys(decomp.shells, 0.0)
-        if not live:
+        if not live or not f.values.any():
             return terms
         if variant == "mask_then_D":
             df = apply_multiplier(f, sym).values
@@ -172,9 +188,10 @@ def _shell_terms_on(
             return terms
         for k in live:
             if p == 2:
-                spectrum = boxed_fftn(weights[k], f.values, boxes[k])
-                spectrum *= sym
-                terms[k] = spectrum_l2_norm(Field(grid, spectrum))
+                boxed_fftn(weights[k], f.values, boxes[k], spectrum)
+                np.multiply(spectrum, sym, out=spectrum)
+                np.abs(spectrum, out=power)
+                terms[k] = power_l2_norm(np.square(power, out=power), grid)
             else:
                 terms[k] = lp_norm(apply_multiplier(Field(grid, weights[k] * f.values), sym), p)
         return terms
@@ -259,10 +276,17 @@ def phase_localized_norm(
     spec: NormSpec,
 ) -> float:
     """Frequency-outer phase-localized norm: the unweighted l^2 sum over
-    frequency shells k2 of the weighted spatial l^{q,a} norm of P_k2 f."""
-    pk = [frequency_mask(f.grid, k2) for k2 in freq_decomp.shells]
-    # one forward transform of f; each frequency shell is made when needed
-    localized = apply_multipliers(f, pk)
+    frequency shells k2 of the weighted spatial l^{q,a} norm of P_k2 f.
+
+    f is transformed once; each piece P_k2 f is made when the shell norm
+    draws it, inverted only on the band of indices where P_k2 can be
+    nonzero."""
+    grid = f.grid
+    # masks first: a first build's temporaries then do not stack on f's spectrum
+    pk = [frequency_mask(grid, k2) for k2 in freq_decomp.shells]
+    f_hat = fft_inplace(f.values.copy())
+    localized = (Field(grid, banded_ifft_inplace(mask * f_hat, frequency_band(grid, k2)))
+                 for k2, mask in zip(freq_decomp.shells, pk))
     outer_terms = dict(zip(freq_decomp.shells, lqa_sobolev_norm(localized, space_decomp, spec)))
     return seq_norm(outer_terms, 2, 0.0)
 

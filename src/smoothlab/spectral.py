@@ -1,24 +1,28 @@
-"""Fourier calculus on the periodic box.
+"""Fourier calculus on the periodic box; the only module that runs a
+transform.
 
 Every Fourier multiplier in the package goes through ``apply_multiplier``
 or ``apply_multipliers``, and the L^2 norm of a multiplied field through
 ``multiplier_l2_norm``, which by Plancherel reads it off the forward
 transform alone.  A field under a weight that vanishes outside a cube of
-indices, such as a spatial shell mask, is transformed by ``boxed_fftn``.
-A loop that owns its buffer transforms it in place: with ``fft_inplace``,
-with ``boxed_fft_inplace`` when the buffer vanishes outside a cube, and
-with ``boxed_ifft_inplace`` when only the values on a cube are kept; the
-pruned pair runs the axis passes only on the lines that meet the cube.
-Norms of a held spectrum go through ``spectrum_l2_norm``; the only other
-transform is the inverse that synthesizes ensemble fields.  The
-homogeneous multiplier |D|^s is singular at xi = 0, and the zero mode is
-always annihilated.  Mean-zero periodic data is the desk-scale surrogate
-for Schwartz data on R^n, so this convention is used by every norm and
-operator built on top of these routines.
+indices, such as a spatial shell mask, is transformed by ``boxed_fftn``
+into a buffer the caller owns.  A loop that owns its buffer transforms it
+in place: with ``fft_inplace``, with ``boxed_fft_inplace`` when the buffer
+vanishes outside a cube, with ``boxed_ifft_inplace`` when only the values
+on a cube are kept, and with ``banded_ifft_inplace`` when the spectrum
+vanishes outside a band of frequency indices, as a frequency shell or a
+synthesized ensemble field does; the pruned transforms run the axis passes
+only on the lines that their data needs.  Norms of a held spectrum go
+through ``spectrum_l2_norm``, or ``power_l2_norm`` of its squared moduli.
+The homogeneous multiplier |D|^s is singular at xi = 0, and the zero mode
+is always annihilated.  Mean-zero periodic data is the desk-scale
+surrogate for Schwartz data on R^n, so this convention is used by every
+norm and operator built on top of these routines.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from typing import Iterable, Iterator
@@ -72,7 +76,7 @@ def apply_multipliers(f: Field, symbols: Iterable[np.ndarray]) -> Iterator[Field
     caller that uses the results one by one holds one of them at a time."""
     spec = _fftn(f.values)
     for symbol in symbols:
-        yield Field(f.grid, _ifftn(symbol * spec))
+        yield Field(f.grid, _in_place(_ifftn, symbol * spec))
 
 
 def multiplier_l2_norm(f: Field, symbol: np.ndarray) -> float:
@@ -81,16 +85,19 @@ def multiplier_l2_norm(f: Field, symbol: np.ndarray) -> float:
     return spectrum_l2_norm(Field(f.grid, symbol * _fftn(f.values)))
 
 
-def boxed_fftn(weight: np.ndarray, values: np.ndarray, box: slice) -> np.ndarray:
-    """``fftn(weight * values)`` for a weight that vanishes outside the index
-    cube ``box^n``, equal to it up to the sign of zeros.
+def boxed_fftn(weight: np.ndarray, values: np.ndarray, box: slice,
+               out: np.ndarray) -> np.ndarray:
+    """Overwrite the complex array ``out`` with ``fftn(weight * values)``,
+    for a weight that vanishes outside the index cube ``box^n``, equal to
+    it up to the sign of zeros; returns ``out``.
 
-    Only the cube is multiplied, and ``boxed_fft_inplace`` transforms it.
+    Only the cube is multiplied, and ``boxed_fft_inplace`` transforms it;
+    a loop over many weights reuses one ``out``.
     """
     cube = (box,) * values.ndim
-    spec = np.zeros(values.shape, dtype=complex)
-    np.multiply(weight[cube], values[cube], out=spec[cube])
-    return boxed_fft_inplace(spec, box)
+    out.fill(0)
+    np.multiply(weight[cube], values[cube], out=out[cube])
+    return boxed_fft_inplace(out, box)
 
 
 def boxed_fft_inplace(values: np.ndarray, box: slice) -> np.ndarray:
@@ -128,6 +135,36 @@ def boxed_ifft_inplace(values: np.ndarray, box: slice) -> np.ndarray:
     return values
 
 
+def banded_ifft_inplace(values: np.ndarray, band: int) -> np.ndarray:
+    """Overwrite a complex spectrum that vanishes unless every signed FFT
+    index j satisfies |j| <= ``band`` with its inverse transform, bit for
+    bit ``ifftn`` up to the sign of zeros; returns it.
+
+    The passes run in ``ifftn``'s order, axis 0 first, each on just the
+    lines whose later indices lie in the band; the other lines are still
+    zero.  In FFT order the band wraps, so it is two slices of each later
+    axis.  A band of m = 2 band + 1 of the N indices per axis costs
+    m^2 N + m N^2 + N^3 line elements in 3-d instead of 3 N^3; a band
+    that reaches N/2 covers the axis and takes full passes.  Each pass
+    scales by 1/N, a power of two, which is exact, so the passes round as
+    ``ifftn``'s one 1/N^n does.
+    """
+    n = values.ndim
+    for ax in range(n):
+        later = [_band_slices(values.shape[j], band) for j in range(ax + 1, n)]
+        for blocks in itertools.product(*later):
+            _in_place(_ifftn, values[(slice(None),) * (ax + 1) + blocks], axes=(ax,))
+    return values
+
+
+def _band_slices(points: int, band: int) -> tuple[slice, ...]:
+    """The indices of an axis with |signed index| <= band, in FFT order."""
+    if 2 * band + 1 >= points:
+        return (slice(None),)
+    return tuple(s for s in (slice(0, band + 1), slice(points - band, points))
+                 if s.start < s.stop)
+
+
 def _in_place(transform, values: np.ndarray, **axes) -> np.ndarray:
     out = transform(values, overwrite=True, **axes)
     if not np.may_share_memory(out, values):  # a backend that ignored overwrite
@@ -143,8 +180,13 @@ def fft_inplace(values: np.ndarray) -> np.ndarray:
 def spectrum_l2_norm(spec: Field) -> float:
     """|| ifft(spec) ||_{L^2} by Plancherel, for ``spec.values`` holding the
     forward transform of a field."""
-    return float(np.sqrt(np.sum(np.abs(spec.values) ** 2) * spec.grid.cell_volume
-                         / spec.grid.size))
+    return power_l2_norm(np.abs(spec.values) ** 2, spec.grid)
+
+
+def power_l2_norm(power: np.ndarray, grid: Grid) -> float:
+    """|| ifft(spec) ||_{L^2} by Plancherel, from ``power`` = |spec|^2 on
+    the grid's frequency lattice."""
+    return float(np.sqrt(np.sum(power) * grid.cell_volume / grid.size))
 
 
 def abs_freq_power(grid: Grid, s: float) -> np.ndarray:

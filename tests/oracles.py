@@ -68,7 +68,7 @@ def geometric_edge_value(window: int) -> float:
 def lqa_tail_fraction(f: Field, decomp: DyadicDecomposition, spec: NormSpec) -> float:
     """Share of the two boundary shells in the D_then_mask norm at p = 2
     (q-power mass; at q = inf the boundary max relative to the global max)."""
-    [terms] = lqa_shell_terms((f,), decomp, spec)
+    [terms] = lqa_shell_terms((f,), decomp, spec, "D_then_mask", 2)
     total = seq_norm(terms, spec.q, spec.a)
     if total == 0:
         return 0.0

@@ -10,6 +10,7 @@ from smoothlab.dyadic import (
     DyadicDecomposition,
     _cached_masks,
     bump,
+    frequency_band,
     frequency_mask,
     mask_audit,
     seq_norm,
@@ -125,6 +126,30 @@ class TestMasks:
             outside[(box,) * grid.dim] = False
             assert not spatial_mask(grid, k)[outside].any()
             assert np.abs(grid.axis[box]).max() < 2.0 ** (k + 1)
+
+    @pytest.mark.parametrize("grid", [Grid(3, 8.0, 32), Grid(3, 8.0, 64), Grid(2, 8.0, 32),
+                                      Grid(1, 4 * np.pi, 256)],
+                             ids=["32^3", "64^3", "32^2", "1d"])
+    def test_frequency_masks_vanish_outside_their_band(self, grid):
+        n = grid.points_per_axis
+        signed = np.abs(np.fft.fftfreq(n, 1.0 / n))
+        for k in DyadicDecomposition(-3, 5).shells:
+            band = frequency_band(grid, k)
+            assert 0 <= band <= n // 2
+            outside = np.zeros(grid.shape, dtype=bool)
+            for ax in range(grid.dim):
+                outside |= (signed > band).reshape([-1 if j == ax else 1 for j in range(grid.dim)])
+            assert not frequency_mask(grid, k)[outside].any()
+            # the band is the widest one with |xi_j| below the mask's edge
+            assert np.abs(grid.freq_axis[signed <= band]).max() < 2.0 ** (k + 1)
+            assert band == n // 2 or np.abs(grid.freq_axis[signed == band + 1]).min() >= 2.0 ** (k + 1)
+
+    def test_frequency_bands_of_the_phase_shells(self):
+        # on the half-width-8 box xi_j = (pi/8) j; phase-localization's
+        # frequency shells -2..2 leave 3, 5, 11, 21 and 41 indices per axis
+        widths = [2 * frequency_band(Grid(3, 8.0, 64), k) + 1 for k in range(-2, 3)]
+        assert widths == [3, 5, 11, 21, 41]
+        assert frequency_band(Grid(3, 8.0, 32), 2) == 16  # the whole 32-point axis
 
 
 class TestMaskCache:

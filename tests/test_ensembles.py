@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from smoothlab.ensembles import (
     band_limited_field,
     band_limited_spacetime,
     member_rng,
     mode_band_fits,
+    radial_window,
 )
 from smoothlab.grid import Grid, _fftn
 
@@ -83,6 +85,28 @@ def test_spectrum_is_the_canonical_draw(dim, points, mode_scale):
         if 1 <= math.sqrt(np.sum(mode**2)) <= 6:
             expected[tuple(mode * mode_scale % points)] = re[idx] + 1j * im[idx]
     assert np.abs(spectrum - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim,points,mode_scale", [(1, 32, 1), (2, 32, 2), (3, 32, 1), (3, 64, 2)])
+def test_synthesis_equals_the_full_inverse(dim, points, mode_scale, fft_calls):
+    # the banded inverse over |j| <= 6 mode_scale gives ifftn's bits; the
+    # passes of axis 0 run on the lines whose later indices lie in the band
+    g = Grid(dim, 8.0, points)
+    fft_calls.clear()
+    f = band_limited_field(g, member_rng(7, dim), window=(0.7, 3.0), mode_scale=mode_scale)
+    assert fft_calls == [f"ifftn(axes=({ax},))" for ax in range(dim)
+                         for _ in range(2 ** (dim - ax - 1))]
+    draw = member_rng(7, dim)
+    cube = (13,) * dim
+    re, im = draw.standard_normal(cube), draw.standard_normal(cube)
+    spectrum = np.zeros(g.shape, dtype=complex)
+    for idx in np.ndindex(cube):
+        mode = np.array(idx) - 6
+        if 1 <= math.sqrt(np.sum(mode**2)) <= 6:
+            spectrum[tuple(mode * mode_scale % points)] = re[idx] + 1j * im[idx]
+    values = scipy.fft.ifftn(spectrum) * points**dim
+    values = values * radial_window(g, 0.7 / mode_scale, 3.0 / mode_scale)
+    assert np.array_equal(f.values, values - values.mean())
 
 
 @pytest.mark.parametrize("points, mode_scale, fits",

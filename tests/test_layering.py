@@ -2,9 +2,10 @@
 
 No module reaches into a sibling module's private names, except the two
 transform entry points ``grid._fftn``/``grid._ifftn``, which only
-``spectral`` (every multiplier) and ``ensembles`` (the synthesis inverse)
-import; the annulus indicator stays private to ``norms``, whose
-``annulus_sup`` and ``annulus_l2_terms`` are the public ways to use it.
+``spectral`` imports (every multiplier, and the banded inverse that
+synthesizes ensemble fields); the annulus indicator stays private to
+``norms``, whose ``annulus_sup`` and ``annulus_l2_terms`` are the public
+ways to use it.
 The L^2 norm of a multiplied field goes through
 ``spectral.multiplier_l2_norm``, which needs no inverse transform: no
 module writes ``l2_norm`` or ``lp_norm(..., 2)`` of an
@@ -90,16 +91,18 @@ def test_no_private_sibling_imports():
     assert offenders == []
 
 
-def test_only_spectral_and_ensembles_import_the_transforms():
+def test_only_spectral_imports_the_transforms():
     # a multiplier written as _ifftn(sym * _fftn(...)) outside spectral is
-    # a copy of spectral.apply_multiplier
+    # a copy of spectral.apply_multiplier, and a full inverse of a
+    # band-limited spectrum repeats the work spectral.banded_ifft_inplace
+    # prunes
     importers = sorted(
         path.name
         for path in MODULES
         if {name for _, name in _private_reach_ins(ast.parse(path.read_text()))}
         & {"_fftn", "_ifftn"}
     )
-    assert importers == ["ensembles.py", "spectral.py"]
+    assert importers == ["spectral.py"]
 
 
 REDUCERS = {"sum", "max", "min"}

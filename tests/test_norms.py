@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -291,7 +292,7 @@ class TestWeightedShellNorms:
                 refs.append(weakref.ref(held[0]))
                 yield held.pop()
 
-        assert len(lqa_shell_terms(fields(), dec, NormSpec(2, 0.5, 0.5), variant)) == 3
+        assert len(lqa_shell_terms(fields(), dec, NormSpec(2, 0.5, 0.5), variant, 2)) == 3
 
     @pytest.mark.parametrize("p", [2, 4])
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -306,8 +307,44 @@ class TestWeightedShellNorms:
         assert lqa_shell_terms((f,), dec, spec, variant, p) == [{-3: 0.0, -2: 0.0}]
         assert fft_calls == []
         # the pruned transform of the zero field gives the same 0.0
-        spectrum = boxed_fftn(spatial_mask(grid32, -2), f.values, shell_box(grid32, -2))
+        spectrum = boxed_fftn(spatial_mask(grid32, -2), f.values, shell_box(grid32, -2),
+                              np.empty(grid32.shape, dtype=complex))
         assert spectrum_l2_norm(Field(grid32, spectrum * abs_freq_power(grid32, spec.s))) == 0.0
+
+    @pytest.mark.parametrize("p", [2, 4])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_zero_field_is_zero_without_a_transform(self, grid32, variant, p, fft_calls):
+        # the t = 0 slice of a Picard difference is exactly zero; -0.0
+        # samples count as zero too
+        dec = DyadicDecomposition(-2, 3)
+        zero = Field(grid32, np.zeros(grid32.shape, dtype=complex))
+        zero.values.real[0, 0, 0] = -0.0
+        fft_calls.clear()
+        assert lqa_shell_terms((zero,), dec, NormSpec(2, 0.5, 0.5), variant, p) == [
+            dict.fromkeys(dec.shells, 0.0)]
+        assert fft_calls == []
+
+    def test_p2_terms_allocate_their_buffers_once(self, grid32):
+        # six live shells and three fields: past the |xi|^s symbol the call
+        # builds, the terms hold one complex and one real grid buffer, plus
+        # the operand buffers of numpy's buffered (casting) ufunc loop; one
+        # fresh spectrum per shell term, as before, exceeds the bound
+        dec = DyadicDecomposition(-1, 4)
+        spec = NormSpec(2, 0.5, 0.5)
+        assert all(spatial_mask(grid32, k).any() for k in dec.shells)
+        fields = [band_limited_field(grid32, member_rng(3, 12, i)) for i in range(3)]
+        lqa_shell_terms(fields[:1], dec, spec, "D_then_mask", 2)  # masks and |xi| cached
+        grid_bytes = 8 * grid32.size
+        ufunc_buffers = 3 * np.getbufsize() * 16
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            lqa_shell_terms(fields, dec, spec, "D_then_mask", 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        symbol, spectrum, power = grid_bytes, 2 * grid_bytes, grid_bytes
+        assert peak - start <= symbol + spectrum + power + ufunc_buffers + 32 * 1024
 
     def test_tail_fraction_small_for_windowed_data(self, grid32):
         dec = DyadicDecomposition(-2, 3)
@@ -485,12 +522,18 @@ class TestPhaseLocalization:
         f = band_limited_field(grid32, member_rng(7, 3))
         fft_calls.clear()
         phase_localized_norm(f, space, freq, NormSpec(2, 0.5, 0.5))
-        # one forward transform of f; per frequency shell one inverse, then
-        # the Plancherel norm of each masked spatial shell from its forward
-        # transform, run axis by axis on the lines the shell's cube meets;
-        # spatial shell -2 holds no grid point at 32^3 and runs none
-        per_shell = ["ifftn"] + PRUNED_PASSES * (len(space.shells) - 1)
-        assert fft_calls == ["fftn"] + per_shell * len(freq.shells)
+        # one forward transform of f; per frequency shell the inverse passes
+        # on the lines of its band (|j| <= 1, 2, 5 and 10 take 4, 2 and 1
+        # calls for axes 0, 1 and 2; the band of shell 2 covers the 32-point
+        # axis and takes one full pass per axis), then the Plancherel norm
+        # of each masked spatial shell from its forward transform, run axis
+        # by axis on the lines the shell's cube meets; spatial shell -2
+        # holds no grid point at 32^3 and runs none
+        banded = [f"ifftn(axes=({ax},))" for ax, calls in enumerate([4, 2, 1])
+                  for _ in range(calls)]
+        full = [f"ifftn(axes=({ax},))" for ax in range(3)]
+        spatial = PRUNED_PASSES * (len(space.shells) - 1)
+        assert fft_calls == ["fftn"] + (banded + spatial) * 4 + full + spatial
 
 
 class TestEquivalenceReport:

@@ -5,12 +5,13 @@ import pytest
 import scipy.fft
 
 from oracles import fractional_laplacian, plane_wave, riesz_transform
-from smoothlab.dyadic import DyadicDecomposition, shell_box, spatial_mask
+from smoothlab.dyadic import DyadicDecomposition, frequency_band, frequency_mask, shell_box, spatial_mask
 from smoothlab.grid import Field, Grid, gaussian
 from smoothlab.spectral import (
     abs_freq_power,
     apply_multiplier,
     apply_multipliers,
+    banded_ifft_inplace,
     boxed_fft_inplace,
     boxed_fftn,
     boxed_ifft_inplace,
@@ -205,10 +206,13 @@ class TestBoxedFFT:
                                       Grid(1, 8.0, 64), Grid(2, 8.0, 64)],
                              ids=["32^3", "64^3", "1d", "2d"])
     def test_equals_full_transform_on_every_shell(self, grid):
+        # one buffer serves every shell: the call clears what the last left
         f = random_field(grid, 12)
+        out = np.empty(grid.shape, dtype=complex)
         for k in DyadicDecomposition(-3, 4).shells:
             q = spatial_mask(grid, k)
-            got = boxed_fftn(q, f.values, shell_box(grid, k))
+            got = boxed_fftn(q, f.values, shell_box(grid, k), out)
+            assert got is out
             assert np.array_equal(got, scipy.fft.fftn(q * f.values))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -220,7 +224,7 @@ class TestBoxedFFT:
         cube = np.zeros(grid.shape)
         cube[(box,) * dim] = np.random.default_rng(8).random((8,) * dim)
         fft_calls.clear()
-        got = boxed_fftn(cube, f.values, box)
+        got = boxed_fftn(cube, f.values, box, np.empty(grid.shape, dtype=complex))
         assert fft_calls == [f"fftn(axes=({ax},))" for ax in range(dim)]
         assert np.array_equal(got, scipy.fft.fftn(cube * f.values))
 
@@ -277,3 +281,54 @@ class TestPrunedPair:
         fft_calls.clear()
         boxed_ifft_inplace(values, slice(4, 12))
         assert fft_calls == [f"ifftn(axes=({ax},))" for ax in range(3)]
+
+
+def _banded_spectrum(rng, shape, band):
+    """A random complex array that vanishes unless every signed FFT index
+    j satisfies |j| <= band."""
+    inside = np.ones(shape, dtype=bool)
+    for ax, n in enumerate(shape):
+        signed = np.fft.fftfreq(n, 1.0 / n).reshape([-1 if j == ax else 1
+                                                      for j in range(len(shape))])
+        inside &= np.abs(signed) <= band
+    values = np.zeros(shape, dtype=complex)
+    values[inside] = rng.standard_normal(inside.sum()) + 1j * rng.standard_normal(inside.sum())
+    return values
+
+
+class TestBandedInverse:
+    """The in-place inverse of a spectrum supported in the band |j| <= h of
+    every axis equals ``ifftn`` bit for bit: the skipped lines are zero,
+    and its per-pass 1/N scaling is exact for power-of-two N."""
+
+    @pytest.mark.parametrize("shape", [(64,), (32, 32), (16, 16, 16), (32, 32, 32)],
+                             ids=["1d", "2d", "16^3", "32^3"])
+    def test_equals_full_inverse(self, shape):
+        rng = np.random.default_rng(31)
+        n = shape[0]
+        for band in (0, 1, 3, n // 2 - 1, n // 2):
+            values = _banded_spectrum(rng, shape, band)
+            expected = scipy.fft.ifftn(values)
+            got = banded_ifft_inplace(values, band)
+            assert got is values
+            assert (got == expected).all()
+
+    @pytest.mark.parametrize("band, blocks", [(0, [1, 1, 1]), (3, [4, 2, 1]),
+                                              (7, [4, 2, 1]), (8, [1, 1, 1])])
+    def test_passes_run_on_the_lines_in_the_band(self, band, blocks, fft_calls):
+        # the band wraps in FFT order, so each later axis contributes two
+        # slices (one at band 0); a band that reaches N/2 takes full passes
+        values = _banded_spectrum(np.random.default_rng(32), (16, 16, 16), band)
+        fft_calls.clear()
+        banded_ifft_inplace(values, band)
+        assert fft_calls == [f"ifftn(axes=({ax},))" for ax in range(3) for _ in range(blocks[ax])]
+
+    @pytest.mark.parametrize("points", [32, 64])
+    def test_frequency_pieces_equal_full_inverse(self, points):
+        # P_k f for every frequency shell, inverted on the shell's band
+        grid = Grid(3, 8.0, points)
+        f_hat = scipy.fft.fftn(random_field(grid, 33).values)
+        for k in DyadicDecomposition(-3, 3).shells:
+            piece = frequency_mask(grid, k) * f_hat
+            expected = scipy.fft.ifftn(piece)
+            assert (banded_ifft_inplace(piece, frequency_band(grid, k)) == expected).all()
