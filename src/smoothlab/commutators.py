@@ -12,15 +12,17 @@ the predicted exponent; only the slope is certified, the constant is a
 fitted intercept.  The top Ritz pair of each Lanczos step comes from
 Sturm counts and a tridiagonal solve, with no LAPACK call.  An operator
 is named by its shell pair, s and grid; it fetches just its two masks
-``spatial_mask(grid, k)`` and builds read-only ``|xi|^{+-s}`` once,
-before the solver allocates its buffers.  The Lanczos vectors are
-spectra ``F v``: the forward map takes one to the physical ``A v`` and
-the adjoint map brings ``A v`` back as ``F(A*A v)``, three transforms
-each, in place in one buffer.  Each transform beside a mask runs its
-axis passes only on the lines that the mask's cube ``shell_box`` meets:
-a forward one reads a field that vanishes off the cube, and an inverse
-one is exact on the cube, where the mask product that follows keeps it.
-A pair with an empty mask is exactly zero and is not iterated.
+``spatial_mask(grid, k)``, each stored on its cube ``shell_box``, and
+builds read-only ``|xi|^{+-s}`` once, before the solver allocates its
+buffers.  The Lanczos vectors are spectra ``F v``: the forward map takes
+one to the physical ``A v`` and the adjoint map brings ``A v`` back as
+``F(A*A v)``, three transforms each, in place in one buffer.  A mask
+product multiplies on the mask's cube only and writes exact zeros on the
+slabs around it.  Each transform beside a mask runs its axis passes only
+on the lines that the mask's cube meets: a forward one reads a field
+that vanishes off the cube, and an inverse one is exact on the cube,
+where the mask product that follows keeps it.  A pair with an empty mask
+is exactly zero and is not iterated.
 
 Dilating x -> 2x carries the (k, m) operator exactly onto (k+1, m+1) when
 both the box and spacing scale along, so each shell pair is evaluated on
@@ -38,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import mask_audit, shell_box, spatial_mask
+from .dyadic import ShellMask, mask_audit, shell_box, spatial_mask
 from .grid import Field, Grid
 from .spectral import abs_freq_power, boxed_fft_inplace, boxed_ifft_inplace, fft_inplace
 
@@ -70,7 +72,7 @@ class CommutatorOp:
             raise ValueError(f"s must satisfy |s| < 1, got {self.s}")
 
     @cached_property
-    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    def _factors(self) -> tuple[ShellMask, ShellMask, np.ndarray | None, np.ndarray | None]:
         """Q_k, Q_m, |xi|^s and |xi|^-s, built on first use and kept.
 
         All four are read-only, like the cached masks, so an in-place
@@ -104,9 +106,9 @@ class CommutatorOp:
         if up is not None:
             x *= up
         boxed_ifft_inplace(x, box_m)
-        x *= qm
+        _mask_in_place(x, qm)
         self._smooth(x, down, box_m, box_k)
-        x *= qk
+        _mask_in_place(x, qk)
         return Field(self.grid, x)
 
     def apply_adjoint(self, f: Field) -> Field:
@@ -115,15 +117,30 @@ class CommutatorOp:
         qk, qm, up, down = self._factors
         box_k, box_m = shell_box(self.grid, self.k), shell_box(self.grid, self.m)
         x = f.values
-        x *= qk
+        _mask_in_place(x, qk)
         self._smooth(x, down, box_k, box_m)
-        x *= qm
+        _mask_in_place(x, qm)
         boxed_fft_inplace(x, box_m)
         if up is None:
             x.flat[0] = 0.0  # |xi|^s zeroes the mode for s != 0; keep v mean-zero
         else:
             x *= up
         return Field(self.grid, x)
+
+
+def _mask_in_place(values: np.ndarray, mask: ShellMask) -> None:
+    """values *= mask for a complex field and a spatial mask on its cube:
+    exact zeros on the slabs around the cube, one slab pair per axis with
+    the earlier axes inside it, and on the cube the real and imaginary
+    parts each times the real mask, which needs no cast buffer."""
+    box = mask.index[0]
+    for ax in range(values.ndim):
+        inside = (box,) * ax
+        values[inside + (slice(None, box.start),)] = 0
+        values[inside + (slice(box.stop, None),)] = 0
+    cube = values[mask.index]
+    cube.real *= mask.values
+    cube.imag *= mask.values
 
 
 #: relative Ritz residual at which the Lanczos solve stops

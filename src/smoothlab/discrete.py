@@ -107,7 +107,7 @@ class BoundProbe:
 def bound_probe(
     spec: KernelSpec,
     q: float,
-    window_sizes: Sequence[int] = (8, 16, 32, 64),
+    window_sizes: Sequence[int],
 ) -> BoundProbe:
     """Probe the window operator norms and declare stability when the last
     consecutive pair of estimates differs by less than ``STABILITY_TOL``.

@@ -9,19 +9,25 @@ hence ``phi`` is nonnegative, supported in ``(1/2, 2)``, and the shifted
 family ``phi(s / 2^k)`` sums to 1 for every ``s > 0``.
 
 A mask is named by its grid and shell index alone: ``spatial_mask(grid, k)``
-is ``Q_k`` and ``frequency_mask(grid, k)`` is ``P_k``, one cached array each.
+is ``Q_k`` and ``frequency_mask(grid, k)`` is ``P_k``.  Each is a
+``ShellMask``: its values on the index set where it can be nonzero, one
+cached array per shell, and that index.  ``Q_k`` lives on the cube
+``shell_box(grid, k)^n`` and ``P_k`` on the wrapped band of FFT indices
+``|j| <= frequency_band(grid, k)`` per axis; outside, the mask is exactly
+0.  The cache is keyed by the grid's value, so no entry keeps a ``Grid``
+instance, or the coordinate arrays it caches, alive.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, product_radius
 
 
 def smooth_step(t):
@@ -92,18 +98,20 @@ class DyadicDecomposition:
         return DyadicDecomposition(self.k_min + j, self.k_max + j)
 
 
-@lru_cache(maxsize=64)
-def _cached_masks(grid: Grid, kind: str, k: int) -> np.ndarray:
-    """The shell-k mask ``bump(r / 2^k)``, one read-only array per shell.
+class ShellMask(NamedTuple):
+    """A shell mask stored on the index set of its grid where it can be
+    nonzero: ``values`` is the mask on ``grid_array[index]``, read-only and
+    shared, and the mask is exactly 0 everywhere else."""
 
-    Entries are keyed by grid, kind and shell, so every shell range that
-    holds shell k on this grid shares one array.  The cache is bounded at
-    64 arrays (128 MiB at 64^3).
-    """
-    r = grid.radius if kind == "spatial" else grid.freq_radius
-    mask = bump(r / 2.0**k)
-    mask.flags.writeable = False
-    return mask
+    values: np.ndarray
+    index: tuple
+
+    def times(self, field: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Overwrite ``out`` with mask * field over the whole grid, exact
+        zeros off the index; returns ``out``."""
+        out.fill(0)
+        out[self.index] = self.values * field[self.index]
+        return out
 
 
 def shell_box(grid: Grid, k: int) -> slice:
@@ -128,21 +136,63 @@ def frequency_band(grid: Grid, k: int) -> int:
     return int(np.flatnonzero(nonneg < 2.0 ** (k + 1))[-1])
 
 
-def spatial_mask(grid: Grid, k: int) -> np.ndarray:
-    """The mask Q_k(x) = phi(|x| / 2^k) sampled on the grid, read-only and
-    shared: one cached array per grid and shell.
+def shell_radius(grid: Grid, k: int) -> np.ndarray:
+    """|x| on the cube ``shell_box(grid, k)^n`` of the shell-k spatial
+    mask, bit for bit ``grid.radius`` there."""
+    return product_radius(grid.axis[shell_box(grid, k)], grid.dim)
+
+
+def _support(grid: Grid, kind: str, k: int) -> tuple[np.ndarray, tuple]:
+    """The coordinates along one axis on which the shell-k mask of the
+    kind can be nonzero, and the grid index of their product."""
+    if kind == "spatial":
+        box = shell_box(grid, k)
+        return grid.axis[box], (box,) * grid.dim
+    n, band = grid.points_per_axis, frequency_band(grid, k)
+    if 2 * band + 1 >= n:
+        return grid.freq_axis, (slice(None),) * grid.dim
+    # FFT order: indices 0..band, then -band..-1 at the end of the axis
+    wrapped = np.r_[0 : band + 1, n - band : n]
+    return grid.freq_axis[wrapped], np.ix_(*[wrapped] * grid.dim)
+
+
+@lru_cache(maxsize=64)
+def _cached_masks(dim: int, half_width: float, points: int, kind: str, k: int) -> np.ndarray:
+    """The values of the shell-k mask ``bump(r / 2^k)`` on its support,
+    one read-only array per grid value, kind and shell.
+
+    Every shell range that holds shell k on an equal grid shares one
+    array.  Only the radii of the support are evaluated, so a build makes
+    no grid-sized temporary unless the support is the whole grid.  The
+    cache is bounded at 64 arrays, at most 128 MiB at 64^3.
+    """
+    coords, _ = _support(Grid(dim, half_width, points), kind, k)
+    mask = bump(product_radius(coords, dim) / 2.0**k)
+    mask.flags.writeable = False
+    return mask
+
+
+def _shell_mask(grid: Grid, kind: str, k: int) -> ShellMask:
+    _, index = _support(grid, kind, k)
+    return ShellMask(_cached_masks(*astuple(grid), kind, k), index)
+
+
+def spatial_mask(grid: Grid, k: int) -> ShellMask:
+    """The mask Q_k(x) = phi(|x| / 2^k) sampled on the grid, stored on the
+    cube ``shell_box(grid, k)^n``; one cached array per grid and shell.
 
     A shell need not be resolvable on the grid: the boundary shells of a
     range are truncation tail, and ``mask_audit`` reports how well a shell
     is sampled.
     """
-    return _cached_masks(grid, "spatial", k)
+    return _shell_mask(grid, "spatial", k)
 
 
-def frequency_mask(grid: Grid, k: int) -> np.ndarray:
+def frequency_mask(grid: Grid, k: int) -> ShellMask:
     """The mask P_k(xi) = phi(|xi| / 2^k) on the frequency lattice (FFT
-    order), read-only and shared as in ``spatial_mask``."""
-    return _cached_masks(grid, "frequency", k)
+    order), stored on the indices with ``|j| <= frequency_band(grid, k)``
+    along every axis and cached as in ``spatial_mask``."""
+    return _shell_mask(grid, "frequency", k)
 
 
 #: a sampled mask is resolved when it holds at least this many grid points
@@ -186,7 +236,7 @@ def _continuum_mask_mass(k: int, dim: int) -> float:
 
 def mask_audit(grid: Grid, k: int) -> MaskAudit:
     """Sampling diagnostics of the shell-k spatial mask on the grid."""
-    m = spatial_mask(grid, k)
+    m = spatial_mask(grid, k).values  # the mask is 0 off its cube
     disc = float(np.sum(m**2) * grid.cell_volume)
     return MaskAudit(k, int(np.count_nonzero(m)), disc, _continuum_mask_mass(k, grid.dim))
 

@@ -37,7 +37,7 @@ def radial_window(grid: Grid, r_inner: float, r_outer: float) -> np.ndarray:
     return (1.0 - smooth_cutoff(2.0 * r / r_inner)) * smooth_cutoff(r / r_outer)
 
 
-def mode_band_fits(points_per_axis: int, hi: float, mode_scale: int = 1) -> bool:
+def mode_band_fits(points_per_axis: int, hi: float, mode_scale: int) -> bool:
     """Whether the coefficient cube |mode_j| <= ceil(hi), dilated by
     ``mode_scale``, fits inside half the lattice of the grid."""
     return 2 * math.ceil(hi) * mode_scale + 2 <= points_per_axis

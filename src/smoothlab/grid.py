@@ -26,6 +26,20 @@ def _ifftn(values: np.ndarray, overwrite: bool = False, axes=None) -> np.ndarray
     return _fft.ifftn(values, overwrite_x=overwrite, axes=axes)
 
 
+def product_radius(coords: np.ndarray, dim: int) -> np.ndarray:
+    """The Euclidean norm on the product lattice ``coords^dim``.
+
+    The squares are summed axis by axis from zero, so every value is bit
+    for bit the same whichever subset of an axis ``coords`` is.
+    """
+    r2 = np.zeros((len(coords),) * dim)
+    for j in range(dim):
+        shape = [1] * dim
+        shape[j] = -1
+        r2 = r2 + coords.reshape(shape) ** 2
+    return np.sqrt(r2)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on ``[-half_width, half_width)^dim``."""
@@ -69,12 +83,6 @@ class Grid:
         """Frequency coordinates along one axis, in FFT order."""
         return 2.0 * np.pi * _fft.fftfreq(self.points_per_axis, d=self.spacing)
 
-    def coord(self, axis: int) -> np.ndarray:
-        """Coordinate ``x_axis`` broadcastable over the grid shape."""
-        shape = [1] * self.dim
-        shape[axis] = -1
-        return self.axis.reshape(shape)
-
     def freq_coord(self, axis: int) -> np.ndarray:
         shape = [1] * self.dim
         shape[axis] = -1
@@ -83,18 +91,12 @@ class Grid:
     @cached_property
     def radius(self) -> np.ndarray:
         """|x| at every grid point."""
-        r2 = np.zeros(self.shape)
-        for j in range(self.dim):
-            r2 = r2 + self.coord(j) ** 2
-        return np.sqrt(r2)
+        return product_radius(self.axis, self.dim)
 
     @cached_property
     def freq_radius(self) -> np.ndarray:
         """|xi| at every frequency-lattice point (FFT order)."""
-        r2 = np.zeros(self.shape)
-        for j in range(self.dim):
-            r2 = r2 + self.freq_coord(j) ** 2
-        return np.sqrt(r2)
+        return product_radius(self.freq_axis, self.dim)
 
     def refine(self) -> "Grid":
         return Grid(self.dim, self.half_width, self.points_per_axis * 2)
@@ -164,7 +166,7 @@ class SpaceTimeField:
     __rmul__ = __mul__
 
 
-def gaussian(grid: Grid, width: float = 1.0, center: float = 0.0) -> Field:
+def gaussian(grid: Grid, width: float, center: float) -> Field:
     """Radial Gaussian ``exp(-(|x| - center)^2 / (2 width^2))`` (center=0 gives
     the standard ``exp(-|x|^2 / (2 width^2))``)."""
     r = grid.radius

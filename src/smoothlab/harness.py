@@ -386,7 +386,8 @@ def verify_resolvent_nd(
 
 
 def _weighted_shell_l2(f: Field, decomp: DyadicDecomposition, a: float) -> dict[int, float]:
-    return {k: l2_norm(Field(f.grid, weight_product_mask(f.grid, k, a) * f.values))
+    work = np.empty(f.grid.shape, dtype=complex)
+    return {k: l2_norm(Field(f.grid, weight_product_mask(f.grid, k, a).times(f.values, work)))
             for k in decomp.shells}
 
 
@@ -468,10 +469,11 @@ def verify_mixed_norm(
 
 
 def lqa_lp_norm(f: Field, decomp: DyadicDecomposition, q: float, a: float, p: float) -> float:
-    """Plain weighted shell-L^p norm (no smoothing factor)."""
-    terms = {
-        k: lp_norm(Field(f.grid, spatial_mask(f.grid, k) * f.values), p) for k in decomp.shells
-    }
+    """Plain weighted shell-L^p norm (no smoothing factor); each masked
+    field overwrites one buffer, in exact zeros off its shell's cube."""
+    work = np.empty(f.grid.shape, dtype=complex)
+    terms = {k: lp_norm(Field(f.grid, spatial_mask(f.grid, k).times(f.values, work)), p)
+             for k in decomp.shells}
     return seq_norm(terms, q, a)
 
 

@@ -8,18 +8,24 @@ whose two boundary shells are truncation tail, and is assembled by
 
 The weighted shell-Sobolev norms take a batch of fields of one grid, such
 as the time slices of a space-time field, and build their masks, weights
-and |xi|^s once per batch; a single field is a batch of one.  At p = 2 the
-batch also shares one complex and one real work buffer, which every shell
-term of every field overwrites.  A shell whose mask holds no grid point,
-and every shell of a field with no nonzero sample, gives exactly 0.0
-without a transform.  The phase-localized norm inverts each frequency
-piece only on the band of indices its shell's mask leaves nonzero.
+and |xi|^s once per batch; a single field is a batch of one.  The masks
+and weights live on their shells' cubes (``dyadic.ShellMask``).  The
+batch shares one complex work buffer, which every shell term of every
+field overwrites, and at p = 2 one real one.  Where a full-grid sum reads
+a masked field, the field is the product on the cube embedded in exact
+zeros, so the sum rounds as it would over the whole product.  A shell
+whose mask holds no grid point, and every shell of a field with no
+nonzero sample, gives exactly 0.0 without a transform.  The
+phase-localized norm makes each frequency piece on the band of indices
+where its shell's mask can be nonzero, in one reused buffer, and inverts
+it only on that band.  The annulus indicators are cached by the grid's
+value, so no cache entry keeps a ``Grid`` instance alive.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
 
@@ -27,10 +33,12 @@ import numpy as np
 
 from .dyadic import (
     DyadicDecomposition,
+    ShellMask,
     frequency_band,
     frequency_mask,
     seq_norm,
     shell_box,
+    shell_radius,
     spatial_mask,
 )
 from .grid import Field, Grid, SpaceTimeField
@@ -75,10 +83,11 @@ DATA_SPEC = NormSpec(1, 0.5, -0.5)
 
 
 @lru_cache(maxsize=64)
-def _annulus_mask(grid: Grid, k: int) -> np.ndarray:
-    """Read-only bool indicator of the closed annulus 2^(k-1) <= |x| <= 2^(k+1);
-    the cache holds at most 64 N^n bytes (16 MiB at 64^3)."""
-    r = grid.radius
+def _annulus_mask(dim: int, half_width: float, points: int, k: int) -> np.ndarray:
+    """Read-only bool indicator of the closed annulus 2^(k-1) <= |x| <= 2^(k+1)
+    on the grid of this value; the cache holds at most 64 N^n bytes (16 MiB
+    at 64^3) and no grid instance."""
+    r = Grid(dim, half_width, points).radius
     mask = (r >= 2.0 ** (k - 1)) & (r <= 2.0 ** (k + 1))
     mask.flags.writeable = False
     return mask
@@ -87,7 +96,7 @@ def _annulus_mask(grid: Grid, k: int) -> np.ndarray:
 def annulus_sup(values: np.ndarray, grid: Grid, k: int) -> float:
     """sup of |values| over the dyadic annulus of shell k; 0.0 when the
     annulus holds no grid point."""
-    mask = _annulus_mask(grid, k)
+    mask = _annulus_mask(*astuple(grid), k)
     return float(np.abs(values[mask]).max()) if mask.any() else 0.0
 
 
@@ -95,7 +104,8 @@ def annulus_l2_terms(f: Field, decomp: DyadicDecomposition) -> dict[int, float]:
     """L^2 norm of f over the dyadic annulus of each shell of the range,
     from one |f|^2."""
     a2 = np.abs(f.values) ** 2
-    return {k: float(np.sqrt(np.sum(_annulus_mask(f.grid, k) * a2) * f.grid.cell_volume))
+    key = astuple(f.grid)
+    return {k: float(np.sqrt(np.sum(_annulus_mask(*key, k) * a2) * f.grid.cell_volume))
             for k in decomp.shells}
 
 
@@ -114,13 +124,14 @@ def annulus_sup_norm(f: Field, decomp: DyadicDecomposition) -> float:
 # ---------------------------------------------------------------------------
 
 
-def weight_product_mask(grid: Grid, k: int, a: float) -> np.ndarray:
-    """|x|^a Q_k(x), with the value forced to 0 off the mask support."""
+def weight_product_mask(grid: Grid, k: int, a: float) -> ShellMask:
+    """|x|^a Q_k(x) on the cube of Q_k, with the value forced to 0 off the
+    mask support."""
     q = spatial_mask(grid, k)
-    out = np.zeros(grid.shape)
-    supp = q > 0
-    out[supp] = grid.radius[supp] ** a * q[supp]
-    return out
+    out = np.zeros(q.values.shape)
+    supp = q.values > 0
+    out[supp] = shell_radius(grid, k)[supp] ** a * q.values[supp]
+    return ShellMask(out, q.index)
 
 
 def lqa_shell_terms(
@@ -143,10 +154,10 @@ def lqa_shell_terms(
     shell's cube ``shell_box``; mask_then_D applies its mask after |D|^s
     and shares one transform pair across all shells instead.
 
-    The masks, weights, |xi|^s, shell cubes and, at p = 2, one complex
-    and one real work buffer are built once per call.  The fields are
-    drawn one at a time, and each field is dropped before the next is
-    drawn, so a generator of fields is never held in full.  A shell whose
+    The masks and weights on their shells' cubes, |xi|^s, one complex
+    work buffer and, at p = 2, one real one are built once per call.  The
+    fields are drawn one at a time, and each field is dropped before the
+    next is drawn, so a generator of fields is never held in full.  A shell whose
     mask has no nonzero sample, and every shell of a field with no
     nonzero sample, gives exactly 0.0 and runs no transform.
     """
@@ -166,16 +177,18 @@ def _shell_terms_on(
     grid: Grid, decomp: DyadicDecomposition, spec: NormSpec, variant: str, p: float
 ) -> Callable[[Field], dict[int, float]]:
     """The per-field shell terms of ``lqa_shell_terms``, with the masks,
-    weights, |xi|^s, shell cubes and work buffers of the grid built once."""
+    weights, |xi|^s, shell cubes and work buffers of the grid built once;
+    every term overwrites the complex buffer, with its embedded masked
+    field or, at p = 2, its pruned spectrum."""
     masks = {k: spatial_mask(grid, k) for k in decomp.shells}
     sym = abs_freq_power(grid, spec.s)
-    live = [k for k in decomp.shells if masks[k].any()]
+    live = [k for k in decomp.shells if masks[k].values.any()]
     weights = {k: weight_product_mask(grid, k, spec.a) if variant == "weight_product"
                else masks[k] for k in live}
     boxes = {k: shell_box(grid, k) for k in live}
-    spectrum = power = None  # the p = 2 terms of the weighted variants overwrite these
-    if p == 2 and variant != "mask_then_D":
-        spectrum, power = np.empty(grid.shape, dtype=complex), np.empty(grid.shape)
+    work = np.empty(grid.shape, dtype=complex)
+    plancherel = p == 2 and variant != "mask_then_D"
+    power = np.empty(grid.shape) if plancherel else None
 
     def terms_of(f: Field) -> dict[int, float]:
         terms = dict.fromkeys(decomp.shells, 0.0)
@@ -184,16 +197,17 @@ def _shell_terms_on(
         if variant == "mask_then_D":
             df = apply_multiplier(f, sym).values
             for k in live:
-                terms[k] = lp_norm(Field(grid, masks[k] * df), p)
+                terms[k] = lp_norm(Field(grid, masks[k].times(df, work)), p)
             return terms
         for k in live:
-            if p == 2:
-                boxed_fftn(weights[k], f.values, boxes[k], spectrum)
-                np.multiply(spectrum, sym, out=spectrum)
-                np.abs(spectrum, out=power)
+            if plancherel:
+                boxed_fftn(weights[k].values, f.values, boxes[k], work)
+                np.multiply(work, sym, out=work)
+                np.abs(work, out=power)
                 terms[k] = power_l2_norm(np.square(power, out=power), grid)
             else:
-                terms[k] = lp_norm(apply_multiplier(Field(grid, weights[k] * f.values), sym), p)
+                weighted = Field(grid, weights[k].times(f.values, work))
+                terms[k] = lp_norm(apply_multiplier(weighted, sym), p)
         return terms
     return terms_of
 
@@ -279,13 +293,16 @@ def phase_localized_norm(
     frequency shells k2 of the weighted spatial l^{q,a} norm of P_k2 f.
 
     f is transformed once; each piece P_k2 f is made when the shell norm
-    draws it, inverted only on the band of indices where P_k2 can be
-    nonzero."""
+    draws it, in one buffer that every piece overwrites (the shell norm
+    drops each field before it draws the next): the product on P_k2's
+    band, exact zeros elsewhere, inverted only on that band."""
     grid = f.grid
     # masks first: a first build's temporaries then do not stack on f's spectrum
     pk = [frequency_mask(grid, k2) for k2 in freq_decomp.shells]
     f_hat = fft_inplace(f.values.copy())
-    localized = (Field(grid, banded_ifft_inplace(mask * f_hat, frequency_band(grid, k2)))
+    piece = np.empty_like(f_hat)
+    localized = (Field(grid, banded_ifft_inplace(mask.times(f_hat, piece),
+                                                 frequency_band(grid, k2)))
                  for k2, mask in zip(freq_decomp.shells, pk))
     outer_terms = dict(zip(freq_decomp.shells, lqa_sobolev_norm(localized, space_decomp, spec)))
     return seq_norm(outer_terms, 2, 0.0)

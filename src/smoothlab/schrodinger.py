@@ -79,7 +79,7 @@ def zero_potential(grid: Grid) -> MagneticPotential:
     return MagneticPotential(grid, tuple(np.zeros(grid.shape) for _ in range(grid.dim)))
 
 
-def bump_potential(grid: Grid, amplitude: float, shell: int = 0) -> MagneticPotential:
+def bump_potential(grid: Grid, amplitude: float, shell: int) -> MagneticPotential:
     """Single radial bump on one dyadic shell along the first axis."""
     comps = [np.zeros(grid.shape) for _ in range(grid.dim)]
     comps[0] = amplitude * bump(grid.radius / 2.0**shell)

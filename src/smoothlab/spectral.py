@@ -4,15 +4,16 @@ transform.
 Every Fourier multiplier in the package goes through ``apply_multiplier``
 or ``apply_multipliers``, and the L^2 norm of a multiplied field through
 ``multiplier_l2_norm``, which by Plancherel reads it off the forward
-transform alone.  A field under a weight that vanishes outside a cube of
-indices, such as a spatial shell mask, is transformed by ``boxed_fftn``
-into a buffer the caller owns.  A loop that owns its buffer transforms it
-in place: with ``fft_inplace``, with ``boxed_fft_inplace`` when the buffer
-vanishes outside a cube, with ``boxed_ifft_inplace`` when only the values
-on a cube are kept, and with ``banded_ifft_inplace`` when the spectrum
-vanishes outside a band of frequency indices, as a frequency shell or a
-synthesized ensemble field does; the pruned transforms run the axis passes
-only on the lines that their data needs.  Norms of a held spectrum go
+transform alone.  A field under a weight given on a cube of indices and
+zero outside it, such as a spatial shell mask, is transformed by
+``boxed_fftn`` into a buffer the caller owns.  A loop that owns its
+buffer transforms it in place: with ``fft_inplace``, with
+``boxed_fft_inplace`` when the buffer vanishes outside a cube, with
+``boxed_ifft_inplace`` when only the values on a cube are kept, and with
+``banded_ifft_inplace`` when the spectrum vanishes outside a band of
+frequency indices, as a frequency shell or a synthesized ensemble field
+does; the pruned transforms run the axis passes only on the lines that
+their data needs.  Norms of a held spectrum go
 through ``spectrum_l2_norm``, or ``power_l2_norm`` of its squared moduli.
 The homogeneous multiplier |D|^s is singular at xi = 0, and the zero mode
 is always annihilated.  Mean-zero periodic data is the desk-scale
@@ -87,16 +88,16 @@ def multiplier_l2_norm(f: Field, symbol: np.ndarray) -> float:
 
 def boxed_fftn(weight: np.ndarray, values: np.ndarray, box: slice,
                out: np.ndarray) -> np.ndarray:
-    """Overwrite the complex array ``out`` with ``fftn(weight * values)``,
-    for a weight that vanishes outside the index cube ``box^n``, equal to
-    it up to the sign of zeros; returns ``out``.
+    """Overwrite the complex array ``out`` with the forward transform of
+    the field that is ``weight * values`` on the index cube ``box^n`` and
+    zero elsewhere, for ``weight`` given on the cube alone; returns ``out``.
 
     Only the cube is multiplied, and ``boxed_fft_inplace`` transforms it;
     a loop over many weights reuses one ``out``.
     """
     cube = (box,) * values.ndim
     out.fill(0)
-    np.multiply(weight[cube], values[cube], out=out[cube])
+    np.multiply(weight, values[cube], out=out[cube])
     return boxed_fft_inplace(out, box)
 
 

@@ -186,11 +186,13 @@ def run_partition(cfg: ExperimentConfig) -> SuiteResult:
 
     # support discipline on a sampled grid
     g = Grid(cfg.dim, cfg.half_width, min(cfg.points, 32))
+    ones = np.ones(g.shape)
+    masks = {k: spatial_mask(g, k).times(ones, np.empty(g.shape)) for k in decomp.shells}
     overlap = 0.0
     shells = list(decomp.shells)
     for i, k in enumerate(shells):
         for m in shells[i + 2 :]:
-            overlap = max(overlap, float(np.max(spatial_mask(g, k) * spatial_mask(g, m))))
+            overlap = max(overlap, float(np.max(masks[k] * masks[m])))
 
     rows = [
         {"check": "spatial_partition_max_err", "value": spatial_err},

@@ -1,12 +1,13 @@
 """Reference implementations the tests check the package against.
 
 No suite runs these.  They are closed forms, textbook operators and
-plain constructors that the tests use as independent oracles: lattice
-plane waves, the L^2 inner product, the Morrey-Campanato local energy,
-the one-sided geometric edge value of the discrete kernel, the
+plain constructors that the tests use as independent oracles: grid
+coordinates, lattice plane waves, the L^2 inner product, the
+Morrey-Campanato local energy, the one-sided geometric edge value of the discrete kernel, the
 boundary-shell share of a shell norm, the Riesz transforms (whose identities pin the zero-mode convention of the
-multiplier pathway), the fractional Laplacian as a transform pair and the
-smooth step evaluated on the whole line.
+multiplier pathway), the fractional Laplacian as a transform pair, the
+smooth step evaluated on the whole line and the shell masks evaluated on
+the whole grid.
 """
 
 from __future__ import annotations
@@ -17,10 +18,17 @@ from typing import Sequence
 import numpy as np
 
 from smoothlab.discrete import SEPARATION
-from smoothlab.dyadic import DyadicDecomposition, seq_norm
+from smoothlab.dyadic import DyadicDecomposition, ShellMask, bump, seq_norm
 from smoothlab.grid import Field, Grid
 from smoothlab.norms import NormSpec, lqa_shell_terms
 from smoothlab.spectral import abs_freq_power, apply_multiplier
+
+
+def coord(grid: Grid, axis: int) -> np.ndarray:
+    """Coordinate ``x_axis`` broadcastable over the grid shape."""
+    shape = [1] * grid.dim
+    shape[axis] = -1
+    return grid.axis.reshape(shape)
 
 
 def plane_wave(grid: Grid, mode: Sequence[int]) -> Field:
@@ -29,7 +37,7 @@ def plane_wave(grid: Grid, mode: Sequence[int]) -> Field:
         raise ValueError(f"mode needs {grid.dim} integers, got {len(mode)}")
     phase = np.zeros(grid.shape)
     for j, m in enumerate(mode):
-        phase = phase + (np.pi / grid.half_width) * m * grid.coord(j)
+        phase = phase + (np.pi / grid.half_width) * m * coord(grid, j)
     return Field(grid, np.exp(1j * phase))
 
 
@@ -117,4 +125,31 @@ def smooth_step(t):
         out = np.where(g + h > 0, g / (g + h), 0.0)
     out = np.where(t <= 0, 0.0, out)
     out = np.where(t >= 1, 1.0, out)
+    return out
+
+
+def spatial_mask(grid: Grid, k: int) -> np.ndarray:
+    """Q_k = bump(|x| / 2^k) at every grid point."""
+    return bump(grid.radius / 2.0**k)
+
+
+def frequency_mask(grid: Grid, k: int) -> np.ndarray:
+    """P_k = bump(|xi| / 2^k) at every lattice point, in FFT order."""
+    return bump(grid.freq_radius / 2.0**k)
+
+
+def weight_product_mask(grid: Grid, k: int, a: float) -> np.ndarray:
+    """|x|^a Q_k(x) at every grid point, 0 off the support of Q_k."""
+    q = spatial_mask(grid, k)
+    out = np.zeros(grid.shape)
+    supp = q > 0
+    out[supp] = grid.radius[supp] ** a * q[supp]
+    return out
+
+
+def dense(mask: ShellMask, grid: Grid) -> np.ndarray:
+    """A stored shell mask on the whole grid: its values on its index and
+    zeros elsewhere."""
+    out = np.zeros(grid.shape)
+    out[mask.index] = mask.values
     return out

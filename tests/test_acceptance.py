@@ -197,14 +197,14 @@ def test_criterion_10_free_propagator():
         ).max())
 
         g1 = Grid(1, 20.0, 256)
-        u = gaussian(g1)
+        u = gaussian(g1, width=1.0, center=0.0)
         m0 = l2_norm(u)
         for _ in range(1000):
             u = free_evolution(u, [1e-3]).slice(0)
         drift = abs(l2_norm(u) - m0) / m0
 
         t_ev = 0.1
-        evolved = free_evolution(gaussian(g1), [t_ev]).slice(0)
+        evolved = free_evolution(gaussian(g1, width=1.0, center=0.0), [t_ev]).slice(0)
         x = g1.axis
         exact = (1 + 2j * t_ev) ** -0.5 * np.exp(-(x**2) / (2 * (1 + 2j * t_ev)))
         gauss_err = float(np.abs(evolved.values - exact).max())

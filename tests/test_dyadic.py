@@ -1,4 +1,7 @@
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -71,15 +74,15 @@ class TestMasks:
     def test_partition_on_grid_point(self):
         grid = Grid(1, 8.0, 256)
         decomp = DyadicDecomposition(-2, 2)
-        total = sum(spatial_mask(grid, k) for k in decomp.shells)
+        total = sum(oracles.dense(spatial_mask(grid, k), grid) for k in decomp.shells)
         i = int(np.argmin(np.abs(grid.axis - 1.3)))
         assert abs(total[i] - 1.0) < 1e-12
 
     def test_mask_support_and_center(self):
         grid = Grid(1, 8.0, 256)
         at = lambda x: int(np.argmin(np.abs(grid.axis - x)))
-        assert spatial_mask(grid, 0)[at(3.0)] == 0.0
-        assert spatial_mask(grid, 1)[at(2.0)] == 1.0
+        assert oracles.dense(spatial_mask(grid, 0), grid)[at(3.0)] == 0.0
+        assert oracles.dense(spatial_mask(grid, 1), grid)[at(2.0)] == 1.0
 
     def test_partition_identity_random_points(self):
         decomp = DyadicDecomposition(-3, 4)
@@ -93,18 +96,20 @@ class TestMasks:
         shells = list(DyadicDecomposition(-2, 2).shells)
         for i, k in enumerate(shells):
             for m in shells[i + 2 :]:
-                assert np.max(spatial_mask(grid, k) * spatial_mask(grid, m)) == 0.0
+                qk, qm = (oracles.dense(spatial_mask(grid, j), grid) for j in (k, m))
+                assert np.max(qk * qm) == 0.0
 
     def test_frequency_masks(self):
         # half-width 4 pi puts |xi| = 1 on the lattice with spacing 1/4
         grid = Grid(1, 4 * np.pi, 256)
         decomp = DyadicDecomposition(-1, 3)
+        pk = {k: oracles.dense(frequency_mask(grid, k), grid) for k in decomp.shells}
         for k in decomp.shells:
-            assert frequency_mask(grid, k).flat[0] == 0.0  # zero frequency below all shells
+            assert pk[k].flat[0] == 0.0  # zero frequency below all shells
         idx = int(np.argmin(np.abs(grid.freq_axis - 1.0)))
-        assert frequency_mask(grid, 0)[idx] == 1.0
+        assert pk[0][idx] == 1.0
         mid = int(np.argmin(np.abs(grid.freq_axis - 1.25)))
-        assert abs(sum(frequency_mask(grid, k)[mid] for k in decomp.shells) - 1.0) < 1e-12
+        assert abs(sum(pk[k][mid] for k in decomp.shells) - 1.0) < 1e-12
 
     def test_resolution_audit(self):
         grid = Grid(3, 8.0, 64)
@@ -118,13 +123,19 @@ class TestMasks:
                                       Grid(2, 8.0, 32)], ids=["16^3", "32^3", "64^3", "32^2"])
     def test_spatial_masks_vanish_outside_their_box(self, grid):
         # every grid a suite builds at its default config, and every shell
-        # of the commutator scan's widened range
+        # of the commutator scan's widened range: the whole-grid bump
+        # vanishes off the cube, and the stored mask is it, bit for bit, on
+        # the cube
         for k in DyadicDecomposition(-4, 5).shells:
             box = shell_box(grid, k)
             assert box.start <= grid.points_per_axis // 2 < box.stop
             outside = np.ones(grid.shape, dtype=bool)
             outside[(box,) * grid.dim] = False
-            assert not spatial_mask(grid, k)[outside].any()
+            full = oracles.spatial_mask(grid, k)
+            assert not full[outside].any()
+            q = spatial_mask(grid, k)
+            assert q.index == (box,) * grid.dim
+            assert q.values.tobytes() == full[q.index].tobytes()
             assert np.abs(grid.axis[box]).max() < 2.0 ** (k + 1)
 
     @pytest.mark.parametrize("grid", [Grid(3, 8.0, 32), Grid(3, 8.0, 64), Grid(2, 8.0, 32),
@@ -139,7 +150,14 @@ class TestMasks:
             outside = np.zeros(grid.shape, dtype=bool)
             for ax in range(grid.dim):
                 outside |= (signed > band).reshape([-1 if j == ax else 1 for j in range(grid.dim)])
-            assert not frequency_mask(grid, k)[outside].any()
+            full = oracles.frequency_mask(grid, k)
+            assert not full[outside].any()
+            p = frequency_mask(grid, k)
+            assert p.values.size == min(2 * band + 1, n) ** grid.dim
+            assert p.values.tobytes() == full[p.index].tobytes()
+            inside = np.zeros(grid.shape, dtype=bool)
+            inside[p.index] = True
+            assert np.array_equal(inside, ~outside)
             # the band is the widest one with |xi_j| below the mask's edge
             assert np.abs(grid.freq_axis[signed <= band]).max() < 2.0 ** (k + 1)
             assert band == n // 2 or np.abs(grid.freq_axis[signed == band + 1]).min() >= 2.0 ** (k + 1)
@@ -153,7 +171,7 @@ class TestMasks:
 
 
 class TestMaskCache:
-    """One read-only cached array per (grid, kind, shell)."""
+    """One read-only cached array per (grid value, kind, shell)."""
 
     def test_decompositions_share_shell_arrays(self):
         # a shell is fetched by (grid, k) alone, so a second fetch on an
@@ -162,26 +180,60 @@ class TestMaskCache:
         for k in (0, 1):
             first = spatial_mask(grid, k)
             hits = _cached_masks.cache_info().hits
-            assert spatial_mask(Grid(3, 8.0, 16), k) is first
+            assert spatial_mask(Grid(3, 8.0, 16), k).values is first.values
             assert _cached_masks.cache_info().hits == hits + 1
-            assert np.array_equal(first, bump(grid.radius / 2.0**k))
+            assert np.array_equal(oracles.dense(first, grid), bump(grid.radius / 2.0**k))
 
     def test_frequency_and_spatial_shells_are_distinct(self):
         grid = Grid(3, 8.0, 16)
         freq = frequency_mask(grid, 0)
-        assert freq is frequency_mask(grid, 0)
-        assert freq is not spatial_mask(grid, 0)
-        assert np.array_equal(freq, bump(grid.freq_radius))
+        assert freq.values is frequency_mask(grid, 0).values
+        assert freq.values is not spatial_mask(grid, 0).values
+        assert np.array_equal(oracles.dense(freq, grid), bump(grid.freq_radius))
 
     def test_cached_masks_are_read_only(self):
         grid = Grid(3, 8.0, 16)
         with pytest.raises(ValueError):
-            spatial_mask(grid, 0)[...] = 0.0
+            spatial_mask(grid, 0).values[...] = 0.0
         with pytest.raises(ValueError):
-            frequency_mask(grid, 1)[...] = 0.0
-        q = spatial_mask(grid, 1)
+            frequency_mask(grid, 1).values[...] = 0.0
+        q = spatial_mask(grid, 1).values
         with pytest.raises(ValueError):
             q *= 2.0
+
+    def test_inner_mask_build_makes_no_grid_sized_temporary(self):
+        # Q_-1 at 64^3 spans 7 of the 64 points per axis: its build
+        # evaluates the bump on that cube alone, where a whole-grid build
+        # takes 2 MiB for |x| and 2 MiB for the mask
+        grid = Grid(3, 8.0, 64)
+        _cached_masks.cache_clear()
+        tracemalloc.start()
+        try:
+            q = spatial_mask(grid, -1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19
+        assert q.values.shape == (7, 7, 7)
+
+    @pytest.mark.parametrize("fetch", ["spatial_mask", "frequency_mask", "annulus_sup"])
+    def test_a_fetch_keeps_no_grid_alive(self, fetch):
+        # the caches are keyed by the grid's value, so a grid and the
+        # coordinate arrays it caches go when its last user drops it
+        import smoothlab.dyadic as dyadic
+        import smoothlab.norms as norms
+
+        dyadic._cached_masks.cache_clear()  # a miss: the fetch stores an entry
+        norms._annulus_mask.cache_clear()
+        grid = Grid(3, 8.0, 16)
+        if fetch == "annulus_sup":
+            norms.annulus_sup(np.ones(grid.shape), grid, 0)
+        else:
+            getattr(dyadic, fetch)(grid, 0)
+        ref = weakref.ref(grid)
+        del grid
+        gc.collect()
+        assert ref() is None
 
 
 class TestWeightedSeq:

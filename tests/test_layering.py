@@ -16,7 +16,7 @@ only tests call live in ``tests/oracles.py``), and every suite runner takes
 the config alone.  Every dyadic shell sum is assembled by
 ``dyadic.seq_norm``: no module reduces a comprehension over a shell range
 with ``sum``, ``max`` or ``min``.  The only process-lifetime caches are the
-two mask caches, and ``CommutatorOp`` builds its masks and symbols in one
+two mask caches, neither keyed by a ``Grid`` instance, and ``CommutatorOp`` builds its masks and symbols in one
 cached property instead of once per matvec.  Every optional parameter of a
 public function or method is set by some call in ``src/`` or ``bench/``,
 apart from the few seams listed in ``UNSET_PARAMETERS``, and none defaults
@@ -222,6 +222,22 @@ def test_lru_caches_are_the_two_mask_caches():
         for name in _cache_decorated(ast.parse(path.read_text()))
     }
     assert cached == {"dyadic._cached_masks", "norms._annulus_mask"}
+
+
+def test_no_cache_is_keyed_by_a_grid():
+    # an lru_cache entry keeps its key alive: keyed by a Grid instance it
+    # holds that grid and the |x| and |xi| arrays cached on it, 2 MiB each
+    # at 64^3, long after the grid's last user; the caches take the grid's
+    # value instead
+    keyed = [
+        (path.stem, node.name, arg.arg)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in _cache_decorated(node)
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if arg.arg == "grid" or "Grid" in ast.unparse(arg.annotation or ast.Constant(""))
+    ]
+    assert keyed == []
 
 
 FACTOR_BUILDERS = {"spatial_mask", "abs_freq_power", "fractional_laplacian"}

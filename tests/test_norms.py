@@ -1,15 +1,16 @@
 import math
 import tracemalloc
 import weakref
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+import oracles
 from oracles import lqa_tail_fraction, morrey_campanato
 from smoothlab.dyadic import (
     DyadicDecomposition,
     bump,
-    frequency_mask,
     seq_norm,
     shell_box,
     spatial_mask,
@@ -130,7 +131,7 @@ class TestLocalEnergyNorms:
         f = band_limited_field(grid32, member_rng(0, 98))
 
         def annulus_l2(k):
-            m = _annulus_mask(grid32, k)
+            m = _annulus_mask(*astuple(grid32), k)
             return float(np.sqrt(np.sum(m * np.abs(f.values) ** 2) * grid32.cell_volume))
 
         assert annulus_l2_terms(f, DEC) == {k: annulus_l2(k) for k in DEC.shells}
@@ -143,7 +144,7 @@ class TestLocalEnergyNorms:
 
     def test_annulus_mask_cache_is_bounded_read_only_bool(self, grid32):
         # a bool entry costs N^n bytes, so 64 entries bound the cache
-        mask = _annulus_mask(grid32, 1)
+        mask = _annulus_mask(*astuple(grid32), 1)
         r = grid32.radius
         assert mask.dtype == bool
         assert np.array_equal(mask, (r >= 1.0) & (r <= 4.0))
@@ -209,6 +210,16 @@ class TestWeightedShellNorms:
             assert math.isclose(nf25, 2.5 * nf, rel_tol=1e-12)
             assert nfg <= nf + ng + 1e-9 * nf
 
+    @pytest.mark.parametrize("a", [0.5, -0.5])
+    def test_weight_product_mask_lives_on_the_cube(self, grid32, a):
+        # |x|^a Q_k on the cube of Q_k, bit for bit the whole-grid weight,
+        # which vanishes off the cube
+        for k in DyadicDecomposition(-3, 4).shells:
+            w, full = weight_product_mask(grid32, k, a), oracles.weight_product_mask(grid32, k, a)
+            assert w.index == spatial_mask(grid32, k).index
+            assert w.values.tobytes() == full[w.index].tobytes()
+            assert np.array_equal(oracles.dense(w, grid32), full)
+
     @pytest.mark.parametrize("p", [2, 4])
     @pytest.mark.parametrize("variant", ["D_then_mask", "weight_product"])
     def test_shell_terms_equal_separate_loops(self, grid32, variant, p):
@@ -227,11 +238,11 @@ class TestWeightedShellNorms:
         expected = {}
         if variant == "D_then_mask":
             for k in dec.shells:
-                loc = Field(grid32, spatial_mask(grid32, k) * f.values)
+                loc = Field(grid32, oracles.spatial_mask(grid32, k) * f.values)
                 expected[k] = norm(loc)
         else:
             for k in dec.shells:
-                w = weight_product_mask(grid32, k, spec.a)
+                w = oracles.weight_product_mask(grid32, k, spec.a)
                 loc = Field(grid32, w * f.values)
                 expected[k] = norm(loc)
         assert lqa_shell_terms((f,), dec, spec, variant, p) == [expected]
@@ -248,8 +259,8 @@ class TestWeightedShellNorms:
         assert fft_calls == PRUNED_PASSES * (len(dec.shells) - 1)
         sym = abs_freq_power(grid32, spec.s)
         for k in dec.shells:
-            w = (spatial_mask(grid32, k) if variant == "D_then_mask"
-                 else weight_product_mask(grid32, k, spec.a))
+            w = (oracles.spatial_mask(grid32, k) if variant == "D_then_mask"
+                 else oracles.weight_product_mask(grid32, k, spec.a))
             spatial = lp_norm(apply_multiplier(Field(grid32, w * f.values), sym), 2)
             assert math.isclose(terms[k], spatial, rel_tol=1e-13)
 
@@ -260,7 +271,7 @@ class TestWeightedShellNorms:
         spec = NormSpec(2, 0.5, 0.5)
         f = band_limited_field(grid32, member_rng(3, 3))
         df = apply_multiplier(f, abs_freq_power(grid32, spec.s))
-        expected = {k: lp_norm(Field(grid32, spatial_mask(grid32, k) * df.values), p)
+        expected = {k: lp_norm(Field(grid32, oracles.spatial_mask(grid32, k) * df.values), p)
                     for k in dec.shells}
         assert lqa_shell_terms((f,), dec, spec, "mask_then_D", p) == [expected]
 
@@ -302,12 +313,13 @@ class TestWeightedShellNorms:
         dec = DyadicDecomposition(-3, -2)
         spec = NormSpec(2, 0.5, 0.5)
         f = band_limited_field(grid32, member_rng(3, 9))
-        assert not spatial_mask(grid32, -3).any() and not spatial_mask(grid32, -2).any()
+        assert not spatial_mask(grid32, -3).values.any()
+        assert not spatial_mask(grid32, -2).values.any()
         fft_calls.clear()
         assert lqa_shell_terms((f,), dec, spec, variant, p) == [{-3: 0.0, -2: 0.0}]
         assert fft_calls == []
         # the pruned transform of the zero field gives the same 0.0
-        spectrum = boxed_fftn(spatial_mask(grid32, -2), f.values, shell_box(grid32, -2),
+        spectrum = boxed_fftn(spatial_mask(grid32, -2).values, f.values, shell_box(grid32, -2),
                               np.empty(grid32.shape, dtype=complex))
         assert spectrum_l2_norm(Field(grid32, spectrum * abs_freq_power(grid32, spec.s))) == 0.0
 
@@ -331,7 +343,7 @@ class TestWeightedShellNorms:
         # fresh spectrum per shell term, as before, exceeds the bound
         dec = DyadicDecomposition(-1, 4)
         spec = NormSpec(2, 0.5, 0.5)
-        assert all(spatial_mask(grid32, k).any() for k in dec.shells)
+        assert all(spatial_mask(grid32, k).values.any() for k in dec.shells)
         fields = [band_limited_field(grid32, member_rng(3, 12, i)) for i in range(3)]
         lqa_shell_terms(fields[:1], dec, spec, "D_then_mask", 2)  # masks and |xi| cached
         grid_bytes = 8 * grid32.size
@@ -456,13 +468,14 @@ class TestPhaseLocalization:
 
         rng = member_rng(5, 0)
         f = band_limited_field(grid, rng, window=(0.7, 2.0))
-        f0 = Field(grid, _ifftn(frequency_mask(grid, 0) * _fftn(f.values)))
+        f0 = Field(grid, _ifftn(oracles.frequency_mask(grid, 0) * _fftn(f.values)))
         spec = NormSpec(2, 0.5, 0.5)
         loc = phase_localized_norm(f0, space, freq, spec)
         # P_0 f0 = f0 only up to the neighbour-shell overlap; compare against
         # the explicit one-term assembly instead of the plain norm
         per_shell = [
-            lqa_sobolev_norm((Field(grid, _ifftn(frequency_mask(grid, k) * _fftn(f0.values))),),
+            lqa_sobolev_norm((Field(grid, _ifftn(oracles.frequency_mask(grid, k)
+                                                 * _fftn(f0.values))),),
                              space, spec)[0]
             for k in freq.shells
         ]
@@ -512,7 +525,8 @@ class TestPhaseLocalization:
         space = DyadicDecomposition(-2, 3)
         freq = DyadicDecomposition(-2, 2)
         f = band_limited_field(grid32, member_rng(7, 2))
-        shells = {k2: apply_multiplier(f, frequency_mask(grid32, k2)) for k2 in freq.shells}
+        shells = {k2: apply_multiplier(f, oracles.frequency_mask(grid32, k2))
+                  for k2 in freq.shells}
         outer = {k2: lqa_sobolev_norm((loc,), space, spec)[0] for k2, loc in shells.items()}
         assert phase_localized_norm(f, space, freq, spec) == seq_norm(outer, 2, 0.0)
 

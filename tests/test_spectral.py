@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+import oracles
 from oracles import fractional_laplacian, plane_wave, riesz_transform
 from smoothlab.dyadic import DyadicDecomposition, frequency_band, frequency_mask, shell_box, spatial_mask
 from smoothlab.grid import Field, Grid, gaussian
@@ -117,7 +118,7 @@ class TestNorms:
     def test_gaussian_gradient_closed_form(self):
         # ||grad exp(-|x|^2/2)||_{L^2} = (3/2)^(1/2) pi^(3/4) in dimension 3
         grid = Grid(3, 10.0, 64)
-        f = gaussian(grid)
+        f = gaussian(grid, width=1.0, center=0.0)
         expected = math.sqrt(1.5) * math.pi**0.75
         assert abs(sobolev_norm(f, 1.0) - expected) / expected < 0.01
 
@@ -179,12 +180,12 @@ class TestNorms:
         from smoothlab.grid import gaussian
         from smoothlab.spectral import boundary_decay_fraction
 
-        centered = gaussian(grid3, width=0.8)
+        centered = gaussian(grid3, width=0.8, center=0.0)
         assert boundary_decay_fraction(centered) < 1e-10
         # a bump parked on the box boundary is flagged
         shifted = Field(grid3, np.exp(
-            -((grid3.coord(0) + grid3.half_width) ** 2
-              + grid3.coord(1) ** 2 + grid3.coord(2) ** 2) / 2.0
+            -((oracles.coord(grid3, 0) + grid3.half_width) ** 2
+              + oracles.coord(grid3, 1) ** 2 + oracles.coord(grid3, 2) ** 2) / 2.0
         ).astype(complex) + np.zeros(grid3.shape))
         assert boundary_decay_fraction(shifted) > 0.1
 
@@ -199,8 +200,9 @@ class TestNorms:
 
 
 class TestBoxedFFT:
-    """``boxed_fftn`` equals the full transform of the weighted field; only
-    the sign of a zero may differ, which ``np.array_equal`` allows."""
+    """``boxed_fftn`` of a weight given on its cube equals the full
+    transform of the weighted field; only the sign of a zero may differ,
+    which ``np.array_equal`` allows."""
 
     @pytest.mark.parametrize("grid", [Grid(3, 8.0, 32), Grid(3, 8.0, 64),
                                       Grid(1, 8.0, 64), Grid(2, 8.0, 64)],
@@ -210,10 +212,9 @@ class TestBoxedFFT:
         f = random_field(grid, 12)
         out = np.empty(grid.shape, dtype=complex)
         for k in DyadicDecomposition(-3, 4).shells:
-            q = spatial_mask(grid, k)
-            got = boxed_fftn(q, f.values, shell_box(grid, k), out)
+            got = boxed_fftn(spatial_mask(grid, k).values, f.values, shell_box(grid, k), out)
             assert got is out
-            assert np.array_equal(got, scipy.fft.fftn(q * f.values))
+            assert np.array_equal(got, scipy.fft.fftn(oracles.spatial_mask(grid, k) * f.values))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_one_pass_per_axis(self, dim, fft_calls):
@@ -224,7 +225,7 @@ class TestBoxedFFT:
         cube = np.zeros(grid.shape)
         cube[(box,) * dim] = np.random.default_rng(8).random((8,) * dim)
         fft_calls.clear()
-        got = boxed_fftn(cube, f.values, box, np.empty(grid.shape, dtype=complex))
+        got = boxed_fftn(cube[(box,) * dim], f.values, box, np.empty(grid.shape, dtype=complex))
         assert fft_calls == [f"fftn(axes=({ax},))" for ax in range(dim)]
         assert np.array_equal(got, scipy.fft.fftn(cube * f.values))
 
@@ -325,10 +326,11 @@ class TestBandedInverse:
 
     @pytest.mark.parametrize("points", [32, 64])
     def test_frequency_pieces_equal_full_inverse(self, points):
-        # P_k f for every frequency shell, inverted on the shell's band
+        # P_k f for every frequency shell, made on the band of the stored
+        # mask and inverted on it
         grid = Grid(3, 8.0, points)
         f_hat = scipy.fft.fftn(random_field(grid, 33).values)
         for k in DyadicDecomposition(-3, 3).shells:
-            piece = frequency_mask(grid, k) * f_hat
-            expected = scipy.fft.ifftn(piece)
+            piece = frequency_mask(grid, k).times(f_hat, np.empty_like(f_hat))
+            expected = scipy.fft.ifftn(oracles.frequency_mask(grid, k) * f_hat)
             assert (banded_ifft_inplace(piece, frequency_band(grid, k)) == expected).all()
