@@ -12,15 +12,14 @@ the predicted exponent; only the slope is certified, the constant is a
 fitted intercept.  The top Ritz pair of each Lanczos step comes from
 Sturm counts and a tridiagonal solve, with no LAPACK call.  An operator
 is named by its shell pair, s and grid; it fetches just its two masks
-``spatial_mask(grid, k)``, each stored on its cube ``shell_box``, and
-builds read-only ``|xi|^{+-s}`` once, before the solver allocates its
-buffers.  The Lanczos vectors are spectra ``F v``: the forward map takes
-one to the physical ``A v`` and the adjoint map brings ``A v`` back as
-``F(A*A v)``, three transforms each, in place in one buffer.  A mask
-product multiplies on the mask's cube only and writes exact zeros on the
-slabs around it.  Each transform beside a mask runs its axis passes only
-on the lines that the mask's cube meets: a forward one reads a field
-that vanishes off the cube, and an inverse one is exact on the cube,
+``spatial_mask(grid, k)``, each stored on its cube, and builds read-only
+``|xi|^{+-s}`` once, before the solver allocates its buffers.  The
+Lanczos vectors are spectra ``F v``: the forward map takes one to the
+physical ``A v`` and the adjoint map brings ``A v`` back as ``F(A*A v)``,
+three transforms each, in place in one buffer.  A mask product is
+``ShellMask.times`` in place.  Each transform beside a mask runs its axis
+passes only on the lines that the mask's blocks meet: a forward one reads
+a field that vanishes off them, and an inverse one is exact on them,
 where the mask product that follows keeps it.  A pair with an empty mask
 is exactly zero and is not iterated.
 
@@ -40,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import ShellMask, mask_audit, shell_box, spatial_mask
+from .dyadic import ShellMask, mask_audit, spatial_mask
 from .grid import Field, Grid
 from .spectral import abs_freq_power, boxed_fft_inplace, boxed_ifft_inplace, fft_inplace
 
@@ -89,58 +88,42 @@ class CommutatorOp:
         return qk, qm, up, down
 
     @staticmethod
-    def _smooth(values: np.ndarray, symbol: np.ndarray | None, box_in: slice,
-                box_out: slice) -> None:
-        """|D|^{-s}-type multiplier of a field that vanishes outside the cube
-        ``box_in^n``, exact on ``box_out^n``, whose mask product follows."""
+    def _smooth(values: np.ndarray, symbol: np.ndarray | None, mask_in: ShellMask,
+                mask_out: ShellMask) -> None:
+        """|D|^{-s}-type multiplier of a field that vanishes off the blocks
+        of ``mask_in``, exact on those of ``mask_out``, whose product
+        follows."""
         if symbol is not None:
-            boxed_fft_inplace(values, box_in)
+            boxed_fft_inplace(values, mask_in.blocks)
             values *= symbol
-            boxed_ifft_inplace(values, box_out)
+            boxed_ifft_inplace(values, mask_out.blocks)
 
     def apply(self, spec: Field) -> Field:
         """Physical A v from ``spec`` = F v, in ``spec``'s array."""
         qk, qm, up, down = self._factors
-        box_k, box_m = shell_box(self.grid, self.k), shell_box(self.grid, self.m)
         x = spec.values
         if up is not None:
             x *= up
-        boxed_ifft_inplace(x, box_m)
-        _mask_in_place(x, qm)
-        self._smooth(x, down, box_m, box_k)
-        _mask_in_place(x, qk)
+        boxed_ifft_inplace(x, qm.blocks)
+        qm.times(x, x)
+        self._smooth(x, down, qm, qk)
+        qk.times(x, x)
         return Field(self.grid, x)
 
     def apply_adjoint(self, f: Field) -> Field:
         """F(A* u) from the physical ``f`` = u, in ``f``'s array."""
         # all four factors are self-adjoint; reverse the order
         qk, qm, up, down = self._factors
-        box_k, box_m = shell_box(self.grid, self.k), shell_box(self.grid, self.m)
         x = f.values
-        _mask_in_place(x, qk)
-        self._smooth(x, down, box_k, box_m)
-        _mask_in_place(x, qm)
-        boxed_fft_inplace(x, box_m)
+        qk.times(x, x)
+        self._smooth(x, down, qk, qm)
+        qm.times(x, x)
+        boxed_fft_inplace(x, qm.blocks)
         if up is None:
             x.flat[0] = 0.0  # |xi|^s zeroes the mode for s != 0; keep v mean-zero
         else:
             x *= up
         return Field(self.grid, x)
-
-
-def _mask_in_place(values: np.ndarray, mask: ShellMask) -> None:
-    """values *= mask for a complex field and a spatial mask on its cube:
-    exact zeros on the slabs around the cube, one slab pair per axis with
-    the earlier axes inside it, and on the cube the real and imaginary
-    parts each times the real mask, which needs no cast buffer."""
-    box = mask.index[0]
-    for ax in range(values.ndim):
-        inside = (box,) * ax
-        values[inside + (slice(None, box.start),)] = 0
-        values[inside + (slice(box.stop, None),)] = 0
-    cube = values[mask.index]
-    cube.real *= mask.values
-    cube.imag *= mask.values
 
 
 #: relative Ritz residual at which the Lanczos solve stops

@@ -10,16 +10,20 @@ family ``phi(s / 2^k)`` sums to 1 for every ``s > 0``.
 
 A mask is named by its grid and shell index alone: ``spatial_mask(grid, k)``
 is ``Q_k`` and ``frequency_mask(grid, k)`` is ``P_k``.  Each is a
-``ShellMask``: its values on the index set where it can be nonzero, one
-cached array per shell, and that index.  ``Q_k`` lives on the cube
+``ShellMask``: the blocks of indices along each axis whose product is where
+it can be nonzero, and its values there, one cached array per shell.  This
+module alone decides the support: ``Q_k`` lives on the cube
 ``shell_box(grid, k)^n`` and ``P_k`` on the wrapped band of FFT indices
-``|j| <= frequency_band(grid, k)`` per axis; outside, the mask is exactly
-0.  The cache is keyed by the grid's value, so no entry keeps a ``Grid``
+``|j| <= frequency_band(grid, k)`` per axis, laid out by ``band_blocks``;
+outside, the mask is exactly 0.  ``ShellMask.times`` is the one masked
+product, and the pruned transforms of ``spectral`` take a mask's blocks.
+The cache is keyed by the grid's value, so no entry keeps a ``Grid``
 instance, or the coordinate arrays it caches, alive.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import astuple, dataclass
 from functools import lru_cache
@@ -100,17 +104,40 @@ class DyadicDecomposition:
 
 class ShellMask(NamedTuple):
     """A shell mask stored on the index set of its grid where it can be
-    nonzero: ``values`` is the mask on ``grid_array[index]``, read-only and
-    shared, and the mask is exactly 0 everywhere else."""
+    nonzero: the product of ``blocks``, the same ascending slices along
+    every axis.  ``values`` is the mask there, the blocks laid end to end
+    along each axis, read-only and shared; the mask is exactly 0 everywhere
+    else."""
 
     values: np.ndarray
-    index: tuple
+    blocks: tuple[slice, ...]
 
     def times(self, field: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Overwrite ``out`` with mask * field over the whole grid, exact
-        zeros off the index; returns ``out``."""
-        out.fill(0)
-        out[self.index] = self.values * field[self.index]
+        zeros off the blocks; ``out`` may be ``field``.  Returns ``out``.
+
+        Off the blocks only ``out`` is written, one gap of an axis at a time
+        with the earlier axes inside the blocks.  On each block the real
+        and, for a complex ``out``, the imaginary part of the field are
+        multiplied by the real mask into ``out``, one ``np.multiply`` each,
+        so no temporary and no cast buffer is made."""
+        n, points = out.ndim, out.shape[0]
+        starts = [0] + [b.stop for b in self.blocks]
+        stops = [b.start for b in self.blocks] + [points]
+        gaps = [slice(a, b) for a, b in zip(starts, stops) if a < b]
+        for ax in range(n):
+            for inside in itertools.product(self.blocks, repeat=ax):
+                for gap in gaps:
+                    out[inside + (gap,)] = 0
+        widths = [b.stop - b.start for b in self.blocks]
+        packed = [slice(e - w, e) for w, e in zip(widths, itertools.accumulate(widths))]
+        parts = ("real", "imag") if np.iscomplexobj(out) else ("real",)
+        for pairs in itertools.product(zip(packed, self.blocks), repeat=n):
+            on_grid = tuple(b for _, b in pairs)
+            mask = self.values[tuple(p for p, _ in pairs)]
+            for part in parts:
+                np.multiply(mask, getattr(field[on_grid], part),
+                            out=getattr(out[on_grid], part))
         return out
 
 
@@ -142,18 +169,22 @@ def shell_radius(grid: Grid, k: int) -> np.ndarray:
     return product_radius(grid.axis[shell_box(grid, k)], grid.dim)
 
 
-def _support(grid: Grid, kind: str, k: int) -> tuple[np.ndarray, tuple]:
-    """The coordinates along one axis on which the shell-k mask of the
-    kind can be nonzero, and the grid index of their product."""
+def band_blocks(points: int, band: int) -> tuple[slice, ...]:
+    """The indices of an axis of ``points`` with signed FFT index
+    ``|j| <= band``, in FFT order: ``0..band``, then ``-band..-1`` at the
+    end of the axis; one slice once the band covers the axis."""
+    if 2 * band + 1 >= points:
+        return (slice(0, points),)
+    return tuple(s for s in (slice(0, band + 1), slice(points - band, points))
+                 if s.start < s.stop)
+
+
+def _blocks(grid: Grid, kind: str, k: int) -> tuple[slice, ...]:
+    """The blocks of one axis on which the shell-k mask of the kind can be
+    nonzero."""
     if kind == "spatial":
-        box = shell_box(grid, k)
-        return grid.axis[box], (box,) * grid.dim
-    n, band = grid.points_per_axis, frequency_band(grid, k)
-    if 2 * band + 1 >= n:
-        return grid.freq_axis, (slice(None),) * grid.dim
-    # FFT order: indices 0..band, then -band..-1 at the end of the axis
-    wrapped = np.r_[0 : band + 1, n - band : n]
-    return grid.freq_axis[wrapped], np.ix_(*[wrapped] * grid.dim)
+        return (shell_box(grid, k),)
+    return band_blocks(grid.points_per_axis, frequency_band(grid, k))
 
 
 @lru_cache(maxsize=64)
@@ -166,15 +197,16 @@ def _cached_masks(dim: int, half_width: float, points: int, kind: str, k: int) -
     no grid-sized temporary unless the support is the whole grid.  The
     cache is bounded at 64 arrays, at most 128 MiB at 64^3.
     """
-    coords, _ = _support(Grid(dim, half_width, points), kind, k)
+    grid = Grid(dim, half_width, points)
+    axis = grid.axis if kind == "spatial" else grid.freq_axis
+    coords = np.concatenate([axis[b] for b in _blocks(grid, kind, k)])
     mask = bump(product_radius(coords, dim) / 2.0**k)
     mask.flags.writeable = False
     return mask
 
 
 def _shell_mask(grid: Grid, kind: str, k: int) -> ShellMask:
-    _, index = _support(grid, kind, k)
-    return ShellMask(_cached_masks(*astuple(grid), kind, k), index)
+    return ShellMask(_cached_masks(*astuple(grid), kind, k), _blocks(grid, kind, k))
 
 
 def spatial_mask(grid: Grid, k: int) -> ShellMask:

@@ -6,7 +6,9 @@ grid size, so the same (seed, member) pair denotes the same continuum
 field at every refinement level; refinement drift then measures
 discretization, not ensemble churn.  The field is synthesized by
 ``spectral.banded_ifft_inplace``, which inverts the spectrum only on the
-lines that the coefficient cube meets.  Seeds are recorded in every report.
+lines that the coefficient cube meets: its wrapped band of FFT indices,
+laid out by ``dyadic.band_blocks`` as a frequency shell's band is.  Seeds
+are recorded in every report.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import smooth_cutoff
+from .dyadic import band_blocks, smooth_cutoff
 from .grid import Field, Grid, SpaceTimeField
 from .spectral import banded_ifft_inplace
 
@@ -75,7 +77,7 @@ def band_limited_field(
     # the band fits inside half the lattice, so no two modes share a slot
     spectrum[tuple((kvec[:, band] * mode_scale) % N)] = re[band] + 1j * im[band]
     # unnormalized inverse transform scaled so samples are sums of unit plane waves
-    values = banded_ifft_inplace(spectrum, kmax * mode_scale)
+    values = banded_ifft_inplace(spectrum, band_blocks(N, kmax * mode_scale))
     values *= N**n
     if window is not None:
         values *= radial_window(grid, window[0] / mode_scale, window[1] / mode_scale)

@@ -119,8 +119,8 @@ def verify_kpv(
     grid: Grid,
     decomp: DyadicDecomposition,
     times: Sequence[float],
-    ensemble: int = 20,
-    seed: int = 0,
+    ensemble: int,
+    seed: int,
 ) -> EstimateReport:
     """``kpv_ensemble`` with its homogeneity and parabolic-rescaling probes."""
     times = np.asarray(times, dtype=float)
@@ -169,8 +169,8 @@ def verify_main(
     decomp: DyadicDecomposition,
     times: Sequence[float],
     A: MagneticPotential,
-    ensemble: int = 20,
-    seed: int = 0,
+    ensemble: int,
+    seed: int,
 ) -> EstimateReport:
     """Weighted-energy smoothing bound for the magnetic flow, with a
     paired zero-potential run measuring the ratio inflation caused by the
@@ -225,8 +225,8 @@ def verify_free_endpoint(
     grid: Grid,
     decomp: DyadicDecomposition,
     times: Sequence[float],
-    ensemble: int = 10,
-    seed: int = 0,
+    ensemble: int,
+    seed: int,
 ) -> EstimateReport:
     """Endpoint bound: sup-L^2 plus smoothing norm of the solution against
     the data norm plus the best split of the forcing between the data-side
@@ -297,21 +297,21 @@ def resolvent_kernel_apply(
     return v, l1
 
 
-def box_profile(lo: float = 0.0, hi: float = 1.0):
+def box_profile(lo: float, hi: float):
     def w(y: np.ndarray) -> np.ndarray:
         return ((y > lo) & (y < hi)).astype(float)
 
     return w
 
 
-def gaussian_profile(center: float = 0.5, width: float = 0.3, height: float = 1.0):
+def gaussian_profile(center: float, width: float, height: float):
     def w(y: np.ndarray) -> np.ndarray:
         return height * np.exp(-((y - center) ** 2) / (2 * width**2))
 
     return w
 
 
-def verify_resolvent_1d(seed: int = 0, n_pairs: int = 20) -> EstimateReport:
+def verify_resolvent_1d(seed: int, n_pairs: int) -> EstimateReport:
     """sup |v| <= ||(d/dx - lambda) v||_{L^1} via the explicit kernel, for
     a seeded ensemble of profiles and spectral parameters on both branches."""
     rng = member_rng(seed, 41)
@@ -351,8 +351,8 @@ def _x1_profile(values: np.ndarray, grid: Grid, times: np.ndarray | None = None)
 
 def verify_resolvent_nd(
     grid: Grid,
-    ensemble: int = 20,
-    seed: int = 0,
+    ensemble: int,
+    seed: int,
 ) -> EstimateReport:
     """Mixed-norm resolvent bound: sup over x1 of the transverse L^2 norm
     of d_1 v against the L^1-in-x1 transverse L^2 norm of (-Lap - lambda) v.
@@ -436,8 +436,8 @@ def verify_mixed_norm(
     grid: Grid,
     decomp: DyadicDecomposition,
     times: Sequence[float],
-    ensemble: int = 20,
-    seed: int = 0,
+    ensemble: int,
+    seed: int,
 ) -> EstimateReport:
     """``mixed_norm_ensemble`` plus the two static inclusion checks that
     bracket it between the shell norms, and its rotation probe."""
@@ -491,8 +491,8 @@ def hardy_ratio(f: Field) -> dict:
 def verify_product_and_interpolation(
     grid: Grid,
     decomp: DyadicDecomposition,
-    ensemble: int = 20,
-    seed: int = 0,
+    ensemble: int,
+    seed: int,
 ) -> EstimateReport:
     """Measured constants for the fixed-split product estimate, the
     two-norm interpolation bound, the Sobolev embedding H^{1/2} into

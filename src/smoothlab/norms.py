@@ -9,17 +9,16 @@ whose two boundary shells are truncation tail, and is assembled by
 The weighted shell-Sobolev norms take a batch of fields of one grid, such
 as the time slices of a space-time field, and build their masks, weights
 and |xi|^s once per batch; a single field is a batch of one.  The masks
-and weights live on their shells' cubes (``dyadic.ShellMask``).  The
-batch shares one complex work buffer, which every shell term of every
-field overwrites, and at p = 2 one real one.  Where a full-grid sum reads
-a masked field, the field is the product on the cube embedded in exact
-zeros, so the sum rounds as it would over the whole product.  A shell
-whose mask holds no grid point, and every shell of a field with no
-nonzero sample, gives exactly 0.0 without a transform.  The
-phase-localized norm makes each frequency piece on the band of indices
-where its shell's mask can be nonzero, in one reused buffer, and inverts
-it only on that band.  The annulus indicators are cached by the grid's
-value, so no cache entry keeps a ``Grid`` instance alive.
+and weights live on their shells' cubes (``dyadic.ShellMask``), and every
+masked field is ``ShellMask.times``, exact zeros off the cube, so a
+full-grid sum of it rounds as it would over the whole product.  The batch
+shares one complex work buffer, which every shell term of every field
+overwrites, and at p = 2 one real one.  A shell whose mask holds no grid
+point, and every shell of a field with no nonzero sample, gives exactly
+0.0 without a transform.  The phase-localized norm makes each frequency
+piece in one reused buffer and inverts it only on its mask's blocks.  The
+annulus indicators are cached by the grid's value, so no cache entry
+keeps a ``Grid`` instance alive.
 """
 
 from __future__ import annotations
@@ -34,10 +33,8 @@ import numpy as np
 from .dyadic import (
     DyadicDecomposition,
     ShellMask,
-    frequency_band,
     frequency_mask,
     seq_norm,
-    shell_box,
     shell_radius,
     spatial_mask,
 )
@@ -46,7 +43,7 @@ from .spectral import (
     abs_freq_power,
     apply_multiplier,
     banded_ifft_inplace,
-    boxed_fftn,
+    boxed_fft_inplace,
     fft_inplace,
     l2_norm,
     lp_norm,
@@ -131,7 +128,7 @@ def weight_product_mask(grid: Grid, k: int, a: float) -> ShellMask:
     out = np.zeros(q.values.shape)
     supp = q.values > 0
     out[supp] = shell_radius(grid, k)[supp] ** a * q.values[supp]
-    return ShellMask(out, q.index)
+    return ShellMask(out, q.blocks)
 
 
 def lqa_shell_terms(
@@ -151,7 +148,7 @@ def lqa_shell_terms(
 
     At p = 2 the last two take each term from the forward transform of the
     weighted field alone (Plancherel), run only on the lines that meet the
-    shell's cube ``shell_box``; mask_then_D applies its mask after |D|^s
+    shell's cube; mask_then_D applies its mask after |D|^s
     and shares one transform pair across all shells instead.
 
     The masks and weights on their shells' cubes, |xi|^s, one complex
@@ -177,7 +174,7 @@ def _shell_terms_on(
     grid: Grid, decomp: DyadicDecomposition, spec: NormSpec, variant: str, p: float
 ) -> Callable[[Field], dict[int, float]]:
     """The per-field shell terms of ``lqa_shell_terms``, with the masks,
-    weights, |xi|^s, shell cubes and work buffers of the grid built once;
+    weights, |xi|^s and work buffers of the grid built once;
     every term overwrites the complex buffer, with its embedded masked
     field or, at p = 2, its pruned spectrum."""
     masks = {k: spatial_mask(grid, k) for k in decomp.shells}
@@ -185,7 +182,6 @@ def _shell_terms_on(
     live = [k for k in decomp.shells if masks[k].values.any()]
     weights = {k: weight_product_mask(grid, k, spec.a) if variant == "weight_product"
                else masks[k] for k in live}
-    boxes = {k: shell_box(grid, k) for k in live}
     work = np.empty(grid.shape, dtype=complex)
     plancherel = p == 2 and variant != "mask_then_D"
     power = np.empty(grid.shape) if plancherel else None
@@ -201,7 +197,7 @@ def _shell_terms_on(
             return terms
         for k in live:
             if plancherel:
-                boxed_fftn(weights[k].values, f.values, boxes[k], work)
+                boxed_fft_inplace(weights[k].times(f.values, work), weights[k].blocks)
                 np.multiply(work, sym, out=work)
                 np.abs(work, out=power)
                 terms[k] = power_l2_norm(np.square(power, out=power), grid)
@@ -301,9 +297,8 @@ def phase_localized_norm(
     pk = [frequency_mask(grid, k2) for k2 in freq_decomp.shells]
     f_hat = fft_inplace(f.values.copy())
     piece = np.empty_like(f_hat)
-    localized = (Field(grid, banded_ifft_inplace(mask.times(f_hat, piece),
-                                                 frequency_band(grid, k2)))
-                 for k2, mask in zip(freq_decomp.shells, pk))
+    localized = (Field(grid, banded_ifft_inplace(mask.times(f_hat, piece), mask.blocks))
+                 for mask in pk)
     outer_terms = dict(zip(freq_decomp.shells, lqa_sobolev_norm(localized, space_decomp, spec)))
     return seq_norm(outer_terms, 2, 0.0)
 

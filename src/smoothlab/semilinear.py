@@ -115,8 +115,8 @@ def picard_solve(
     p: float,
     times: Sequence[float],
     decomp: DyadicDecomposition,
-    max_iter: int = 12,
-    tol: float = 1e-8,
+    max_iter: int,
+    tol: float,
 ) -> PicardRun:
     """Iterate the recurrence u_{k+1} = solve(f, forcing = V u_k |u_k|^(p-1)).
 

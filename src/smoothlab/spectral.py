@@ -4,16 +4,14 @@ transform.
 Every Fourier multiplier in the package goes through ``apply_multiplier``
 or ``apply_multipliers``, and the L^2 norm of a multiplied field through
 ``multiplier_l2_norm``, which by Plancherel reads it off the forward
-transform alone.  A field under a weight given on a cube of indices and
-zero outside it, such as a spatial shell mask, is transformed by
-``boxed_fftn`` into a buffer the caller owns.  A loop that owns its
-buffer transforms it in place: with ``fft_inplace``, with
-``boxed_fft_inplace`` when the buffer vanishes outside a cube, with
-``boxed_ifft_inplace`` when only the values on a cube are kept, and with
-``banded_ifft_inplace`` when the spectrum vanishes outside a band of
-frequency indices, as a frequency shell or a synthesized ensemble field
-does; the pruned transforms run the axis passes only on the lines that
-their data needs.  Norms of a held spectrum go
+transform alone.  A loop that owns its buffer transforms it in place: with
+``fft_inplace``, and, where a shell mask leaves the data zero or unused off
+the product of the mask's index blocks (``dyadic.ShellMask.blocks``), with
+the pruned transforms, which run the axis passes only on the lines the
+data needs: ``boxed_fft_inplace`` and ``banded_ifft_inplace`` when the
+array vanishes off the blocks, as a masked field, a frequency shell or a
+synthesized ensemble field does, and ``boxed_ifft_inplace`` when only the
+values on the blocks are kept.  Norms of a held spectrum go
 through ``spectrum_l2_norm``, or ``power_l2_norm`` of its squared moduli.
 The homogeneous multiplier |D|^s is singular at xi = 0, and the zero mode
 is always annihilated.  Mean-zero periodic data is the desk-scale
@@ -86,84 +84,59 @@ def multiplier_l2_norm(f: Field, symbol: np.ndarray) -> float:
     return spectrum_l2_norm(Field(f.grid, symbol * _fftn(f.values)))
 
 
-def boxed_fftn(weight: np.ndarray, values: np.ndarray, box: slice,
-               out: np.ndarray) -> np.ndarray:
-    """Overwrite the complex array ``out`` with the forward transform of
-    the field that is ``weight * values`` on the index cube ``box^n`` and
-    zero elsewhere, for ``weight`` given on the cube alone; returns ``out``.
+def boxed_fft_inplace(values: np.ndarray, blocks: tuple[slice, ...]) -> np.ndarray:
+    """Overwrite a complex array that vanishes off the product of
+    ``blocks`` along every axis, such as a field under a spatial shell mask,
+    with its forward transform, equal to ``fftn`` up to the sign of zeros;
+    returns it (input pruning; Markel, IEEE Trans. Audio Electroacoust.
+    19(4), 1971).
 
-    Only the cube is multiplied, and ``boxed_fft_inplace`` transforms it;
-    a loop over many weights reuses one ``out``.
+    A cube of m points on an N-point axis costs N m^2 + N^2 m + N^3 line
+    elements in 3-d instead of 3 N^3; blocks as wide as the axis take the
+    same full passes as ``fftn``.
     """
-    cube = (box,) * values.ndim
-    out.fill(0)
-    np.multiply(weight, values[cube], out=out[cube])
-    return boxed_fft_inplace(out, box)
+    return _input_pruned(_fftn, values, blocks)
 
 
-def boxed_fft_inplace(values: np.ndarray, box: slice) -> np.ndarray:
-    """Overwrite a complex array that vanishes outside the index cube
-    ``box^n`` with its forward transform, equal to ``fftn`` up to the sign
-    of zeros; returns it.
+def banded_ifft_inplace(values: np.ndarray, blocks: tuple[slice, ...]) -> np.ndarray:
+    """Overwrite a complex spectrum that vanishes off the product of
+    ``blocks`` along every axis, such as a frequency shell's band, with its
+    inverse transform, bit for bit ``ifftn`` up to the sign of zeros;
+    returns it.
 
-    The axis passes run in ``fftn``'s own order, axis 0 first, each on just
-    the lines that can be nonzero: a cube of m points on an N-point axis
-    costs N m^2 + N^2 m + N^3 line elements instead of 3 N^3 (input
-    pruning; Markel, IEEE Trans. Audio Electroacoust. 19(4), 1971).  A cube
-    as wide as the axis takes the same full passes as ``fftn``.
+    Each pass scales by 1/N, a power of two, which is exact, so the passes
+    round as ``ifftn``'s one 1/N^n does.
     """
+    return _input_pruned(_ifftn, values, blocks)
+
+
+def _input_pruned(transform, values: np.ndarray, blocks: tuple[slice, ...]) -> np.ndarray:
+    # the passes run in fftn's own order, axis 0 first, each on just the
+    # lines whose later indices lie in the blocks: the axes up to ax are
+    # full lines by now, and the later ones are still zero off the blocks
     n = values.ndim
     for ax in range(n):
-        # the axes up to ax are full lines by now; the later ones are still
-        # zero outside the box
-        _in_place(_fftn, values[(slice(None),) * (ax + 1) + (box,) * (n - ax - 1)], axes=(ax,))
+        for later in itertools.product(blocks, repeat=n - ax - 1):
+            _in_place(transform, values[(slice(None),) * (ax + 1) + later], axes=(ax,))
     return values
 
 
-def boxed_ifft_inplace(values: np.ndarray, box: slice) -> np.ndarray:
-    """Overwrite a complex array with its inverse transform on the index
-    cube ``box^n``, bit for bit the values of ``ifftn`` there; returns it.
+def boxed_ifft_inplace(values: np.ndarray, blocks: tuple[slice, ...]) -> np.ndarray:
+    """Overwrite a complex array with its inverse transform on the product
+    of ``blocks`` along every axis, bit for bit the values of ``ifftn``
+    there; returns it.
 
-    Outside the cube the array is left holding partial sums, so the caller
-    multiplies it by a weight that vanishes there.  The passes run in
-    ``ifftn``'s order, each on just the lines that reach the cube: axis 0 on
-    all N^2 lines, axis 1 on the N m whose axis-0 index lies in the box,
+    Off the blocks the array is left holding partial sums, so the caller
+    multiplies it by a mask that vanishes there.  The passes run in
+    ``ifftn``'s order, each on just the lines that reach the blocks: axis 0
+    on all N^2 lines, axis 1 on the N m whose axis-0 index lies in them,
     axis 2 on the m^2 lines of the cube (output pruning).
     """
     n = values.ndim
     for ax in range(n):
-        _in_place(_ifftn, values[(box,) * ax + (slice(None),) * (n - ax)], axes=(ax,))
+        for earlier in itertools.product(blocks, repeat=ax):
+            _in_place(_ifftn, values[earlier + (slice(None),) * (n - ax)], axes=(ax,))
     return values
-
-
-def banded_ifft_inplace(values: np.ndarray, band: int) -> np.ndarray:
-    """Overwrite a complex spectrum that vanishes unless every signed FFT
-    index j satisfies |j| <= ``band`` with its inverse transform, bit for
-    bit ``ifftn`` up to the sign of zeros; returns it.
-
-    The passes run in ``ifftn``'s order, axis 0 first, each on just the
-    lines whose later indices lie in the band; the other lines are still
-    zero.  In FFT order the band wraps, so it is two slices of each later
-    axis.  A band of m = 2 band + 1 of the N indices per axis costs
-    m^2 N + m N^2 + N^3 line elements in 3-d instead of 3 N^3; a band
-    that reaches N/2 covers the axis and takes full passes.  Each pass
-    scales by 1/N, a power of two, which is exact, so the passes round as
-    ``ifftn``'s one 1/N^n does.
-    """
-    n = values.ndim
-    for ax in range(n):
-        later = [_band_slices(values.shape[j], band) for j in range(ax + 1, n)]
-        for blocks in itertools.product(*later):
-            _in_place(_ifftn, values[(slice(None),) * (ax + 1) + blocks], axes=(ax,))
-    return values
-
-
-def _band_slices(points: int, band: int) -> tuple[slice, ...]:
-    """The indices of an axis with |signed index| <= band, in FFT order."""
-    if 2 * band + 1 >= points:
-        return (slice(None),)
-    return tuple(s for s in (slice(0, band + 1), slice(points - band, points))
-                 if s.start < s.stop)
 
 
 def _in_place(transform, values: np.ndarray, **axes) -> np.ndarray:

@@ -576,7 +576,8 @@ def run_semilinear(cfg: ExperimentConfig) -> SuiteResult:
 
     # V = 0 degenerates to the linear flow exactly
     V0 = shell_potential(g, 0.0)
-    lin_run = picard_solve(prof * (0.05 / l2_norm(prof)), V0, A, p, times, decomp)
+    lin_run = picard_solve(prof * (0.05 / l2_norm(prof)), V0, A, p, times, decomp,
+                         max_iter=PICARD_MAX_ITER, tol=PICARD_TOL)
     linear = magnetic_solve(prof * (0.05 / l2_norm(prof)), A, None, times)
     lin_gap = contraction_norm(lin_run.final - linear, decomp)
 

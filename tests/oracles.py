@@ -147,9 +147,16 @@ def weight_product_mask(grid: Grid, k: int, a: float) -> np.ndarray:
     return out
 
 
+def on_blocks(blocks: tuple[slice, ...], shape: tuple[int, ...]) -> tuple:
+    """The open-mesh index of the product of ``blocks`` along every axis,
+    the blocks taken in order."""
+    axis = np.concatenate([np.arange(shape[0])[b] for b in blocks])
+    return np.ix_(*[axis] * len(shape))
+
+
 def dense(mask: ShellMask, grid: Grid) -> np.ndarray:
-    """A stored shell mask on the whole grid: its values on its index and
-    zeros elsewhere."""
+    """A stored shell mask on the whole grid: its values on the product of
+    its blocks and zeros elsewhere."""
     out = np.zeros(grid.shape)
-    out[mask.index] = mask.values
+    out[on_blocks(mask.blocks, grid.shape)] = mask.values
     return out

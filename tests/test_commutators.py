@@ -23,7 +23,7 @@ from smoothlab.commutators import (
 )
 import oracles
 from oracles import fractional_laplacian, inner_product
-from smoothlab.dyadic import _cached_masks, shell_box, spatial_mask
+from smoothlab.dyadic import _cached_masks, spatial_mask
 from smoothlab.ensembles import band_limited_field, member_rng
 from smoothlab.grid import Field, Grid
 from smoothlab.spectral import (
@@ -402,7 +402,7 @@ class TestOperatorNormSteps:
         # a transform beside a cube of w points runs N^2 + N w + w^2 lines;
         # shell 0 spans 7 of the 32 points per axis and shell 2 spans 31
         n = grid.points_per_axis
-        w0, w2 = (len(range(n)[shell_box(grid, k)]) for k in (0, 2))
+        w0, w2 = (len(range(n)[spatial_mask(grid, k).blocks[0]]) for k in (0, 2))
         assert (w0, w2) == (7, 31)
         per_step = sum(n * n + n * w + w * w for w in (w2, w2, w0, w0, w2, w2))
         assert sum(lines[1:]) == per_step * steps

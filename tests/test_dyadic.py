@@ -134,8 +134,8 @@ class TestMasks:
             full = oracles.spatial_mask(grid, k)
             assert not full[outside].any()
             q = spatial_mask(grid, k)
-            assert q.index == (box,) * grid.dim
-            assert q.values.tobytes() == full[q.index].tobytes()
+            assert q.blocks == (box,)
+            assert q.values.tobytes() == full[(box,) * grid.dim].tobytes()
             assert np.abs(grid.axis[box]).max() < 2.0 ** (k + 1)
 
     @pytest.mark.parametrize("grid", [Grid(3, 8.0, 32), Grid(3, 8.0, 64), Grid(2, 8.0, 32),
@@ -154,10 +154,11 @@ class TestMasks:
             assert not full[outside].any()
             p = frequency_mask(grid, k)
             assert p.values.size == min(2 * band + 1, n) ** grid.dim
-            assert p.values.tobytes() == full[p.index].tobytes()
-            inside = np.zeros(grid.shape, dtype=bool)
-            inside[p.index] = True
-            assert np.array_equal(inside, ~outside)
+            # the blocks are the band's indices in FFT order, and the stored
+            # values the mask there
+            on_axis = np.concatenate([np.arange(n)[b] for b in p.blocks])
+            assert np.array_equal(on_axis, np.flatnonzero(signed <= band))
+            assert p.values.tobytes() == full[np.ix_(*[on_axis] * grid.dim)].tobytes()
             # the band is the widest one with |xi_j| below the mask's edge
             assert np.abs(grid.freq_axis[signed <= band]).max() < 2.0 ** (k + 1)
             assert band == n // 2 or np.abs(grid.freq_axis[signed == band + 1]).min() >= 2.0 ** (k + 1)
@@ -168,6 +169,59 @@ class TestMasks:
         widths = [2 * frequency_band(Grid(3, 8.0, 64), k) + 1 for k in range(-2, 3)]
         assert widths == [3, 5, 11, 21, 41]
         assert frequency_band(Grid(3, 8.0, 32), 2) == 16  # the whole 32-point axis
+
+
+#: the grids of every suite default and the 1-d one of the resolvent suite
+PRODUCT_GRIDS = [Grid(3, 8.0, 16), Grid(3, 8.0, 32), Grid(3, 8.0, 64), Grid(2, 8.0, 32),
+                 Grid(1, 8.0, 64)]
+
+
+class TestShellMaskTimes:
+    """``ShellMask.times`` is the whole-grid product of the mask and a field,
+    up to the sign of zeros, which ``np.array_equal`` allows: in place, and
+    into a buffer that holds another field's values."""
+
+    @pytest.mark.parametrize("grid", PRODUCT_GRIDS, ids=["16^3", "32^3", "64^3", "32^2", "1d"])
+    def test_equals_dense_product_on_every_shell(self, grid):
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        dirty = np.full(grid.shape, np.nan + 1j)
+        bands = set()
+        for k in DyadicDecomposition(-4, 5).shells:
+            for mask, full in ((spatial_mask(grid, k), oracles.spatial_mask(grid, k)),
+                               (frequency_mask(grid, k), oracles.frequency_mask(grid, k))):
+                expected = full * f
+                assert mask.times(f, dirty) is dirty
+                assert np.array_equal(dirty, expected)
+                x = f.copy()
+                assert mask.times(x, x) is x
+                assert np.array_equal(x, expected)
+            bands.add(frequency_band(grid, k))
+        # the range meets band 0 (the zero mode alone) and the whole axis
+        assert {0, grid.points_per_axis // 2} <= bands
+
+    def test_real_field_into_a_real_buffer(self):
+        # the partition suite multiplies the real constant 1
+        grid = Grid(3, 8.0, 32)
+        ones = np.ones(grid.shape)
+        got = spatial_mask(grid, 1).times(ones, np.full(grid.shape, 7.0))
+        assert np.array_equal(got, oracles.spatial_mask(grid, 1))
+
+    def test_product_makes_no_large_temporary(self):
+        # a 63-of-64 cube: a complex temporary of the cube alone would be
+        # 3.8 MiB; the block products cast the real mask in small chunks
+        grid = Grid(3, 8.0, 64)
+        mask = spatial_mask(grid, 2)
+        assert mask.blocks == (slice(1, 64),)
+        x = np.ones(grid.shape, dtype=complex)
+        mask.times(x, x)
+        tracemalloc.start()
+        try:
+            mask.times(x, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestMaskCache:

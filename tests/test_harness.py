@@ -234,7 +234,7 @@ class TestResolvent1d:
         assert np.abs(v).max() == 0.0 and l1 == 0.0
 
     def test_contraction_over_ensemble(self):
-        rep = verify_resolvent_1d(seed=5)
+        rep = verify_resolvent_1d(seed=5, n_pairs=20)
         assert rep.ratio <= 1.0 + 1e-6
 
     def test_imaginary_axis_either_branch(self):

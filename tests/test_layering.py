@@ -2,10 +2,12 @@
 
 No module reaches into a sibling module's private names, except the two
 transform entry points ``grid._fftn``/``grid._ifftn``, which only
-``spectral`` imports (every multiplier, and the banded inverse that
-synthesizes ensemble fields); the annulus indicator stays private to
+``spectral`` imports (every multiplier, and the pruned transforms that
+take a shell mask's index blocks); the annulus indicator stays private to
 ``norms``, whose ``annulus_sup`` and ``annulus_l2_terms`` are the public
-ways to use it.
+ways to use it.  Only ``dyadic`` decides where a shell mask can be nonzero:
+no other module calls ``shell_box`` or ``frequency_band``, and the others
+read a mask's ``blocks``.
 The L^2 norm of a multiplied field goes through
 ``spectral.multiplier_l2_norm``, which needs no inverse transform: no
 module writes ``l2_norm`` or ``lp_norm(..., 2)`` of an
@@ -18,11 +20,12 @@ the config alone.  Every dyadic shell sum is assembled by
 with ``sum``, ``max`` or ``min``.  The only process-lifetime caches are the
 two mask caches, neither keyed by a ``Grid`` instance, and ``CommutatorOp`` builds its masks and symbols in one
 cached property instead of once per matvec.  Every optional parameter of a
-public function or method is set by some call in ``src/`` or ``bench/``,
-apart from the few seams listed in ``UNSET_PARAMETERS``, and none defaults
-to a bool: an on/off switch is a second function in disguise.  The
-verifiers in ``harness`` measure on the grid they are given: it calls
-neither ``Grid(...)`` nor ``.refine()``, and the suites refine.  Every relative
+public function or method is set by some call in ``src/`` or ``bench/``
+and left at its default by another, apart from the few seams listed in
+``UNSET_PARAMETERS``, which no call sets; none defaults to a bool: an
+on/off switch is a second function in disguise.  The verifiers in
+``harness`` measure on the grid they are given: it calls neither
+``Grid(...)`` nor ``.refine()``, and the suites refine.  Every relative
 drift goes through ``harness.relative_drift``: no module divides
 ``abs(x - r)`` by ``r``.  The shell-Sobolev norms of the time slices of a
 space-time field are taken in one batched call: no module calls
@@ -95,7 +98,7 @@ def test_only_spectral_imports_the_transforms():
     # a multiplier written as _ifftn(sym * _fftn(...)) outside spectral is
     # a copy of spectral.apply_multiplier, and a full inverse of a
     # band-limited spectrum repeats the work spectral.banded_ifft_inplace
-    # prunes
+    # prunes on the band's blocks
     importers = sorted(
         path.name
         for path in MODULES
@@ -210,6 +213,18 @@ def _cache_decorated(tree: ast.Module) -> list[str]:
                 if name in ("lru_cache", "cache"):
                     out.append(node.name)
     return out
+
+
+SUPPORT_DECISIONS = {"shell_box", "frequency_band"}
+
+
+def test_only_dyadic_decides_where_a_mask_can_be_nonzero():
+    # a caller that re-derives a shell's cube or band repeats the support
+    # decision that a ShellMask carries in its blocks, and a second copy
+    # can drift from the stored values
+    callers = sorted({path.name for path in MODULES
+                      if _called_names(ast.parse(path.read_text())) & SUPPORT_DECISIONS})
+    assert callers == ["dyadic.py"]
 
 
 def test_lru_caches_are_the_two_mask_caches():
@@ -374,18 +389,24 @@ def _sets(call: ast.Call, name: str, index: int | None) -> bool:
 
 def test_every_optional_parameter_is_set_in_src():
     # a default no call in src/ or bench/ overrides is a one-value parameter
-    # (a constant in disguise) or a test-only one; calls are matched by the
+    # (a constant in disguise) or a test-only one, and a default every such
+    # call overrides is one only the tests use; calls are matched by the
     # callee's name
     calls = [node for path in MODULES + BENCH_FILES
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call)]
-    unset = []
+    unset, always_set = [], []
     for path in MODULES:
         for callee, params in _public_functions(path):
             mine = [c for c in calls if _called_name(c) == callee]
-            unset += [(callee, name) for name, index in params
-                      if not any(_sets(c, name, index) for c in mine)]
+            for name, index in params:
+                setters = [_sets(c, name, index) for c in mine]
+                if not any(setters):
+                    unset.append((callee, name))
+                elif all(setters):
+                    always_set.append((callee, name))
     assert sorted(unset) == sorted(UNSET_PARAMETERS)
+    assert always_set == []
 
 
 def _written_out_drifts(tree: ast.Module) -> list[int]:
@@ -498,7 +519,7 @@ def _module_references(tree: ast.Module, module: str, package_names: set[str]) -
 def test_only_grid_references_scipy_fft():
     # grid._fftn/_ifftn look the transforms up at call time, so the bench
     # span wrappers and the fft_calls fixture see every transform, the axis
-    # passes of spectral.boxed_fftn included; a module that binds scipy.fft
+    # passes of the pruned transforms included; a module that binds scipy.fft
     # itself would run transforms neither of them counts
     users = sorted({path.name for path in MODULES
                     if _module_references(ast.parse(path.read_text()), "scipy.fft", {"scipy"})})

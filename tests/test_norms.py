@@ -12,7 +12,6 @@ from smoothlab.dyadic import (
     DyadicDecomposition,
     bump,
     seq_norm,
-    shell_box,
     spatial_mask,
 )
 from smoothlab.ensembles import band_limited_field, member_rng
@@ -36,7 +35,7 @@ from smoothlab.norms import (
 from smoothlab.spectral import (
     abs_freq_power,
     apply_multiplier,
-    boxed_fftn,
+    boxed_fft_inplace,
     lp_norm,
     mean_zero,
     multiplier_l2_norm,
@@ -216,8 +215,9 @@ class TestWeightedShellNorms:
         # which vanishes off the cube
         for k in DyadicDecomposition(-3, 4).shells:
             w, full = weight_product_mask(grid32, k, a), oracles.weight_product_mask(grid32, k, a)
-            assert w.index == spatial_mask(grid32, k).index
-            assert w.values.tobytes() == full[w.index].tobytes()
+            box = spatial_mask(grid32, k).blocks
+            assert w.blocks == box
+            assert w.values.tobytes() == full[box * grid32.dim].tobytes()
             assert np.array_equal(oracles.dense(w, grid32), full)
 
     @pytest.mark.parametrize("p", [2, 4])
@@ -319,8 +319,9 @@ class TestWeightedShellNorms:
         assert lqa_shell_terms((f,), dec, spec, variant, p) == [{-3: 0.0, -2: 0.0}]
         assert fft_calls == []
         # the pruned transform of the zero field gives the same 0.0
-        spectrum = boxed_fftn(spatial_mask(grid32, -2).values, f.values, shell_box(grid32, -2),
-                              np.empty(grid32.shape, dtype=complex))
+        mask = spatial_mask(grid32, -2)
+        spectrum = boxed_fft_inplace(mask.times(f.values, np.empty(grid32.shape, dtype=complex)),
+                                     mask.blocks)
         assert spectrum_l2_norm(Field(grid32, spectrum * abs_freq_power(grid32, spec.s))) == 0.0
 
     @pytest.mark.parametrize("p", [2, 4])

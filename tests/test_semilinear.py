@@ -111,7 +111,7 @@ class TestNonlinearity:
 class TestPicard:
     def test_zero_data_fixed_point(self, grid, setup):
         V, A, prof, times = setup
-        run = picard_solve(prof * 0.0, V, A, 1.4, times, DEC, max_iter=4)
+        run = picard_solve(prof * 0.0, V, A, 1.4, times, DEC, max_iter=4, tol=1e-8)
         assert run.converged
         assert contraction_norm(run.final, DEC) == 0.0
 
@@ -119,7 +119,7 @@ class TestPicard:
         _, A, prof, times = setup
         V0 = shell_potential(grid, 0.0)
         f = prof * (0.05 / l2_norm(prof))
-        run = picard_solve(f, V0, A, 1.4, times, DEC)
+        run = picard_solve(f, V0, A, 1.4, times, DEC, max_iter=12, tol=1e-8)
         linear = magnetic_solve(f, A, None, times)
         assert run.converged
         assert np.abs(run.final.values - linear.values).max() == 0.0
@@ -127,7 +127,7 @@ class TestPicard:
     def test_contraction_small_data(self, grid, setup):
         V, A, prof, times = setup
         f = prof * (0.05 / l2_norm(prof))
-        run = picard_solve(f, V, A, 1.4, times, DEC, tol=1e-8)
+        run = picard_solve(f, V, A, 1.4, times, DEC, max_iter=12, tol=1e-8)
         assert run.converged and run.contracting
         ratios = run.contraction_ratios
         assert all(r < 1 for r in ratios)
@@ -149,7 +149,7 @@ class TestPicard:
     def test_divergence_signal_not_exception(self, grid, setup):
         V, A, prof, times = setup
         f = prof * (40.0 / l2_norm(prof))
-        run = picard_solve(f, V, A, 1.4, times, DEC, max_iter=10)
+        run = picard_solve(f, V, A, 1.4, times, DEC, max_iter=10, tol=1e-8)
         assert run.diverged and not run.converged
 
     def test_difference_shape_inequality(self, grid, setup):

@@ -6,7 +6,13 @@ import scipy.fft
 
 import oracles
 from oracles import fractional_laplacian, plane_wave, riesz_transform
-from smoothlab.dyadic import DyadicDecomposition, frequency_band, frequency_mask, shell_box, spatial_mask
+from smoothlab.dyadic import (
+    DyadicDecomposition,
+    ShellMask,
+    band_blocks,
+    frequency_mask,
+    spatial_mask,
+)
 from smoothlab.grid import Field, Grid, gaussian
 from smoothlab.spectral import (
     abs_freq_power,
@@ -14,7 +20,6 @@ from smoothlab.spectral import (
     apply_multipliers,
     banded_ifft_inplace,
     boxed_fft_inplace,
-    boxed_fftn,
     boxed_ifft_inplace,
     derivative,
     gradient,
@@ -200,19 +205,21 @@ class TestNorms:
 
 
 class TestBoxedFFT:
-    """``boxed_fftn`` of a weight given on its cube equals the full
-    transform of the weighted field; only the sign of a zero may differ,
-    which ``np.array_equal`` allows."""
+    """A field under a spatial shell mask, made by ``ShellMask.times`` and
+    transformed on the mask's blocks, equals the full transform of the
+    masked field; only the sign of a zero may differ, which
+    ``np.array_equal`` allows."""
 
     @pytest.mark.parametrize("grid", [Grid(3, 8.0, 32), Grid(3, 8.0, 64),
                                       Grid(1, 8.0, 64), Grid(2, 8.0, 64)],
                              ids=["32^3", "64^3", "1d", "2d"])
     def test_equals_full_transform_on_every_shell(self, grid):
-        # one buffer serves every shell: the call clears what the last left
+        # one buffer serves every shell: the product clears what the last left
         f = random_field(grid, 12)
         out = np.empty(grid.shape, dtype=complex)
         for k in DyadicDecomposition(-3, 4).shells:
-            got = boxed_fftn(spatial_mask(grid, k).values, f.values, shell_box(grid, k), out)
+            mask = spatial_mask(grid, k)
+            got = boxed_fft_inplace(mask.times(f.values, out), mask.blocks)
             assert got is out
             assert np.array_equal(got, scipy.fft.fftn(oracles.spatial_mask(grid, k) * f.values))
 
@@ -224,8 +231,10 @@ class TestBoxedFFT:
         box = slice(4, 12)
         cube = np.zeros(grid.shape)
         cube[(box,) * dim] = np.random.default_rng(8).random((8,) * dim)
+        mask = ShellMask(cube[(box,) * dim], (box,))
+        out = mask.times(f.values, np.empty(grid.shape, dtype=complex))
         fft_calls.clear()
-        got = boxed_fftn(cube[(box,) * dim], f.values, box, np.empty(grid.shape, dtype=complex))
+        got = boxed_fft_inplace(out, mask.blocks)
         assert fft_calls == [f"fftn(axes=({ax},))" for ax in range(dim)]
         assert np.array_equal(got, scipy.fft.fftn(cube * f.values))
 
@@ -236,23 +245,32 @@ def _random_cube(rng, n):
     return slice(start, int(rng.integers(start + 1, n + 1)))
 
 
+def _random_blocks(rng, n):
+    """One random index range of an n-point axis, or the wrapped band of a
+    random signed FFT index bound."""
+    if rng.integers(0, 2):
+        return (_random_cube(rng, n),)
+    return band_blocks(n, int(rng.integers(0, n // 2 + 1)))
+
+
 class TestPrunedPair:
     """The in-place pruned transforms: the forward one of an array that is
-    zero outside a cube equals ``fftn`` up to the sign of zeros, which
-    ``==`` ignores, and the inverse one equals ``ifftn`` on the cube."""
+    zero off the product of its blocks equals ``fftn`` up to the sign of
+    zeros, which ``==`` ignores, and the inverse one equals ``ifftn`` on
+    that product, whether the blocks are a cube or a wrapped band."""
 
     @pytest.mark.parametrize("shape", [(64,), (32, 32), (16, 16, 16), (32, 32, 32)],
                              ids=["1d", "2d", "16^3", "32^3"])
     def test_forward_equals_full_transform_on_cube_data(self, shape):
         rng = np.random.default_rng(21)
         for _ in range(6):
-            box = _random_cube(rng, shape[0])
-            cube = (box,) * len(shape)
+            blocks = _random_blocks(rng, shape[0])
+            inside = oracles.on_blocks(blocks, shape)
             values = np.zeros(shape, dtype=complex)
-            values[cube] = (rng.standard_normal(values[cube].shape)
-                            + 1j * rng.standard_normal(values[cube].shape))
+            values[inside] = (rng.standard_normal(values[inside].shape)
+                              + 1j * rng.standard_normal(values[inside].shape))
             expected = scipy.fft.fftn(values)
-            got = boxed_fft_inplace(values, box)
+            got = boxed_fft_inplace(values, blocks)
             assert got is values
             assert (got == expected).all()
 
@@ -261,17 +279,17 @@ class TestPrunedPair:
     def test_inverse_equals_full_transform_on_the_cube(self, shape):
         rng = np.random.default_rng(22)
         for _ in range(6):
-            box = _random_cube(rng, shape[0])
-            cube = (box,) * len(shape)
+            blocks = _random_blocks(rng, shape[0])
+            inside = oracles.on_blocks(blocks, shape)
             values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             expected = scipy.fft.ifftn(values)
-            got = boxed_ifft_inplace(values, box)
+            got = boxed_ifft_inplace(values, blocks)
             assert got is values
-            assert (got[cube] == expected[cube]).all()
+            assert (got[inside] == expected[inside]).all()
 
     def test_full_width_cube_is_the_full_transform(self, grid3):
         values = random_field(grid3, 23).values
-        whole = slice(0, grid3.points_per_axis)
+        whole = (slice(0, grid3.points_per_axis),)
         assert (boxed_fft_inplace(values.copy(), whole) == scipy.fft.fftn(values)).all()
         assert (boxed_ifft_inplace(values.copy(), whole) == scipy.fft.ifftn(values)).all()
 
@@ -280,7 +298,7 @@ class TestPrunedPair:
         # then the lines whose earlier indices lie in the cube
         values = random_field(Grid(3, 8.0, 16), 24).values
         fft_calls.clear()
-        boxed_ifft_inplace(values, slice(4, 12))
+        boxed_ifft_inplace(values, (slice(4, 12),))
         assert fft_calls == [f"ifftn(axes=({ax},))" for ax in range(3)]
 
 
@@ -310,7 +328,7 @@ class TestBandedInverse:
         for band in (0, 1, 3, n // 2 - 1, n // 2):
             values = _banded_spectrum(rng, shape, band)
             expected = scipy.fft.ifftn(values)
-            got = banded_ifft_inplace(values, band)
+            got = banded_ifft_inplace(values, band_blocks(n, band))
             assert got is values
             assert (got == expected).all()
 
@@ -321,16 +339,17 @@ class TestBandedInverse:
         # slices (one at band 0); a band that reaches N/2 takes full passes
         values = _banded_spectrum(np.random.default_rng(32), (16, 16, 16), band)
         fft_calls.clear()
-        banded_ifft_inplace(values, band)
+        banded_ifft_inplace(values, band_blocks(16, band))
         assert fft_calls == [f"ifftn(axes=({ax},))" for ax in range(3) for _ in range(blocks[ax])]
 
     @pytest.mark.parametrize("points", [32, 64])
     def test_frequency_pieces_equal_full_inverse(self, points):
-        # P_k f for every frequency shell, made on the band of the stored
-        # mask and inverted on it
+        # P_k f for every frequency shell, made on the blocks of the stored
+        # mask and inverted on them
         grid = Grid(3, 8.0, points)
         f_hat = scipy.fft.fftn(random_field(grid, 33).values)
         for k in DyadicDecomposition(-3, 3).shells:
-            piece = frequency_mask(grid, k).times(f_hat, np.empty_like(f_hat))
+            mask = frequency_mask(grid, k)
+            piece = mask.times(f_hat, np.empty_like(f_hat))
             expected = scipy.fft.ifftn(oracles.frequency_mask(grid, k) * f_hat)
-            assert (banded_ifft_inplace(piece, frequency_band(grid, k)) == expected).all()
+            assert (banded_ifft_inplace(piece, mask.blocks) == expected).all()
