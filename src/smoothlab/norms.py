@@ -11,14 +11,18 @@ as the time slices of a space-time field, and build their masks, weights
 and |xi|^s once per batch; a single field is a batch of one.  The masks
 and weights live on their shells' cubes (``dyadic.ShellMask``), and every
 masked field is ``ShellMask.times``, exact zeros off the cube, so a
-full-grid sum of it rounds as it would over the whole product.  The batch
-shares one complex work buffer, which every shell term of every field
-overwrites, and at p = 2 one real one.  A shell whose mask holds no grid
-point, and every shell of a field with no nonzero sample, gives exactly
-0.0 without a transform.  The phase-localized norm makes each frequency
-piece in one reused buffer and inverts it only on its mask's blocks.  The
-annulus indicators are cached by the grid's value, so no cache entry
-keeps a ``Grid`` instance alive.
+full-grid sum of it rounds as it would over the whole product.  At p = 2
+a shell term is one weighted power sum of the masked field's spectrum,
+taken on the smallest torus that holds the shell's cube without
+wrap-around when that torus is smaller than the grid, and on the grid
+otherwise.  The batch shares one complex work buffer, which every shell
+term of every field overwrites, and at p = 2 one per torus.  A shell
+whose mask holds no grid point, and every shell of a field with no
+nonzero sample, gives exactly 0.0 without a transform.  The
+phase-localized norm makes each frequency piece in one reused buffer and
+inverts it only on its mask's blocks.  The annulus indicators and the
+torus weights are cached by the grid's value, so no cache entry keeps a
+``Grid`` instance alive.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import numpy as np
 from .dyadic import (
     DyadicDecomposition,
     ShellMask,
+    band_blocks,
     frequency_mask,
     seq_norm,
     shell_radius,
@@ -44,10 +49,11 @@ from .spectral import (
     apply_multiplier,
     banded_ifft_inplace,
     boxed_fft_inplace,
+    boxed_ifft_inplace,
     fft_inplace,
     l2_norm,
     lp_norm,
-    power_l2_norm,
+    power_sum_norm,
 )
 
 VARIANTS = ("mask_then_D", "D_then_mask", "weight_product")
@@ -147,16 +153,23 @@ def lqa_shell_terms(
     weight_product :  || |D|^s (|x|^a Q_k f) ||_{L^p}
 
     At p = 2 the last two take each term from the forward transform of the
-    weighted field alone (Plancherel), run only on the lines that meet the
-    shell's cube; mask_then_D applies its mask after |D|^s
-    and shares one transform pair across all shells instead.
+    weighted field alone (Plancherel), as one weighted power sum
+    sum w |v^|^2 (``spectral.power_sum_norm``).  The weighted field
+    vanishes off its shell's cube of m points per axis.  Where the
+    smallest power of two P >= 2 m - 1 is below the grid's N, the cube is
+    moved to the origin of a P^n torus and transformed there, under the
+    cached torus weight of ``_torus_weight``; otherwise it is transformed
+    on the grid, only on the lines its cube meets, under w = |xi|^(2s).
+    mask_then_D applies its mask after |D|^s and shares one transform
+    pair across all shells instead.
 
     The masks and weights on their shells' cubes, |xi|^s, one complex
-    work buffer and, at p = 2, one real one are built once per call.  The
-    fields are drawn one at a time, and each field is dropped before the
-    next is drawn, so a generator of fields is never held in full.  A shell whose
-    mask has no nonzero sample, and every shell of a field with no
-    nonzero sample, gives exactly 0.0 and runs no transform.
+    work buffer and, at p = 2, one complex buffer per torus are built once
+    per call.  The fields are drawn one at a time, and each field is
+    dropped before the next is drawn, so a generator of fields is never
+    held in full.  A shell whose mask has no nonzero sample, and every
+    shell of a field with no nonzero sample, gives exactly 0.0 and runs no
+    transform.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
@@ -174,17 +187,41 @@ def _shell_terms_on(
     grid: Grid, decomp: DyadicDecomposition, spec: NormSpec, variant: str, p: float
 ) -> Callable[[Field], dict[int, float]]:
     """The per-field shell terms of ``lqa_shell_terms``, with the masks,
-    weights, |xi|^s and work buffers of the grid built once;
-    every term overwrites the complex buffer, with its embedded masked
-    field or, at p = 2, its pruned spectrum."""
+    weights, |xi|^s and work buffers of the grid built once; every term
+    overwrites its buffer, the complex grid buffer or, at p = 2, the torus
+    buffer of its shell."""
     masks = {k: spatial_mask(grid, k) for k in decomp.shells}
-    sym = abs_freq_power(grid, spec.s)
     live = [k for k in decomp.shells if masks[k].values.any()]
     weights = {k: weight_product_mask(grid, k, spec.a) if variant == "weight_product"
                else masks[k] for k in live}
-    work = np.empty(grid.shape, dtype=complex)
     plancherel = p == 2 and variant != "mask_then_D"
-    power = np.empty(grid.shape) if plancherel else None
+    # the torus weights first: a first build's temporaries then do not
+    # stack on the grid buffers
+    on_torus = {}
+    if plancherel:
+        for k in live:
+            [box] = weights[k].blocks
+            width = box.stop - box.start
+            torus = _torus_points(width)
+            if torus < grid.points_per_axis:
+                # the cube moved to the torus's origin, where no difference
+                # of two of its points wraps around
+                on_torus[k] = (_torus_weight(*astuple(grid), spec.s, width),
+                               np.empty((torus,) * grid.dim, dtype=complex),
+                               ShellMask(weights[k].values, (slice(0, width),)),
+                               (box,) * grid.dim)
+    sym = abs_freq_power(grid, spec.s)
+    if plancherel:
+        np.square(sym, out=sym)  # the grid weight |xi|^(2s)
+    work = np.empty(grid.shape, dtype=complex)
+
+    def plancherel_term(f: Field, k: int) -> float:
+        if k not in on_torus:
+            mask = weights[k]
+            spectrum = boxed_fft_inplace(mask.times(f.values, work), mask.blocks)
+            return power_sum_norm(spectrum, grid, sym)
+        weight, buf, at_origin, cube = on_torus[k]
+        return power_sum_norm(fft_inplace(at_origin.times(f.values[cube], buf)), grid, weight)
 
     def terms_of(f: Field) -> dict[int, float]:
         terms = dict.fromkeys(decomp.shells, 0.0)
@@ -197,15 +234,48 @@ def _shell_terms_on(
             return terms
         for k in live:
             if plancherel:
-                boxed_fft_inplace(weights[k].times(f.values, work), weights[k].blocks)
-                np.multiply(work, sym, out=work)
-                np.abs(work, out=power)
-                terms[k] = power_l2_norm(np.square(power, out=power), grid)
+                terms[k] = plancherel_term(f, k)
             else:
                 weighted = Field(grid, weights[k].times(f.values, work))
                 terms[k] = lp_norm(apply_multiplier(weighted, sym), p)
         return terms
     return terms_of
+
+
+def _torus_points(width: int) -> int:
+    """The smallest power of two P >= 2 width - 1: on a torus of P points
+    per axis no difference of two points of a cube of ``width`` wraps."""
+    return 1 << (2 * width - 2).bit_length()
+
+
+@lru_cache(maxsize=16)
+def _torus_weight(dim: int, half_width: float, points: int, s: float, width: int) -> np.ndarray:
+    """(N/P)^n K_P, the weight that sums the p = 2 |D|^s term of a field
+    vanishing off a cube of ``width`` points per axis on the P^n torus,
+    P = ``_torus_points(width)``, with the field's cube at the torus's
+    origin:
+
+        sum_xi sigma(xi) |fft_N v(xi)|^2 = (N/P)^n sum_eta K_P(eta) |fft_P v_P(eta)|^2
+
+    for sigma = |xi|^(2s) on the grid of this value.  K_P is the transform
+    on the torus of the kernel ifft(sigma) restricted to the lags
+    |d_j| <= width - 1 and wrapped onto the torus; the identity is exact,
+    because no lag of two cube points wraps there (linear convolution by a
+    DFT, Oppenheim & Schafer, Discrete-Time Signal Processing, 3rd ed.,
+    sec. 8.7).  The kernel is read off by the output-pruned inverse on
+    those lags.  Read-only, at most (N/2)^n floats: the 16 entries hold at
+    most 4 MiB at 64^3, and no grid instance."""
+    torus = _torus_points(width)
+    sigma = abs_freq_power(Grid(dim, half_width, points), s)
+    kernel = np.square(sigma, out=sigma).astype(complex)
+    del sigma
+    boxed_ifft_inplace(kernel, band_blocks(points, width - 1))
+    lags = np.arange(1 - width, width)
+    wrapped = np.zeros((torus,) * dim, dtype=complex)
+    wrapped[np.ix_(*[lags % torus] * dim)] = kernel[np.ix_(*[lags % points] * dim)]
+    weight = fft_inplace(wrapped).real * (points / torus) ** dim  # a power of two: exact
+    weight.flags.writeable = False
+    return weight
 
 
 def _shell_weight(spec: NormSpec, variant: str) -> float:

@@ -11,8 +11,11 @@ the pruned transforms, which run the axis passes only on the lines the
 data needs: ``boxed_fft_inplace`` and ``banded_ifft_inplace`` when the
 array vanishes off the blocks, as a masked field, a frequency shell or a
 synthesized ensemble field does, and ``boxed_ifft_inplace`` when only the
-values on the blocks are kept.  Norms of a held spectrum go
-through ``spectrum_l2_norm``, or ``power_l2_norm`` of its squared moduli.
+values on the blocks are kept.  Every Plancherel norm, of a held
+spectrum (``spectrum_l2_norm``) or of a spectrum under a weight such as
+|xi|^(2s) (a shell term of ``norms``), is the one weighted power sum
+``power_sum_norm``: one ``np.einsum`` pass over each part, with no
+|spectrum|^2 array.
 The homogeneous multiplier |D|^s is singular at xi = 0, and the zero mode
 is always annihilated.  Mean-zero periodic data is the desk-scale
 surrogate for Schwartz data on R^n, so this convention is used by every
@@ -154,13 +157,29 @@ def fft_inplace(values: np.ndarray) -> np.ndarray:
 def spectrum_l2_norm(spec: Field) -> float:
     """|| ifft(spec) ||_{L^2} by Plancherel, for ``spec.values`` holding the
     forward transform of a field."""
-    return power_l2_norm(np.abs(spec.values) ** 2, spec.grid)
+    return power_sum_norm(spec.values, spec.grid)
 
 
-def power_l2_norm(power: np.ndarray, grid: Grid) -> float:
-    """|| ifft(spec) ||_{L^2} by Plancherel, from ``power`` = |spec|^2 on
-    the grid's frequency lattice."""
-    return float(np.sqrt(np.sum(power) * grid.cell_volume / grid.size))
+def power_sum_norm(spectrum: np.ndarray, grid: Grid, weight: np.ndarray | None = None) -> float:
+    """(sum weight |spectrum|^2 dV / N^n)^(1/2) with the grid's cell volume
+    dV, unit weight by default: by Plancherel the L^2 norm of
+    ifft(sqrt(weight) spectrum) when ``spectrum`` is the forward transform
+    of a field on the grid.  A spectrum on another lattice, such as a
+    smaller torus, is summed the same way once ``weight`` carries the
+    factor that turns its sum into the grid's.
+
+    The sum is one ``np.einsum`` pass over each of the flat real and
+    imaginary views of ``spectrum``: no |spectrum|^2 array, no temporary
+    and no BLAS call (a threaded BLAS would make the sum depend on the
+    thread count).
+    """
+    flat = spectrum.reshape(-1)
+    if weight is None:
+        total = sum(np.einsum("i,i->", part, part) for part in (flat.real, flat.imag))
+    else:
+        w = weight.reshape(-1)
+        total = sum(np.einsum("i,i,i->", w, part, part) for part in (flat.real, flat.imag))
+    return math.sqrt(total * grid.cell_volume / grid.size)
 
 
 def abs_freq_power(grid: Grid, s: float) -> np.ndarray:

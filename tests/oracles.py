@@ -6,8 +6,8 @@ coordinates, lattice plane waves, the L^2 inner product, the
 Morrey-Campanato local energy, the one-sided geometric edge value of the discrete kernel, the
 boundary-shell share of a shell norm, the Riesz transforms (whose identities pin the zero-mode convention of the
 multiplier pathway), the fractional Laplacian as a transform pair, the
-smooth step evaluated on the whole line and the shell masks evaluated on
-the whole grid.
+p = 2 shell term as a dense Plancherel sum, the smooth step evaluated on
+the whole line and the shell masks evaluated on the whole grid.
 """
 
 from __future__ import annotations
@@ -103,6 +103,18 @@ def riesz_transform(f: Field, axis: int) -> Field:
 def fractional_laplacian(f: Field, s: float) -> Field:
     """|D|^s f: Fourier coefficients scaled by |xi|^s, zero mode dropped."""
     return apply_multiplier(f, abs_freq_power(f.grid, s))
+
+
+def dense_shell_term(f: Field, weight: np.ndarray, s: float) -> float:
+    """|| |D|^s (weight f) ||_{L^2}: numpy's full ``fftn`` of the dense
+    masked field, its squared moduli times |xi|^(2s) (zero mode dropped)
+    summed with ``math.fsum``."""
+    grid = f.grid
+    r = grid.freq_radius
+    sigma = np.zeros(grid.shape)
+    sigma[r > 0] = r[r > 0] ** (2 * s)
+    power = sigma * np.abs(np.fft.fftn(weight * f.values)) ** 2
+    return math.sqrt(math.fsum(power.ravel()) * grid.cell_volume / grid.size)
 
 
 def _mollifier(t: np.ndarray) -> np.ndarray:

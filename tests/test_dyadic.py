@@ -21,7 +21,7 @@ from smoothlab.dyadic import (
     smooth_step,
     spatial_mask,
 )
-from smoothlab.grid import Grid
+from smoothlab.grid import Field, Grid
 
 
 class TestBumpProfile:
@@ -270,7 +270,8 @@ class TestMaskCache:
         assert peak < 2**19
         assert q.values.shape == (7, 7, 7)
 
-    @pytest.mark.parametrize("fetch", ["spatial_mask", "frequency_mask", "annulus_sup"])
+    @pytest.mark.parametrize("fetch", ["spatial_mask", "frequency_mask", "annulus_sup",
+                                       "torus_weight"])
     def test_a_fetch_keeps_no_grid_alive(self, fetch):
         # the caches are keyed by the grid's value, so a grid and the
         # coordinate arrays it caches go when its last user drops it
@@ -279,9 +280,17 @@ class TestMaskCache:
 
         dyadic._cached_masks.cache_clear()  # a miss: the fetch stores an entry
         norms._annulus_mask.cache_clear()
+        norms._torus_weight.cache_clear()
         grid = Grid(3, 8.0, 16)
         if fetch == "annulus_sup":
             norms.annulus_sup(np.ones(grid.shape), grid, 0)
+        elif fetch == "torus_weight":
+            # the 3-point cube of shell 0 is summed on the 8^3 torus
+            ones = Field(grid, np.ones(grid.shape))
+            norms.lqa_shell_terms((ones,), DyadicDecomposition(0, 1), norms.NormSpec(2, 0.5, 0.5),
+                                  "D_then_mask", 2)
+            assert norms._torus_weight.cache_info().currsize == 1
+            del ones
         else:
             getattr(dyadic, fetch)(grid, 0)
         ref = weakref.ref(grid)

@@ -18,7 +18,8 @@ only tests call live in ``tests/oracles.py``), and every suite runner takes
 the config alone.  Every dyadic shell sum is assembled by
 ``dyadic.seq_norm``: no module reduces a comprehension over a shell range
 with ``sum``, ``max`` or ``min``.  The only process-lifetime caches are the
-two mask caches, neither keyed by a ``Grid`` instance, and ``CommutatorOp`` builds its masks and symbols in one
+two mask caches and the bounded torus-weight cache of the p = 2 shell
+terms, none keyed by a ``Grid`` instance, and ``CommutatorOp`` builds its masks and symbols in one
 cached property instead of once per matvec.  Every optional parameter of a
 public function or method is set by some call in ``src/`` or ``bench/``
 and left at its default by another, apart from the few seams listed in
@@ -230,13 +231,14 @@ def test_only_dyadic_decides_where_a_mask_can_be_nonzero():
 def test_lru_caches_are_the_two_mask_caches():
     # memoizing a per-grid symbol for the life of the process raised the
     # main-estimate peak RSS beyond its 5 % bound; a bounded or per-run
-    # cache edits this set on purpose
+    # cache edits this set on purpose: the torus weights of the p = 2
+    # shell terms hold at most 16 arrays of (N/2)^n floats, 4 MiB at 64^3
     cached = {
         f"{path.stem}.{name}"
         for path in MODULES
         for name in _cache_decorated(ast.parse(path.read_text()))
     }
-    assert cached == {"dyadic._cached_masks", "norms._annulus_mask"}
+    assert cached == {"dyadic._cached_masks", "norms._annulus_mask", "norms._torus_weight"}
 
 
 def test_no_cache_is_keyed_by_a_grid():

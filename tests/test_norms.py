@@ -38,7 +38,6 @@ from smoothlab.spectral import (
     boxed_fft_inplace,
     lp_norm,
     mean_zero,
-    multiplier_l2_norm,
     spectrum_l2_norm,
 )
 
@@ -223,40 +222,67 @@ class TestWeightedShellNorms:
     @pytest.mark.parametrize("p", [2, 4])
     @pytest.mark.parametrize("variant", ["D_then_mask", "weight_product"])
     def test_shell_terms_equal_separate_loops(self, grid32, variant, p):
-        # one loop per variant, as written before the two were merged
+        # one loop per variant, as written before the two were merged; at
+        # p = 2 a term is one weighted power sum, on a torus for a small
+        # cube, which rounds differently from the dense Plancherel sum
         dec = DyadicDecomposition(-2, 3)
         spec = NormSpec(2, 0.5, 0.5)
         f = band_limited_field(grid32, member_rng(3, 1))
         sym = abs_freq_power(grid32, spec.s)
 
-        def norm(loc):
-            # at p = 2 a term is the Plancherel norm of the masked field
+        def norm(w):
             if p == 2:
-                return multiplier_l2_norm(loc, sym)
-            return lp_norm(apply_multiplier(loc, sym), p)
+                return oracles.dense_shell_term(f, w, spec.s)
+            return lp_norm(apply_multiplier(Field(grid32, w * f.values), sym), p)
 
         expected = {}
         if variant == "D_then_mask":
             for k in dec.shells:
-                loc = Field(grid32, oracles.spatial_mask(grid32, k) * f.values)
-                expected[k] = norm(loc)
+                expected[k] = norm(oracles.spatial_mask(grid32, k))
         else:
             for k in dec.shells:
-                w = oracles.weight_product_mask(grid32, k, spec.a)
-                loc = Field(grid32, w * f.values)
-                expected[k] = norm(loc)
-        assert lqa_shell_terms((f,), dec, spec, variant, p) == [expected]
+                expected[k] = norm(oracles.weight_product_mask(grid32, k, spec.a))
+        [terms] = lqa_shell_terms((f,), dec, spec, variant, p)
+        if p == 2:
+            assert terms.keys() == expected.keys()
+            assert all(math.isclose(terms[k], expected[k], rel_tol=1e-13) for k in dec.shells)
+        else:
+            assert terms == expected
+
+    @pytest.mark.parametrize("variant", ["D_then_mask", "weight_product"])
+    @pytest.mark.parametrize("grid", [Grid(3, 8.0, 16), Grid(3, 8.0, 32), Grid(3, 8.0, 64),
+                                      Grid(2, 8.0, 32), Grid(1, 8.0, 256)],
+                             ids=["16^3", "32^3", "64^3", "32^2", "256"])
+    @pytest.mark.parametrize("s", [-1, -0.5, 0, 0.5, 1])
+    def test_p2_terms_equal_the_dense_plancherel_sum(self, grid, s, variant):
+        # every shell from below the grid spacing to past the box: a cube
+        # whose torus of 2^ceil(log2(2 m - 1)) points is smaller than the
+        # grid is summed there, the others on the grid
+        dec = DyadicDecomposition(-4, 5)
+        spec = NormSpec(2, 0.5, s)
+        f = band_limited_field(grid, member_rng(3, 13))
+        widths = [b.stop - b.start for k in dec.shells for b in spatial_mask(grid, k).blocks]
+        sides = {2 ** math.ceil(math.log2(2 * m - 1)) < grid.points_per_axis for m in widths}
+        assert sides == {True, False}
+        [terms] = lqa_shell_terms((f,), dec, spec, variant, 2)
+        for k in dec.shells:
+            w = (oracles.spatial_mask(grid, k) if variant == "D_then_mask"
+                 else oracles.weight_product_mask(grid, k, spec.a))
+            assert math.isclose(terms[k], oracles.dense_shell_term(f, w, s), rel_tol=1e-13), k
 
     @pytest.mark.parametrize("variant", ["D_then_mask", "weight_product"])
     def test_p2_terms_forward_transform_only(self, grid32, variant, fft_calls):
         dec = DyadicDecomposition(-2, 3)
         spec = NormSpec(2, 0.5, 0.5)
         f = band_limited_field(grid32, member_rng(3, 2))
+        lqa_shell_terms((f,), dec, spec, variant, 2)  # the torus weights cached
         fft_calls.clear()
         [terms] = lqa_shell_terms((f,), dec, spec, variant, 2)
-        # every shell is transformed axis by axis on the lines its cube
-        # meets, except shell -2, which holds no grid point at 32^3
-        assert fft_calls == PRUNED_PASSES * (len(dec.shells) - 1)
+        # shell -2 holds no grid point at 32^3 and runs no transform; the
+        # cubes of shells -1 and 0 (3 and 7 points) are transformed whole
+        # on the 8^3 and 16^3 tori, and the other shells axis by axis on
+        # the lines of the grid their cubes meet
+        assert fft_calls == ["fftn", "fftn"] + PRUNED_PASSES * (len(dec.shells) - 3)
         sym = abs_freq_power(grid32, spec.s)
         for k in dec.shells:
             w = (oracles.spatial_mask(grid32, k) if variant == "D_then_mask"
@@ -338,10 +364,12 @@ class TestWeightedShellNorms:
         assert fft_calls == []
 
     def test_p2_terms_allocate_their_buffers_once(self, grid32):
-        # six live shells and three fields: past the |xi|^s symbol the call
-        # builds, the terms hold one complex and one real grid buffer, plus
-        # the operand buffers of numpy's buffered (casting) ufunc loop; one
-        # fresh spectrum per shell term, as before, exceeds the bound
+        # six live shells and three fields: past the |xi|^(2s) weight the
+        # call builds, the terms hold one complex grid buffer and one
+        # complex buffer per torus, of (N/2)^n points at most (the 3- and
+        # 7-point cubes of shells -1 and 0), plus the operand buffers of
+        # numpy's buffered (casting) ufunc loop; one fresh spectrum per
+        # shell term, as before, exceeds the bound
         dec = DyadicDecomposition(-1, 4)
         spec = NormSpec(2, 0.5, 0.5)
         assert all(spatial_mask(grid32, k).values.any() for k in dec.shells)
@@ -356,8 +384,8 @@ class TestWeightedShellNorms:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        symbol, spectrum, power = grid_bytes, 2 * grid_bytes, grid_bytes
-        assert peak - start <= symbol + spectrum + power + ufunc_buffers + 32 * 1024
+        symbol, spectrum, tori = grid_bytes, 2 * grid_bytes, 2 * (2 * grid_bytes // 2**grid32.dim)
+        assert peak - start <= symbol + spectrum + tori + ufunc_buffers + 32 * 1024
 
     def test_tail_fraction_small_for_windowed_data(self, grid32):
         dec = DyadicDecomposition(-2, 3)
@@ -535,19 +563,21 @@ class TestPhaseLocalization:
         space = DyadicDecomposition(-2, 3)
         freq = DyadicDecomposition(-2, 2)
         f = band_limited_field(grid32, member_rng(7, 3))
+        phase_localized_norm(f, space, freq, NormSpec(2, 0.5, 0.5))  # torus weights cached
         fft_calls.clear()
         phase_localized_norm(f, space, freq, NormSpec(2, 0.5, 0.5))
         # one forward transform of f; per frequency shell the inverse passes
         # on the lines of its band (|j| <= 1, 2, 5 and 10 take 4, 2 and 1
         # calls for axes 0, 1 and 2; the band of shell 2 covers the 32-point
         # axis and takes one full pass per axis), then the Plancherel norm
-        # of each masked spatial shell from its forward transform, run axis
-        # by axis on the lines the shell's cube meets; spatial shell -2
-        # holds no grid point at 32^3 and runs none
+        # of each masked spatial shell from its forward transform: whole on
+        # the 8^3 and 16^3 tori of the 3- and 7-point cubes of shells -1
+        # and 0, and axis by axis on the lines of the grid the other cubes
+        # meet; spatial shell -2 holds no grid point at 32^3 and runs none
         banded = [f"ifftn(axes=({ax},))" for ax, calls in enumerate([4, 2, 1])
                   for _ in range(calls)]
         full = [f"ifftn(axes=({ax},))" for ax in range(3)]
-        spatial = PRUNED_PASSES * (len(space.shells) - 1)
+        spatial = ["fftn", "fftn"] + PRUNED_PASSES * (len(space.shells) - 3)
         assert fft_calls == ["fftn"] + (banded + spatial) * 4 + full + spatial
 
 
