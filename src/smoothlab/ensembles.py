@@ -7,8 +7,9 @@ field at every refinement level; refinement drift then measures
 discretization, not ensemble churn.  The field is synthesized by
 ``spectral.banded_ifft_inplace``, which inverts the spectrum only on the
 lines that the coefficient cube meets: its wrapped band of FFT indices,
-laid out by ``dyadic.band_blocks`` as a frequency shell's band is.  Seeds
-are recorded in every report.
+laid out by ``dyadic.band_blocks`` as a frequency shell's band is.  A
+space-time member is written in place, profile by profile and slice by
+slice, into one preallocated stack.  Seeds are recorded in every report.
 """
 
 from __future__ import annotations
@@ -112,5 +113,7 @@ def band_limited_spacetime(
     vals = np.zeros((len(times),) + grid.shape, dtype=np.complex128)
     for om, th, prof in zip(omegas, thetas, profiles):
         envelope = np.exp(1j * (om * times + th))
-        vals += envelope[(...,) + (None,) * grid.dim] * prof.values
-    return SpaceTimeField(grid, times, amplitude * vals)
+        for slot, e in zip(vals, envelope):
+            slot += e * prof.values
+    vals *= amplitude
+    return SpaceTimeField(grid, times, vals)

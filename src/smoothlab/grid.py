@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable, Sequence
+
 import numpy as np
 from scipy import fft as _fft
 
@@ -143,6 +145,20 @@ class SpaceTimeField:
                 f"({len(self.times)},) + {self.grid.shape}"
             )
 
+    @classmethod
+    def from_slices(
+        cls, grid: Grid, times: Sequence[float], slices: Iterable[Field]
+    ) -> "SpaceTimeField":
+        """The field whose j-th slice is the j-th field of ``slices``, each
+        written into its slot of one preallocated stack as it arrives and
+        dropped before the next is made."""
+        times = np.asarray(times, dtype=float)
+        values = np.empty((len(times),) + grid.shape, dtype=np.complex128)
+        slices = iter(slices)
+        for slot in values:
+            slot[...] = next(slices).values
+        return cls(grid, times, values)
+
     @property
     def n_times(self) -> int:
         return len(self.times)
@@ -153,9 +169,6 @@ class SpaceTimeField:
     def slices(self):
         for j in range(self.n_times):
             yield self.slice(j)
-
-    def __add__(self, other: "SpaceTimeField") -> "SpaceTimeField":
-        return SpaceTimeField(self.grid, self.times, self.values + other.values)
 
     def __sub__(self, other: "SpaceTimeField") -> "SpaceTimeField":
         return SpaceTimeField(self.grid, self.times, self.values - other.values)

@@ -13,6 +13,11 @@ exact spectral step and degenerates to the free march when the potential
 vanishes, so the consistency ladder holds to rounding.  The potential is
 static, the same A at every time.  Every transform goes through the
 multipliers of ``spectral``.
+
+Each solution is one preallocated ``(n_times, N^n)`` stack, written in
+place: a march overwrites its one state array step by step and copies it
+into its slot at every output time, and the free flow writes each slice
+as its inverse transform is made.  No list of slices is stacked after.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .dyadic import DyadicDecomposition, bump
 from .grid import Field, Grid, SpaceTimeField
 from .norms import annulus_sup
 from .spectral import (
-    apply_multiplier,
+    apply_multiplier_inplace,
     apply_multipliers,
     derivative,
     gradient,
@@ -92,7 +97,8 @@ def bump_potential(grid: Grid, amplitude: float, shell: int) -> MagneticPotentia
 
 
 def _free_symbol(grid: Grid, t: float) -> np.ndarray:
-    return np.exp(-1j * t * grid.freq_radius**2)
+    phase = -1j * t * grid.freq_radius**2
+    return np.exp(phase, out=phase)
 
 
 def free_evolution(f: Field, times: Sequence[float]) -> SpaceTimeField:
@@ -100,8 +106,7 @@ def free_evolution(f: Field, times: Sequence[float]) -> SpaceTimeField:
     transform."""
     times = np.asarray(times, dtype=float)
     symbols = (_free_symbol(f.grid, t) for t in times)
-    vals = np.stack([g.values for g in apply_multipliers(f, symbols)])
-    return SpaceTimeField(f.grid, times, vals)
+    return SpaceTimeField.from_slices(f.grid, times, apply_multipliers(f, symbols))
 
 
 def _sample_forcing(F: SpaceTimeField | None, grid: Grid, t: float) -> np.ndarray:
@@ -121,29 +126,32 @@ def _sample_forcing(F: SpaceTimeField | None, grid: Grid, t: float) -> np.ndarra
 
 def _march(
     grid: Grid,
-    u0: np.ndarray,
+    u: np.ndarray,
     t0: float,
     t_out: np.ndarray,
-    advance: Callable[[np.ndarray, float, float], np.ndarray],
+    advance: Callable[[np.ndarray, float, float], None],
     extra_nodes: Sequence[float] = (),
 ) -> SpaceTimeField:
-    """March u0 from t0 through the sorted union of the output times and
-    ``extra_nodes`` with ``advance(u, a, b)``, keeping the state at every
-    output time.  Nodes are rounded to 15 decimals so that output times
-    and coinciding extra nodes land on one key."""
+    """March the state u from t0 through the sorted union of the output
+    times and ``extra_nodes``, keeping the state at every output time in
+    its slot of one preallocated stack.  ``advance(u, a, b)`` overwrites
+    the state at a with the state at b, so u is the march's own complex
+    array.  Nodes are rounded to 15 decimals so that output times and
+    coinciding extra nodes land on one key."""
     t_out = np.asarray(t_out, dtype=float)
-    want = set(np.round(t_out, 15))
+    keys = np.round(t_out, 15)
+    want = set(keys)
     nodes = want | {round(t0, 15)} | {round(t, 15) for t in extra_nodes}
     nodes = sorted(t for t in nodes if t0 <= t <= max(want))
-    u = np.array(u0, dtype=np.complex128)
-    out: dict[float, np.ndarray] = {}
+    if not want <= set(nodes):
+        raise ValueError(f"output times before the start time {t0}")
+    vals = np.empty((len(t_out),) + grid.shape, dtype=np.complex128)
     if nodes[0] in want:
-        out[nodes[0]] = u.copy()
+        vals[keys == nodes[0]] = u
     for a, b in zip(nodes[:-1], nodes[1:]):
-        u = advance(u, a, b)
+        advance(u, a, b)
         if b in want:
-            out[b] = u.copy()
-    vals = np.stack([out[t] for t in np.round(t_out, 15)])
+            vals[keys == b] = u
     return SpaceTimeField(grid, t_out, vals)
 
 
@@ -156,16 +164,21 @@ def _march_free_forced(
 ) -> SpaceTimeField:
     """Exact free propagation with trapezoid forcing on the union grid of
     the forcing samples and the output times (telescopes to the global
-    trapezoid Duhamel quadrature)."""
+    trapezoid Duhamel quadrature).  A step holds one work array besides
+    the state u, which it overwrites, and the free symbol."""
     last_h, sym = None, None  # the free symbol of the latest step length
 
-    def advance(u: np.ndarray, a: float, b: float) -> np.ndarray:
+    def advance(u: np.ndarray, a: float, b: float) -> None:
         nonlocal last_h, sym
         h = b - a
         if h != last_h:
             last_h, sym = h, _free_symbol(grid, h)
-        f_a, f_b = _sample_forcing(F, grid, a), _sample_forcing(F, grid, b)
-        return apply_multiplier(Field(grid, u + 0.5 * h * f_a), sym).values + 0.5 * h * f_b
+        # u_b = S_h (u_a + h/2 F_a) + h/2 F_b, each sum taken in place
+        work = 0.5 * h * _sample_forcing(F, grid, a)
+        work += u
+        apply_multiplier_inplace(work, sym)
+        np.multiply(0.5 * h, _sample_forcing(F, grid, b), out=u)
+        u += work
 
     return _march(grid, u0, t0, t_out, advance, () if F is None else F.times)
 
@@ -182,7 +195,7 @@ def duhamel(F: SpaceTimeField, t_out: Sequence[float]) -> SpaceTimeField:
             f"output times [{t_out.min()}, {t_out.max()}] outside forcing span "
             f"[{F.times[0]}, {F.times[-1]}]"
         )
-    heaviest = int(np.argmax(np.abs(F.values).reshape(F.n_times, -1).max(axis=1)))
+    heaviest = int(np.argmax([np.abs(s).max() for s in F.values]))
     warn_if_boundary_heavy(F.slice(heaviest), "duhamel forcing")
     zero = np.zeros(F.grid.shape, dtype=np.complex128)
     return _march_free_forced(F.grid, zero, F, float(F.times[0]), t_out)
@@ -248,13 +261,17 @@ def _local_rhs(
     grid: Grid,
     u: np.ndarray,
     comps: dict[int, np.ndarray],
-    w_vals: np.ndarray,
+    iw: np.ndarray,
     f_vals: np.ndarray,
 ) -> np.ndarray:
     """i times the non-Laplacian part of Lap_A, plus forcing:
-    2 div(A u) - i W u + F, over the non-zero components ``comps``."""
-    div = _divergence(grid, {j: c * u for j, c in comps.items()})
-    return 2.0 * div - 1j * w_vals * u + f_vals
+    2 div(A u) - i W u + F, over the non-zero components ``comps``, with
+    ``iw`` = i W; the terms are combined in place in that order."""
+    rhs = _divergence(grid, {j: c * u for j, c in comps.items()})
+    rhs *= 2.0
+    rhs -= iw * u
+    rhs += f_vals
+    return rhs
 
 
 def magnetic_solve(
@@ -281,30 +298,33 @@ def magnetic_solve(
         raise ValueError("output times must be >= 0")
     warn_if_boundary_heavy(f, "magnetic_solve initial data")
     if A.is_zero():
-        return _march_free_forced(grid, f.values, F, 0.0, t_out)
+        return _march_free_forced(grid, f.values.copy(), F, 0.0, t_out)
     if dt is None:
         dt = 0.5 * grid.spacing**2
 
     comps = _nonzero_components(A.components)
-    w = effective_scalar_potential(A)
+    iw = np.multiply(1j, effective_scalar_potential(A))
 
-    def local_half(u: np.ndarray, t_a: float, t_b: float) -> np.ndarray:
+    def local_half(u: np.ndarray, t_a: float, t_b: float) -> None:
+        # overwrites u with one midpoint-rule step of the local terms
         tau = t_b - t_a
-        f_a = _sample_forcing(F, grid, t_a)
+        mid = _local_rhs(grid, u, comps, iw, _sample_forcing(F, grid, t_a))
+        mid *= 0.5 * tau
+        mid += u
         f_mid = _sample_forcing(F, grid, 0.5 * (t_a + t_b))
-        mid = u + 0.5 * tau * _local_rhs(grid, u, comps, w, f_a)
-        out = u + tau * _local_rhs(grid, mid, comps, w, f_mid)
+        step = _local_rhs(grid, mid, comps, iw, f_mid)
+        step *= tau
         scale = l2_norm(Field(grid, u)) + 2.0 * tau * l2_norm(Field(grid, f_mid))
-        if scale > 0 and l2_norm(Field(grid, out)) > (1.0 + GROWTH_BUDGET) * scale:
+        u += step
+        if scale > 0 and l2_norm(Field(grid, u)) > (1.0 + GROWTH_BUDGET) * scale:
             raise StabilityError(
                 f"local stage grew beyond {1 + GROWTH_BUDGET:.2f}x during "
                 f"[{t_a:.6g}, {t_b:.6g}]; reduce the step size"
             )
-        return out
 
     last_h, sym = None, None  # the free symbol of the latest step length
 
-    def advance(u: np.ndarray, a: float, b: float) -> np.ndarray:
+    def advance(u: np.ndarray, a: float, b: float) -> None:
         nonlocal last_h, sym
         n_steps = max(1, math.ceil((b - a) / dt - 1e-12))
         h = (b - a) / n_steps
@@ -312,10 +332,9 @@ def magnetic_solve(
             last_h, sym = h, _free_symbol(grid, h)
         t = a
         for _ in range(n_steps):
-            u = local_half(u, t, t + 0.5 * h)
-            u = apply_multiplier(Field(grid, u), sym).values
-            u = local_half(u, t + 0.5 * h, t + h)
+            local_half(u, t, t + 0.5 * h)
+            apply_multiplier_inplace(u, sym)
+            local_half(u, t + 0.5 * h, t + h)
             t += h
-        return u
 
-    return _march(grid, f.values, 0.0, t_out, advance)
+    return _march(grid, f.values.copy(), 0.0, t_out, advance)

@@ -69,11 +69,11 @@ def nonlinearity(u: SpaceTimeField, V: SemilinearPotential, p: float) -> SpaceTi
     """Pointwise V u |u|^(p-1); the power is extended by 0 at u = 0."""
     if not p > 1:
         raise ValueError(f"power p must exceed 1, got {p}")
-    p = float(p)
-    mag = np.abs(u.values)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        amp = np.where(mag > 0, mag ** (p - 1.0), 0.0)
-    return SpaceTimeField(u.grid, u.times, V.values * u.values * amp)
+    amp = np.abs(u.values)
+    amp **= float(p) - 1.0  # 0 ** (p - 1) is 0 for p > 1
+    vals = V.values * u.values
+    vals *= amp
+    return SpaceTimeField(u.grid, u.times, vals)
 
 
 def contraction_norm(u: SpaceTimeField, decomp: DyadicDecomposition) -> float:

@@ -2,7 +2,8 @@
 transform.
 
 Every Fourier multiplier in the package goes through ``apply_multiplier``
-or ``apply_multipliers``, and the L^2 norm of a multiplied field through
+(or ``apply_multiplier_inplace`` on an array the caller owns) or
+``apply_multipliers``, and the L^2 norm of a multiplied field through
 ``multiplier_l2_norm``, which by Plancherel reads it off the forward
 transform alone.  A loop that owns its buffer transforms it in place: with
 ``fft_inplace``, and, where a shell mask leaves the data zero or unused off
@@ -68,17 +69,33 @@ def warn_if_boundary_heavy(f: Field, context: str) -> None:
 
 
 def apply_multiplier(f: Field, symbol: np.ndarray) -> Field:
-    return Field(f.grid, _ifftn(symbol * _fftn(f.values)))
+    return Field(f.grid, apply_multiplier_inplace(f.values.copy(), symbol))
+
+
+def apply_multiplier_inplace(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Overwrite a complex array with ifft(symbol * fft(values)), with no
+    second array; returns it.
+
+    The product is spectrum times symbol, the order numpy itself takes for
+    ``symbol * fftn(values)`` once the spectrum has 256 KiB or more (it
+    multiplies the temporary in place).  Complex products are not bitwise
+    commutative: numpy's SIMD loop fuses one of the two cross products of
+    the imaginary part.
+    """
+    np.multiply(fft_inplace(values), symbol, out=values)
+    return _in_place(_ifftn, values)
 
 
 def apply_multipliers(f: Field, symbols: Iterable[np.ndarray]) -> Iterator[Field]:
     """f under each symbol in turn, from one forward transform.
 
-    Each inverse transform runs only when its result is asked for, so a
-    caller that uses the results one by one holds one of them at a time."""
+    Each inverse transform runs only when its result is asked for, and a
+    symbol is dropped before the next one is made, so a caller that uses
+    the results one by one holds one of each at a time."""
     spec = _fftn(f.values)
     for symbol in symbols:
         yield Field(f.grid, _in_place(_ifftn, symbol * spec))
+        del symbol
 
 
 def multiplier_l2_norm(f: Field, symbol: np.ndarray) -> float:
@@ -205,17 +222,21 @@ def derivative(f: Field, axis: int) -> Field:
     return apply_multiplier(f, 1j * grid.freq_coord(axis))
 
 
-def gradient(f: Field) -> tuple[Field, ...]:
-    """All n spectral partial derivatives from one forward transform."""
+def gradient(f: Field) -> Iterator[Field]:
+    """The n spectral partial derivatives in turn, from one forward
+    transform, each inverse run when its partial is asked for."""
     grid = f.grid
-    return tuple(apply_multipliers(f, (1j * grid.freq_coord(j) for j in range(grid.dim))))
+    return apply_multipliers(f, (1j * grid.freq_coord(j) for j in range(grid.dim)))
 
 
 def gradient_magnitude(f: Field) -> Field:
+    """|grad f|, summing |d_j f|^2 over the axes in turn with one partial
+    held at a time."""
     mag2 = np.zeros(f.grid.shape)
     for g in gradient(f):
-        mag2 = mag2 + np.abs(g.values) ** 2
-    return Field(f.grid, np.sqrt(mag2).astype(complex))
+        mag2 += np.abs(g.values) ** 2
+        del g  # dropped before the next partial is made
+    return Field(f.grid, np.sqrt(mag2, out=mag2).astype(complex))
 
 
 def mean_zero(f: Field) -> Field:

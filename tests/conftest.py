@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 import scipy.fft
 
@@ -22,3 +24,22 @@ def fft_calls(monkeypatch):
 
         monkeypatch.setattr(scipy.fft, name, counted)
     return calls
+
+
+@pytest.fixture
+def traced_peak():
+    """Peak bytes that numpy and Python allocate during a call.
+
+    The call runs once untraced first, so that the arrays a grid caches on
+    first use (``radius``, ``freq_radius``) are not counted.
+    """
+    def peak(call) -> int:
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -7,7 +7,9 @@ Morrey-Campanato local energy, the one-sided geometric edge value of the discret
 boundary-shell share of a shell norm, the Riesz transforms (whose identities pin the zero-mode convention of the
 multiplier pathway), the fractional Laplacian as a transform pair, the
 p = 2 shell term as a dense Plancherel sum, the smooth step evaluated on
-the whole line and the shell masks evaluated on the whole grid.
+the whole line, the shell masks evaluated on the whole grid, and the
+space-time fields built as lists of slices stacked at the end or as one
+broadcast product: the free flow, a march and an ensemble member.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 
 from smoothlab.discrete import SEPARATION
 from smoothlab.dyadic import DyadicDecomposition, ShellMask, bump, seq_norm
-from smoothlab.grid import Field, Grid
+from smoothlab.ensembles import SPACETIME_MODES, band_limited_field
+from smoothlab.grid import Field, Grid, _fftn, _ifftn
 from smoothlab.norms import NormSpec, lqa_shell_terms
 from smoothlab.spectral import abs_freq_power, apply_multiplier
 
@@ -172,3 +175,47 @@ def dense(mask: ShellMask, grid: Grid) -> np.ndarray:
     out = np.zeros(grid.shape)
     out[on_blocks(mask.blocks, grid.shape)] = mask.values
     return out
+
+
+def stacked_free_evolution(f: Field, times: Sequence[float]) -> np.ndarray:
+    """The free flow exp(-i t |xi|^2) of f at each time, one whole inverse
+    transform per time, stacked."""
+    spec = _fftn(f.values)
+    r2 = f.grid.freq_radius**2
+    return np.stack([_ifftn(np.exp(-1j * t * r2) * spec) for t in times])
+
+
+def stacked_march(u0: np.ndarray, t0: float, t_out: Sequence[float], step,
+                  extra_nodes: Sequence[float]) -> np.ndarray:
+    """u0 marched by ``u = step(u, a, b)`` through the sorted union of the
+    output times and ``extra_nodes`` (rounded to 15 decimals), a copy of
+    the state kept at each output time and the copies stacked."""
+    want = set(np.round(t_out, 15))
+    nodes = sorted(t for t in want | {round(t0, 15)} | {round(t, 15) for t in extra_nodes}
+                   if t0 <= t <= max(want))
+    u = np.array(u0, dtype=complex)
+    kept = {nodes[0]: u.copy()} if nodes[0] in want else {}
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        u = step(u, a, b)
+        if b in want:
+            kept[b] = u.copy()
+    return np.stack([kept[t] for t in np.round(t_out, 15)])
+
+
+def broadcast_spacetime(grid: Grid, times: np.ndarray, rng: np.random.Generator,
+                        mode_scale: int = 1, time_scale: float = 1.0,
+                        amplitude: float = 1.0) -> np.ndarray:
+    """An ensemble member sum_j exp(i omega_j t + i theta_j) f_j(x) from
+    the draws of ``band_limited_spacetime``, each profile added as one
+    broadcast product over all times."""
+    span = (times[-1] - times[0]) * time_scale
+    omega_max = 4.0 * np.pi / span if span > 0 else 1.0
+    omegas = rng.uniform(-omega_max, omega_max, size=SPACETIME_MODES) * time_scale
+    thetas = rng.uniform(0, 2 * np.pi, size=SPACETIME_MODES)
+    profiles = [band_limited_field(grid, rng, mode_scale=mode_scale)
+                for _ in range(SPACETIME_MODES)]
+    vals = np.zeros((len(times),) + grid.shape, dtype=complex)
+    for om, th, prof in zip(omegas, thetas, profiles):
+        envelope = np.exp(1j * (om * times + th))
+        vals += envelope[(...,) + (None,) * grid.dim] * prof.values
+    return amplitude * vals

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.fft
 
+import oracles
 from smoothlab.ensembles import (
+    SPACETIME_MODES,
     band_limited_field,
     band_limited_spacetime,
     member_rng,
@@ -121,3 +123,27 @@ def test_mode_band_fits_is_the_draw_condition(points, mode_scale, fits):
     else:
         with pytest.raises(ValueError):
             band_limited_field(grid, member_rng(0, 1), mode_scale=mode_scale)
+
+
+@pytest.mark.parametrize("mode_scale, time_scale, amplitude", [(1, 1.0, 1.0), (2, 4.0, 4.0)])
+def test_spacetime_equals_the_broadcast_sum(mode_scale, time_scale, amplitude):
+    # slice by slice, then scaled in place: the bits of one broadcast
+    # product per profile over all times
+    g = Grid(3, 8.0, 32)
+    times = np.linspace(0.0, 1.0, 9) / time_scale
+    F = band_limited_spacetime(g, times, member_rng(0, 11, 0), mode_scale=mode_scale,
+                               time_scale=time_scale, amplitude=amplitude)
+    expected = oracles.broadcast_spacetime(g, times, member_rng(0, 11, 0), mode_scale,
+                                           time_scale, amplitude)
+    assert np.array_equal(F.values, expected)
+
+
+def test_spacetime_holds_its_profiles_and_two_grid_arrays(traced_peak):
+    # beside the 4.5 MiB stack of 9 slices at 32^3: the profiles, and one
+    # envelope-times-profile product (or, during a draw, its spectrum and
+    # the mean-free copy)
+    g = Grid(3, 8.0, 32)
+    times = np.linspace(0.0, 1.0, 9)
+    array = 16 * g.size
+    peak = traced_peak(lambda: band_limited_spacetime(g, times, member_rng(0, 23, 2)))
+    assert peak <= array * (len(times) + SPACETIME_MODES + 2) + 65536

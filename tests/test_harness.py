@@ -121,7 +121,8 @@ def _fresh_free_consistency(seed: int) -> float:
     f = band_limited_field(GRID, rng)
     F = band_limited_spacetime(GRID, TIMES, rng)
     lhs_a = harness._weighted_solution_lhs(magnetic_solve(f, zero_potential(GRID), F, TIMES), DEC)
-    lhs_b = harness._weighted_solution_lhs(free_evolution(f, TIMES) + duhamel(F, TIMES), DEC)
+    free_plus_duhamel = free_evolution(f, TIMES).values + duhamel(F, TIMES).values
+    lhs_b = harness._weighted_solution_lhs(SpaceTimeField(GRID, TIMES, free_plus_duhamel), DEC)
     return abs(lhs_a - lhs_b) / max(lhs_b, 1e-300)
 
 

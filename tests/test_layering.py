@@ -33,7 +33,9 @@ space-time field are taken in one batched call: no module calls
 ``lqa_sobolev_norm`` or ``lqa_shell_terms`` in a loop over ``.slices()``.
 No module imports or loads ``scipy.linalg`` or ``scipy.sparse``, no
 module but ``grid`` names ``scipy.fft``, and ``commutators`` names no
-``numpy.linalg``: its Lanczos solve runs no LAPACK call.
+``numpy.linalg``: its Lanczos solve runs no LAPACK call.  No module calls
+``np.stack``: a space-time field is written slice by slice into one
+preallocated stack, so no list of slices lives beside its stacked copy.
 """
 
 import ast
@@ -565,3 +567,31 @@ def test_harness_builds_no_grid():
     builds = [call.lineno for call in ast.walk(tree)
               if isinstance(call, ast.Call) and _called_name(call) in ("Grid", "refine")]
     assert builds == []
+
+
+def _stack_calls(tree: ast.Module) -> list[int]:
+    """Lines calling ``np.stack``/``numpy.stack`` or importing ``stack``
+    from numpy."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "stack"
+                and getattr(node.func.value, "id", "") in ("np", "numpy")):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+              and any(a.name == "stack" for a in node.names)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_stacked_copies():
+    # a list of slices and their np.stack are two copies of a space-time
+    # field alive at once: 4.5 MiB each for 9 slices at 32^3
+    assert _stack_calls(ast.parse("import numpy as np\nv = np.stack([a, b])\n")) == [2]
+    assert _stack_calls(ast.parse("from numpy import stack\n")) == [1]
+    offenders = [
+        (path.name, line)
+        for path in MODULES
+        for line in _stack_calls(ast.parse(path.read_text()))
+    ]
+    assert offenders == []

@@ -13,6 +13,7 @@ from smoothlab.schrodinger import (
     StabilityError,
     _divergence,
     _local_rhs,
+    _march,
     _nonzero_components,
     bump_potential,
     duhamel,
@@ -111,6 +112,59 @@ class TestDuhamel:
         F = SpaceTimeField(grid, times, np.zeros((5,) + grid.shape, complex))
         with pytest.raises(ValueError):
             duhamel(F, [1.5])
+
+
+class TestStreamedStacks:
+    """Each space-time result is one stack written slice by slice: the same
+    bits as the stacked slices, and at 32^3 with 9 output times (each grid
+    array 512 KiB, the stack 4.5 MiB) few grid arrays beside it."""
+
+    TIMES = np.linspace(0.0, 1.0, 9)
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        g = Grid(3, 8.0, 32)
+        return (g, band_limited_field(g, member_rng(0, 23, 0)),
+                band_limited_spacetime(g, self.TIMES, member_rng(0, 23, 1)))
+
+    def test_free_evolution_equals_the_stacked_flow(self, data):
+        _, f, _ = data
+        assert np.array_equal(free_evolution(f, self.TIMES).values,
+                              oracles.stacked_free_evolution(f, self.TIMES))
+
+    @pytest.mark.parametrize("t_out, extra", [((0.0, 0.25, 0.5), (0.1, 0.3)),
+                                              ((0.2, 0.5), (0.0, 0.1, 0.2, 0.35)),
+                                              ((0.5,), ())])
+    def test_march_equals_the_stacked_march(self, t_out, extra):
+        g = Grid(2, 8.0, 8)
+        u0 = np.random.default_rng(2).standard_normal(g.shape) + 0j
+
+        def step(u, a, b):
+            return np.exp(1j * (b - a)) * u + (b - a) * u**2
+
+        def advance(u, a, b):
+            u[...] = step(u, a, b)
+
+        got = _march(g, u0.copy(), 0.0, np.array(t_out), advance, extra).values
+        assert np.array_equal(got, oracles.stacked_march(u0, 0.0, t_out, step, extra))
+
+    def test_free_and_duhamel_hold_three_grid_arrays_beyond_the_output(self, data, traced_peak):
+        # free flow: the spectrum, one symbol and one product; Duhamel: the
+        # state, the step's symbol and one work array
+        g, f, F = data
+        array, stack = 16 * g.size, 16 * g.size * len(self.TIMES)
+        assert traced_peak(lambda: free_evolution(f, self.TIMES)) <= stack + 3 * array + 65536
+        assert traced_peak(lambda: duhamel(F, self.TIMES)) <= stack + 3 * array + 65536
+
+    def test_magnetic_solve_holds_eight_grid_arrays_beyond_the_output(self, data, traced_peak):
+        # the state, the free symbol of the step, i W, the midpoint forcing,
+        # the midpoint state, and in its right-hand side A u, div(A u) and
+        # the derivative; on top numpy's buffer for a broadcast product
+        g, f, F = data
+        A = bump_potential(g, 0.01, shell=1)
+        array, stack = 16 * g.size, 16 * g.size * len(self.TIMES)
+        peak = traced_peak(lambda: magnetic_solve(f, A, F, self.TIMES))
+        assert peak <= stack + 8 * array + 16 * np.getbufsize() + 65536
 
 
 class TestMagneticPotential:
@@ -301,7 +355,7 @@ def _gauge_residual(points):
     u = Field(grid, phase * v.values)
     lap_v = apply_multiplier(v, lap).values
     local = _local_rhs(grid, u.values, _nonzero_components(A.components),
-                       effective_scalar_potential(A), np.zeros(grid.shape))
+                       1j * effective_scalar_potential(A), np.zeros(grid.shape))
     gauged = 1j * apply_multiplier(u, lap).values + local
     return l2_norm(Field(grid, gauged - phase * 1j * lap_v)) / l2_norm(Field(grid, lap_v))
 

@@ -23,6 +23,7 @@ from smoothlab.spectral import (
     boxed_ifft_inplace,
     derivative,
     gradient,
+    gradient_magnitude,
     l2_norm,
     lp_norm,
     mean_zero,
@@ -131,6 +132,25 @@ class TestNorms:
         f = random_field(grid3, 5)
         grad2 = sum(l2_norm(g) ** 2 for g in gradient(f))
         assert math.isclose(math.sqrt(grad2), sobolev_norm(f, 1.0), rel_tol=1e-10)
+
+    def test_gradient_magnitude_holds_one_partial_at_a_time(self, grid3, traced_peak):
+        # the spectrum, one partial, and the real sum of squares with its
+        # one real term: three complex grid arrays in all; the bits are
+        # those of the sum over all partials
+        f = random_field(grid3, 4)
+        expected = np.sqrt(sum(np.abs(derivative(f, j).values) ** 2 for j in range(3)))
+        assert np.array_equal(gradient_magnitude(f).values, expected)
+        assert traced_peak(lambda: gradient_magnitude(f)) <= 3 * 16 * grid3.size + 65536
+
+    def test_multiplier_keeps_the_bits_of_the_whole_expression(self, grid3):
+        # a complex symbol meets the spectrum in the order numpy takes for
+        # ifftn(symbol * fftn(f)) on a grid of 256 KiB or more, where it
+        # multiplies the temporary spectrum in place (outside the assert,
+        # whose rewriting would keep the temporary alive)
+        f = random_field(grid3, 3)
+        symbol = np.exp(-0.3j * grid3.freq_radius**2)
+        expected = scipy.fft.ifftn(symbol * scipy.fft.fftn(f.values))
+        assert np.array_equal(apply_multiplier(f, symbol).values, expected)
 
     def test_gradient_equals_per_axis_derivatives(self, grid3):
         f = random_field(grid3, 6)
