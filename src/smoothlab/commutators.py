@@ -141,31 +141,15 @@ def _real_dot(x: np.ndarray, y: np.ndarray) -> float:
 def _at_or_above_spectrum(alphas: list[float], beta_sq: list[float], x: float) -> bool:
     """Whether no eigenvalue of the tridiagonal T with diagonal ``alphas``
     and squared off-diagonal ``beta_sq`` (led by a 0) exceeds x: the Sturm
-    count, no pivot of the LDL^T factorization of T - x positive."""
+    count, no pivot of the LDL^T factorization of T - x positive.  An exact
+    zero pivot is moved to -1 ulp of x, as LAPACK's dstebz moves it to
+    -pivmin."""
     d = -1.0
     for a, b2 in zip(alphas, beta_sq):
-        d = a - x - b2 / d
+        d = (a - x - b2 / d) or -math.ulp(x)
         if d > 0:
             return False
     return True
-
-
-def _newton_step(alphas: list[float], beta_sq: list[float], x: float) -> float | None:
-    """The Newton step at x towards the root of the last pivot d_j(x) of
-    T - x, or None when an earlier pivot is not negative.
-
-    Where every earlier pivot is negative, x lies above the spectrum of the
-    leading block, and there d_j is convex and decreasing with the top
-    eigenvalue as its root; the step is then at most 0 exactly when
-    ``_at_or_above_spectrum`` holds at x."""
-    d, slope = -1.0, 0.0
-    for a, b2 in zip(alphas, beta_sq):
-        if d >= 0:
-            return None
-        q = b2 / d
-        slope = -1.0 + q * slope / d
-        d = a - x - q
-    return -d / slope
 
 
 def _top_eigenvalue(alphas: list[float], beta_sq: list[float], lo: float,
@@ -173,29 +157,13 @@ def _top_eigenvalue(alphas: list[float], beta_sq: list[float], lo: float,
     """Adjacent floats lo < hi with the top eigenvalue of T between them in
     the Sturm count: hi is at or above the spectrum and lo is not.
 
-    ``lo`` comes in as a float below the top eigenvalue and x as a start
-    near it.  Newton steps from x narrow the bracket, a doubling search from
-    the last of them finds hi, and bisection closes it to one ulp (Golub &
-    Van Loan, Matrix Computations, 4th ed., 8.4)."""
-    hi, width = math.inf, 0.0
-    while True:  # x lies strictly inside (lo, hi) here
-        step = _newton_step(alphas, beta_sq, x)
-        if _at_or_above_spectrum(alphas, beta_sq, x) if step is None else step <= 0:
-            hi = x
-        else:
-            lo = x
-        if step is None:
-            break
-        width = abs(step)
-        x += step
-        if not lo < x < hi:
-            break
-    width = max(math.ulp(lo), 2.0 * width)
-    while hi == math.inf:
-        if _at_or_above_spectrum(alphas, beta_sq, lo + width):
-            hi = lo + width
-        else:
-            lo, width = lo + width, 2.0 * width
+    ``lo`` comes in as a float below the top eigenvalue and x as one not
+    above it.  A doubling search from x finds hi, and bisection closes the
+    bracket to one ulp (Golub & Van Loan, Matrix Computations, 4th ed.,
+    8.4)."""
+    hi, width = x, math.ulp(x)
+    while not _at_or_above_spectrum(alphas, beta_sq, hi):
+        lo, hi, width = hi, hi + width, 2.0 * width
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if _at_or_above_spectrum(alphas, beta_sq, mid):
             hi = mid
@@ -210,8 +178,7 @@ def _inverse_iteration(alphas: list[float], betas: list[float], beta_sq: list[fl
 
     ``shift`` lies at or above the spectrum, so T - shift is negative
     semidefinite and its elimination needs no pivoting; its pivots are
-    those of ``_at_or_above_spectrum``, with an exact zero moved to -1 ulp
-    of the shift."""
+    those of ``_at_or_above_spectrum`` at the shift."""
     pivots, y = [], []
     d, z = -1.0, 0.0
     for a, b2, b, s in zip(alphas, beta_sq, [0.0] + betas, start):
@@ -235,16 +202,12 @@ def _top_ritz_pair(alphas: list[float], betas: list[float], beta_sq: list[float]
     T_{j-1} (None at j = 1).
 
     By interlacing the top eigenvalue does not fall from T_{j-1} to T_j, so
-    the previous ``below`` stays below it.  Newton starts from the top Ritz
-    value of T_j on the span of (s_{j-1}, 0) and e_j, a 2 x 2 problem, or
-    from theta_{j-1} if that is larger, and s comes from one solve at theta
-    from (s_{j-1}, 0)."""
+    the previous ``below`` stays below it and the search starts from
+    theta_{j-1}; s comes from one solve at theta from (s_{j-1}, 0)."""
     if previous is None:
         return math.nextafter(alphas[0], -math.inf), alphas[0], [1.0]
     below, theta, vector = previous
-    a, r = alphas[-1], betas[-1] * vector[-1]
-    start = max(theta, 0.5 * (theta + a) + math.hypot(0.5 * (theta - a), r))
-    below, theta = _top_eigenvalue(alphas, beta_sq, below, start)
+    below, theta = _top_eigenvalue(alphas, beta_sq, below, theta)
     return below, theta, _inverse_iteration(alphas, betas, beta_sq, theta, vector + [0.0])
 
 
@@ -259,9 +222,8 @@ def operator_norm(op: CommutatorOp, seed: int) -> float:
     theta's unit eigenvector of the tridiagonal T_j) is at most
     ``LANCZOS_TOL`` times theta, or after ``LANCZOS_MAX_STEPS`` steps.  The
     top Ritz pair of each T_j is found without LAPACK, whose threaded calls
-    kept a second core spinning: theta by Sturm-count bisection, warm-started
-    from theta_{j-1} and narrowed by Newton steps, and s_j by one
-    inverse-iteration solve.
+    kept a second core spinning: theta by Sturm-count bisection from
+    theta_{j-1}'s bracket, and s_j by one inverse-iteration solve.
 
     A step is one ``op.apply`` and one ``op.apply_adjoint``, each three
     transforms at s != 0, run as axis passes on the lines its masks' cubes

@@ -252,16 +252,18 @@ def verify_free_endpoint(
         F = band_limited_spacetime(grid, times, rng)
         u = _free_plus_duhamel(f, F, times)
         lhs = sup_l2_norm(u) + smoothing_norm(u, decomp)
+        del u  # before the splits' low-passes are made
         splits: dict[str, float] = {
             "all-forcing-norm": forcing_norm(F, decomp),
             "all-l1l2": l1t_l2x_norm(F),
         }
         for j in ENDPOINT_THRESHOLD_SHELLS:
             low = _lowpass(F, 2.0**j)
-            high = F - low
-            splits[f"threshold-2^{j}"] = forcing_norm(low, decomp) + l1t_l2x_norm(high)
+            splits[f"threshold-2^{j}"] = forcing_norm(low, decomp) + l1t_l2x_norm(F - low)
+            del low  # before the next threshold's low-pass is made
         best = min(splits, key=splits.get)
         members.append(_ratio_record(lhs, l2_norm(f) + splits[best], best_split=best))
+        del f, F  # one member's arrays at a time
     return _ensemble_report(members)
 
 

@@ -15,9 +15,11 @@ import smoothlab
 from smoothlab.commutators import (
     LANCZOS_MAX_STEPS,
     CommutatorOp,
-    decay_scan,
-    measure_pair_norm,
+    _at_or_above_spectrum,
     _top_ritz_pair,
+    decay_scan,
+    diagonal_scan,
+    measure_pair_norm,
     operator_norm,
     predicted_exponent,
 )
@@ -245,23 +247,59 @@ class TestTopRitzPair:
     solve used before, on tridiagonals grown one row at a time as in a
     Lanczos solve."""
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_eigh_at_every_step(self, seed):
-        rng = np.random.default_rng(seed)
-        alphas, betas, beta_sq, ritz = [], [], [0.0], None
+    @staticmethod
+    def _check_every_step(alpha_at, beta_at):
+        """Grow T from ``alpha_at(j)`` and ``beta_at(j)``, checking each top
+        Ritz pair against eigh and its bracket against the Sturm count;
+        returns the thetas."""
+        alphas, betas, beta_sq, ritz, thetas = [], [], [0.0], None, []
         for j in range(1, 41):
-            alphas.append(float(rng.uniform(0.5, 1.5)) * 10.0**-seed)
+            alphas.append(alpha_at(j))
             ritz = _top_ritz_pair(alphas, betas, beta_sq, ritz)
             below, theta, vector = ritz
             t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
             values, vectors = np.linalg.eigh(t)
             assert below == np.nextafter(theta, -np.inf)
+            assert _at_or_above_spectrum(alphas, beta_sq, theta)
+            assert not _at_or_above_spectrum(alphas, beta_sq, below)
             assert abs(theta - values[-1]) <= 8 * np.finfo(float).eps * values[-1]
             assert len(vector) == j and math.isclose(math.hypot(*vector), 1.0, rel_tol=1e-14)
             assert abs(abs(vector[-1]) - abs(vectors[-1, -1])) <= 1e-12
-            beta = float(rng.uniform(0.1, 0.5)) * 10.0**-seed
+            thetas.append(theta)
+            beta = beta_at(j)
             betas.append(beta)
             beta_sq.append(beta * beta)
+        return thetas
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_eigh_at_every_step(self, seed):
+        rng, scale = np.random.default_rng(seed), 10.0**-seed
+        self._check_every_step(lambda j: float(rng.uniform(0.5, 1.5)) * scale,
+                               lambda j: float(rng.uniform(0.1, 0.5)) * scale)
+
+    def test_matches_eigh_as_the_betas_shrink(self):
+        # near a Lanczos stop: the first alpha is on top, the betas fall
+        # geometrically to about 1e-9 of the alphas, and theta moves by a
+        # few ulps, then not at all, from step to step
+        moves = []
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            thetas = self._check_every_step(
+                lambda j: float(rng.uniform(0.5, 1.5)) * (1.0 if j == 1 else 0.5),
+                lambda j: float(rng.uniform(0.1, 0.5)) * 10.0 ** (-9 * j / 40))
+            moves += [(b - a) / math.ulp(a) for a, b in zip(thetas, thetas[1:])]
+        assert min(moves) >= 0
+        assert any(0 < m <= 8 for m in moves)
+
+    def test_zero_pivot_is_moved_below_zero(self):
+        # T = [[1, 1/2], [1/2, 1]] has eigenvalues 0.5 and 1.5; at x = 1 the
+        # first pivot is exactly 0, at x = 1.5 the second
+        assert not _at_or_above_spectrum([1.0, 1.0], [0.0, 0.25], 1.0)
+        assert _at_or_above_spectrum([1.0, 1.0], [0.0, 0.25], 1.5)
+        ritz = _top_ritz_pair([1.0], [], [0.0], None)
+        below, theta, vector = _top_ritz_pair([1.0, 1.0], [0.5], [0.0, 0.25], ritz)
+        assert theta == 1.5 and below == math.nextafter(1.5, -math.inf)
+        assert np.allclose(np.abs(vector), math.sqrt(0.5), rtol=0, atol=1e-15)
 
     def test_one_by_one_is_exact(self):
         # the zero operator stops after one step with theta exactly 0
@@ -407,6 +445,25 @@ class TestOperatorNormSteps:
         per_step = sum(n * n + n * w + w * w for w in (w2, w2, w0, w0, w2, w2))
         assert sum(lines[1:]) == per_step * steps
         assert per_step < 6 * 3 * n * n  # below six full transforms
+
+    def test_steps_per_solve_of_a_small_scan(self, grid, monkeypatch):
+        # every stop decision of a small commutator scan at 32^3: a change
+        # in how theta_j or s_j is found that moves one moves a count
+        import smoothlab.commutators as commutators
+
+        real, steps = commutators.operator_norm, []
+
+        def counted(op, seed):
+            op = _Counted(op)
+            norm = real(op, seed)
+            steps.append(op.applies)
+            return norm
+
+        monkeypatch.setattr(commutators, "operator_norm", counted)
+        for s in (0.5, -0.5):
+            decay_scan(s, range(-1, 3), range(-1, 3), dim=3, points=32, seed=0)
+            diagonal_scan(s, range(-1, 3), grid, seed=0)
+        assert steps == [8, 7, 10, 28, 43, 62, 8, 10, 10, 27, 41, 64]
 
     def test_empty_mask_pair_is_not_iterated(self, fft_calls):
         # the pair is centered at (-3, 2), and shell -3 holds no point of

@@ -190,6 +190,15 @@ class TestEndpoint:
         for m in rep.members:
             assert m["rhs"] > 0
 
+    def test_holds_one_member_and_one_split_at_a_time(self, traced_peak):
+        # the peak is the solve: the member's draw, its Duhamel stack with
+        # the free flow summed into it, and a few work arrays; the previous
+        # member's arrays and the previous threshold's low-pass are gone
+        array = 16 * GRID.size
+        stack = len(TIMES) * array
+        peak = traced_peak(lambda: verify_free_endpoint(GRID, DEC, TIMES, ensemble=2, seed=3))
+        assert peak <= 4 * stack + 2 * array
+
     def test_trivial_split_family_is_min(self):
         # the recorded split is the argmin over the trivial pair and every
         # threshold split, rebuilt here from member 0's own draw
