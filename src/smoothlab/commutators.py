@@ -194,21 +194,23 @@ def _inverse_iteration(alphas: list[float], betas: list[float], beta_sq: list[fl
 
 
 def _top_ritz_pair(alphas: list[float], betas: list[float], beta_sq: list[float],
-                   previous: tuple[float, float, list[float]] | None
+                   previous: tuple[float, float] | None
                    ) -> tuple[float, float, list[float]]:
     """(below, theta, s) for the tridiagonal T_j: theta is the smallest float
     that no eigenvalue exceeds in the Sturm count, below the float under
-    it, and s theta's unit eigenvector; ``previous`` is the same triple for
+    it, and s theta's unit eigenvector; ``previous`` is (below, theta) for
     T_{j-1} (None at j = 1).
 
     By interlacing the top eigenvalue does not fall from T_{j-1} to T_j, so
     the previous ``below`` stays below it and the search starts from
-    theta_{j-1}; s comes from one solve at theta from (s_{j-1}, 0)."""
+    theta_{j-1}; s comes from one solve at theta from the all-ones vector.
+    Every beta of T_j is positive, so by Perron-Frobenius the top
+    eigenvector has entries of one sign and meets that start by at least
+    1/sqrt(j) (Parlett, The Symmetric Eigenvalue Problem, 1998)."""
     if previous is None:
         return math.nextafter(alphas[0], -math.inf), alphas[0], [1.0]
-    below, theta, vector = previous
-    below, theta = _top_eigenvalue(alphas, beta_sq, below, theta)
-    return below, theta, _inverse_iteration(alphas, betas, beta_sq, theta, vector + [0.0])
+    below, theta = _top_eigenvalue(alphas, beta_sq, *previous)
+    return below, theta, _inverse_iteration(alphas, betas, beta_sq, theta, [1.0] * len(alphas))
 
 
 def operator_norm(op: CommutatorOp, seed: int) -> float:
@@ -232,9 +234,10 @@ def operator_norm(op: CommutatorOp, seed: int) -> float:
     The operator is Hermitian on complex spectra, hence symmetric on their
     (Re, Im) pairs, so the real inner product Re <x, y> is the one the
     recurrence needs.  The solve holds three grid buffers and, past the
-    seeded draw, makes no grid-sized temporary; build the operator's
-    factors first, so that they do not stack on the buffers.
+    seeded draw, makes no grid-sized temporary; the operator's factors are
+    built first, so that they do not stack on the buffers.
     """
+    op._factors
     grid = op.grid
     rng = np.random.default_rng(seed)
     v = np.empty(grid.shape, dtype=np.complex128)
@@ -248,7 +251,7 @@ def operator_norm(op: CommutatorOp, seed: int) -> float:
     betas: list[float] = []
     beta_sq = [0.0]
     beta = 0.0
-    ritz = None
+    bracket = None
     for _ in range(LANCZOS_MAX_STEPS):
         np.copyto(spare, v)
         w = op.apply_adjoint(op.apply(Field(grid, spare))).values
@@ -260,8 +263,8 @@ def operator_norm(op: CommutatorOp, seed: int) -> float:
         w -= prev
         beta = math.sqrt(_real_dot(w, w))
         alphas.append(alpha)
-        ritz = _top_ritz_pair(alphas, betas, beta_sq, ritz)
-        _, theta, vector = ritz
+        below, theta, vector = _top_ritz_pair(alphas, betas, beta_sq, bracket)
+        bracket = below, theta
         if beta == 0 or beta * abs(vector[-1]) <= LANCZOS_TOL * theta:
             break
         betas.append(beta)
@@ -337,9 +340,7 @@ def measure_pair_norm(
     resolved = audit_k.resolved() and audit_m.resolved()
     if audit_k.nonzero_samples == 0 or audit_m.nonzero_samples == 0:
         return 0.0, resolved
-    op = CommutatorOp(kk, mm, s, grid)
-    op._factors  # built before the solver's buffers, not on top of them
-    return operator_norm(op, seed=seed), resolved
+    return operator_norm(CommutatorOp(kk, mm, s, grid), seed=seed), resolved
 
 
 def decay_scan(
@@ -400,7 +401,5 @@ def diagonal_scan(
     scale-covariance check."""
     out = {}
     for k in k_values:
-        op = CommutatorOp(k, k, s, grid)
-        op._factors  # built before the solver's buffers, not on top of them
-        out[k] = operator_norm(op, seed=seed)
+        out[k] = operator_norm(CommutatorOp(k, k, s, grid), seed=seed)
     return out

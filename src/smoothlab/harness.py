@@ -93,13 +93,11 @@ def _ensemble_report(members: list[dict]) -> EstimateReport:
 # ---------------------------------------------------------------------------
 
 
-def _kpv_member(
-    F: SpaceTimeField, decomp: DyadicDecomposition, times: np.ndarray
-) -> dict:
-    u = duhamel(F, times)
+def _kpv_member(F: SpaceTimeField, decomp: DyadicDecomposition) -> dict:
+    u = duhamel(F)
     lhs_t = [annulus_sup_norm(gradient_magnitude(s), decomp) for s in u.slices()]
     rhs_t = [annulus_sum_norm(s, decomp) for s in F.slices()]
-    return _ratio_record(time_l2(np.array(lhs_t), times) ** 2,
+    return _ratio_record(time_l2(np.array(lhs_t), u.times) ** 2,
                          time_l2(np.array(rhs_t), F.times) ** 2)
 
 
@@ -111,7 +109,7 @@ def kpv_ensemble(
     |grad u| against time-L^2 of the weighted annulus sum of F."""
     times = np.asarray(times, dtype=float)
     return _ensemble_report([
-        _kpv_member(band_limited_spacetime(grid, times, member_rng(seed, 11, i)), decomp, times)
+        _kpv_member(band_limited_spacetime(grid, times, member_rng(seed, 11, i)), decomp)
         for i in range(ensemble)])
 
 
@@ -130,7 +128,7 @@ def verify_kpv(
 
     # 1-homogeneity probe: scaling the data leaves the ratio fixed
     F0 = band_limited_spacetime(grid, times, member_rng(seed, 11, 0))
-    scaled = _kpv_member(3.7 * F0, decomp, times)
+    scaled = _kpv_member(3.7 * F0, decomp)
     report.probes["homogeneity_drift"] = relative_drift(scaled["ratio"],
                                                         report.members[0]["ratio"])
 
@@ -144,7 +142,7 @@ def verify_kpv(
     for i in range(ensemble):
         F_resc = band_limited_spacetime(grid, t2, member_rng(seed, 11, i),
                                         mode_scale=2, time_scale=4.0, amplitude=4.0)
-        rescaled.append(_kpv_member(F_resc, d2, t2)["ratio"])
+        rescaled.append(_kpv_member(F_resc, d2)["ratio"])
     report.probes["rescale_drift"] = relative_drift(max(rescaled), report.ratio)
     return report
 
@@ -154,11 +152,11 @@ def verify_kpv(
 # ---------------------------------------------------------------------------
 
 
-def _free_plus_duhamel(f: Field, F: SpaceTimeField, times: np.ndarray) -> SpaceTimeField:
-    """The free flow of f plus the Duhamel integral of F, the free flow
-    summed into the Duhamel stack in place."""
-    u = duhamel(F, times)
-    u.values += free_evolution(f, times).values
+def _free_plus_duhamel(f: Field, F: SpaceTimeField) -> SpaceTimeField:
+    """The free flow of f plus the Duhamel integral of F at F's times, the
+    free flow summed into the Duhamel stack in place."""
+    u = duhamel(F)
+    u.values += free_evolution(f, F.times).values
     return u
 
 
@@ -202,7 +200,7 @@ def verify_main(
         if i == 0:
             # exact free reduction: the zero-potential solver path is the
             # free propagator plus the trapezoid Duhamel march
-            lhs_free = _weighted_solution_lhs(_free_plus_duhamel(f, F, times), decomp)
+            lhs_free = _weighted_solution_lhs(_free_plus_duhamel(f, F), decomp)
             consistency = abs(lhs0 - lhs_free) / max(lhs_free, 1e-300)
         members.append(rec)
         del f, F  # one member's arrays at a time
@@ -250,7 +248,7 @@ def verify_free_endpoint(
         rng = member_rng(seed, 31, i)
         f = band_limited_field(grid, rng)
         F = band_limited_spacetime(grid, times, rng)
-        u = _free_plus_duhamel(f, F, times)
+        u = _free_plus_duhamel(f, F)
         lhs = sup_l2_norm(u) + smoothing_norm(u, decomp)
         del u  # before the splits' low-passes are made
         splits: dict[str, float] = {
@@ -418,7 +416,7 @@ def _mixed_member(
     grid: Grid, times: np.ndarray, seed: int, idx: int
 ) -> tuple[SpaceTimeField, SpaceTimeField]:
     F = band_limited_spacetime(grid, times, member_rng(seed, 47, idx))
-    return F, duhamel(F, times)
+    return F, duhamel(F)
 
 
 def _estimate_along(F: SpaceTimeField, u: SpaceTimeField, axis: int) -> dict:
@@ -468,7 +466,7 @@ def verify_mixed_norm(
     F, u = _mixed_member(grid, times, seed, 0)
     native = _estimate_along(F, u, 1)
     F_sw = SpaceTimeField(grid, times, np.swapaxes(F.values, 1, 2))
-    swapped = _estimate_along(F_sw, duhamel(F_sw, times), 0)
+    swapped = _estimate_along(F_sw, duhamel(F_sw), 0)
     report.probes["rotation_mismatch"] = relative_drift(swapped["ratio"], native["ratio"])
     return report
 

@@ -14,10 +14,13 @@ vanishes, so the consistency ladder holds to rounding.  The potential is
 static, the same A at every time.  Every transform goes through the
 multipliers of ``spectral``.
 
-Each solution is one preallocated ``(n_times, N^n)`` stack, written in
-place: a march overwrites its one state array step by step and copies it
-into its slot at every output time, and the free flow writes each slice
-as its inverse transform is made.  No list of slices is stacked after.
+Every march steps through its own time grid: it starts from the state it
+is given at the first time and steps from each time to the next, and
+``duhamel(F)`` answers at F's own sample times.  Each solution is one
+preallocated ``(n_times, N^n)`` stack, written in place: a march
+overwrites its one state array step by step and copies it into its slot
+after every step, and the free flow writes each slice as its inverse
+transform is made.  No list of slices is stacked after.
 """
 
 from __future__ import annotations
@@ -127,45 +130,31 @@ def _sample_forcing(F: SpaceTimeField | None, grid: Grid, t: float) -> np.ndarra
 def _march(
     grid: Grid,
     u: np.ndarray,
-    t0: float,
-    t_out: np.ndarray,
+    times: Sequence[float],
     advance: Callable[[np.ndarray, float, float], None],
-    extra_nodes: Sequence[float] = (),
 ) -> SpaceTimeField:
-    """March the state u from t0 through the sorted union of the output
-    times and ``extra_nodes``, keeping the state at every output time in
-    its slot of one preallocated stack.  ``advance(u, a, b)`` overwrites
-    the state at a with the state at b, so u is the march's own complex
-    array.  Nodes are rounded to 15 decimals so that output times and
-    coinciding extra nodes land on one key."""
-    t_out = np.asarray(t_out, dtype=float)
-    keys = np.round(t_out, 15)
-    want = set(keys)
-    nodes = want | {round(t0, 15)} | {round(t, 15) for t in extra_nodes}
-    nodes = sorted(t for t in nodes if t0 <= t <= max(want))
-    if not want <= set(nodes):
-        raise ValueError(f"output times before the start time {t0}")
-    vals = np.empty((len(t_out),) + grid.shape, dtype=np.complex128)
-    if nodes[0] in want:
-        vals[keys == nodes[0]] = u
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        advance(u, a, b)
-        if b in want:
-            vals[keys == b] = u
-    return SpaceTimeField(grid, t_out, vals)
+    """March the state u, the state at ``times[0]``, through the increasing
+    ``times``, keeping the state at every time in its slot of one
+    preallocated stack.  ``advance(u, a, b)`` overwrites the state at a
+    with the state at b, so u is the march's own complex array."""
+    out = SpaceTimeField(grid, times, np.empty((len(times),) + grid.shape, dtype=np.complex128))
+    out.values[0] = u
+    for j in range(1, len(times)):
+        advance(u, out.times[j - 1], out.times[j])
+        out.values[j] = u
+    return out
 
 
 def _march_free_forced(
     grid: Grid,
     u0: np.ndarray,
     F: SpaceTimeField | None,
-    t0: float,
-    t_out: np.ndarray,
+    times: Sequence[float],
 ) -> SpaceTimeField:
-    """Exact free propagation with trapezoid forcing on the union grid of
-    the forcing samples and the output times (telescopes to the global
-    trapezoid Duhamel quadrature).  A step holds one work array besides
-    the state u, which it overwrites, and the free symbol."""
+    """Exact free propagation with trapezoid forcing through the times
+    (with F sampled at them, this telescopes to the global trapezoid
+    Duhamel quadrature).  A step holds one work array besides the state
+    u, which it overwrites, and the free symbol."""
     last_h, sym = None, None  # the free symbol of the latest step length
 
     def advance(u: np.ndarray, a: float, b: float) -> None:
@@ -180,25 +169,16 @@ def _march_free_forced(
         np.multiply(0.5 * h, _sample_forcing(F, grid, b), out=u)
         u += work
 
-    return _march(grid, u0, t0, t_out, advance, () if F is None else F.times)
+    return _march(grid, u0, times, advance)
 
 
-def duhamel(F: SpaceTimeField, t_out: Sequence[float]) -> SpaceTimeField:
-    """int_0^t exp(i (t-s) Lap) F(s) ds at each output time, trapezoid in s.
-
-    Integration starts at F's first sample time with zero state; output
-    times must lie inside F's span.
-    """
-    t_out = np.asarray(t_out, dtype=float)
-    if t_out.min() < F.times[0] - 1e-12 or t_out.max() > F.times[-1] + 1e-12:
-        raise ValueError(
-            f"output times [{t_out.min()}, {t_out.max()}] outside forcing span "
-            f"[{F.times[0]}, {F.times[-1]}]"
-        )
+def duhamel(F: SpaceTimeField) -> SpaceTimeField:
+    """int_{t_0}^t exp(i (t-s) Lap) F(s) ds at each of F's sample times t,
+    trapezoid in s, from zero state at F's first sample time t_0."""
     heaviest = int(np.argmax([np.abs(s).max() for s in F.values]))
     warn_if_boundary_heavy(F.slice(heaviest), "duhamel forcing")
     zero = np.zeros(F.grid.shape, dtype=np.complex128)
-    return _march_free_forced(F.grid, zero, F, float(F.times[0]), t_out)
+    return _march_free_forced(F.grid, zero, F, F.times)
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +258,11 @@ def magnetic_solve(
     f: Field,
     A: MagneticPotential,
     F: SpaceTimeField | None,
-    t_out: Sequence[float],
+    times: Sequence[float],
     dt: float | None = None,
 ) -> SpaceTimeField:
-    """Strang-split magnetic evolution from u(0) = f.
+    """Strang-split magnetic evolution through the times from
+    u(times[0]) = f.
 
     Each step takes a midpoint-rule half-step of the local terms, an exact
     spectral Laplacian step, and a second local half-step (order 2).  A
@@ -293,12 +274,9 @@ def magnetic_solve(
     StabilityError naming the step.
     """
     grid = f.grid
-    t_out = np.asarray(t_out, dtype=float)
-    if t_out.min() < 0:
-        raise ValueError("output times must be >= 0")
     warn_if_boundary_heavy(f, "magnetic_solve initial data")
     if A.is_zero():
-        return _march_free_forced(grid, f.values.copy(), F, 0.0, t_out)
+        return _march_free_forced(grid, f.values.copy(), F, times)
     if dt is None:
         dt = 0.5 * grid.spacing**2
 
@@ -337,4 +315,4 @@ def magnetic_solve(
             local_half(u, t + 0.5 * h, t + h)
             t += h
 
-    return _march(grid, f.values.copy(), 0.0, t_out, advance)
+    return _march(grid, f.values.copy(), times, advance)

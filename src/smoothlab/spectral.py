@@ -13,10 +13,9 @@ data needs: ``boxed_fft_inplace`` and ``banded_ifft_inplace`` when the
 array vanishes off the blocks, as a masked field, a frequency shell or a
 synthesized ensemble field does, and ``boxed_ifft_inplace`` when only the
 values on the blocks are kept.  Every Plancherel norm, of a held
-spectrum (``spectrum_l2_norm``) or of a spectrum under a weight such as
-|xi|^(2s) (a shell term of ``norms``), is the one weighted power sum
-``power_sum_norm``: one ``np.einsum`` pass over each part, with no
-|spectrum|^2 array.
+spectrum or of a spectrum under a weight such as |xi|^(2s) (a shell term
+of ``norms``), is the one weighted power sum ``power_sum_norm``: one
+``np.einsum`` pass over each part, with no |spectrum|^2 array.
 The homogeneous multiplier |D|^s is singular at xi = 0, and the zero mode
 is always annihilated.  Mean-zero periodic data is the desk-scale
 surrogate for Schwartz data on R^n, so this convention is used by every
@@ -101,7 +100,7 @@ def apply_multipliers(f: Field, symbols: Iterable[np.ndarray]) -> Iterator[Field
 def multiplier_l2_norm(f: Field, symbol: np.ndarray) -> float:
     """|| ifft(symbol * fft f) ||_{L^2} by Plancherel, from one forward
     transform and no inverse."""
-    return spectrum_l2_norm(Field(f.grid, symbol * _fftn(f.values)))
+    return power_sum_norm(symbol * _fftn(f.values), f.grid)
 
 
 def boxed_fft_inplace(values: np.ndarray, blocks: tuple[slice, ...]) -> np.ndarray:
@@ -169,12 +168,6 @@ def _in_place(transform, values: np.ndarray, **axes) -> np.ndarray:
 def fft_inplace(values: np.ndarray) -> np.ndarray:
     """Overwrite a complex array with its forward transform; returns it."""
     return _in_place(_fftn, values)
-
-
-def spectrum_l2_norm(spec: Field) -> float:
-    """|| ifft(spec) ||_{L^2} by Plancherel, for ``spec.values`` holding the
-    forward transform of a field."""
-    return power_sum_norm(spec.values, spec.grid)
 
 
 def power_sum_norm(spectrum: np.ndarray, grid: Grid, weight: np.ndarray | None = None) -> float:

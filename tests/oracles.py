@@ -185,21 +185,16 @@ def stacked_free_evolution(f: Field, times: Sequence[float]) -> np.ndarray:
     return np.stack([_ifftn(np.exp(-1j * t * r2) * spec) for t in times])
 
 
-def stacked_march(u0: np.ndarray, t0: float, t_out: Sequence[float], step,
-                  extra_nodes: Sequence[float]) -> np.ndarray:
-    """u0 marched by ``u = step(u, a, b)`` through the sorted union of the
-    output times and ``extra_nodes`` (rounded to 15 decimals), a copy of
-    the state kept at each output time and the copies stacked."""
-    want = set(np.round(t_out, 15))
-    nodes = sorted(t for t in want | {round(t0, 15)} | {round(t, 15) for t in extra_nodes}
-                   if t0 <= t <= max(want))
+def stacked_march(u0: np.ndarray, times: Sequence[float], step) -> np.ndarray:
+    """u0, the state at ``times[0]``, marched by ``u = step(u, a, b)`` from
+    each time to the next, a copy of the state kept at each time and the
+    copies stacked."""
     u = np.array(u0, dtype=complex)
-    kept = {nodes[0]: u.copy()} if nodes[0] in want else {}
-    for a, b in zip(nodes[:-1], nodes[1:]):
+    kept = [u.copy()]
+    for a, b in zip(times[:-1], times[1:]):
         u = step(u, a, b)
-        if b in want:
-            kept[b] = u.copy()
-    return np.stack([kept[t] for t in np.round(t_out, 15)])
+        kept.append(u.copy())
+    return np.stack(kept)
 
 
 def broadcast_spacetime(grid: Grid, times: np.ndarray, rng: np.random.Generator,

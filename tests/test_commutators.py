@@ -252,11 +252,11 @@ class TestTopRitzPair:
         """Grow T from ``alpha_at(j)`` and ``beta_at(j)``, checking each top
         Ritz pair against eigh and its bracket against the Sturm count;
         returns the thetas."""
-        alphas, betas, beta_sq, ritz, thetas = [], [], [0.0], None, []
+        alphas, betas, beta_sq, bracket, thetas = [], [], [0.0], None, []
         for j in range(1, 41):
             alphas.append(alpha_at(j))
-            ritz = _top_ritz_pair(alphas, betas, beta_sq, ritz)
-            below, theta, vector = ritz
+            below, theta, vector = _top_ritz_pair(alphas, betas, beta_sq, bracket)
+            bracket = below, theta
             t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
             values, vectors = np.linalg.eigh(t)
             assert below == np.nextafter(theta, -np.inf)
@@ -291,13 +291,34 @@ class TestTopRitzPair:
         assert min(moves) >= 0
         assert any(0 < m <= 8 for m in moves)
 
+    def test_last_entry_when_a_new_alpha_rises_above_theta(self):
+        # seed 0 of the shrinking-beta tridiagonals: at step 27 the new
+        # alpha rises above theta_26 while beta_26 is tiny, so theta's
+        # eigenvector is nearly e_27, and a solve from (s_26, 0) gave
+        # s_27 = 2.1e-57 against eigh's 0.9999999999996
+        rng = np.random.default_rng(0)
+        all_alphas = rng.uniform(0.5, 1.5, 40)
+        all_betas = rng.uniform(0.1, 0.5, 39) * 10.0 ** (-9 * np.arange(1, 40) / 40)
+        betas, beta_sq, bracket = [], [0.0], None
+        for j in range(1, 41):
+            alphas = all_alphas[:j].tolist()
+            below, theta, vector = _top_ritz_pair(alphas, betas, beta_sq, bracket)
+            bracket = below, theta
+            t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            last = abs(np.linalg.eigh(t)[1][-1, -1])
+            if last > 1e-8:
+                assert abs(abs(vector[-1]) - last) <= 1e-6 * last, j
+            if j < 40:
+                betas.append(float(all_betas[j - 1]))
+                beta_sq.append(betas[-1] ** 2)
+
     def test_zero_pivot_is_moved_below_zero(self):
         # T = [[1, 1/2], [1/2, 1]] has eigenvalues 0.5 and 1.5; at x = 1 the
         # first pivot is exactly 0, at x = 1.5 the second
         assert not _at_or_above_spectrum([1.0, 1.0], [0.0, 0.25], 1.0)
         assert _at_or_above_spectrum([1.0, 1.0], [0.0, 0.25], 1.5)
-        ritz = _top_ritz_pair([1.0], [], [0.0], None)
-        below, theta, vector = _top_ritz_pair([1.0, 1.0], [0.5], [0.0, 0.25], ritz)
+        below, theta, _ = _top_ritz_pair([1.0], [], [0.0], None)
+        below, theta, vector = _top_ritz_pair([1.0, 1.0], [0.5], [0.0, 0.25], (below, theta))
         assert theta == 1.5 and below == math.nextafter(1.5, -math.inf)
         assert np.allclose(np.abs(vector), math.sqrt(0.5), rtol=0, atol=1e-15)
 
@@ -348,6 +369,10 @@ class _Swapped:
     def __init__(self, op):
         self.op, self.grid = op, op.grid
 
+    @property
+    def _factors(self):
+        return self.op._factors
+
     def apply(self, spec):
         return _physical(self.op.apply_adjoint(_physical(spec)))
 
@@ -386,6 +411,10 @@ class _Counted:
     def __init__(self, op):
         self.op, self.grid = op, op.grid
         self.applies, self.zero_modes = 0, []
+
+    @property
+    def _factors(self):
+        return self.op._factors
 
     def apply(self, f):
         self.applies += 1

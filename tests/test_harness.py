@@ -63,7 +63,7 @@ class TestKpv:
         from smoothlab.harness import _kpv_member
 
         F = SpaceTimeField(GRID, TIMES, np.zeros((5,) + GRID.shape, complex))
-        m = _kpv_member(F, DEC, TIMES)
+        m = _kpv_member(F, DEC)
         assert m["degenerate"]
 
     def test_report_shape(self):
@@ -121,7 +121,7 @@ def _fresh_free_consistency(seed: int) -> float:
     f = band_limited_field(GRID, rng)
     F = band_limited_spacetime(GRID, TIMES, rng)
     lhs_a = harness._weighted_solution_lhs(magnetic_solve(f, zero_potential(GRID), F, TIMES), DEC)
-    free_plus_duhamel = free_evolution(f, TIMES).values + duhamel(F, TIMES).values
+    free_plus_duhamel = free_evolution(f, TIMES).values + duhamel(F).values
     lhs_b = harness._weighted_solution_lhs(SpaceTimeField(GRID, TIMES, free_plus_duhamel), DEC)
     return abs(lhs_a - lhs_b) / max(lhs_b, 1e-300)
 
