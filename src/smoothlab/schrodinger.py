@@ -11,8 +11,10 @@ trapezoid forcing, which telescopes to the global trapezoid Duhamel
 quadrature; the magnetic solver Strang-splits the local terms around the
 exact spectral step and degenerates to the free march when the potential
 vanishes, so the consistency ladder holds to rounding.  The potential is
-static, the same A at every time.  Every transform goes through the
-multipliers of ``spectral``.
+static, the same A at every time.  Every transform goes through
+``spectral``: the free steps through its multipliers, and the divergence
+of the magnetic term through its derivative, along each axis on the lines
+that meet the potential's support.
 
 Every march steps through its own time grid: it starts from the state it
 is given at the first time and steps from each time to the next, and
@@ -37,7 +39,7 @@ from .norms import annulus_sup
 from .spectral import (
     apply_multiplier_inplace,
     apply_multipliers,
-    derivative,
+    derivative_inplace,
     gradient,
     l2_norm,
     warn_if_boundary_heavy,
@@ -112,19 +114,34 @@ def free_evolution(f: Field, times: Sequence[float]) -> SpaceTimeField:
     return SpaceTimeField.from_slices(f.grid, times, apply_multipliers(f, symbols))
 
 
-def _sample_forcing(F: SpaceTimeField | None, grid: Grid, t: float) -> np.ndarray:
+def _forcing_sampler(F: SpaceTimeField | None) -> Callable[[float], np.ndarray | None]:
+    """The forcing at time t, None without forcing: F's own slice at a
+    sample time or beyond its ends, and between two samples the linear
+    interpolant (1 - w) F_j + w F_{j+1}.  The interpolant is written, in
+    that operand order, into one buffer of the sampler, with a second for
+    the product w F_{j+1}; the next interpolated sample overwrites it."""
     if F is None:
-        return np.zeros(grid.shape, dtype=np.complex128)
-    times = F.times
-    if t <= times[0]:
-        return F.values[0]
-    if t >= times[-1]:
-        return F.values[-1]
-    j = int(np.searchsorted(times, t, side="right") - 1)
-    if times[j] == t:
-        return F.values[j]
-    w = (t - times[j]) / (times[j + 1] - times[j])
-    return (1.0 - w) * F.values[j] + w * F.values[j + 1]
+        return lambda t: None
+    times, values = F.times, F.values
+    buf = term = None
+
+    def sample(t: float) -> np.ndarray:
+        nonlocal buf, term
+        if t <= times[0]:
+            return values[0]
+        if t >= times[-1]:
+            return values[-1]
+        j = int(np.searchsorted(times, t, side="right") - 1)
+        if times[j] == t:
+            return values[j]
+        if buf is None:
+            buf, term = np.empty_like(values[0]), np.empty_like(values[0])
+        w = (t - times[j]) / (times[j + 1] - times[j])
+        np.multiply(1.0 - w, values[j], out=buf)
+        buf += np.multiply(w, values[j + 1], out=term)
+        return buf
+
+    return sample
 
 
 def _march(
@@ -154,19 +171,24 @@ def _march_free_forced(
     """Exact free propagation with trapezoid forcing through the times
     (with F sampled at them, this telescopes to the global trapezoid
     Duhamel quadrature).  A step holds one work array besides the state
-    u, which it overwrites, and the free symbol."""
+    u, which it overwrites, and the free symbol; without forcing it
+    propagates u in place."""
     last_h, sym = None, None  # the free symbol of the latest step length
+    sample = _forcing_sampler(F)
 
     def advance(u: np.ndarray, a: float, b: float) -> None:
         nonlocal last_h, sym
         h = b - a
         if h != last_h:
             last_h, sym = h, _free_symbol(grid, h)
+        if F is None:
+            apply_multiplier_inplace(u, sym)
+            return
         # u_b = S_h (u_a + h/2 F_a) + h/2 F_b, each sum taken in place
-        work = 0.5 * h * _sample_forcing(F, grid, a)
+        work = 0.5 * h * sample(a)
         work += u
         apply_multiplier_inplace(work, sym)
-        np.multiply(0.5 * h, _sample_forcing(F, grid, b), out=u)
+        np.multiply(0.5 * h, sample(b), out=u)
         u += work
 
     return _march(grid, u0, times, advance)
@@ -186,29 +208,48 @@ def duhamel(F: SpaceTimeField) -> SpaceTimeField:
 # ---------------------------------------------------------------------------
 
 
-def _nonzero_components(comps: Components) -> dict[int, np.ndarray]:
-    """The components that are not identically zero, by axis."""
-    return {j: c for j, c in enumerate(comps) if c.any()}
+#: a component with its support block: the smallest index slice holding
+#: every nonzero sample, the same along every axis (``ShellMask.blocks``)
+Supported = tuple[np.ndarray, tuple[slice, ...]]
 
 
-def _divergence(grid: Grid, comps: dict[int, np.ndarray]) -> np.ndarray:
-    """Spectral divergence sum_j d_j comps[j] over the given axes.  The
-    callers leave out identically-zero components: their term is exactly
-    zero, and x + 0 == x."""
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    for j, c in comps.items():
-        out += derivative(Field(grid, c), j).values
-    return out
+def _support_block(c: np.ndarray) -> tuple[slice, ...]:
+    idx = np.concatenate(np.nonzero(c))
+    return (slice(int(idx.min()), int(idx.max()) + 1),)
+
+
+def _nonzero_components(comps: Components) -> dict[int, Supported]:
+    """The components that are not identically zero, by axis, each with
+    its support block."""
+    return {j: (c, _support_block(c)) for j, c in enumerate(comps) if c.any()}
+
+
+def _divergence(grid: Grid, terms: dict[int, Supported]) -> np.ndarray:
+    """Spectral divergence sum_j d_j v_j over the given axes, returned in
+    the first term's array.  Each v_j is a complex array that vanishes off
+    its block and is overwritten with its derivative, whose passes run only
+    on the lines that meet the block.  The callers leave out
+    identically-zero components: their term is exactly zero, and
+    x + 0 == x."""
+    div = None
+    for j, (v, blocks) in terms.items():
+        derivative_inplace(v, grid, j, blocks)
+        if div is None:
+            div = v
+        else:
+            div += v
+    return div
 
 
 def effective_scalar_potential(A: MagneticPotential) -> np.ndarray:
     """W = |A|^2 - i div A on the grid of A."""
     grid = A.grid
-    comps = A.components
     w = np.zeros(grid.shape, dtype=np.complex128)
-    for c in comps:
+    for c in A.components:
         w += c.astype(complex) ** 2
-    w -= 1j * _divergence(grid, _nonzero_components(comps))
+    comps = _nonzero_components(A.components)
+    if comps:  # a vanishing A has div A = 0
+        w -= 1j * _divergence(grid, {j: (c.astype(complex), b) for j, (c, b) in comps.items()})
     return w
 
 
@@ -240,17 +281,20 @@ def smallness_audit(A: MagneticPotential, decomp: DyadicDecomposition) -> float:
 def _local_rhs(
     grid: Grid,
     u: np.ndarray,
-    comps: dict[int, np.ndarray],
+    comps: dict[int, Supported],
     iw: np.ndarray,
-    f_vals: np.ndarray,
+    f_vals: np.ndarray | None,
 ) -> np.ndarray:
     """i times the non-Laplacian part of Lap_A, plus forcing:
-    2 div(A u) - i W u + F, over the non-zero components ``comps``, with
-    ``iw`` = i W; the terms are combined in place in that order."""
-    rhs = _divergence(grid, {j: c * u for j, c in comps.items()})
+    2 div(A u) - i W u + F, over the non-zero components ``comps`` of
+    ``_nonzero_components``, with ``iw`` = i W and no F for None; the
+    terms are combined in place in that order.  Each A_j u vanishes off
+    A_j's block, so its derivative runs on that block's lines."""
+    rhs = _divergence(grid, {j: (c * u, b) for j, (c, b) in comps.items()})
     rhs *= 2.0
     rhs -= iw * u
-    rhs += f_vals
+    if f_vals is not None:
+        rhs += f_vals
     return rhs
 
 
@@ -266,10 +310,14 @@ def magnetic_solve(
 
     Each step takes a midpoint-rule half-step of the local terms, an exact
     spectral Laplacian step, and a second local half-step (order 2).  A
-    vanishing potential degenerates to the exact forced free march; the
-    non-zero components of a non-vanishing one are found once per solve,
-    and only they are multiplied and differentiated, so a single-axis
-    potential costs 10 transforms per step.
+    vanishing potential degenerates to the exact forced free march.  The
+    non-zero components of a non-vanishing one and their support blocks
+    are found once per solve, and only they are multiplied and
+    differentiated, each along its own axis on the lines that meet its
+    block; so a single-axis potential costs 10 axis-pass transform calls
+    per step, 8 of them on its support's lines and the forward/inverse
+    pair of the spectral step over the whole grid.  The forcing samples
+    between F's times are written into one buffer of the solve.
     Growth of the local stage beyond ``GROWTH_BUDGET`` per step raises
     StabilityError naming the step.
     """
@@ -282,17 +330,20 @@ def magnetic_solve(
 
     comps = _nonzero_components(A.components)
     iw = np.multiply(1j, effective_scalar_potential(A))
+    sample = _forcing_sampler(F)
 
     def local_half(u: np.ndarray, t_a: float, t_b: float) -> None:
         # overwrites u with one midpoint-rule step of the local terms
         tau = t_b - t_a
-        mid = _local_rhs(grid, u, comps, iw, _sample_forcing(F, grid, t_a))
+        mid = _local_rhs(grid, u, comps, iw, sample(t_a))
         mid *= 0.5 * tau
         mid += u
-        f_mid = _sample_forcing(F, grid, 0.5 * (t_a + t_b))
+        f_mid = sample(0.5 * (t_a + t_b))
         step = _local_rhs(grid, mid, comps, iw, f_mid)
         step *= tau
-        scale = l2_norm(Field(grid, u)) + 2.0 * tau * l2_norm(Field(grid, f_mid))
+        scale = l2_norm(Field(grid, u))
+        if f_mid is not None:
+            scale += 2.0 * tau * l2_norm(Field(grid, f_mid))
         u += step
         if scale > 0 and l2_norm(Field(grid, u)) > (1.0 + GROWTH_BUDGET) * scale:
             raise StabilityError(

@@ -12,7 +12,10 @@ the pruned transforms, which run the axis passes only on the lines the
 data needs: ``boxed_fft_inplace`` and ``banded_ifft_inplace`` when the
 array vanishes off the blocks, as a masked field, a frequency shell or a
 synthesized ensemble field does, and ``boxed_ifft_inplace`` when only the
-values on the blocks are kept.  Every Plancherel norm, of a held
+values on the blocks are kept.  A partial derivative is one transform
+pair along its own axis, ``derivative_inplace``, on the lines that meet
+the blocks where the data can be nonzero; ``derivative`` and ``gradient``
+run it over the whole grid.  Every Plancherel norm, of a held
 spectrum or of a spectrum under a weight such as |xi|^(2s) (a shell term
 of ``norms``), is the one weighted power sum ``power_sum_norm``: one
 ``np.einsum`` pass over each part, with no |spectrum|^2 array.
@@ -207,19 +210,44 @@ def abs_freq_power(grid: Grid, s: float) -> np.ndarray:
     return out
 
 
+def derivative_inplace(
+    values: np.ndarray, grid: Grid, axis: int, blocks: tuple[slice, ...]
+) -> np.ndarray:
+    """Overwrite a complex array that vanishes off the product of ``blocks``
+    along every axis with its spectral partial derivative
+    ifft_axis(i xi_axis fft_axis(values)); returns it.
+
+    One forward and one inverse pass along ``axis`` run on the lines whose
+    other indices lie in the blocks, one pair per product of blocks; the
+    lines off them are zero going in and coming out.  A cube of m points on
+    an N-point axis costs 2 N m^(n-1) line elements instead of the 2 n N^n
+    of an ``fftn``/``ifftn`` pair.  The symbol i xi_axis is purely
+    imaginary, so each part of its product is one rounded real product,
+    whichever operand comes first.  The symbol keeps its Nyquist entry, so
+    the derivative of real data has an imaginary Nyquist part.
+    """
+    symbol = 1j * grid.freq_coord(axis)
+    for others in itertools.product(blocks, repeat=values.ndim - 1):
+        lines = values[others[:axis] + (slice(None),) + others[axis:]]
+        _in_place(_fftn, lines, axes=(axis,))
+        np.multiply(lines, symbol, out=lines)
+        _in_place(_ifftn, lines, axes=(axis,))
+    return values
+
+
 def derivative(f: Field, axis: int) -> Field:
-    """Spectral partial derivative i xi_axis."""
+    """Spectral partial derivative i xi_axis: one forward and one inverse
+    pass along the axis, over the whole grid."""
     grid = f.grid
     if not 0 <= axis < grid.dim:
         raise ValueError(f"axis {axis} out of range for dim {grid.dim}")
-    return apply_multiplier(f, 1j * grid.freq_coord(axis))
+    return Field(grid, derivative_inplace(f.values.copy(), grid, axis, (slice(None),)))
 
 
 def gradient(f: Field) -> Iterator[Field]:
-    """The n spectral partial derivatives in turn, from one forward
-    transform, each inverse run when its partial is asked for."""
-    grid = f.grid
-    return apply_multipliers(f, (1j * grid.freq_coord(j) for j in range(grid.dim)))
+    """The n spectral partial derivatives in turn, each made by
+    ``derivative`` when it is asked for."""
+    return (derivative(f, j) for j in range(f.grid.dim))
 
 
 def gradient_magnitude(f: Field) -> Field:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import oracles
 from oracles import plane_wave
@@ -12,6 +13,7 @@ from smoothlab.schrodinger import (
     MagneticPotential,
     StabilityError,
     _divergence,
+    _forcing_sampler,
     _local_rhs,
     _march,
     _nonzero_components,
@@ -166,9 +168,10 @@ class TestStreamedStacks:
         assert traced_peak(lambda: duhamel(F)) <= stack + 3 * array + 65536
 
     def test_magnetic_solve_holds_eight_grid_arrays_beyond_the_output(self, data, traced_peak):
-        # the state, the free symbol of the step, i W, the midpoint forcing,
-        # the midpoint state, and in its right-hand side A u, div(A u) and
-        # the derivative; on top numpy's buffer for a broadcast product
+        # the state, the free symbol of the step, i W, the forcing sample and
+        # the product term it is summed from, the midpoint state, and in its
+        # right-hand side A u, differentiated in place, and i W u; on top
+        # numpy's buffer for a broadcast product
         g, f, F = data
         A = bump_potential(g, 0.01, shell=1)
         array, stack = 16 * g.size, 16 * g.size * len(self.TIMES)
@@ -289,22 +292,26 @@ class TestMagneticSolver:
 class TestZeroComponents:
     """A single-axis potential transforms only its non-zero component."""
 
-    def test_divergence_equals_three_component_sum(self):
+    def test_divergence_equals_three_component_sum(self, fft_calls):
         g = Grid(3, 8.0, 16)
         A = MagneticPotential(g, (np.zeros(g.shape), 0.3 * bump(g.radius), np.zeros(g.shape)))
         u = band_limited_field(g, member_rng(3, 0)).values
-        comps = tuple(c * u for c in A.components)
         full = np.zeros(g.shape, dtype=complex)
-        for j, c in enumerate(comps):
-            full += _ifftn(1j * g.freq_coord(j) * _fftn(c.astype(complex)))
-        # the zero components' terms are dropped without changing the sum
-        assert list(_nonzero_components(A.components)) == [1]
-        assert np.array_equal(_divergence(g, {1: comps[1]}), full)
+        for j, c in enumerate(A.components):
+            full += _ifftn(1j * g.freq_coord(j) * _fftn(c * u, axes=(j,)), axes=(j,))
+        # the zero components' terms are dropped without changing the sum,
+        # and the one left is one pair of passes along its own axis
+        comps = _nonzero_components(A.components)
+        assert list(comps) == [1]
+        c, block = comps[1]
+        fft_calls.clear()
+        assert np.array_equal(_divergence(g, {1: (c * u, block)}), full)
+        assert fft_calls == ["fftn(axes=(1,))", "ifftn(axes=(1,))"]
 
     def test_strang_step_transform_count(self, fft_calls):
         # one extra Strang step is the only difference between the solves:
-        # 2 transforms per divergence x 2 per half-step x 2 half-steps,
-        # plus the forward/inverse pair of the spectral step
+        # a pair of axis-0 passes per divergence x 2 per half-step x 2
+        # half-steps, around the forward/inverse pair of the spectral step
         g = Grid(3, 8.0, 16)
         A = bump_potential(g, 0.05, shell=0)
         f = band_limited_field(g, member_rng(3, 1))
@@ -315,10 +322,13 @@ class TestZeroComponents:
         fft_calls.clear()
         magnetic_solve(f, A, None, [0.0, 2 * h], dt=h)
         assert len(fft_calls) - one_step == 10
+        half = ["fftn(axes=(0,))", "ifftn(axes=(0,))"] * 2
+        assert fft_calls[-10:] == half + ["fftn", "ifftn"] + half
 
     def test_smallness_audit_transforms_only_nonzero_components(self, fft_calls):
-        # the parent's audit ran the gradient of all three components:
-        # 12 transforms, 8 of them on zeros; the total is the same
+        # only the non-zero component's gradient is taken: one pair of
+        # passes along each axis, where all three components' gradients
+        # took 18; the total is the same
         from smoothlab.norms import annulus_sup
         from smoothlab.spectral import gradient
 
@@ -326,7 +336,7 @@ class TestZeroComponents:
         A = bump_potential(g, 0.05, shell=0)
         fft_calls.clear()
         total = smallness_audit(A, DEC)
-        assert len(fft_calls) == 4
+        assert fft_calls == [f"{name}(axes=({ax},))" for ax in range(3) for name in ("fftn", "ifftn")]
         sums = []
         for c in A.components:
             mag, grad = np.abs(c), [np.abs(d.values) for d in gradient(Field(g, c))]
@@ -338,6 +348,58 @@ class TestZeroComponents:
                 terms.append(term)
             sums.append(sum(terms))
         assert total == max(sums) > 0
+
+    def test_pruned_divergence_of_a_shell_bump(self, monkeypatch):
+        # A_0 lives on the cube |x_j| < 4, 15 of the 32 points per axis: the
+        # passes run on the (32, 15, 15) lines that meet it, with the bits
+        # of the pair over the whole grid up to the sign of zeros
+        g = Grid(3, 8.0, 32)
+        A = bump_potential(g, 0.05, shell=1)
+        u = band_limited_field(g, member_rng(3, 2)).values
+        (c, block), = _nonzero_components(A.components).values()
+        assert block == (slice(9, 24),)
+        expected = _ifftn(1j * g.freq_coord(0) * _fftn(c * u, axes=(0,)), axes=(0,))
+        seen = []
+        for name in ("fftn", "ifftn"):
+            real = getattr(scipy.fft, name)
+
+            def traced(x, *args, _name=name, _real=real, **kwargs):
+                seen.append((_name, tuple(kwargs["axes"]), x.shape))
+                return _real(x, *args, **kwargs)
+
+            monkeypatch.setattr(scipy.fft, name, traced)
+        got = _divergence(g, {0: (c * u, block)})
+        assert seen == [("fftn", (0,), (32, 15, 15)), ("ifftn", (0,), (32, 15, 15))]
+        assert (got == expected).all()
+        # a block one index too narrow leaves a line of A u undifferentiated
+        narrow = _divergence(g, {0: (c * u, (slice(10, 24),))})
+        assert not (narrow == expected).all()
+
+
+class TestForcingSampler:
+    """A forcing sample between two of F's times is written into the
+    sampler's buffer with the bits of the interpolant's expression."""
+
+    def test_interpolant_equals_the_expression(self):
+        g = Grid(3, 8.0, 32)
+        times = np.linspace(0.0, 1.0, 5)
+        F = band_limited_spacetime(g, times, member_rng(0, 24, 0))
+        sample = _forcing_sampler(F)
+        for t in (0.1, 0.3, 0.37, 0.8125, 0.99):
+            j = int(np.searchsorted(times, t, side="right") - 1)
+            w = (t - times[j]) / (times[j + 1] - times[j])
+            expected = (1.0 - w) * F.values[j] + w * F.values[j + 1]
+            assert np.array_equal(sample(t), expected)
+
+    def test_sample_times_and_ends_are_fs_own_slices(self):
+        g = Grid(2, 8.0, 8)
+        times = np.array([0.0, 0.5, 1.0])
+        F = SpaceTimeField(g, times, np.random.default_rng(24).standard_normal((3,) + g.shape))
+        sample = _forcing_sampler(F)
+        for t, j in ((-1.0, 0), (0.0, 0), (0.5, 1), (1.0, 2), (2.0, 2)):
+            got = sample(t)
+            assert got.base is F.values and np.array_equal(got, F.values[j])
+        assert _forcing_sampler(None)(0.5) is None
 
 
 def _gauge(points):

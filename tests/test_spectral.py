@@ -13,7 +13,7 @@ from smoothlab.dyadic import (
     frequency_mask,
     spatial_mask,
 )
-from smoothlab.grid import Field, Grid, gaussian
+from smoothlab.grid import Field, Grid, _fftn, _ifftn, gaussian
 from smoothlab.spectral import (
     abs_freq_power,
     apply_multiplier,
@@ -22,6 +22,7 @@ from smoothlab.spectral import (
     boxed_fft_inplace,
     boxed_ifft_inplace,
     derivative,
+    derivative_inplace,
     gradient,
     gradient_magnitude,
     l2_norm,
@@ -320,6 +321,71 @@ class TestPrunedPair:
         fft_calls.clear()
         boxed_ifft_inplace(values, (slice(4, 12),))
         assert fft_calls == [f"ifftn(axes=({ax},))" for ax in range(3)]
+
+
+def _axis_derivative(values, grid, axis):
+    """The single-axis reference: one forward and one inverse transform
+    along ``axis`` around the symbol i xi_axis."""
+    spec = _fftn(values, axes=(axis,))
+    return _ifftn(1j * grid.freq_coord(axis) * spec, axes=(axis,))
+
+
+class TestAxisDerivative:
+    """A partial derivative is one transform pair along its own axis, run on
+    the lines whose other indices lie in the blocks where the data can be
+    nonzero."""
+
+    GRIDS = [Grid(1, 8.0, 64), Grid(2, 8.0, 32), Grid(3, 8.0, 32)]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d", "3d"])
+    def test_derivative_is_the_single_axis_pair(self, grid):
+        f = random_field(grid, 41)
+        for axis in range(grid.dim):
+            assert np.array_equal(derivative(f, axis).values,
+                                  _axis_derivative(f.values, grid, axis))
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d", "3d"])
+    def test_derivative_agrees_with_numpys_full_transform(self, grid):
+        f = random_field(grid, 42)
+        for axis in range(grid.dim):
+            full = np.fft.ifftn(1j * grid.freq_coord(axis) * np.fft.fftn(f.values))
+            err = np.abs(derivative(f, axis).values - full).max()
+            assert err <= 1e-13 * np.abs(full).max()
+
+    @pytest.mark.parametrize("shape", [(64,), (32, 32), (16, 16, 16)],
+                             ids=["1d", "2d", "16^3"])
+    def test_pruned_derivative_equals_the_whole_one(self, shape):
+        # data on a random cube or wrapped band: the same bits as the pair
+        # over the whole grid, up to the sign of zeros, and zero off the lines
+        grid = Grid(len(shape), 8.0, shape[0])
+        rng = np.random.default_rng(43)
+        for _ in range(6):
+            blocks = _random_blocks(rng, shape[0])
+            inside = oracles.on_blocks(blocks, shape)
+            values = np.zeros(shape, dtype=complex)
+            values[inside] = (rng.standard_normal(values[inside].shape)
+                              + 1j * rng.standard_normal(values[inside].shape))
+            for axis in range(len(shape)):
+                expected = _axis_derivative(values, grid, axis)
+                got = derivative_inplace(values.copy(), grid, axis, blocks)
+                assert (got == expected).all()
+
+    def test_one_pair_per_product_of_the_other_axes_blocks(self, fft_calls):
+        # a band wrapped into two slices: 2^2 line sets on a 3-d grid
+        grid = Grid(3, 8.0, 16)
+        values = _banded_spectrum(np.random.default_rng(44), grid.shape, 3)
+        fft_calls.clear()
+        derivative_inplace(values, grid, 1, band_blocks(16, 3))
+        assert fft_calls == ["fftn(axes=(1,))", "ifftn(axes=(1,))"] * 4
+
+    def test_gradient_runs_one_pair_per_partial_when_asked(self, grid3, fft_calls):
+        f = random_field(grid3, 45)
+        fft_calls.clear()
+        partials = gradient(f)
+        assert fft_calls == []
+        for axis, g in enumerate(partials):
+            assert fft_calls[-2:] == [f"fftn(axes=({axis},))", f"ifftn(axes=({axis},))"]
+        assert len(fft_calls) == 6
 
 
 def _banded_spectrum(rng, shape, band):
