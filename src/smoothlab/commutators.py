@@ -345,15 +345,14 @@ def measure_pair_norm(
 
 def decay_scan(
     s: float,
-    k_range: Sequence[int],
-    m_range: Sequence[int],
+    shells: Sequence[int],
     *,
     dim: int,
     points: int,
     seed: int,
 ) -> DecayScanResult:
-    """Measure every (k, m) pair at least ``MIN_SEPARATION`` shells apart
-    and regress measured log2 norms on the predicted exponent.
+    """Measure every (k, m) pair of the shells at least ``MIN_SEPARATION``
+    apart and regress measured log2 norms on the predicted exponent.
 
     At p = 2 the exponent depends only on the shell separation, and the
     operator itself is dilation covariant, so each (separation, direction)
@@ -363,8 +362,8 @@ def decay_scan(
     """
     classes: dict[tuple[int, int], tuple[float, bool]] = {}
     records: list[DecayRecord] = []
-    for k in k_range:
-        for m in m_range:
+    for k in shells:
+        for m in shells:
             if abs(k - m) < MIN_SEPARATION:
                 continue
             key = (m - k > 0, abs(m - k))

@@ -13,8 +13,9 @@ exact spectral step and degenerates to the free march when the potential
 vanishes, so the consistency ladder holds to rounding.  The potential is
 static, the same A at every time.  Every transform goes through
 ``spectral``: the free steps through its multipliers, and the divergence
-of the magnetic term through its derivative, along each axis on the lines
-that meet the potential's support.
+of the magnetic term and the smallness audit's partials through its
+derivative, along each axis on the lines that meet the potential's
+support, which the potential finds once, when it is made.
 
 Every march steps through its own time grid: it starts from the state it
 is given at the first time and steps from each time to the next, and
@@ -28,7 +29,7 @@ transform is made.  No list of slices is stacked after.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,7 +41,6 @@ from .spectral import (
     apply_multiplier_inplace,
     apply_multipliers,
     derivative_inplace,
-    gradient,
     l2_norm,
     warn_if_boundary_heavy,
 )
@@ -57,14 +57,25 @@ class StabilityError(RuntimeError):
 
 Components = tuple[np.ndarray, ...]
 
+#: a component with its support block: the smallest index slice holding
+#: every nonzero sample, the same along every axis (``ShellMask.blocks``)
+Supported = tuple[np.ndarray, tuple[slice, ...]]
+
+
+def _support_block(c: np.ndarray) -> tuple[slice, ...]:
+    idx = np.concatenate(np.nonzero(c))
+    return (slice(int(idx.min()), int(idx.max()) + 1),)
+
 
 @dataclass
 class MagneticPotential:
     """Static real vector potential A(x): the solver, W and the smallness
-    audit all see the same A at every time."""
+    audit all see the same A at every time, and read its ``support``: each
+    nonzero component by axis with its support block, found once here."""
 
     grid: Grid
     components: Components
+    support: dict[int, Supported] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         comps = []
@@ -80,9 +91,7 @@ class MagneticPotential:
                 f"need {self.grid.dim} components, got {len(comps)}"
             )
         self.components = tuple(comps)
-
-    def is_zero(self) -> bool:
-        return all(np.max(np.abs(c)) == 0.0 for c in self.components)
+        self.support = {j: (c, _support_block(c)) for j, c in enumerate(comps) if c.any()}
 
 
 def zero_potential(grid: Grid) -> MagneticPotential:
@@ -208,29 +217,13 @@ def duhamel(F: SpaceTimeField) -> SpaceTimeField:
 # ---------------------------------------------------------------------------
 
 
-#: a component with its support block: the smallest index slice holding
-#: every nonzero sample, the same along every axis (``ShellMask.blocks``)
-Supported = tuple[np.ndarray, tuple[slice, ...]]
-
-
-def _support_block(c: np.ndarray) -> tuple[slice, ...]:
-    idx = np.concatenate(np.nonzero(c))
-    return (slice(int(idx.min()), int(idx.max()) + 1),)
-
-
-def _nonzero_components(comps: Components) -> dict[int, Supported]:
-    """The components that are not identically zero, by axis, each with
-    its support block."""
-    return {j: (c, _support_block(c)) for j, c in enumerate(comps) if c.any()}
-
-
 def _divergence(grid: Grid, terms: dict[int, Supported]) -> np.ndarray:
     """Spectral divergence sum_j d_j v_j over the given axes, returned in
     the first term's array.  Each v_j is a complex array that vanishes off
     its block and is overwritten with its derivative, whose passes run only
-    on the lines that meet the block.  The callers leave out
-    identically-zero components: their term is exactly zero, and
-    x + 0 == x."""
+    on the lines that meet the block.  The callers pass a potential's
+    ``support``, which leaves out identically-zero components: their term
+    is exactly zero, and x + 0 == x."""
     div = None
     for j, (v, blocks) in terms.items():
         derivative_inplace(v, grid, j, blocks)
@@ -242,30 +235,27 @@ def _divergence(grid: Grid, terms: dict[int, Supported]) -> np.ndarray:
 
 
 def effective_scalar_potential(A: MagneticPotential) -> np.ndarray:
-    """W = |A|^2 - i div A on the grid of A."""
+    """W = |A|^2 - i div A on the grid of A, summed over its support."""
     grid = A.grid
     w = np.zeros(grid.shape, dtype=np.complex128)
-    for c in A.components:
+    for c, _ in A.support.values():
         w += c.astype(complex) ** 2
-    comps = _nonzero_components(A.components)
-    if comps:  # a vanishing A has div A = 0
-        w -= 1j * _divergence(grid, {j: (c.astype(complex), b) for j, (c, b) in comps.items()})
+    if A.support:  # a vanishing A has div A = 0
+        w -= 1j * _divergence(grid, {j: (c.astype(complex), b) for j, (c, b) in A.support.items()})
     return w
 
 
 def smallness_audit(A: MagneticPotential, decomp: DyadicDecomposition) -> float:
     """Scale-invariant weighted sup budget of a magnetic potential:
-    max_j sum_k sum_{|beta|<=1} 2^(k(1+|beta|)) sup_{annulus k} |D^beta A_j|."""
+    max_j sum_k sum_{|beta|<=1} 2^(k(1+|beta|)) sup_{annulus k} |D^beta A_j|
+    over the support's A_j, each partial taken on the lines of A_j's block."""
     grid = A.grid
     sums = []
-    for c in A.components:
-        if not c.any():
-            continue  # an identically-zero component sums to exactly 0.0
-        mag = np.abs(c)
-        grad = [np.abs(d.values) for d in gradient(Field(grid, c))]
+    for c, block in A.support.values():
+        grad = [derivative_inplace(c.astype(complex), grid, j, block) for j in range(grid.dim)]
         terms = []
         for k in decomp.shells:
-            term = 2.0**k * annulus_sup(mag, grid, k)
+            term = 2.0**k * annulus_sup(c, grid, k)
             for d in grad:
                 term += 2.0 ** (2 * k) * annulus_sup(d, grid, k)
             terms.append(term)
@@ -281,16 +271,16 @@ def smallness_audit(A: MagneticPotential, decomp: DyadicDecomposition) -> float:
 def _local_rhs(
     grid: Grid,
     u: np.ndarray,
-    comps: dict[int, Supported],
+    support: dict[int, Supported],
     iw: np.ndarray,
     f_vals: np.ndarray | None,
 ) -> np.ndarray:
     """i times the non-Laplacian part of Lap_A, plus forcing:
-    2 div(A u) - i W u + F, over the non-zero components ``comps`` of
-    ``_nonzero_components``, with ``iw`` = i W and no F for None; the
-    terms are combined in place in that order.  Each A_j u vanishes off
-    A_j's block, so its derivative runs on that block's lines."""
-    rhs = _divergence(grid, {j: (c * u, b) for j, (c, b) in comps.items()})
+    2 div(A u) - i W u + F, over the potential's ``support``, with ``iw``
+    = i W and no F for None; the terms are combined in place in that
+    order.  Each A_j u vanishes off A_j's block, so its derivative runs on
+    that block's lines."""
+    rhs = _divergence(grid, {j: (c * u, b) for j, (c, b) in support.items()})
     rhs *= 2.0
     rhs -= iw * u
     if f_vals is not None:
@@ -312,34 +302,33 @@ def magnetic_solve(
     spectral Laplacian step, and a second local half-step (order 2).  A
     vanishing potential degenerates to the exact forced free march.  The
     non-zero components of a non-vanishing one and their support blocks
-    are found once per solve, and only they are multiplied and
-    differentiated, each along its own axis on the lines that meet its
-    block; so a single-axis potential costs 10 axis-pass transform calls
-    per step, 8 of them on its support's lines and the forward/inverse
-    pair of the spectral step over the whole grid.  The forcing samples
-    between F's times are written into one buffer of the solve.
-    Growth of the local stage beyond ``GROWTH_BUDGET`` per step raises
-    StabilityError naming the step.
+    are found once per potential (``MagneticPotential.support``), and only
+    they are multiplied and differentiated, each along its own axis on the
+    lines that meet its block; so a single-axis potential costs 10
+    axis-pass transform calls per step, 8 of them on its support's lines
+    and the forward/inverse pair of the spectral step over the whole grid.
+    The forcing samples between F's times are written into one buffer of
+    the solve.  Growth of the local stage beyond ``GROWTH_BUDGET`` per step
+    raises StabilityError naming the step.
     """
     grid = f.grid
     warn_if_boundary_heavy(f, "magnetic_solve initial data")
-    if A.is_zero():
+    if not A.support:
         return _march_free_forced(grid, f.values.copy(), F, times)
     if dt is None:
         dt = 0.5 * grid.spacing**2
 
-    comps = _nonzero_components(A.components)
     iw = np.multiply(1j, effective_scalar_potential(A))
     sample = _forcing_sampler(F)
 
     def local_half(u: np.ndarray, t_a: float, t_b: float) -> None:
         # overwrites u with one midpoint-rule step of the local terms
         tau = t_b - t_a
-        mid = _local_rhs(grid, u, comps, iw, sample(t_a))
+        mid = _local_rhs(grid, u, A.support, iw, sample(t_a))
         mid *= 0.5 * tau
         mid += u
         f_mid = sample(0.5 * (t_a + t_b))
-        step = _local_rhs(grid, mid, comps, iw, f_mid)
+        step = _local_rhs(grid, mid, A.support, iw, f_mid)
         step *= tau
         scale = l2_norm(Field(grid, u))
         if f_mid is not None:

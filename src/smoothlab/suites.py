@@ -305,7 +305,7 @@ def run_commutator_scan(cfg: ExperimentConfig) -> SuiteResult:
     verdicts: list[Verdict] = []
     report: dict = {"slopes": {}, "diagonal": {}}
     for s in COMMUTATOR_S_VALUES:
-        scan = decay_scan(s, k_range, k_range, dim=cfg.dim, points=cfg.points, seed=cfg.seed)
+        scan = decay_scan(s, k_range, dim=cfg.dim, points=cfg.points, seed=cfg.seed)
         rows.extend({**r, "s": s} for r in scan.csv_rows())
         report["slopes"][str(s)] = {
             "slope": scan.slope,

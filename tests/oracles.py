@@ -7,9 +7,11 @@ Morrey-Campanato local energy, the one-sided geometric edge value of the discret
 boundary-shell share of a shell norm, the Riesz transforms (whose identities pin the zero-mode convention of the
 multiplier pathway), the fractional Laplacian as a transform pair, the
 p = 2 shell term as a dense Plancherel sum, the smooth step evaluated on
-the whole line, the shell masks evaluated on the whole grid, and the
-space-time fields built as lists of slices stacked at the end or as one
-broadcast product: the free flow, a march and an ensemble member.
+the whole line, the shell masks evaluated on the whole grid, the
+smallness audit of a magnetic potential from whole-grid gradients of
+every component, and the space-time fields built as lists of slices
+stacked at the end or as one broadcast product: the free flow, a march
+and an ensemble member.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from smoothlab.discrete import SEPARATION
 from smoothlab.dyadic import DyadicDecomposition, ShellMask, bump, seq_norm
 from smoothlab.ensembles import SPACETIME_MODES, band_limited_field
 from smoothlab.grid import Field, Grid, _fftn, _ifftn
-from smoothlab.norms import NormSpec, lqa_shell_terms
-from smoothlab.spectral import abs_freq_power, apply_multiplier
+from smoothlab.norms import NormSpec, annulus_sup, lqa_shell_terms
+from smoothlab.schrodinger import MagneticPotential
+from smoothlab.spectral import abs_freq_power, apply_multiplier, gradient
 
 
 def coord(grid: Grid, axis: int) -> np.ndarray:
@@ -175,6 +178,25 @@ def dense(mask: ShellMask, grid: Grid) -> np.ndarray:
     out = np.zeros(grid.shape)
     out[on_blocks(mask.blocks, grid.shape)] = mask.values
     return out
+
+
+def full_grid_audit(A: MagneticPotential, decomp: DyadicDecomposition) -> float:
+    """max_j sum_k (2^k sup |A_j| + 4^k sum_i sup |d_i A_j|) over the
+    annuli, with every component's gradient taken over the whole grid,
+    the identically-zero components included."""
+    grid = A.grid
+    sums = []
+    for c in A.components:
+        mag = np.abs(c)
+        grad = [np.abs(d.values) for d in gradient(Field(grid, c))]
+        terms = []
+        for k in decomp.shells:
+            term = 2.0**k * annulus_sup(mag, grid, k)
+            for d in grad:
+                term += 2.0 ** (2 * k) * annulus_sup(d, grid, k)
+            terms.append(term)
+        sums.append(sum(terms))
+    return max(sums)
 
 
 def stacked_free_evolution(f: Field, times: Sequence[float]) -> np.ndarray:

@@ -212,7 +212,7 @@ class TestOperatorNorm:
 
 class TestDecayScan:
     def test_s_zero_far_pairs_excluded(self):
-        scan = decay_scan(0.0, range(-1, 3), range(-1, 3), dim=3, points=32, seed=0)
+        scan = decay_scan(0.0, range(-1, 3), dim=3, points=32, seed=0)
         far = [r for r in scan.records if abs(r.k - r.m) >= 3]
         assert far and all(r.measured_log2 == -math.inf for r in far)
         assert all(not r.resolved for r in far)
@@ -233,7 +233,7 @@ class TestDecayScan:
         assert math.isclose(a[0], b[0], rel_tol=1e-9)
 
     def test_scan_regression_bookkeeping(self):
-        scan = decay_scan(0.5, range(-1, 4), range(-1, 4), dim=3, points=32, seed=3)
+        scan = decay_scan(0.5, range(-1, 4), dim=3, points=32, seed=3)
         resolved = [r for r in scan.records if r.resolved]
         assert scan.regression_points == len(resolved)
         for r in scan.records:
@@ -490,7 +490,7 @@ class TestOperatorNormSteps:
 
         monkeypatch.setattr(commutators, "operator_norm", counted)
         for s in (0.5, -0.5):
-            decay_scan(s, range(-1, 3), range(-1, 3), dim=3, points=32, seed=0)
+            decay_scan(s, range(-1, 3), dim=3, points=32, seed=0)
             diagonal_scan(s, range(-1, 3), grid, seed=0)
         assert steps == [8, 7, 10, 28, 43, 62, 8, 10, 10, 27, 41, 64]
 

@@ -20,11 +20,14 @@ the config alone.  Every dyadic shell sum is assembled by
 with ``sum``, ``max`` or ``min``.  The only process-lifetime caches are the
 two mask caches and the bounded torus-weight cache of the p = 2 shell
 terms, none keyed by a ``Grid`` instance, and ``CommutatorOp`` builds its masks and symbols in one
-cached property instead of once per matvec.  Every optional parameter of a
-public function or method is set by some call in ``src/`` or ``bench/``
-and left at its default by another, apart from the few seams listed in
-``UNSET_PARAMETERS``, which no call sets; none defaults to a bool: an
-on/off switch is a second function in disguise.  The verifiers in
+cached property instead of once per matvec.  A magnetic potential's
+support is found once, when it is made: ``schrodinger._support_block``
+is called only in ``MagneticPotential.__post_init__``.
+Every optional parameter of a public function or method is set by some
+call in ``src/`` or ``bench/`` and left at its default by another, apart
+from the few seams listed in ``UNSET_PARAMETERS``, which no call sets;
+none defaults to a bool: an on/off switch is a second function in
+disguise.  The verifiers in
 ``harness`` measure on the grid they are given: it calls neither
 ``Grid(...)`` nor ``.refine()``, and the suites refine.  Every relative
 drift goes through ``harness.relative_drift``: no module divides
@@ -296,6 +299,22 @@ def test_commutator_factors_built_in_one_cached_property():
     ]
 
 
+def test_support_found_once_per_potential():
+    # the solver, W and the smallness audit read MagneticPotential.support;
+    # a second call site would scan the potential again on every call, and
+    # a renamed finder would leave this guard checking nothing
+    schrodinger = Path(smoothlab.__file__).parent / "schrodinger.py"
+    assert "_support_block" in _defined_functions(schrodinger)
+    sites = [
+        qualname
+        for path in MODULES for node, qualname, _ in _units(path)
+        if not isinstance(node, ast.ClassDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and _called_name(call) == "_support_block"
+    ]
+    assert sites == ["MagneticPotential.__post_init__"]
+
+
 BENCH_FILES = sorted((Path(smoothlab.__file__).parents[2] / "bench").glob("*.py"))
 
 
@@ -343,7 +362,7 @@ def test_every_public_definition_has_a_caller():
 #: optional parameters no call in src/ or bench/ sets, kept on purpose
 UNSET_PARAMETERS = {
     ("magnetic_solve", "dt"):
-        "acceptance criterion 10 checks the Strang order by halving the step",
+        "acceptance criterion 11 checks the Strang order by halving the step",
     ("band_limited_spacetime", "mode_radius"):
         "the kpv draw that stays inside the box sets it (ROADMAP item 1)",
     ("band_limited_spacetime", "window"):

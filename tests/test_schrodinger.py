@@ -16,7 +16,6 @@ from smoothlab.schrodinger import (
     _forcing_sampler,
     _local_rhs,
     _march,
-    _nonzero_components,
     bump_potential,
     duhamel,
     effective_scalar_potential,
@@ -34,6 +33,22 @@ def grid():
 
 
 DEC = DyadicDecomposition(-2, 3)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """(name, axes, shape) of each scipy.fft transform run during the test,
+    in call order."""
+    seen = []
+    for name in ("fftn", "ifftn"):
+        real = getattr(scipy.fft, name)
+
+        def traced(x, *args, _name=name, _real=real, **kwargs):
+            seen.append((_name, tuple(kwargs["axes"]), x.shape))
+            return _real(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, traced)
+    return seen
 
 
 class TestFreePropagator:
@@ -204,6 +219,50 @@ class TestMagneticPotential:
     def test_audit_zero(self, grid):
         assert smallness_audit(zero_potential(grid), DEC) == 0.0
 
+    def test_support_is_found_when_the_potential_is_made(self, grid):
+        assert zero_potential(grid).support == {}
+        A = bump_potential(grid, 0.05, shell=1)
+        (j, (c, block)), = A.support.items()
+        assert j == 0 and c is A.components[0] and block == (slice(5, 12),)
+        # a complex array with a zero imaginary part is taken as its real part
+        B = MagneticPotential(grid, (A.components[0] + 0j, *A.components[1:]))
+        assert B.support[0][0].dtype == float and B.support[0][1] == block
+        assert list(_gauge(16)[2].support) == [0, 1, 2]
+
+    @pytest.mark.parametrize("points", [16, 32, 64])
+    def test_audit_on_support_lines_equals_the_whole_grid_audit(self, points):
+        # the partials taken on the support's lines agree with whole-grid
+        # gradients of all three components bit for bit, up to the sign
+        # of zeros, which the sup's abs drops
+        g = Grid(3, 8.0, points)
+        decomps = [DEC, DyadicDecomposition(-1, 2), DyadicDecomposition(0, 4)]
+        for shell in (0, 1, 2):
+            for amplitude in (0.05, 1.0):
+                A = bump_potential(g, amplitude, shell=shell)
+                for decomp in decomps:
+                    assert smallness_audit(A, decomp) == oracles.full_grid_audit(A, decomp)
+        A = _gauge(points)[2]
+        assert smallness_audit(A, DEC) == oracles.full_grid_audit(A, DEC)
+
+    @pytest.mark.parametrize("narrow", [(1, 0), (0, -1)])
+    def test_a_block_one_index_too_narrow_changes_the_audit(self, monkeypatch, narrow):
+        # the shell-0 bump at 16^3 lives on 3 of the 16 points per axis,
+        # so the lines a narrowed block leaves undifferentiated carry the
+        # sup; on wider supports they hold only the bump's small tail
+        import smoothlab.schrodinger as schrodinger
+
+        real = schrodinger._support_block
+
+        def narrowed(c):
+            (block,) = real(c)
+            return (slice(block.start + narrow[0], block.stop + narrow[1]),)
+
+        monkeypatch.setattr(schrodinger, "_support_block", narrowed)
+        g = Grid(3, 8.0, 16)
+        A = bump_potential(g, 0.05, shell=0)
+        assert A.support[0][1] != real(A.components[0])
+        assert smallness_audit(A, DEC) != oracles.full_grid_audit(A, DEC)
+
     def test_audit_single_bump_fd_oracle(self):
         # spectral-derivative audit against a centered-difference oracle on
         # a well-resolved bump (2% agreement needs the edge resolved)
@@ -301,9 +360,8 @@ class TestZeroComponents:
             full += _ifftn(1j * g.freq_coord(j) * _fftn(c * u, axes=(j,)), axes=(j,))
         # the zero components' terms are dropped without changing the sum,
         # and the one left is one pair of passes along its own axis
-        comps = _nonzero_components(A.components)
-        assert list(comps) == [1]
-        c, block = comps[1]
+        assert list(A.support) == [1]
+        c, block = A.support[1]
         fft_calls.clear()
         assert np.array_equal(_divergence(g, {1: (c * u, block)}), full)
         assert fft_calls == ["fftn(axes=(1,))", "ifftn(axes=(1,))"]
@@ -325,51 +383,33 @@ class TestZeroComponents:
         half = ["fftn(axes=(0,))", "ifftn(axes=(0,))"] * 2
         assert fft_calls[-10:] == half + ["fftn", "ifftn"] + half
 
-    def test_smallness_audit_transforms_only_nonzero_components(self, fft_calls):
-        # only the non-zero component's gradient is taken: one pair of
-        # passes along each axis, where all three components' gradients
-        # took 18; the total is the same
-        from smoothlab.norms import annulus_sup
-        from smoothlab.spectral import gradient
-
+    def test_smallness_audit_transforms_only_nonzero_components(self, passes):
+        # only the non-zero component's gradient is taken, one pair of
+        # passes along each axis on the lines that meet its support cube
+        # (7 or 15 of the 32 points per axis), where all three components'
+        # whole-grid gradients took 18 passes; the total is the same
         g = Grid(3, 8.0, 32)
-        A = bump_potential(g, 0.05, shell=0)
-        fft_calls.clear()
-        total = smallness_audit(A, DEC)
-        assert fft_calls == [f"{name}(axes=({ax},))" for ax in range(3) for name in ("fftn", "ifftn")]
-        sums = []
-        for c in A.components:
-            mag, grad = np.abs(c), [np.abs(d.values) for d in gradient(Field(g, c))]
-            terms = []
-            for k in DEC.shells:
-                term = 2.0**k * annulus_sup(mag, g, k)
-                for d in grad:
-                    term += 2.0 ** (2 * k) * annulus_sup(d, g, k)
-                terms.append(term)
-            sums.append(sum(terms))
-        assert total == max(sums) > 0
+        for shell, line in ((0, 7), (1, 15)):
+            A = bump_potential(g, 0.05, shell=shell)
+            passes.clear()
+            total = smallness_audit(A, DEC)
+            shapes = [tuple(32 if ax == j else line for ax in range(3)) for j in range(3)]
+            assert passes == [(name, (j,), shapes[j]) for j in range(3) for name in ("fftn", "ifftn")]
+            assert total == oracles.full_grid_audit(A, DEC) > 0
 
-    def test_pruned_divergence_of_a_shell_bump(self, monkeypatch):
+    def test_pruned_divergence_of_a_shell_bump(self, passes):
         # A_0 lives on the cube |x_j| < 4, 15 of the 32 points per axis: the
         # passes run on the (32, 15, 15) lines that meet it, with the bits
         # of the pair over the whole grid up to the sign of zeros
         g = Grid(3, 8.0, 32)
         A = bump_potential(g, 0.05, shell=1)
         u = band_limited_field(g, member_rng(3, 2)).values
-        (c, block), = _nonzero_components(A.components).values()
+        (c, block), = A.support.values()
         assert block == (slice(9, 24),)
         expected = _ifftn(1j * g.freq_coord(0) * _fftn(c * u, axes=(0,)), axes=(0,))
-        seen = []
-        for name in ("fftn", "ifftn"):
-            real = getattr(scipy.fft, name)
-
-            def traced(x, *args, _name=name, _real=real, **kwargs):
-                seen.append((_name, tuple(kwargs["axes"]), x.shape))
-                return _real(x, *args, **kwargs)
-
-            monkeypatch.setattr(scipy.fft, name, traced)
+        passes.clear()
         got = _divergence(g, {0: (c * u, block)})
-        assert seen == [("fftn", (0,), (32, 15, 15)), ("ifftn", (0,), (32, 15, 15))]
+        assert passes == [("fftn", (0,), (32, 15, 15)), ("ifftn", (0,), (32, 15, 15))]
         assert (got == expected).all()
         # a block one index too narrow leaves a line of A u undifferentiated
         narrow = _divergence(g, {0: (c * u, (slice(10, 24),))})
@@ -425,7 +465,7 @@ def _gauge_residual(points):
     lap = -grid.freq_radius**2
     u = Field(grid, phase * v.values)
     lap_v = apply_multiplier(v, lap).values
-    local = _local_rhs(grid, u.values, _nonzero_components(A.components),
+    local = _local_rhs(grid, u.values, A.support,
                        1j * effective_scalar_potential(A), np.zeros(grid.shape))
     gauged = 1j * apply_multiplier(u, lap).values + local
     return l2_norm(Field(grid, gauged - phase * 1j * lap_v)) / l2_norm(Field(grid, lap_v))
